@@ -18,7 +18,7 @@ import scipy.optimize
 
 from .chain import MarkovChain, distance_matrix
 from .errors import DomainError, NumericalFailure
-from .gamma import assemble_forms, cd_quadratic, dirac, validate_density
+from .gamma import assemble_forms, cd_quadratic_grad, dirac, validate_density
 from .heat import spectral_decompose
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
 
@@ -34,7 +34,7 @@ BISECT_CAP = 1e6
 #: pencil/bisection agreement tolerance
 AGREE_TOL = 1e-8
 #: minimal-eigenvalue gap below which the analytic gradient falls back to
-#: finite differences of the curvature value itself
+#: central differences of the curvature value itself
 GRAD_GAP_TOL = 1e-7
 
 
@@ -237,10 +237,12 @@ def lambda1(chain: MarkovChain) -> float:
 def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.ndarray]:
     """Value and gradient of rho -> K_dim(rho).
 
-    Differentiates the minimal pencil eigenvalue through its witness
-    (first-order eigenvalue sensitivity); the per-coordinate derivatives of
-    the frozen-witness quadratic forms are central differences.  Near
-    eigenvalue degeneracy the whole value is finite-differenced instead.
+    K is the minimal pencil eigenvalue, M(f)/N(f) at its witness f.  When
+    that eigenvalue is simple (gap >= GRAD_GAP_TOL) first-order eigenvalue
+    sensitivity gives grad K = (grad M - K grad N) / N with f held fixed,
+    and cd_quadratic_grad evaluates grad M and grad N exactly in one pass
+    over the edges, using the mean's d1 and d11.  Near eigenvalue
+    degeneracy the value itself is central-differenced through the pencil.
     """
     mean = get_mean(mean)
     rho = validate_density(chain, mean, rho)
@@ -249,27 +251,23 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
         fp = assemble_forms(chain, mean, r, dim)
         return _pencil(fp.m, fp.n)
 
-    k, witness, _, gap = value_at(rho)
+    k, witness, null_dim, gap = value_at(rho)
     if not np.isfinite(k):
         raise NumericalFailure("curvature gradient undefined at K = -inf")
-    grad = np.zeros(chain.n_states)
+    if null_dim > 1 and (rho > 0).all():
+        # n vanishes only on constants at a positive density; more null
+        # directions mean the density's range has outrun the eigensolver
+        raise NumericalFailure(f"n lost rank ({null_dim} null directions) "
+                               "at a strictly positive density")
     if gap is not None and gap >= GRAD_GAP_TOL and witness is not None:
-        nmass = cd_quadratic(chain, mean, rho, dim, witness)[1]
-        for i in range(chain.n_states):
-            h = min(6e-6 * max(1.0, rho[i]), 0.5 * rho[i]) if rho[i] > 0 else 6e-6
-            rp = rho.copy(); rp[i] += h
-            rm = rho.copy(); rm[i] -= h
-            mp_, np_ = cd_quadratic(chain, mean, rp, dim, witness)
-            mm_, nm_ = cd_quadratic(chain, mean, rm, dim, witness)
-            dm = (mp_ - mm_) / (2 * h)
-            dn = (np_ - nm_) / (2 * h)
-            grad[i] = (dm - k * dn) / nmass
-    else:
-        for i in range(chain.n_states):
-            h = min(1e-6 * max(1.0, rho[i]), 0.5 * rho[i]) if rho[i] > 0 else 1e-6
-            rp = rho.copy(); rp[i] += h
-            rm = rho.copy(); rm[i] -= h
-            grad[i] = (value_at(rp)[0] - value_at(rm)[0]) / (2 * h)
+        _, nmass, dm, dn = cd_quadratic_grad(chain, mean, rho, dim, witness)
+        return k, (dm - k * dn) / nmass
+    grad = np.zeros(chain.n_states)
+    for i in range(chain.n_states):
+        h = min(1e-6 * max(1.0, rho[i]), 0.5 * rho[i]) if rho[i] > 0 else 1e-6
+        rp = rho.copy(); rp[i] += h
+        rm = rho.copy(); rm[i] -= h
+        grad[i] = (value_at(rp)[0] - value_at(rm)[0]) / (2 * h)
     return k, grad
 
 
@@ -277,9 +275,10 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
 class EntropicEstimate:
     """Best upper bound on the global curvature found by multi-start descent.
 
-    Every evaluated density yields a valid upper bound on the chain
-    curvature; k_hat is the least one seen.  The global infimum is NOT
-    certified: certified_nonnegative is a heuristic flag only.
+    Every density yields an upper bound on the chain curvature; k_hat is
+    the least value seen that the pencil and bisection routes both confirm.
+    The global infimum is NOT certified: certified_nonnegative is a
+    heuristic flag only.
     """
 
     k_hat: float
@@ -287,6 +286,22 @@ class EntropicEstimate:
     starts: int
     per_start: list[tuple[float, bool]] = field(default_factory=list)
     certified_nonnegative: bool = False
+
+
+def _least_confirmed(chain: MarkovChain, mean, dim, seen):
+    """Least K among the evaluated densities that survives the two-route
+    solve, with its density normalized to <rho, 1>_pi = 1.
+
+    Descent can run into densities so lopsided that the pencil of the
+    unconfirmed evaluation is numerically meaningless; those are skipped.
+    """
+    for k, rho in sorted(seen, key=lambda item: item[0]):
+        rho = rho / float(np.dot(rho, chain.pi))
+        try:
+            return curvature_of_measure(chain, mean, rho, dim).value, rho
+        except (NumericalFailure, np.linalg.LinAlgError):
+            continue
+    return POS_INFINITY, None
 
 
 def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
@@ -299,7 +314,11 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     iterate stays strictly positive and normalized.  Starts: the constant
     density, smoothed Dirac bumps (at most 8), then Dirichlet-random
     densities.  Runs are sequential in index order, so results are
-    reproducible for a fixed (seed, starts).
+    reproducible for a fixed (seed, starts).  Each start records the least
+    confirmed value along its descent (see _least_confirmed).  A start
+    whose eigensolver raises LinAlgError is recorded as (inf, False) and
+    the next one runs; NumericalFailure is raised only when no start gives
+    a confirmed value.
     """
     mean = get_mean(mean)
     if mean.domain_class != "open":
@@ -324,18 +343,16 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     start_rhos = start_rhos[:starts]
 
     best_k = POS_INFINITY
-    best_rho = np.ones(n)
+    best_rho = None
     per_start: list[tuple[float, bool]] = []
 
     for rho0 in start_rhos:
-        local_best = [POS_INFINITY, None]
+        seen: list[tuple[float, np.ndarray]] = []
 
         def fun_and_grad(u):
             rho = rho_of(u)
             k, g_rho = curvature_grad_rho(chain, mean, rho, dim)
-            if k < local_best[0]:
-                local_best[0] = k
-                local_best[1] = rho.copy()
+            seen.append((k, rho))
             # chain rule through the normalized exponential map
             g_u = rho * (g_rho - pi * float(np.dot(g_rho, rho)))
             return k, g_u
@@ -349,13 +366,17 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
             converged = bool(res.success)
         except NumericalFailure:
             converged = False
-        per_start.append((local_best[0], converged))
-        if local_best[0] < best_k:
-            best_k = local_best[0]
-            best_rho = local_best[1]
+        except np.linalg.LinAlgError:
+            # an eigensolver gave up: nothing this start saw is trusted
+            seen.clear()
+            converged = False
+        k_start, rho_start = _least_confirmed(chain, mean, dim, seen)
+        per_start.append((k_start, converged))
+        if k_start < best_k:
+            best_k, best_rho = k_start, rho_start
 
-    best_rho = np.maximum(best_rho, 1e-300)
-    best_rho = best_rho / float(np.dot(best_rho, pi))
+    if best_rho is None:
+        raise NumericalFailure(f"no start of {starts} gave a confirmed curvature")
     return EntropicEstimate(
         k_hat=best_k, rho_star=best_rho, starts=starts, per_start=per_start,
         certified_nonnegative=bool(best_k >= -1e-6))

@@ -276,8 +276,8 @@ def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
 def cd_quadratic(chain: MarkovChain, mean, rho, dim, f) -> tuple[float, float]:
     """Scalar evaluation (<rho, Gamma2 f - (1/dim)(Delta f)^2>, <rho, Gamma f>).
 
-    O(edges) route used by gradient computations; agrees with the assembled
-    FormPair applied to f.
+    O(edges) route through the Gamma operators; agrees with the assembled
+    FormPair applied to f and with the values of cd_quadratic_grad.
     """
     rho = validate_density(chain, mean, rho)
     f = _as_function(chain, f)
@@ -288,6 +288,54 @@ def cd_quadratic(chain: MarkovChain, mean, rho, dim, f) -> tuple[float, float]:
     if np.isfinite(dim):
         m_val -= func_inner(chain, rho, lf * lf) / float(dim)
     return m_val, func_inner(chain, rho, g1)
+
+
+def cd_quadratic_grad(chain: MarkovChain, mean, rho, dim,
+                      f) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """cd_quadratic at f together with its rho-gradients at fixed f.
+
+    Returns (M, N, dM, dN).  Moving Delta onto rho by reversibility, both
+    forms are edge sums, with theta1 = d1theta(rho_x, rho_y) on e = (x, y):
+      N = sum_e rho_x pi_x q_e theta1 (D_e f)^2,
+      M = sum_e [(1/2)(Delta rho)_x (D_e f)^2 - rho_x (D_e f)(D_e Delta f)]
+                pi_x q_e theta1 - (1/dim) sum_x rho_x pi_x (Delta f)_x^2.
+    theta1 depends on rho_x through d11 and on rho_y through
+    d12 = -rho_x d11 / rho_y (d1 is 0-homogeneous), so the gradients are
+    a few bincounts over the edges and one (Q - I)' product.  The density
+    must be strictly positive.
+    """
+    mean = get_mean(mean)
+    rho = validate_density(chain, mean, rho)
+    if (rho == 0).any():
+        raise DomainError("the curvature gradient needs a strictly positive density")
+    f = _as_function(chain, f)
+    n = chain.n_states
+    ex, ey, qe = chain.edges
+    lf = laplacian(chain, f)
+    lrho = laplacian(chain, rho)
+    wpe = qe * chain.pi[ex]
+    df = f[ey] - f[ex]
+    a = wpe * df * df
+    b = wpe * df * (lf[ey] - lf[ex])
+    rx, ry = rho[ex], rho[ey]
+    t1 = d1_edges(chain, mean, rho)
+    t11 = np.broadcast_to(np.asarray(mean.d11(rx, ry), float), ex.shape)
+    t12 = -rx * t11 / ry
+    c = 0.5 * lrho[ex] * a - rx * b          # coefficient of theta1 in M
+    ta = np.bincount(ex, weights=t1 * a, minlength=n)
+    n_val = float(np.dot(rho, ta))
+    m_val = float(np.dot(c, t1))
+    dn = ta + np.bincount(ex, weights=rx * a * t11, minlength=n) \
+        + np.bincount(ey, weights=rx * a * t12, minlength=n)
+    dm = 0.5 * (chain.q.T @ ta - ta) \
+        - np.bincount(ex, weights=t1 * b, minlength=n) \
+        + np.bincount(ex, weights=c * t11, minlength=n) \
+        + np.bincount(ey, weights=c * t12, minlength=n)
+    if np.isfinite(dim):
+        corr = chain.pi * lf * lf / float(dim)
+        m_val -= float(np.dot(rho, corr))
+        dm = dm - corr
+    return m_val, n_val, dm, dn
 
 
 def check_geometric_green(chain: MarkovChain, rho, trials: int = 16,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import MarkovChain, distance_matrix
-from .errors import EpsTooLarge, NegativeTime, PreconditionHeuristic
+from .errors import (EpsTooLarge, NegativeTime, NumericalFailure,
+                     PreconditionHeuristic)
 from .gamma import a_form, func_inner, laplacian, laplacian_matrix
 from .means import get_mean
 
@@ -87,8 +88,9 @@ def l1_distance_from_equilibrium(sys: HeatSystem, t: float) -> float:
 def avg_mixing_time(sys: HeatSystem, eps: float) -> float:
     """First time the doubly pi-weighted L1 distance to equilibrium is <= eps.
 
-    Bracketing by doubling followed by bisection to 1e-10 in t; the
-    monotonicity of the distance is asserted on the evaluation trace.
+    Bracketing by doubling followed by bisection to 1e-10 in t.  The
+    distance is non-increasing in t, so a non-monotone evaluation trace is
+    a NumericalFailure.
     """
     if eps <= 0:
         raise EpsTooLarge("eps must be positive")
@@ -115,7 +117,7 @@ def avg_mixing_time(sys: HeatSystem, eps: float) -> float:
     trace.sort(key=lambda p: p[0])
     for (t0, v0), (t1, v1) in zip(trace, trace[1:]):
         if v1 > v0 + 1e-12 * max(1.0, v0):
-            raise EpsTooLarge(f"distance trace not monotone at t={t1}")
+            raise NumericalFailure(f"distance trace not monotone at t={t1}")
     return hi
 
 

@@ -1,4 +1,4 @@
-"""Means on [0, inf)^2: evaluation, first partial derivative, axiom checks.
+"""Means on [0, inf)^2: evaluation, first and second partials, axiom checks.
 
 A mean is symmetric, homogeneous, monotone, normalized (theta(1,1) = 1) and
 smooth on the open quadrant.  Its admissible density domain is
@@ -18,6 +18,12 @@ from .errors import DomainError, NegativeInput
 #: relative diagonal width below which the logarithmic closed forms
 #: lose precision to cancellation and the Taylor path takes over
 _SERIES_REL = 1e-6
+#: |u| = |s-r|/(s+r) below which the logarithmic d11 uses its Taylor band;
+#: the closed form cancels to about 3e-16/u^2 relative, the series is
+#: truncated at O(u^10)
+_D11_SERIES_U = 1e-2
+#: relative step of the central difference that gives a custom mean its d11
+_D11_FD_REL = 6e-6
 
 
 def _check_nonneg(r, s):
@@ -32,6 +38,11 @@ def _arith_eval(r, s):
 def _arith_d1(r, s):
     r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     return np.full(r.shape, 0.5)[()]
+
+
+def _arith_d11(r, s):
+    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
+    return np.zeros(r.shape)[()]
 
 
 def _log_eval(r, s):
@@ -86,6 +97,30 @@ def _log_d1(r, s):
     return out[()]
 
 
+def _log_d11(r, s):
+    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
+    if (r == 0).any():
+        raise DomainError("d11 of the logarithmic mean needs r > 0")
+    out = np.zeros(r.shape)  # d1(r, 0) = 0 for every r
+    pos = s > 0
+    u = np.zeros(r.shape)
+    u[pos] = (s[pos] - r[pos]) / (r[pos] + s[pos])
+    # diagonal band: theta = m g(u) gives d11 = (1/2)(1+u)^2 g''(u) / (r+s)
+    near = pos & (np.abs(u) <= _D11_SERIES_U)
+    if near.any():
+        un = u[near]
+        u2 = un * un
+        gpp = -(2.0 / 3.0 + u2 * (16.0 / 15.0 + u2 * (88.0 / 63.0
+                + u2 * (3424.0 / 2025.0 + u2 * (20392.0 / 10395.0)))))
+        out[near] = 0.5 * (1.0 + un) ** 2 * gpp / (r[near] + s[near])
+    far = pos & ~near
+    if far.any():
+        rf, sf = r[far], s[far]
+        ell = _log_ratio(rf, sf)
+        out[far] = (2.0 * (rf - sf) - (rf + sf) * ell) / (rf * rf * ell ** 3)
+    return out[()]
+
+
 def _geom_eval(r, s):
     _r, _s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     return np.sqrt(_r * _s)[()]
@@ -98,18 +133,41 @@ def _geom_d1(r, s):
     return (0.5 * np.sqrt(s / r))[()]
 
 
+def _geom_d11(r, s):
+    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
+    if (r == 0).any():
+        raise DomainError("d11 of the geometric mean diverges at r = 0")
+    return (-0.25 * np.sqrt(s / r) / r)[()]
+
+
+def _central_d11(d1_fn, r, s):
+    """d11 as a central difference of d1 in r (one-sided at r = 0)."""
+    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
+    h = _D11_FD_REL * np.where(r > 0, r, 1.0)
+    lo = np.maximum(r - h, 0.0)
+    hi = r + h
+    return ((np.asarray(d1_fn(hi, s), float) - np.asarray(d1_fn(lo, s), float))
+            / (hi - lo))[()]
+
+
 @dataclass(frozen=True)
 class Mean:
-    """A mean together with its first partial derivative.
+    """A mean with its partials d1 = dtheta/dr and d11 = d^2theta/dr^2.
 
     domain_class "open" means densities must be strictly positive
     (I = (0, inf)); "closed" admits zeros (I = [0, inf)).
+
+    d1 is 0-homogeneous because theta is 1-homogeneous, so
+    r d11(r, s) + s d12(r, s) = 0: d11 alone gives every second partial.
+    The built-ins carry closed forms for d11; a mean without d11_fn (every
+    custom_mean) takes a central difference of its own d1_fn in r.
     """
 
     kind: str
     domain_class: str
     eval_fn: Callable = field(repr=False)
     d1_fn: Callable = field(repr=False)
+    d11_fn: Callable | None = field(default=None, repr=False)
 
     def value(self, r, s):
         _check_nonneg(r, s)
@@ -119,10 +177,16 @@ class Mean:
         _check_nonneg(r, s)
         return self.d1_fn(r, s)
 
+    def d11(self, r, s):
+        _check_nonneg(r, s)
+        if self.d11_fn is None:
+            return _central_d11(self.d1_fn, r, s)
+        return self.d11_fn(r, s)
 
-ARITHMETIC = Mean("arithmetic", "closed", _arith_eval, _arith_d1)
-LOGARITHMIC = Mean("logarithmic", "open", _log_eval, _log_d1)
-GEOMETRIC = Mean("geometric", "open", _geom_eval, _geom_d1)
+
+ARITHMETIC = Mean("arithmetic", "closed", _arith_eval, _arith_d1, _arith_d11)
+LOGARITHMIC = Mean("logarithmic", "open", _log_eval, _log_d1, _log_d11)
+GEOMETRIC = Mean("geometric", "open", _geom_eval, _geom_d1, _geom_d11)
 
 BUILTIN_MEANS = {m.kind: m for m in (ARITHMETIC, LOGARITHMIC, GEOMETRIC)}
 
@@ -140,7 +204,8 @@ def custom_mean(eval_fn, d1_fn, domain_class: str, kind: str = "custom") -> Mean
     """Wrap user callables (must broadcast over numpy arrays) as a Mean.
 
     Axioms of custom means are only checked statistically via
-    check_mean_axioms, never proven.
+    check_mean_axioms, never proven.  The second partial d11 is a central
+    difference of d1_fn.
     """
     if domain_class not in ("open", "closed"):
         raise DomainError("domain_class must be 'open' or 'closed'")

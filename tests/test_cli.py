@@ -154,3 +154,55 @@ def test_tsv_input(tmp_path):
     code, doc = run_cli(tmp_path, "spectrum", "--in", str(tsv))
     assert code == 0
     assert doc["chain_stats"]["n_states"] == 3
+
+
+def _geometry_names(doc):
+    return {rep["name"] for rep in doc["results"]["geometry"]}
+
+
+def test_verify_skips_cheeger_checks_only_when_too_large(tmp_path, monkeypatch):
+    import curvkit.geometry as geo
+    from curvkit.errors import TooLarge
+
+    argv = ("verify", "--gen", "cycle:5", "--suite", "geometry",
+            "--starts", "1", "--trials", "3")
+    code, full = run_cli(tmp_path, *argv)
+    assert code == 0 and "cheeger_l1" in _geometry_names(full)
+
+    def too_large(chain):
+        raise TooLarge("size guard")
+
+    monkeypatch.setattr(geo, "cheeger", too_large)
+    code, doc = run_cli(tmp_path, *argv)
+    assert code == 0
+    assert "cheeger_l1" not in _geometry_names(doc)
+    assert _geometry_names(doc) < _geometry_names(full)
+
+
+def test_verify_propagates_other_cheeger_errors(tmp_path, monkeypatch):
+    import curvkit.geometry as geo
+
+    def broken(chain):
+        raise RuntimeError("bug in cheeger")
+
+    monkeypatch.setattr(geo, "cheeger", broken)
+    with pytest.raises(RuntimeError, match="bug in cheeger"):
+        run_cli(tmp_path, "verify", "--gen", "cycle:5", "--suite", "geometry",
+                "--starts", "1", "--trials", "3")
+
+
+def test_mixing_non_monotone_trace_exit3(tmp_path, monkeypatch):
+    import math
+
+    import curvkit.heat as heat_mod
+
+    # the distance rises between t = 1 and t = 2
+    monkeypatch.setattr(heat_mod, "l1_distance_from_equilibrium",
+                        lambda sys, t: math.exp(-t) + (0.5 if 2 <= t < 4 else 0.0))
+    code, doc = run_cli(tmp_path, "mixing", "--gen", "cycle:5", "--eps", "0.25")
+    assert code == 3 and doc is None
+
+
+def test_jobs_flag_removed(tmp_path):
+    code, _ = run_cli(tmp_path, "spectrum", "--gen", "cycle:5", "--jobs", "2")
+    assert code == 2

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from curvkit import (ARITHMETIC, LOGARITHMIC, bakry_emery_global,
-                     bakry_emery_vertex, build_chain, complete,
-                     curvature_grad_rho, curvature_of_measure,
-                     curvature_profile, cycle, dirac,
+from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, NumericalFailure,
+                     bakry_emery_global, bakry_emery_vertex, build_chain,
+                     complete, curvature_grad_rho, curvature_of_measure,
+                     curvature_profile, custom_mean, cycle, dirac,
                      entropic_curvature_estimate, equilibrium, hypercube,
                      lambda1, lichnerowicz_check, path, random_regular)
 from curvkit.curvature import NEG_INFINITY
@@ -284,6 +284,44 @@ def test_gradient_matches_finite_differences():
     assert checked == 40
 
 
+AG_BLEND = custom_mean(
+    lambda r, s: 0.5 * np.sqrt(np.asarray(r, float) * np.asarray(s, float))
+    + 0.25 * (np.asarray(r, float) + np.asarray(s, float)),
+    lambda r, s: 0.25 * np.sqrt(np.asarray(s, float) / np.asarray(r, float)) + 0.25,
+    domain_class="open", kind="ag-blend")
+
+
+@pytest.mark.parametrize("mean", [GEOMETRIC, ARITHMETIC, AG_BLEND],
+                         ids=lambda m: m.kind)
+def test_gradient_matches_finite_differences_other_means(mean):
+    # Same oracle as above for the other built-ins and a custom mean (whose
+    # d11 is a central difference of its d1).  Where the minimal pencil
+    # eigenvalue is degenerate (the arithmetic mean on Q^2 at dim inf, five
+    # densities) K has a kink and central differences are no oracle, so
+    # those densities are skipped.  The absolute 1e-9 covers the rounding of
+    # the difference quotient, about eps |K| / h, where K does not depend on
+    # rho (the two-state chains under the arithmetic mean).
+    checked = 0
+    for seed in range(40):
+        ch = small_chain_pool()[seed % 8]
+        rho = positive_density(ch, 1000 + seed)
+        dim = [INF, 7.0][seed % 2]
+        if curvature_of_measure(ch, mean, rho, dim, confirm=False).gap < 1e-6:
+            continue
+        k, grad = curvature_grad_rho(ch, mean, rho, dim)
+        fd = np.zeros(ch.n_states)
+        for i in range(ch.n_states):
+            h = 1e-5 * max(1.0, rho[i])
+            rp = rho.copy(); rp[i] += h
+            rm = rho.copy(); rm[i] -= h
+            fd[i] = (curvature_of_measure(ch, mean, rp, dim, confirm=False).value
+                     - curvature_of_measure(ch, mean, rm, dim, confirm=False).value) / (2 * h)
+        scale = max(np.abs(fd).max(), 1e-8)
+        assert np.abs(grad - fd).max() <= 1e-5 * scale + 1e-9
+        checked += 1
+    assert checked >= 35
+
+
 def test_equilibrium_start_evaluates_to_lambda1():
     for ch in (cycle(5), hypercube(2), path(4)):
         k, _ = curvature_grad_rho(ch, LOGARITHMIC, equilibrium(ch), INF)
@@ -314,3 +352,49 @@ def test_entropic_estimate_deterministic():
     assert a.k_hat == b.k_hat
     assert (a.rho_star == b.rho_star).all()
     assert a.per_start == b.per_start
+
+
+def test_entropic_estimate_survives_linalg_error(monkeypatch):
+    # a LinAlgError in one start is recorded as (inf, False); the others run
+    real = scipy.optimize.minimize
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", flaky)
+    est = entropic_curvature_estimate(hypercube(2), INF, starts=4, seed=0)
+    assert len(calls) == 4 and len(est.per_start) == 4
+    assert est.per_start[1] == (math.inf, False)
+    assert all(math.isfinite(k) for i, (k, _) in enumerate(est.per_start) if i != 1)
+    assert est.k_hat == min(k for k, _ in est.per_start)
+    assert est.k_hat == pytest.approx(1.0, abs=1e-6)
+
+
+def test_entropic_estimate_fails_when_every_start_fails(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", broken)
+    with pytest.raises(NumericalFailure):
+        entropic_curvature_estimate(hypercube(2), INF, starts=3, seed=0)
+
+
+def test_gradient_rejects_rank_loss_at_positive_density():
+    # rho spans 1e15: the pencil treats real directions of n as null
+    rho = np.array([1.0, 1e-15, 1e-15, 1e-15, 1e-15, 1.0])
+    with pytest.raises(NumericalFailure, match="lost rank"):
+        curvature_grad_rho(path(6), LOGARITHMIC, rho, INF)
+
+
+@pytest.mark.parametrize("ch", [cycle(6), path(8)], ids=["cycle6", "path8"])
+def test_entropic_estimate_is_two_route_confirmed(ch):
+    # the Dirac-bump start runs into lopsided densities on these chains;
+    # the reported value is still one that pencil and bisection agree on
+    est = entropic_curvature_estimate(ch, INF, starts=2, seed=1)
+    again = curvature_of_measure(ch, LOGARITHMIC, est.rho_star, INF, confirm=True)
+    assert again.value == est.k_hat
+    assert est.rho_star @ ch.pi == pytest.approx(1.0, abs=1e-12)

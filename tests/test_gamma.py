@@ -5,11 +5,11 @@ import pytest
 
 from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, DomainError,
                      ShapeMismatch, a_form, assemble_forms, b_form,
-                     check_geometric_green, cycle, dirac, divergence,
-                     equilibrium, func_inner, gamma, gamma2, gamma2_rho,
-                     gamma_rho, gradient_field, hypercube, laplacian,
-                     rho_laplacian, vf_inner, vf_inner_rho)
-from curvkit.gamma import cd_quadratic
+                     check_geometric_green, custom_mean, cycle, dirac,
+                     divergence, equilibrium, func_inner, gamma, gamma2,
+                     gamma2_rho, gamma_rho, gradient_field, hypercube,
+                     laplacian, rho_laplacian, vf_inner, vf_inner_rho)
+from curvkit.gamma import cd_quadratic, cd_quadratic_grad
 
 from conftest import positive_density, random_reversible_chain
 
@@ -233,6 +233,41 @@ def test_assemble_forms_against_scalar_route():
                         m_val, abs=1e-10 * max(1, abs(m_val)))
                     assert f @ fp.n @ f == pytest.approx(
                         n_val, abs=1e-10 * max(1, abs(n_val)))
+
+
+def test_cd_quadratic_grad_matches_scalar_route():
+    # values equal cd_quadratic; gradients equal its central differences
+    quad = custom_mean(
+        lambda r, s: np.sqrt((np.asarray(r, float) ** 2 + np.asarray(s, float) ** 2) / 2),
+        lambda r, s: np.asarray(r, float) / (2 * np.sqrt((np.asarray(r, float) ** 2 + np.asarray(s, float) ** 2) / 2)),
+        domain_class="closed", kind="quadratic")
+    for seed in range(4):
+        ch = random_reversible_chain(6, 70 + seed)
+        rho = positive_density(ch, seed)
+        f = np.random.default_rng(seed).standard_normal(6)
+        for mean in (ARITHMETIC, LOGARITHMIC, GEOMETRIC, quad):
+            for dim in (np.inf, 5.0):
+                m_val, n_val, dm, dn = cd_quadratic_grad(ch, mean, rho, dim, f)
+                m0, n0 = cd_quadratic(ch, mean, rho, dim, f)
+                assert m_val == pytest.approx(m0, abs=1e-12 * max(1, abs(m0)))
+                assert n_val == pytest.approx(n0, abs=1e-12 * max(1, abs(n0)))
+                fm, fn = np.zeros(6), np.zeros(6)
+                for i in range(6):
+                    h = 1e-5 * rho[i]
+                    rp = rho.copy(); rp[i] += h
+                    rm = rho.copy(); rm[i] -= h
+                    (mp_, np_), (mm_, nm_) = (cd_quadratic(ch, mean, rp, dim, f),
+                                              cd_quadratic(ch, mean, rm, dim, f))
+                    fm[i] = (mp_ - mm_) / (2 * h)
+                    fn[i] = (np_ - nm_) / (2 * h)
+                assert np.abs(dm - fm).max() <= 1e-7 * max(1, np.abs(fm).max())
+                assert np.abs(dn - fn).max() <= 1e-7 * max(1, np.abs(fn).max())
+
+
+def test_cd_quadratic_grad_needs_positive_density(cycle5):
+    rho = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(DomainError):
+        cd_quadratic_grad(cycle5, ARITHMETIC, rho, np.inf, np.arange(5.0))
 
 
 def test_form_pair_invariants():

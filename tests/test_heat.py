@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from curvkit import (EpsTooLarge, NegativeTime, avg_mixing_time,
-                     check_heat_kernel_bound, check_linf_gradient_bound,
-                     complete, cycle, equilibrium, func_inner, heat_apply,
-                     heat_kernel, heat_operator, hypercube,
+from curvkit import (EpsTooLarge, NegativeTime, NumericalFailure,
+                     avg_mixing_time, check_heat_kernel_bound,
+                     check_linf_gradient_bound, complete, cycle, equilibrium,
+                     func_inner, heat_apply, heat_kernel, heat_operator,
+                     hypercube,
                      l1_distance_from_equilibrium, path, sharpness_probe,
                      spectral_decompose, verify_gradient_estimate,
                      verify_reverse_poincare)
@@ -151,6 +152,15 @@ def test_mixing_eps_too_large(two_state):
     sys = spectral_decompose(two_state)
     with pytest.raises(EpsTooLarge):
         avg_mixing_time(sys, 1.5)       # distance at 0 is 1 <= 1.5
+
+
+def test_mixing_non_monotone_trace_is_numerical_failure(two_state, monkeypatch):
+    import curvkit.heat as heat_mod
+
+    monkeypatch.setattr(heat_mod, "l1_distance_from_equilibrium",
+                        lambda sys, t: np.exp(-t) + (0.5 if 2 <= t < 4 else 0.0))
+    with pytest.raises(NumericalFailure, match="not monotone"):
+        avg_mixing_time(spectral_decompose(two_state), 0.25)
 
 
 def test_l1_contraction(hyp2):

@@ -138,3 +138,87 @@ def test_custom_mean_checked_statistically():
     rep = check_mean_axioms(quad, 2000, seed=1)
     assert rep.passes_core(1e-9)
     assert not rep.passes_vanishing()
+
+
+def _d11_samples(seed: int, count: int = 200):
+    """Log-uniform (r, s) pairs; half of them in the near-diagonal band
+    |r - s| / max(r, s) in [1e-12, 1e-1]."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), count))
+    s = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), count))
+    band = np.exp(rng.uniform(np.log(1e-12), np.log(1e-1), count // 2))
+    sign = rng.choice([-1.0, 1.0], count // 2)
+    s[: count // 2] = r[: count // 2] * (1.0 + sign * band)
+    return r, s
+
+
+def _mp_theta(mean, mp):
+    if mean is ARITHMETIC:
+        return lambda x, y: (x + y) / 2
+    if mean is GEOMETRIC:
+        return lambda x, y: mp.sqrt(x * y)
+    return lambda x, y: x if x == y else (x - y) / (mp.log(x) - mp.log(y))
+
+
+@pytest.mark.parametrize("mean", [ARITHMETIC, LOGARITHMIC, GEOMETRIC])
+def test_d11_matches_mpmath(mean):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    theta = _mp_theta(mean, mp)
+    r, s = _d11_samples(21)
+    got = np.asarray(mean.d11(r, s))
+    for ri, si, gi in zip(r, s, got):
+        exact = mp.diff(lambda x: theta(x, mp.mpf(si)), mp.mpf(ri), 2)
+        scale = abs(exact) if exact != 0 else 1.0 / ri
+        assert abs(gi - float(exact)) <= 1e-9 * float(scale)
+
+
+def test_d11_log_band_seam():
+    # the Taylor band (|u| <= 1e-2) and the closed form both match mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    theta = _mp_theta(LOGARITHMIC, mp)
+    r = 1.0
+    for u in (0.99e-2, 1.01e-2, -0.99e-2, -1.01e-2):
+        s = r * (1 + u) / (1 - u)
+        exact = float(mp.diff(lambda x: theta(x, mp.mpf(s)), mp.mpf(r), 2))
+        assert float(LOGARITHMIC.d11(r, s)) == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("mean", [ARITHMETIC, LOGARITHMIC, GEOMETRIC])
+def test_d11_homogeneity_identity(mean):
+    # d1 is 0-homogeneous, so r d11 + s d12 = 0, with d12 from mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    theta = _mp_theta(mean, mp)
+    r, s = _d11_samples(22, count=60)
+    d11 = np.asarray(mean.d11(r, s))
+    for ri, si, di in zip(r, s, d11):
+        d12 = float(mp.diff(theta, (mp.mpf(ri), mp.mpf(si)), (1, 1)))
+        scale = abs(ri * di) + abs(si * d12)
+        assert abs(ri * di + si * d12) <= 1e-9 * max(scale, 1e-300)
+
+
+def test_d11_diagonal_and_zero_limits():
+    for r in (1e-4, 1.0, 7.0):
+        assert float(LOGARITHMIC.d11(r, r)) == pytest.approx(-1 / (6 * r), rel=1e-14)
+        assert float(GEOMETRIC.d11(r, r)) == pytest.approx(-1 / (4 * r), rel=1e-14)
+        assert float(LOGARITHMIC.d11(r, 0.0)) == 0.0
+    assert float(ARITHMETIC.d11(0.0, 3.0)) == 0.0
+    for mean in (LOGARITHMIC, GEOMETRIC):
+        with pytest.raises(DomainError):
+            mean.d11(0.0, 1.0)
+    with pytest.raises(NegativeInput):
+        LOGARITHMIC.d11(1.0, -1.0)
+
+
+def test_custom_mean_d11_is_central_difference():
+    quad = custom_mean(
+        lambda r, s: np.sqrt((np.asarray(r, float) ** 2 + np.asarray(s, float) ** 2) / 2),
+        lambda r, s: np.asarray(r, float) / (2 * np.sqrt((np.asarray(r, float) ** 2 + np.asarray(s, float) ** 2) / 2)),
+        domain_class="closed", kind="quadratic")
+    r = np.array([0.3, 1.0, 4.0, 0.0])
+    s = np.array([2.0, 1.0, 0.5, 1.0])
+    q = np.sqrt((r ** 2 + s ** 2) / 2)
+    exact = s ** 2 / (4 * q ** 3)          # d/dr of r / (2 q)
+    assert np.asarray(quad.d11(r, s)) == pytest.approx(exact, rel=1e-8)
