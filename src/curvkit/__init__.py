@@ -13,8 +13,7 @@ from .chain import (ChainStats, MarkovChain, build_chain, chain_from_edgelist,
 from .curvature import (CurvatureResult, EntropicEstimate, bakry_emery_global,
                         bakry_emery_vertex, curvature_grad_rho,
                         curvature_of_measure, curvature_profile,
-                        entropic_curvature_estimate, lambda1,
-                        lichnerowicz_check)
+                        entropic_curvature_estimate, lichnerowicz_check)
 from .errors import (ConvergenceWarning, CurvkitError, DomainError,
                      EpsTooLarge, InvalidParameters, NegativeInput,
                      NegativeTime, NonConvergence, NotIrreducible,
@@ -26,15 +25,14 @@ from .gamma import (FormPair, a_form, assemble_forms, b_form,
                     gradient_field, laplacian, laplacian_matrix,
                     rho_laplacian, validate_density, vector_field, vf_inner,
                     vf_inner_rho)
-from .geometry import (CheegerResult, InequalityReport, cheeger, cheeger_gray,
-                       check_buser, check_cheeger_l1,
-                       check_diameter_bound_ent,
+from .geometry import (CheegerResult, InequalityReport, cheeger, check_buser,
+                       check_cheeger_l1, check_diameter_bound_ent,
                        check_diameter_bound_finite_n, check_expander_bounds,
                        check_lambda_tau, check_tau_lower_bound, d_gamma,
                        diam_combinatorial, diam_gamma)
 from .heat import (HeatSystem, avg_mixing_time, check_heat_kernel_bound,
                    check_linf_gradient_bound, heat_apply, heat_kernel,
-                   heat_operator, l1_distance_from_equilibrium,
+                   heat_operator, l1_distance_from_equilibrium, lambda1,
                    sharpness_probe, spectral_decompose,
                    verify_gradient_estimate, verify_reverse_poincare)
 from .means import (ARITHMETIC, BUILTIN_MEANS, GEOMETRIC, LOGARITHMIC, Mean,

@@ -8,6 +8,7 @@ relation x ~ y holds iff Q[x, y] > 0 for x != y; self loops are allowed in Q
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -35,11 +36,29 @@ class ChainStats:
     deg_pi_max: float             # D_pi
 
 
+def derived(fn):
+    """Memoize ``fn(chain)`` in the chain's memo dict, so it is computed once
+    per chain and freed with it.  Threads racing on a missing entry may both
+    compute it; ``setdefault`` keeps one result, which every caller shares
+    and must not write to."""
+    @functools.wraps(fn)
+    def memoized(chain):
+        try:
+            return chain._derived[fn]
+        except KeyError:
+            return chain._derived.setdefault(fn, fn(chain))
+    return memoized
+
+
 class MarkovChain:
     """Validated finite Markov chain.
 
-    Immutable after construction; all derived arrays are precomputed and must
-    not be written to.  Safe for concurrent shared reads.
+    Immutable after construction; its arrays must not be written to.
+    Quantities derived from the chain (degree statistics, graph distances,
+    spectrum, Cheeger constant, intrinsic diameter, mixing time) are
+    computed on first use by functions decorated with `derived` and kept in
+    one memo dict on the chain, so no quantity is computed twice per chain
+    and callers never pass them around.  Safe for concurrent shared reads.
     """
 
     def __init__(self, q: np.ndarray, pi: np.ndarray | None = None,
@@ -112,8 +131,7 @@ class MarkovChain:
         ex, ey = np.nonzero(adjacency)
         self._ex, self._ey = ex, ey
         self._qe = q[ex, ey]
-        self._stats = None
-        self._dist = None
+        self._derived = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -158,22 +176,21 @@ class MarkovChain:
         except KeyError:
             raise InvalidParameters(f"unknown state {state!r}") from None
 
+    @derived
     def stats(self) -> ChainStats:
-        if self._stats is None:
-            deg_w = self._q.sum(axis=1) - np.diag(self._q)
-            with np.errstate(invalid="ignore"):
-                deg_pi = (self._adjacency @ self._pi) / self._pi
-            q_min = float(self._qe.min()) if self._qe.size else 0.0
-            self._stats = ChainStats(
-                q_min=q_min,
-                pi_min=float(self._pi.min()),
-                pi_max=float(self._pi.max()),
-                deg_weighted=deg_w,
-                deg_weighted_max=float(deg_w.max()),
-                deg_pi=deg_pi,
-                deg_pi_max=float(deg_pi.max()),
-            )
-        return self._stats
+        deg_w = self._q.sum(axis=1) - np.diag(self._q)
+        with np.errstate(invalid="ignore"):
+            deg_pi = (self._adjacency @ self._pi) / self._pi
+        q_min = float(self._qe.min()) if self._qe.size else 0.0
+        return ChainStats(
+            q_min=q_min,
+            pi_min=float(self._pi.min()),
+            pi_max=float(self._pi.max()),
+            deg_weighted=deg_w,
+            deg_weighted_max=float(deg_w.max()),
+            deg_pi=deg_pi,
+            deg_pi_max=float(deg_pi.max()),
+        )
 
     def __repr__(self):
         return f"MarkovChain(n={self.n_states})"
@@ -200,15 +217,14 @@ def build_chain(q, pi=None, states=None) -> MarkovChain:
     return MarkovChain(q, pi=pi, states=states)
 
 
+@derived
 def distance_matrix(chain: MarkovChain) -> np.ndarray:
     """Combinatorial (shortest-path) distances of the adjacency graph."""
-    if chain._dist is None:
-        d = shortest_path(csr_matrix(chain.adjacency), method="D",
-                          unweighted=True, directed=False)
-        dist = d.astype(np.int64)
-        dist.setflags(write=False)
-        chain._dist = dist
-    return chain._dist
+    d = shortest_path(csr_matrix(chain.adjacency), method="D",
+                      unweighted=True, directed=False)
+    dist = d.astype(np.int64)
+    dist.setflags(write=False)
+    return dist
 
 
 # -- generators ----------------------------------------------------------

@@ -99,7 +99,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -133,7 +133,7 @@ def _float_or_none(v):
 
 def _curv_result_doc(res: curv.CurvatureResult) -> dict:
     return {
-        "value": res.value if math.isfinite(res.value) else repr(res.value),
+        "value": res.value,
         "method": res.method,
         "bracket": list(res.bracket) if res.bracket else None,
         "iterations": res.iterations,
@@ -156,15 +156,14 @@ def _cmd_gen(args):
 def _cmd_curv_vertex(args):
     chain = _load_chain(args)
     dim = _parse_dim(args.n)
-    per_vertex = {}
-    for state in chain.states:
-        res = curv.bakry_emery_vertex(chain, state, dim)
-        per_vertex[state] = _curv_result_doc(res)
-    k_min = min(v["value"] for v in per_vertex.values()
-                if isinstance(v["value"], float))
+    per_vertex = {state: curv.bakry_emery_vertex(chain, state, dim)
+                  for state in chain.states}
+    k_min = min(res.value for res in per_vertex.values())
     _emit(args, {"command": "curv-vertex", "n": args.n, "mean": "arithmetic",
                  "seed": args.seed},
-          chain, {"per_vertex": per_vertex, "k_global": k_min}, [])
+          chain, {"per_vertex": {state: _curv_result_doc(res)
+                                 for state, res in per_vertex.items()},
+                  "k_global": k_min}, [])
     return EXIT_OK
 
 
@@ -232,7 +231,7 @@ def _cmd_heat(args):
     chain = _load_chain(args)
     sys_ = heat_mod.spectral_decompose(chain)
     t_grid = [float(tok) for tok in args.t_grid.split(",")]
-    rep = heat_mod.check_heat_kernel_bound(sys_, chain, tuple(t_grid))
+    rep = heat_mod.check_heat_kernel_bound(chain, tuple(t_grid))
     results = {"heat_kernel_bound": rep.to_dict()}
     if args.rho:
         rho = _parse_rho(chain, args.rho)
@@ -324,20 +323,13 @@ def _run_verify(chain, args):
         rp = heat_mod.verify_reverse_poincare(
             chain, "arithmetic", k_arith, math.inf, trials=args.trials,
             seed=args.seed)
-        sys_ = heat_mod.spectral_decompose(chain)
-        hk = heat_mod.check_heat_kernel_bound(sys_, chain)
+        hk = heat_mod.check_heat_kernel_bound(chain)
         results["heat"] = {
             "gradient_estimate": grad.to_dict(),
             "reverse_poincare": rp.to_dict(),
             "heat_kernel_bound": hk.to_dict(),
+            "holds": not (grad.violations or rp.violations or hk.violations),
         }
-        if grad.violations or rp.violations or hk.violations:
-            results["heat"]["holds"] = False
-            reports.append(geo.InequalityReport(
-                "heat_suite", 1.0, 0.0, False, -1.0,
-                [("curvature_exact", "exact")], {}))
-        else:
-            results["heat"]["holds"] = True
         if k_ent >= -1e-6:
             linf = heat_mod.check_linf_gradient_bound(
                 chain, "logarithmic", trials=args.trials, seed=args.seed,
@@ -346,33 +338,22 @@ def _run_verify(chain, args):
 
     if suite in ("geometry", "all"):
         try:
-            hval = geo.cheeger(chain).h
+            reports.append(geo.check_cheeger_l1(chain, trials=args.trials,
+                                                seed=args.seed))
+            reports.append(geo.check_buser(chain, nonneg_status))
         except TooLarge:
-            hval = None
-        lam = curv.lambda1(chain)
-        sys_ = heat_mod.spectral_decompose(chain)
-        tau = heat_mod.avg_mixing_time(sys_, 0.25)
-        geo_reports: list[geo.InequalityReport] = []
-        if hval is not None:
-            geo_reports.append(geo.check_cheeger_l1(chain, trials=args.trials,
-                                                    seed=args.seed, h=hval))
-            geo_reports.append(geo.check_buser(chain, nonneg_status, h=hval,
-                                               lam=lam))
-        geo_reports.append(geo.check_tau_lower_bound(chain, sys_, tau=tau))
-        geo_reports.append(geo.check_lambda_tau(chain, nonneg_status, tau=tau,
-                                                lam=lam))
-        geo_reports.extend(geo.check_expander_bounds(chain, nonneg_status,
-                                                     lam=lam))
-        diam_g = geo.diam_gamma(chain)
-        geo_reports.extend(geo.check_diameter_bound_ent(
-            chain, k_ent, ent_status if k_ent > 0 else "unmet", diam_g=diam_g))
+            pass
+        reports.append(geo.check_tau_lower_bound(chain))
+        reports.append(geo.check_lambda_tau(chain, nonneg_status))
+        reports.extend(geo.check_expander_bounds(chain, nonneg_status))
+        reports.extend(geo.check_diameter_bound_ent(
+            chain, k_ent, ent_status if k_ent > 0 else "unmet"))
         dim_probe = 2.0 * chain.n_states
         k_fin, _ = curv.bakry_emery_global(chain, dim_probe)
-        geo_reports.extend(geo.check_diameter_bound_finite_n(
+        reports.extend(geo.check_diameter_bound_finite_n(
             chain, "arithmetic", k_fin, dim_probe,
-            "exact" if k_fin > 0 else "unmet", diam_g=diam_g))
-        results["geometry"] = [r.to_dict() for r in geo_reports]
-        reports.extend(geo_reports)
+            "exact" if k_fin > 0 else "unmet"))
+        results["geometry"] = [r.to_dict() for r in reports]
 
     exact_failure = any(
         r.holds is False and all(s == "exact" for _, s in r.preconditions)

@@ -19,7 +19,7 @@ import scipy.optimize
 from .chain import MarkovChain, distance_matrix
 from .errors import DomainError, NumericalFailure
 from .gamma import assemble_forms, cd_quadratic_grad, dirac, validate_density
-from .heat import spectral_decompose
+from .heat import lambda1
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
 
 NEG_INFINITY = float("-inf")
@@ -227,11 +227,6 @@ def bakry_emery_global(chain: MarkovChain, dim,
         if k < best:
             best, best_state = k, state
     return best, best_state
-
-
-def lambda1(chain: MarkovChain) -> float:
-    """Smallest positive eigenvalue of minus the Laplacian."""
-    return float(spectral_decompose(chain).eigenvalues[1])
 
 
 def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.ndarray]:

@@ -4,9 +4,11 @@ inequality battery.
 The intrinsic distance maximizes f(y) - f(x) subject to the pointwise energy
 constraint Gamma f <= 1 everywhere; a log-barrier Newton method solves the
 convex program.  The Cheeger constant is an exact minimum over subsets,
-computed by two independent enumeration engines.  Inequality checks return
-reports that carry the status of every precondition, so proof-backed and
-heuristic-backed results stay distinguishable.
+found by a vectorized block enumeration.  Inequality checks take the chain
+alone: the spectrum, tau(1/4), h and diam_Gamma they need are memoized on
+the chain (see `chain.derived`).  They return reports that carry the status
+of every precondition, so proof-backed and heuristic-backed results stay
+distinguishable.
 """
 
 from __future__ import annotations
@@ -17,23 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import MarkovChain, distance_matrix
+from .chain import MarkovChain, derived, distance_matrix
 from .errors import PreconditionHeuristic, TooLarge
-from .heat import HeatSystem, avg_mixing_time, spectral_decompose
+from .heat import avg_mixing_time, lambda1, spectral_decompose
 
 #: inequality slacks are compared against this times the sides' magnitudes
 SLACK_REL_TOL = 1e-9
 #: exact cheeger enumeration guard (block engine handles up to 2^31 subsets)
 CHEEGER_MAX_STATES = 32
+#: the d_Gamma barrier method stops once its duality gap bound is below this
+GAP_TOL = 1e-9
 
 
 # -- intrinsic metric -------------------------------------------------------
 
+@derived
 def _pointwise_gamma_matrices(chain: MarkovChain) -> np.ndarray:
     """Stack of A_z with f' A_z f = Gamma f(z) = (1/2) sum_y Q(z,y)(f(y)-f(z))^2."""
-    cached = getattr(chain, "_gamma_point_mats", None)
-    if cached is not None:
-        return cached
     n = chain.n_states
     mats = np.zeros((n, n, n))
     for z in range(n):
@@ -45,21 +47,20 @@ def _pointwise_gamma_matrices(chain: MarkovChain) -> np.ndarray:
             a[z, y] -= qzy
             a[y, z] -= qzy
     mats *= 0.5
-    chain._gamma_point_mats = mats
+    mats.setflags(write=False)
     return mats
 
 
-def d_gamma(chain: MarkovChain, x, y, gap_tol: float = 1e-9,
-            full_output: bool = False):
+def d_gamma(chain: MarkovChain, x, y) -> float:
     """Intrinsic distance sup{f(y) - f(x) : Gamma f <= 1 pointwise}.
 
     Log-barrier Newton on the gauge-fixed program (f(x) = 0, start f = 0,
     barrier parameter grows tenfold per stage, 30 Newton steps per stage,
-    stop when the duality gap bound falls below gap_tol).
+    stop when the duality gap bound falls below GAP_TOL).
     """
     ix, iy = chain.index(x), chain.index(y)
     if ix == iy:
-        return (0.0, True) if full_output else 0.0
+        return 0.0
     n = chain.n_states
     keep = [i for i in range(n) if i != ix]
     pos = {i: j for j, i in enumerate(keep)}
@@ -102,7 +103,7 @@ def d_gamma(chain: MarkovChain, x, y, gap_tol: float = 1e-9,
             f = f + alpha * step
             if decrement / 2.0 <= 1e-12:
                 break
-        if m_constraints / t <= gap_tol:
+        if m_constraints / t <= GAP_TOL:
             break
         t *= 10.0
         if t > 1e16:
@@ -111,15 +112,16 @@ def d_gamma(chain: MarkovChain, x, y, gap_tol: float = 1e-9,
     value = float(c @ f)
     if not converged:
         warnings.warn(f"d_gamma({x},{y}) stopped early; value is a lower bound")
-    return (value, converged) if full_output else value
+    return value
 
 
-def diam_gamma(chain: MarkovChain, gap_tol: float = 1e-9) -> float:
+@derived
+def diam_gamma(chain: MarkovChain) -> float:
     """Diameter in the intrinsic metric (max over unordered pairs)."""
     best = 0.0
     for i in range(chain.n_states):
         for j in range(i + 1, chain.n_states):
-            best = max(best, d_gamma(chain, i, j, gap_tol=gap_tol))
+            best = max(best, d_gamma(chain, i, j))
     return best
 
 
@@ -142,11 +144,7 @@ def cut_weight(chain: MarkovChain, subset_idx) -> float:
     return float(chain.w[np.ix_(mask, ~mask)].sum())
 
 
-def _cheeger_score(chain: MarkovChain, subset_idx):
-    piw = float(chain.pi[list(subset_idx)].sum())
-    return cut_weight(chain, subset_idx) / piw
-
-
+@derived
 def cheeger(chain: MarkovChain) -> CheegerResult:
     """Exact Cheeger constant inf_{pi(W) <= 1/2} |boundary W| / pi(W).
 
@@ -160,7 +158,7 @@ def cheeger(chain: MarkovChain) -> CheegerResult:
     if n > CHEEGER_MAX_STATES:
         raise TooLarge(f"exact cheeger enumeration capped at {CHEEGER_MAX_STATES} states")
     idx = _cheeger_block(chain)
-    return CheegerResult(h=_cheeger_score(chain, idx),
+    return CheegerResult(h=cut_weight(chain, idx) / float(chain.pi[idx].sum()),
                          subset=tuple(sorted((chain.states[i] for i in idx),
                                              key=chain.index)))
 
@@ -254,50 +252,6 @@ def _cheeger_block(chain: MarkovChain) -> list[int]:
     return members
 
 
-def cheeger_gray(chain: MarkovChain, max_states: int = 20) -> CheegerResult:
-    """Reference engine: plain Gray-code walk with incremental cut updates."""
-    n = chain.n_states
-    if n < 2 or n > max_states:
-        raise TooLarge(f"gray cheeger limited to 2..{max_states} states")
-    w = chain.w
-    pi = chain.pi
-    in_set = np.zeros(n, dtype=bool)
-    cut = 0.0
-    piw = 0.0
-    best = math.inf
-    best_members: list[int] = []
-    best_flip = False
-    prev_gray = 0
-    for m in range(1, 1 << (n - 1)):
-        gray = m ^ (m >> 1)
-        j = ((gray ^ prev_gray).bit_length() - 1) + 1   # vertex 0 stays outside
-        prev_gray = gray
-        if in_set[j]:
-            in_set[j] = False
-            piw -= pi[j]
-            cut += 2.0 * float(w[j] @ in_set) - float(w[j].sum())
-        else:
-            cut += float(w[j].sum()) - 2.0 * float(w[j] @ in_set)
-            in_set[j] = True
-            piw += pi[j]
-        if 0 < piw <= 0.5 + 1e-12:
-            ratio = cut / piw
-            if ratio < best:
-                best = ratio
-                best_members, best_flip = list(np.flatnonzero(in_set)), False
-        if 0.5 - 1e-12 <= piw < 1.0:
-            ratio = cut / (1.0 - piw)
-            if ratio < best:
-                best = ratio
-                best_members, best_flip = list(np.flatnonzero(in_set)), True
-    if best_flip:
-        chosen = set(best_members)
-        best_members = [i for i in range(n) if i not in chosen]
-    return CheegerResult(h=_cheeger_score(chain, best_members),
-                         subset=tuple(sorted((chain.states[i] for i in best_members),
-                                             key=chain.index)))
-
-
 # -- inequality reports -----------------------------------------------------
 
 @dataclass
@@ -338,24 +292,21 @@ def _report(name, lhs, rhs, preconditions, details=None) -> InequalityReport:
                             details=details or {})
 
 
-def check_cheeger_l1(chain: MarkovChain, trials: int = 100, seed: int = 0,
-                     h: float | None = None) -> InequalityReport:
+def check_cheeger_l1(chain: MarkovChain, trials: int = 100,
+                     seed: int = 0) -> InequalityReport:
     """L1 gradient bound ||grad f||_1 >= (h/2) ||f||_1 for pi-mean-zero f.
 
     The worst trial is reported; the indicator of the Cheeger minimizer is
     included among the trial functions (it is tight up to a factor <= 2).
     """
-    res = cheeger(chain) if h is None else None
-    hval = res.h if h is None else h
+    res = cheeger(chain)
     pi = chain.pi
     ex, ey, qe = chain.edges
     rng = np.random.default_rng(seed)
 
-    fs = []
-    if res is not None:
-        ind = np.zeros(chain.n_states)
-        ind[[chain.index(s) for s in res.subset]] = 1.0
-        fs.append(ind - float(ind @ pi))
+    ind = np.zeros(chain.n_states)
+    ind[[chain.index(s) for s in res.subset]] = 1.0
+    fs = [ind - float(ind @ pi)]
     for _ in range(trials):
         f = rng.standard_normal(chain.n_states)
         fs.append(f - float(f @ pi))
@@ -364,18 +315,17 @@ def check_cheeger_l1(chain: MarkovChain, trials: int = 100, seed: int = 0,
     for f in fs:
         grad_l1 = 0.5 * float(np.abs(f[ey] - f[ex]) @ (qe * pi[ex]))
         f_l1 = float(np.abs(f) @ pi)
-        rhs_val = 0.5 * hval * f_l1
+        rhs_val = 0.5 * res.h * f_l1
         margin = grad_l1 - rhs_val
         if margin < worst[0]:
             worst = (margin, rhs_val, grad_l1)
     return _report("cheeger_l1", worst[1], worst[2],
                    [("mean_zero_functions", "exact")],
-                   {"h": hval, "trials": len(fs)})
+                   {"h": res.h, "trials": len(fs)})
 
 
 def check_diameter_bound_ent(chain: MarkovChain, k: float,
-                             k_status: str = "exact",
-                             diam_g: float | None = None) -> list[InequalityReport]:
+                             k_status: str = "exact") -> list[InequalityReport]:
     """Diameter bounds under positive entropic curvature K.
 
     Intrinsic:      diam_Gamma <= (2/K) sqrt(2 c) with c = D_pi log D_pi/(D_pi - 1)
@@ -388,7 +338,7 @@ def check_diameter_bound_ent(chain: MarkovChain, k: float,
         nan = float("nan")
         return [_report("diameter_ent_dgamma", nan, nan, pre, {"k": k}),
                 _report("diameter_ent_d", nan, nan, pre, {"k": k})]
-    dg = diam_gamma(chain) if diam_g is None else diam_g
+    dg = diam_gamma(chain)
     dd = diam_combinatorial(chain)
     return [
         _report("diameter_ent_dgamma", dg, (2.0 / k) * math.sqrt(2.0 * c), pre,
@@ -399,8 +349,8 @@ def check_diameter_bound_ent(chain: MarkovChain, k: float,
 
 
 def check_diameter_bound_finite_n(chain: MarkovChain, mean_kind: str, k: float,
-                                  dim: float, k_status: str = "exact",
-                                  diam_g: float | None = None) -> list[InequalityReport]:
+                                  dim: float,
+                                  k_status: str = "exact") -> list[InequalityReport]:
     """Finite-dimension diameter bounds pi sqrt(dim/K) and pi sqrt(D dim/(2K))."""
     below_arith = mean_kind in ("arithmetic", "logarithmic", "geometric")
     pre = [("curvature_positive", k_status if k > 0 else "unmet"),
@@ -410,7 +360,7 @@ def check_diameter_bound_finite_n(chain: MarkovChain, mean_kind: str, k: float,
         nan = float("nan")
         return [_report("diameter_finite_n_dgamma", nan, nan, pre, {"k": k}),
                 _report("diameter_finite_n_d", nan, nan, pre, {"k": k})]
-    dg = diam_gamma(chain) if diam_g is None else diam_g
+    dg = diam_gamma(chain)
     dd = diam_combinatorial(chain)
     dmax = chain.stats().deg_weighted_max
     return [
@@ -421,8 +371,13 @@ def check_diameter_bound_finite_n(chain: MarkovChain, mean_kind: str, k: float,
     ]
 
 
-def check_tau_lower_bound(chain: MarkovChain, sys: HeatSystem | None = None,
-                          tau: float | None = None) -> InequalityReport:
+@derived
+def _tau_quarter(chain: MarkovChain) -> float:
+    """Average mixing time tau(1/4)."""
+    return avg_mixing_time(spectral_decompose(chain), 0.25)
+
+
+def check_tau_lower_bound(chain: MarkovChain) -> InequalityReport:
     """Average-mixing-time lower bound
     tau(1/4) >= (pi_min/(8 pi_max))^(1/R0) (q_min/e) R0, R0 = log(4 pi_max)/log(q_min)."""
     st = chain.stats()
@@ -434,36 +389,30 @@ def check_tau_lower_bound(chain: MarkovChain, sys: HeatSystem | None = None,
         return _report("tau_avg_lower_bound", nan, nan, pre, {})
     r0 = math.log(4.0 * st.pi_max) / math.log(st.q_min)
     bound = (st.pi_min / (8.0 * st.pi_max)) ** (1.0 / r0) * (st.q_min / math.e) * r0
-    if tau is None:
-        tau = avg_mixing_time(sys or spectral_decompose(chain), 0.25)
+    tau = _tau_quarter(chain)
     return _report("tau_avg_lower_bound", bound, tau, pre,
                    {"r0": r0, "tau_avg_quarter": tau})
 
 
-def check_buser(chain: MarkovChain, curvature_status: str = "heuristic",
-                h: float | None = None, lam: float | None = None) -> InequalityReport:
+def check_buser(chain: MarkovChain,
+                curvature_status: str = "heuristic") -> InequalityReport:
     """Buser inequality lambda_1 <= (16 log 2 / q_min) h^2 under nonnegative
     entropic curvature."""
-    from .curvature import lambda1 as _lambda1
-
     pre = [("entropic_curvature_nonnegative", curvature_status)]
-    hval = cheeger(chain).h if h is None else h
-    lamval = _lambda1(chain) if lam is None else lam
+    hval = cheeger(chain).h
+    lamval = lambda1(chain)
     q_min = chain.stats().q_min
     rhs = 16.0 * math.log(2.0) / q_min * hval * hval
     return _report("buser", lamval, rhs, pre, {"h": hval, "q_min": q_min})
 
 
-def check_lambda_tau(chain: MarkovChain, curvature_status: str = "heuristic",
-                     tau: float | None = None,
-                     lam: float | None = None) -> InequalityReport:
+def check_lambda_tau(chain: MarkovChain,
+                     curvature_status: str = "heuristic") -> InequalityReport:
     """lambda_1 tau_avg(1/4) <= 256 log 2 / q_min^2 under nonnegative
     entropic curvature."""
-    from .curvature import lambda1 as _lambda1
-
     pre = [("entropic_curvature_nonnegative", curvature_status)]
-    lamval = _lambda1(chain) if lam is None else lam
-    tauval = avg_mixing_time(spectral_decompose(chain), 0.25) if tau is None else tau
+    lamval = lambda1(chain)
+    tauval = _tau_quarter(chain)
     q_min = chain.stats().q_min
     rhs = 256.0 * math.log(2.0) / (q_min * q_min)
     return _report("lambda1_tau_avg", lamval * tauval, rhs, pre,
@@ -486,18 +435,16 @@ def _detect_regular_srw(chain: MarkovChain) -> int | None:
     return d
 
 
-def check_expander_bounds(chain: MarkovChain, curvature_status: str = "heuristic",
-                          lam: float | None = None) -> list[InequalityReport]:
+def check_expander_bounds(chain: MarkovChain,
+                          curvature_status: str = "heuristic") -> list[InequalityReport]:
     """Spectral-gap consequences of nonnegative entropic curvature.
 
     First: lambda_1 <= (483/q_min^3)(8 pi_max/pi_min)^(1/R0) / R0 (needs
     pi_max < 1/4, q_min < 1).  Second, for the SRW on a d-regular graph with
     |X| >= 4d, d >= 2: d - mu_2 = d lambda_1 <= 4000 d^4 log d / log(|X|/4).
     """
-    from .curvature import lambda1 as _lambda1
-
     st = chain.stats()
-    lamval = _lambda1(chain) if lam is None else lam
+    lamval = lambda1(chain)
     out = []
 
     pre1 = [("entropic_curvature_nonnegative", curvature_status),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import MarkovChain, distance_matrix
+from .chain import MarkovChain, derived, distance_matrix
 from .errors import (EpsTooLarge, NegativeTime, NumericalFailure,
                      PreconditionHeuristic)
 from .gamma import a_form, func_inner, laplacian, laplacian_matrix
@@ -31,6 +31,7 @@ class HeatSystem:
     sqrt_pi: np.ndarray
 
 
+@derived
 def spectral_decompose(chain: MarkovChain) -> HeatSystem:
     """Eigendecomposition of the symmetrized generator diag(sqrt pi)(I-Q)diag(1/sqrt pi)."""
     sqrt_pi = np.sqrt(chain.pi)
@@ -40,7 +41,14 @@ def spectral_decompose(chain: MarkovChain) -> HeatSystem:
     basis = vecs / sqrt_pi[:, None]
     if basis[0, 0] < 0:
         basis[:, 0] = -basis[:, 0]
+    for a in (evals, basis, sqrt_pi):
+        a.setflags(write=False)
     return HeatSystem(chain=chain, eigenvalues=evals, basis=basis, sqrt_pi=sqrt_pi)
+
+
+def lambda1(chain: MarkovChain) -> float:
+    """Smallest positive eigenvalue of minus the Laplacian."""
+    return float(spectral_decompose(chain).eigenvalues[1])
 
 
 def heat_operator(sys: HeatSystem, t: float) -> np.ndarray:
@@ -445,9 +453,10 @@ def check_linf_gradient_bound(chain: MarkovChain, mean, trials: int = 20,
     return VerifyReport("linf_gradient_bound", trials, worst, witness, violations)
 
 
-def check_heat_kernel_bound(sys: HeatSystem, chain: MarkovChain,
+def check_heat_kernel_bound(chain: MarkovChain,
                             t_grid=(0.1, 0.5, 1.0, 2.0)) -> VerifyReport:
     """Off-diagonal kernel bound p_t(x,y) <= (1/pi(x)) t^r / r! for r = d(x,y)."""
+    sys = spectral_decompose(chain)
     dist = distance_matrix(chain)
     pi = chain.pi
     worst = math.inf

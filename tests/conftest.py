@@ -1,9 +1,14 @@
-"""Shared fixtures: standard chains and random reversible chains."""
+"""Shared fixtures: standard chains, random reversible chains, and the
+reference Cheeger engine."""
+
+import math
 
 import numpy as np
 import pytest
 
-from curvkit import build_chain, complete, cycle, hypercube, path
+from curvkit import (CheegerResult, TooLarge, build_chain, complete, cycle,
+                     hypercube, path)
+from curvkit.geometry import cut_weight
 
 
 @pytest.fixture
@@ -68,3 +73,48 @@ def small_chain_pool():
     pool += [random_reversible_chain(n, seed) for n, seed in
              [(4, 11), (5, 12), (6, 13), (7, 14), (8, 15)]]
     return pool
+
+
+def cheeger_gray(chain, max_states: int = 20) -> CheegerResult:
+    """Reference Cheeger engine: plain Gray-code walk with incremental cut
+    updates, independent of the block enumeration in `curvkit.cheeger`."""
+    n = chain.n_states
+    if n < 2 or n > max_states:
+        raise TooLarge(f"gray cheeger limited to 2..{max_states} states")
+    w = chain.w
+    pi = chain.pi
+    in_set = np.zeros(n, dtype=bool)
+    cut = 0.0
+    piw = 0.0
+    best = math.inf
+    best_members: list[int] = []
+    best_flip = False
+    prev_gray = 0
+    for m in range(1, 1 << (n - 1)):
+        gray = m ^ (m >> 1)
+        j = ((gray ^ prev_gray).bit_length() - 1) + 1   # vertex 0 stays outside
+        prev_gray = gray
+        if in_set[j]:
+            in_set[j] = False
+            piw -= pi[j]
+            cut += 2.0 * float(w[j] @ in_set) - float(w[j].sum())
+        else:
+            cut += float(w[j].sum()) - 2.0 * float(w[j] @ in_set)
+            in_set[j] = True
+            piw += pi[j]
+        if 0 < piw <= 0.5 + 1e-12:
+            ratio = cut / piw
+            if ratio < best:
+                best = ratio
+                best_members, best_flip = list(np.flatnonzero(in_set)), False
+        if 0.5 - 1e-12 <= piw < 1.0:
+            ratio = cut / (1.0 - piw)
+            if ratio < best:
+                best = ratio
+                best_members, best_flip = list(np.flatnonzero(in_set)), True
+    if best_flip:
+        chosen = set(best_members)
+        best_members = [i for i in range(n) if i not in chosen]
+    h = cut_weight(chain, best_members) / float(pi[best_members].sum())
+    subset = sorted((chain.states[i] for i in best_members), key=chain.index)
+    return CheegerResult(h=h, subset=tuple(subset))

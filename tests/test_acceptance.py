@@ -193,21 +193,20 @@ def test_criterion_9_inequality_battery_hypercubes():
             diam_g = diam_gamma(ch)
 
             reports = []
-            hk = check_heat_kernel_bound(sys_, ch, (0.1, 0.5, 1.0, 2.0))
+            hk = check_heat_kernel_bound(ch, (0.1, 0.5, 1.0, 2.0))
             if hk.violations:
                 failures.append(f"Q^{n_dim} heat kernel")
-            reports.append(check_cheeger_l1(ch, trials=100, seed=n_dim, h=h))
-            reports.append(check_tau_lower_bound(ch, sys_, tau=tau))
-            reports.append(check_buser(ch, "exact", h=h, lam=lam))
-            reports.append(check_lambda_tau(ch, "exact", tau=tau, lam=lam))
-            reports.extend(check_diameter_bound_ent(ch, k_ent, "exact",
-                                                    diam_g=diam_g))
+            reports.append(check_cheeger_l1(ch, trials=100, seed=n_dim))
+            reports.append(check_tau_lower_bound(ch))
+            reports.append(check_buser(ch, "exact"))
+            reports.append(check_lambda_tau(ch, "exact"))
+            reports.extend(check_diameter_bound_ent(ch, k_ent, "exact"))
             dim = 2.0 * n_dim * n_dim
             k_fin, _ = bakry_emery_global(ch, dim)
             reports.extend(check_diameter_bound_finite_n(
                 ch, "arithmetic", k_fin, dim,
-                "exact" if k_fin > 0 else "unmet", diam_g=diam_g))
-            reports.extend(check_expander_bounds(ch, "exact", lam=lam))
+                "exact" if k_fin > 0 else "unmet"))
+            reports.extend(check_expander_bounds(ch, "exact"))
             for rep in reports:
                 if rep.holds is False:
                     failures.append(f"Q^{n_dim} {rep.name}")

@@ -1,6 +1,8 @@
 """Chain construction, validation, generators, distances, file formats."""
 
 import json
+import sys
+import threading
 from itertools import product
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 
 from curvkit import (InvalidParameters, NotIrreducible, NotReversible,
                      NotStochastic, build_chain, chain_from_edgelist,
-                     chain_from_json, chain_to_json, complete, cycle,
-                     distance_matrix, generate, hypercube, path,
-                     random_regular)
+                     chain_from_json, chain_to_json, cheeger, complete,
+                     cycle, distance_matrix, generate, hypercube, lambda1,
+                     path, random_regular, spectral_decompose)
 
 
 def test_two_state_uniform_pi(two_state):
@@ -159,3 +161,49 @@ def test_generated_chains_validate():
         st = ch.stats()
         assert (st.deg_weighted <= 1 + 1e-12).all()
         assert (st.deg_pi >= st.q_min - 1e-12).all()
+
+
+def test_derived_quantities_memoized_per_chain():
+    ch = cycle(5)
+    sys_ = spectral_decompose(ch)
+    assert spectral_decompose(ch) is sys_
+    assert ch.stats() is ch.stats()
+    assert distance_matrix(ch) is distance_matrix(ch)
+    assert cheeger(ch) is cheeger(ch)
+    for arr in (sys_.eigenvalues, sys_.basis, sys_.sqrt_pi,
+                distance_matrix(ch)):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        sys_.eigenvalues[1] = 0.0
+    # an equal chain built separately gets its own values
+    twin = cycle(5)
+    assert spectral_decompose(twin) is not sys_
+    assert spectral_decompose(twin).chain is twin
+    assert cheeger(twin) is not cheeger(ch)
+    assert lambda1(cycle(6)) != lambda1(ch)
+    assert spectral_decompose(cycle(6)).eigenvalues.shape == (6,)
+
+
+def test_derived_memo_threads_share_one_result():
+    ch = random_regular(3, 64, seed=2)
+    results = []
+    lock = threading.Lock()
+
+    def worker():
+        sys_ = spectral_decompose(ch)
+        with lock:
+            results.append(sys_)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(r is results[0] for r in results)

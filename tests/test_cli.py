@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from curvkit import check_cheeger_l1, hypercube
 from curvkit.cli import main
 
 
@@ -32,6 +33,15 @@ def test_curv_vertex_hypercube(tmp_path):
     for rec in per_vertex.values():
         assert rec["value"] == pytest.approx(2 / 3, abs=1e-8)
     assert doc["results"]["k_global"] == pytest.approx(2 / 3, abs=1e-8)
+
+
+def test_curv_vertex_one_state_k_global_inf(tmp_path):
+    one = tmp_path / "one.json"
+    one.write_text('{"Q": [[1.0]]}')
+    code, doc = run_cli(tmp_path, "curv-vertex", "--in", str(one))
+    assert code == 0
+    assert doc["results"]["per_vertex"]["0"]["value"] == "inf"
+    assert doc["results"]["k_global"] == "inf"
 
 
 def test_curv_measure_with_profile_csv(tmp_path):
@@ -117,6 +127,50 @@ def test_verify_hypercube2_exit0(tmp_path):
         assert rep["holds"] in (True, None)
         for pre in rep["preconditions"]:
             assert pre["status"] in ("exact", "heuristic", "unmet")
+
+
+def test_verify_exact_geometry_failure_exit4(tmp_path):
+    argv = ("verify", "--gen", "hypercube:3", "--suite", "geometry",
+            "--trials", "3")
+    code, doc = run_cli(tmp_path, *argv, "--k-ent", "100")
+    assert code == 4
+    failed = {r["name"] for r in doc["results"]["geometry"]
+              if r["holds"] is False}
+    assert failed == {"diameter_ent_dgamma", "diameter_ent_d"}
+    code, _ = run_cli(tmp_path, *argv, "--k-ent", "0.1")
+    assert code == 0
+
+
+def test_verify_heat_violation_exit4_with_report(tmp_path, monkeypatch):
+    import curvkit.heat as heat_mod
+
+    real = heat_mod.verify_gradient_estimate
+
+    def one_violation(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.violations = 1
+        return rep
+
+    monkeypatch.setattr(heat_mod, "verify_gradient_estimate", one_violation)
+    code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:2",
+                        "--suite", "heat", "--k-ent", "0.5", "--trials", "3")
+    assert code == 4
+    assert doc["results"]["heat"]["holds"] is False
+    assert doc["results"]["heat"]["gradient_estimate"]["violations"] == 1
+
+
+def test_verify_cheeger_l1_matches_library(tmp_path):
+    code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:4",
+                        "--suite", "geometry", "--k-ent", "0.5", "--seed", "1")
+    assert code == 0
+    entry = next(r for r in doc["results"]["geometry"]
+                 if r["name"] == "cheeger_l1")
+    lib = check_cheeger_l1(hypercube(4), trials=25, seed=1).to_dict()
+    assert entry == json.loads(json.dumps(lib))
+    # the indicator of the Cheeger minimizer is the worst trial: factor two
+    assert entry["lhs"] == pytest.approx(0.0625, abs=1e-12)
+    assert entry["rhs"] == pytest.approx(0.125, abs=1e-12)
+    assert entry["details"]["trials"] == 26
 
 
 def test_verify_deterministic(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curvkit import (PreconditionHeuristic, TooLarge, bakry_emery_global,
-                     cheeger, cheeger_gray, check_buser, check_cheeger_l1,
+                     cheeger, check_buser, check_cheeger_l1,
                      check_diameter_bound_ent, check_diameter_bound_finite_n,
                      check_expander_bounds, check_lambda_tau,
                      check_tau_lower_bound, complete, cycle, d_gamma,
@@ -15,7 +15,7 @@ from curvkit import (PreconditionHeuristic, TooLarge, bakry_emery_global,
                      hypercube, path, random_regular)
 from curvkit.geometry import cut_weight
 
-from conftest import random_reversible_chain
+from conftest import cheeger_gray, random_reversible_chain
 
 
 # -- intrinsic metric ---------------------------------------------------------
@@ -246,8 +246,7 @@ def test_expander_bounds_hypercubes():
     assert reps["lambda1_upper_bound"].holds
     assert reps["regular_spectral_gap"].holds is None
     # N=5: 32 >= 20 so the regular bound applies; gap = d lambda1 = 2
-    reps = {r.name: r for r in check_expander_bounds(hypercube(5), "exact",
-                                                     lam=2 / 5)}
+    reps = {r.name: r for r in check_expander_bounds(hypercube(5), "exact")}
     r = reps["regular_spectral_gap"]
     assert r.holds
     assert r.lhs == pytest.approx(2.0, abs=1e-10)

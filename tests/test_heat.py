@@ -334,7 +334,7 @@ def test_heat_kernel_bound_two_state(two_state):
     p_ab = heat_kernel(sys, t, 0, 1)
     assert p_ab == pytest.approx(1 - math.exp(-0.2), abs=1e-12)
     assert p_ab <= 2 * t                  # (1/pi(a)) t^1 / 1!
-    rep = check_heat_kernel_bound(sys, two_state, (0.1, 1.0))
+    rep = check_heat_kernel_bound(two_state, (0.1, 1.0))
     assert rep.violations == 0
 
 
@@ -344,7 +344,7 @@ def test_heat_kernel_bound_cycle8_antipodal():
     t = 0.5
     p = heat_kernel(sys, t, 0, 4)        # distance 4
     assert p <= (1 / ch.pi[0]) * t ** 4 / math.factorial(4) + 1e-12
-    rep = check_heat_kernel_bound(sys, ch, (0.25, 0.5, 1.0, 3.0))
+    rep = check_heat_kernel_bound(ch, (0.25, 0.5, 1.0, 3.0))
     assert rep.violations == 0
 
 
@@ -352,5 +352,5 @@ def test_heat_kernel_bound_various_chains():
     for ch in (hypercube(3), complete(4), path(5),
                random_reversible_chain(6, 77)):
         sys = spectral_decompose(ch)
-        rep = check_heat_kernel_bound(sys, ch, (0.1, 0.6, 2.0))
+        rep = check_heat_kernel_bound(ch, (0.1, 0.6, 2.0))
         assert rep.violations == 0
