@@ -97,7 +97,10 @@ def _chain_stats_doc(chain) -> dict:
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        # a finite numeric array converts in one call; any other goes element-wise
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonable(obj.item())
     if isinstance(obj, dict):
@@ -139,7 +142,7 @@ def _curv_result_doc(res: curv.CurvatureResult) -> dict:
         "iterations": res.iterations,
         "null_dim": res.null_dim,
         "bisection_value": _float_or_none(res.bisection_value),
-        "witness": res.witness.tolist() if res.witness is not None else None,
+        "witness": res.witness,
     }
 
 
@@ -197,7 +200,7 @@ def _cmd_curv_entropic(args):
     _emit(args, {"command": "curv-entropic", "n": args.n, "starts": args.starts,
                  "seed": args.seed}, chain,
           {"k_hat": est.k_hat,
-           "rho_star": est.rho_star.tolist(),
+           "rho_star": est.rho_star,
            "per_start": [{"k": k, "converged": c} for k, c in est.per_start],
            "certified_nonnegative": est.certified_nonnegative,
            "note": "k_hat is an upper bound on the chain curvature; "
@@ -210,7 +213,7 @@ def _cmd_spectrum(args):
     chain = _load_chain(args)
     sys_ = heat_mod.spectral_decompose(chain)
     _emit(args, {"command": "spectrum", "seed": args.seed}, chain,
-          {"eigenvalues": sys_.eigenvalues.tolist(),
+          {"eigenvalues": sys_.eigenvalues,
            "lambda1": float(sys_.eigenvalues[1])}, [])
     return EXIT_OK
 
@@ -235,7 +238,7 @@ def _cmd_heat(args):
     results = {"heat_kernel_bound": rep.to_dict()}
     if args.rho:
         rho = _parse_rho(chain, args.rho)
-        results["p_t_rho"] = {repr(t): heat_mod.heat_apply(sys_, t, rho).tolist()
+        results["p_t_rho"] = {repr(t): heat_mod.heat_apply(sys_, t, rho)
                               for t in t_grid}
     _emit(args, {"command": "heat", "t_grid": args.t_grid, "rho": args.rho,
                  "seed": args.seed}, chain, results, [])

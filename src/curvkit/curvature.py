@@ -16,9 +16,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.optimize
 
-from .chain import MarkovChain, distance_matrix
+from .chain import MarkovChain
 from .errors import DomainError, NumericalFailure
-from .gamma import assemble_forms, cd_quadratic_grad, dirac, validate_density
+from .gamma import (_dirac_ball_forms, assemble_forms, cd_quadratic_grad,
+                    validate_density)
 from .heat import lambda1
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
 
@@ -66,11 +67,12 @@ def _is_psd(a: np.ndarray, scale: float | None = None) -> bool:
     return bool(evals.min() >= -PSD_REL_FLOOR * scale)
 
 
-def _pencil(m: np.ndarray, n: np.ndarray):
+def _pencil(m: np.ndarray, n: np.ndarray, m_norm: float):
     """sup{K : m - K n >= 0} via Schur reduction on the null space of n.
 
-    Returns (value, witness, null_dim, gap).  The witness f satisfies
-    f' (m - K n) f ~ 0 with f' n f > 0 whenever the value is finite.
+    m_norm is the spectral norm of m.  Returns (value, witness, null_dim,
+    gap).  The witness f satisfies f' (m - K n) f ~ 0 with f' n f > 0
+    whenever the value is finite.
     """
     dim = m.shape[0]
     evals, vecs = np.linalg.eigh(n)
@@ -80,7 +82,7 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     v = vecs[:, ~null_mask]
     nvv = np.diag(evals[~null_mask])
     null_dim = int(null_mask.sum())
-    m_scale = max(1.0, _spectral_norm(m))
+    m_scale = max(1.0, m_norm)
 
     if v.shape[1] == 0:
         # n vanishes: K unbounded above iff m itself is PSD
@@ -119,53 +121,68 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     return k, witness, null_dim, gap
 
 
-def _bisect(m: np.ndarray, n: np.ndarray, lo: float, hi: float):
-    """sup{K : m - K n >= 0} by bracketing and bisection on the PSD test.
+def _bisect(m: np.ndarray, n: np.ndarray, k: float, lo: float, hi: float,
+            m_norm: float, n_norm: float):
+    """sup{K : m - K n >= 0} by bisection on the PSD test.
+
+    The pencil value k only proposes where to look: when m - K n is PSD at
+    k - d and not at k + d, d = AGREE_TOL/4 * max(1, |k|), that bracket is
+    bisected.  Otherwise, and whenever k = +-inf, the search brackets from
+    [lo, hi], doubling outwards.  Returns (value, PSD tests, bracket).
 
     The eigenvalue floor stays anchored to the fixed problem scale (plus a
     small |K|-proportional rounding allowance) so that spurious acceptance
     at huge |K| cannot mask an unbounded pencil.
     """
-    m_norm = _spectral_norm(m)
-    n_norm = _spectral_norm(n)
     base = max(1.0, m_norm, n_norm)
+    tests = 0
 
-    def psd_at(k):
-        floor = PSD_REL_FLOOR * base + 1e-13 * abs(k) * n_norm
-        return bool(np.linalg.eigvalsh(m - k * n).min() >= -floor)
+    def psd_at(kk):
+        nonlocal tests
+        tests += 1
+        floor = PSD_REL_FLOOR * base + 1e-13 * abs(kk) * n_norm
+        return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
 
-    iters = 0
-    while psd_at(hi):
-        lo, hi = hi, 2.0 * abs(hi) if hi > 0 else 4.0
-        iters += 1
-        if hi > BISECT_CAP:
-            return POS_INFINITY, iters, (lo, hi)
-    while not psd_at(lo):
-        hi, lo = lo, -2.0 * abs(lo) if lo < 0 else -4.0
-        iters += 1
-        if lo < -BISECT_CAP:
-            return NEG_INFINITY, iters, (lo, hi)
+    d = 0.25 * AGREE_TOL * max(1.0, abs(k))
+    if np.isfinite(k) and psd_at(k - d) and not psd_at(k + d):
+        lo, hi = k - d, k + d
+    else:
+        while psd_at(hi):
+            lo, hi = hi, 2.0 * abs(hi) if hi > 0 else 4.0
+            if hi > BISECT_CAP:
+                return POS_INFINITY, tests, (lo, hi)
+        while not psd_at(lo):
+            hi, lo = lo, -2.0 * abs(lo) if lo < 0 else -4.0
+            if lo < -BISECT_CAP:
+                return NEG_INFINITY, tests, (lo, hi)
     bracket = (lo, hi)
-    while hi - lo > 1e-9 and iters < 256:
+    steps = 0
+    while hi - lo > 1e-9 and steps < 256:
         mid = 0.5 * (lo + hi)
         if psd_at(mid):
             lo = mid
         else:
             hi = mid
-        iters += 1
-    return lo, iters, bracket
+        steps += 1
+    return lo, tests, bracket
 
 
 def solve_pencil(m: np.ndarray, n: np.ndarray, q_min: float = 1.0,
                  confirm: bool = True) -> CurvatureResult:
-    """Solve sup{K : m - K n >= 0} with optional bisection confirmation."""
-    k, witness, null_dim, gap = _pencil(m, n)
+    """Solve sup{K : m - K n >= 0} with optional bisection confirmation.
+
+    The bisection starts from the pencil value and falls back to a full
+    search when the PSD test does not bracket it; either way the value is
+    certified by the PSD test of m - K n alone.
+    """
+    m_norm, n_norm = _spectral_norm(m), _spectral_norm(n)
+    k, witness, null_dim, gap = _pencil(m, n, m_norm)
     result = CurvatureResult(value=k, witness=witness, method="pencil",
                              bracket=None, iterations=0, null_dim=null_dim,
                              gap=gap)
     if confirm:
         lo0 = -4.0 / q_min if q_min > 0 else -4.0
-        kb, iters, bracket = _bisect(m, n, lo0, 4.0)
+        kb, iters, bracket = _bisect(m, n, k, lo0, 4.0, m_norm, n_norm)
         result.bisection_value = kb
         result.bracket = bracket
         result.iterations = iters
@@ -178,7 +195,7 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, q_min: float = 1.0,
                 f"pencil K={k!r} and bisection K={kb!r} disagree on finiteness")
     if np.isfinite(k) and witness is not None:
         a = m - k * n
-        floor = 1e-9 * (_spectral_norm(m) + abs(k) * _spectral_norm(n) + 1.0)
+        floor = 1e-9 * (m_norm + abs(k) * n_norm + 1.0)
         if np.linalg.eigvalsh(a).min() < -floor:
             raise NumericalFailure("certificate m - K n lost positivity")
     return result
@@ -200,15 +217,11 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim,
                        confirm: bool = True) -> CurvatureResult:
     """Vertex curvature: the Dirac density under the arithmetic mean.
 
-    The forms vanish outside the 2-ball of the vertex, so the pencil is
-    solved on that ball and the witness re-embedded.
+    The forms vanish outside the 2-ball of the vertex, so they are
+    assembled and the pencil solved on that ball, and the witness
+    re-embedded.
     """
-    ix = chain.index(state)
-    rho = dirac(chain, ix)
-    fp = assemble_forms(chain, ARITHMETIC, rho, dim)
-    ball = np.flatnonzero(distance_matrix(chain)[ix] <= 2)
-    m = fp.m[np.ix_(ball, ball)]
-    n = fp.n[np.ix_(ball, ball)]
+    ball, m, n = _dirac_ball_forms(chain, state, dim)
     res = solve_pencil(m, n, q_min=chain.stats().q_min, confirm=confirm)
     if res.witness is not None:
         full = np.zeros(chain.n_states)
@@ -244,7 +257,7 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
 
     def value_at(r):
         fp = assemble_forms(chain, mean, r, dim)
-        return _pencil(fp.m, fp.n)
+        return _pencil(fp.m, fp.n, _spectral_norm(fp.m))
 
     k, witness, null_dim, gap = value_at(rho)
     if not np.isfinite(k):

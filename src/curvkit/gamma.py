@@ -239,15 +239,35 @@ class FormPair:
     dim: float
 
 
-def _gamma_weight_matrix(chain: MarkovChain, d1e: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Matrix T with f' T g = sum_x a(x) pi(x) Gamma_rho(f, g)(x)."""
-    n = chain.n_states
-    ex, ey, qe = chain.edges
-    w = np.zeros((n, n))
-    w[ex, ey] = a[ex] * chain.pi[ex] * d1e * qe
-    ws = w + w.T
-    t = np.diag(ws.sum(axis=1)) - ws
-    return t
+def _dimension(dim) -> float:
+    dim = float(dim)
+    if not (dim > 0):
+        raise DomainError(f"dimension must be positive, got {dim}")
+    return dim
+
+
+def _form_matrices(q: np.ndarray, pi: np.ndarray, edges, d1e: np.ndarray,
+                   rho: np.ndarray, dim: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) on the index set of the kernel block q, whose Laplacian block
+    is q - I; edges are the adjacent pairs of that index set."""
+    size = len(pi)
+    ex, ey, qe = edges
+    lap = q - np.eye(size)
+
+    def weight_matrix(a):
+        # T with f' T g = sum_x a(x) pi(x) Gamma_rho(f, g)(x)
+        w = np.zeros((size, size))
+        w[ex, ey] = a[ex] * pi[ex] * d1e * qe
+        ws = w + w.T
+        return np.diag(ws.sum(axis=1)) - ws
+
+    t_rho = weight_matrix(rho)
+    t_lrho = weight_matrix(lap @ rho)
+    m = 0.5 * (t_lrho - t_rho @ lap - lap.T @ t_rho)
+    if np.isfinite(dim):
+        m = m - (1.0 / dim) * (lap.T @ np.diag(rho * pi) @ lap)
+    m = 0.5 * (m + m.T)
+    return m, 0.5 * (t_rho + t_rho.T)
 
 
 def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
@@ -258,19 +278,39 @@ def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
     """
     mean = get_mean(mean)
     rho = validate_density(chain, mean, rho)
-    dim = float(dim)
-    if not (dim > 0):
-        raise DomainError(f"dimension must be positive, got {dim}")
-    d1e = d1_edges(chain, mean, rho)
-    lap = laplacian_matrix(chain)
-    t_rho = _gamma_weight_matrix(chain, d1e, rho)
-    t_lrho = _gamma_weight_matrix(chain, d1e, lap @ rho)
-    m = 0.5 * (t_lrho - t_rho @ lap - lap.T @ t_rho)
-    if np.isfinite(dim):
-        m = m - (1.0 / dim) * (lap.T @ np.diag(rho * chain.pi) @ lap)
-    m = 0.5 * (m + m.T)
-    n_mat = 0.5 * (t_rho + t_rho.T)
+    dim = _dimension(dim)
+    m, n_mat = _form_matrices(chain.q, chain.pi, chain.edges,
+                              d1_edges(chain, mean, rho), rho, dim)
     return FormPair(m=m, n=n_mat, mean_kind=mean.kind, rho=rho, dim=dim)
+
+
+def _dirac_ball_forms(chain: MarkovChain, state,
+                      dim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ball, m, n): the arithmetic-mean forms of the Dirac density at a
+    state, assembled on its 2-ball B2 alone.
+
+    m and n equal the assemble_forms matrices restricted to ball x ball,
+    and those vanish outside it: t_rho lives on B1 x B1, (Q - I) rho on
+    B1, and every Laplacian row of a B1 vertex lives in B2, so the blocks
+    q[B2, B2], pi[B2] and the edges inside B2 carry every term.  The dense
+    work is |B2|^3; only finding the ball reads rows of length n.
+    """
+    ix = chain.index(state)
+    dim = _dimension(dim)
+    adj = chain.adjacency
+    b1 = adj[ix].copy()
+    b1[ix] = True
+    ball = np.flatnonzero(adj[b1].any(axis=0) | b1)
+    block = np.ix_(ball, ball)
+    q = chain.q[block]
+    ex, ey = np.nonzero(adj[block])
+    rho = np.zeros(len(ball))
+    rho[np.searchsorted(ball, ix)] = 1.0 / chain.pi[ix]
+    d1e = np.broadcast_to(np.asarray(ARITHMETIC.d1(rho[ex], rho[ey]), float),
+                          ex.shape)
+    m, n_mat = _form_matrices(q, chain.pi[ball], (ex, ey, q[ex, ey]), d1e,
+                              rho, dim)
+    return ball, m, n_mat
 
 
 def cd_quadratic(chain: MarkovChain, mean, rho, dim, f) -> tuple[float, float]:

@@ -377,17 +377,25 @@ def _tau_quarter(chain: MarkovChain) -> float:
     return avg_mixing_time(spectral_decompose(chain), 0.25)
 
 
+def _r0(chain: MarkovChain):
+    """(preconditions, R0) of the bounds that need pi_max < 1/4 and
+    q_min < 1; R0 = log(4 pi_max)/log(q_min), None when either fails."""
+    st = chain.stats()
+    pre = [("pi_max_below_quarter", "exact" if st.pi_max < 0.25 else "unmet"),
+           ("q_min_below_one", "exact" if st.q_min < 1.0 else "unmet")]
+    if st.pi_max < 0.25 and st.q_min < 1.0:
+        return pre, math.log(4.0 * st.pi_max) / math.log(st.q_min)
+    return pre, None
+
+
 def check_tau_lower_bound(chain: MarkovChain) -> InequalityReport:
     """Average-mixing-time lower bound
     tau(1/4) >= (pi_min/(8 pi_max))^(1/R0) (q_min/e) R0, R0 = log(4 pi_max)/log(q_min)."""
     st = chain.stats()
-    ok = st.pi_max < 0.25 and st.q_min < 1.0
-    pre = [("pi_max_below_quarter", "exact" if st.pi_max < 0.25 else "unmet"),
-           ("q_min_below_one", "exact" if st.q_min < 1.0 else "unmet")]
-    if not ok:
+    pre, r0 = _r0(chain)
+    if r0 is None:
         nan = float("nan")
         return _report("tau_avg_lower_bound", nan, nan, pre, {})
-    r0 = math.log(4.0 * st.pi_max) / math.log(st.q_min)
     bound = (st.pi_min / (8.0 * st.pi_max)) ** (1.0 / r0) * (st.q_min / math.e) * r0
     tau = _tau_quarter(chain)
     return _report("tau_avg_lower_bound", bound, tau, pre,
@@ -447,11 +455,9 @@ def check_expander_bounds(chain: MarkovChain,
     lamval = lambda1(chain)
     out = []
 
-    pre1 = [("entropic_curvature_nonnegative", curvature_status),
-            ("pi_max_below_quarter", "exact" if st.pi_max < 0.25 else "unmet"),
-            ("q_min_below_one", "exact" if st.q_min < 1.0 else "unmet")]
-    if st.pi_max < 0.25 and st.q_min < 1.0:
-        r0 = math.log(4.0 * st.pi_max) / math.log(st.q_min)
+    pre, r0 = _r0(chain)
+    pre1 = [("entropic_curvature_nonnegative", curvature_status)] + pre
+    if r0 is not None:
         rhs = (483.0 / st.q_min ** 3) \
             * (8.0 * st.pi_max / st.pi_min) ** (1.0 / r0) / r0
         out.append(_report("lambda1_upper_bound", lamval, rhs, pre1, {"r0": r0}))

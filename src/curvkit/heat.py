@@ -28,7 +28,6 @@ class HeatSystem:
     chain: MarkovChain
     eigenvalues: np.ndarray
     basis: np.ndarray           # columns phi_k, pi-orthonormal, phi_0 constant
-    sqrt_pi: np.ndarray
 
 
 @derived
@@ -41,9 +40,9 @@ def spectral_decompose(chain: MarkovChain) -> HeatSystem:
     basis = vecs / sqrt_pi[:, None]
     if basis[0, 0] < 0:
         basis[:, 0] = -basis[:, 0]
-    for a in (evals, basis, sqrt_pi):
+    for a in (evals, basis):
         a.setflags(write=False)
-    return HeatSystem(chain=chain, eigenvalues=evals, basis=basis, sqrt_pi=sqrt_pi)
+    return HeatSystem(chain=chain, eigenvalues=evals, basis=basis)
 
 
 def lambda1(chain: MarkovChain) -> float:
@@ -178,13 +177,14 @@ def _residual_scale(chain: MarkovChain, lhs: float, rhs: float, *fields) -> floa
     return max(abs(lhs) + abs(rhs), 1e-13 * noise, 1e-300)
 
 
-def _gradient_estimate_parts(chain: MarkovChain, sys: HeatSystem, mean,
-                             k: float, dim: float, rho, f, t: float):
+def _gradient_estimate_parts(chain: MarkovChain, mean, k: float, dim: float,
+                             rho, f, t: float):
     """(lhs, rhs, aggregate) of the gradient estimate at one triple.
 
     The aggregate is the unsigned sum of all constituent terms; it bounds
     the rounding noise of the two (possibly cancelling) sides.
     """
+    sys = spectral_decompose(chain)
     rho_t = heat_apply(sys, t, rho)
     f_t = heat_apply(sys, t, f)
     term1 = math.exp(-2.0 * k * t) * a_form(chain, mean, rho_t, f)
@@ -194,11 +194,11 @@ def _gradient_estimate_parts(chain: MarkovChain, sys: HeatSystem, mean,
     return term1 - term2, rhs, abs(term1) + abs(term2) + abs(rhs)
 
 
-def gradient_estimate_residual(chain: MarkovChain, sys: HeatSystem, mean,
-                               k: float, dim: float, rho, f, t: float) -> float:
+def gradient_estimate_residual(chain: MarkovChain, mean, k: float, dim: float,
+                               rho, f, t: float) -> float:
     """Normalized residual of
     exp(-2Kt) A_{P_t rho}(f) - A_rho(P_t f) >= coeff * <rho, (Delta P_t f)^2>_pi."""
-    lhs, rhs, _ = _gradient_estimate_parts(chain, sys, mean, k, dim, rho, f, t)
+    lhs, rhs, _ = _gradient_estimate_parts(chain, mean, k, dim, rho, f, t)
     return (lhs - rhs) / _residual_scale(chain, lhs, rhs, f)
 
 
@@ -207,7 +207,6 @@ def verify_gradient_estimate(chain: MarkovChain, mean, k: float, dim,
                              seed: int = 0) -> VerifyReport:
     """Check the semigroup gradient estimate over random (rho, f, t)."""
     mean = get_mean(mean)
-    sys = spectral_decompose(chain)
     rng = np.random.default_rng(seed)
     dim = float(dim)
     worst = math.inf
@@ -217,7 +216,7 @@ def verify_gradient_estimate(chain: MarkovChain, mean, k: float, dim,
         rho = _random_density(chain, rng)
         f = rng.standard_normal(chain.n_states)
         for t in t_grid:
-            r = gradient_estimate_residual(chain, sys, mean, k, dim, rho, f, t)
+            r = gradient_estimate_residual(chain, mean, k, dim, rho, f, t)
             if r < worst:
                 worst = r
                 witness = {"rho": rho.copy(), "f": f.copy(), "t": float(t)}
@@ -226,12 +225,13 @@ def verify_gradient_estimate(chain: MarkovChain, mean, k: float, dim,
     return VerifyReport("gradient_estimate", trials, worst, witness, violations)
 
 
-def _gradient_estimate_f_matrix(chain: MarkovChain, sys: HeatSystem, mean,
-                                k: float, dim: float, rho, t: float) -> np.ndarray:
+def _gradient_estimate_f_matrix(chain: MarkovChain, mean, k: float, dim: float,
+                                rho, t: float) -> np.ndarray:
     """Quadratic form H with f' H f = lhs - rhs of the gradient estimate.
 
     A negative eigenvalue of H exhibits a violating f for the given (rho, t).
     """
+    sys = spectral_decompose(chain)
     pt = heat_operator(sys, t)
     rho_t = heat_apply(sys, t, rho)
     ex, ey, qe = chain.edges
@@ -273,7 +273,6 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
     K can hide arbitrarily close to the boundary of the density simplex.
     """
     mean = get_mean(mean)
-    sys = spectral_decompose(chain)
     rng = np.random.default_rng(seed)
     dim = float(dim)
 
@@ -283,7 +282,7 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
     def score(cand, f, tc):
         # normalize by the unsigned aggregate of terms: a violation has to
         # clear the cancellation noise of the sides, not hide inside it
-        lhs, rhs, agg = _gradient_estimate_parts(chain, sys, mean, k, dim,
+        lhs, rhs, agg = _gradient_estimate_parts(chain, mean, k, dim,
                                                  cand, f, tc)
         noise = 1e-13 * float(np.abs(f).max()) ** 2
         return (lhs - rhs) / max(agg, noise, 1e-300)
@@ -296,7 +295,7 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
         np.hstack([np.ones((n, 1)) / math.sqrt(n), np.eye(n)[:, :n - 1]]))[0][:, 1:]
 
     def best_f_at(cand, tc):
-        h = _gradient_estimate_f_matrix(chain, sys, mean, k, dim, cand, tc)
+        h = _gradient_estimate_f_matrix(chain, mean, k, dim, cand, tc)
         v = np.linalg.eigh(basis.T @ h @ basis)[1][:, 0]
         f = basis @ v
         return f / np.linalg.norm(f)
@@ -367,11 +366,12 @@ def _rp_coeff2(k: float, dim: float, t: float) -> float:
     return (_rp_coeff1(k, t) - 2.0 * t) / (k * dim)
 
 
-def reverse_poincare_residual(chain: MarkovChain, sys: HeatSystem, mean,
-                              k: float, dim: float, rho, f, t: float) -> float:
+def reverse_poincare_residual(chain: MarkovChain, mean, k: float, dim: float,
+                              rho, f, t: float) -> float:
     """Normalized residual of
     <f^2, P_t rho>_pi - <(P_t f)^2, rho>_pi
         >= c1(K,t) A_rho(P_t f) + c2(K,dim,t) <rho, (Delta P_t f)^2>_pi."""
+    sys = spectral_decompose(chain)
     rho_t = heat_apply(sys, t, rho)
     f_t = heat_apply(sys, t, f)
     lhs = func_inner(chain, f * f, rho_t) - func_inner(chain, f_t * f_t, rho)
@@ -387,7 +387,6 @@ def verify_reverse_poincare(chain: MarkovChain, mean, k: float, dim,
     """Check the reverse Poincare inequality (needs a mean below arithmetic)."""
     mean = get_mean(mean)
     _check_below_arithmetic(mean)
-    sys = spectral_decompose(chain)
     rng = np.random.default_rng(seed)
     dim = float(dim)
     worst = math.inf
@@ -397,7 +396,7 @@ def verify_reverse_poincare(chain: MarkovChain, mean, k: float, dim,
         rho = _random_density(chain, rng)
         f = rng.standard_normal(chain.n_states)
         for t in t_grid:
-            r = reverse_poincare_residual(chain, sys, mean, k, dim, rho, f, t)
+            r = reverse_poincare_residual(chain, mean, k, dim, rho, f, t)
             if r < worst:
                 worst = r
                 witness = {"rho": rho.copy(), "f": f.copy(), "t": float(t)}

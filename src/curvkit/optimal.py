@@ -16,10 +16,9 @@ from itertools import combinations
 import numpy as np
 
 from .chain import MarkovChain, distance_matrix
-from .curvature import bakry_emery_vertex
+from .curvature import solve_pencil
 from .errors import InvalidParameters, TooLarge
-from .gamma import assemble_forms, dirac
-from .means import ARITHMETIC
+from .gamma import _dirac_ball_forms
 
 #: singular-value cutoff (relative to the largest) for null spaces of the
 #: summed pointwise forms; absorbs the finite accuracy of the global K
@@ -51,20 +50,23 @@ class _PointwiseForms:
     def __init__(self, chain: MarkovChain, dim):
         self.chain = chain
         self.dim = float(dim)
-        per_vertex = [bakry_emery_vertex(chain, s, dim, confirm=False).value
-                      for s in chain.states]
-        self.vertex_curv = np.array(per_vertex)
+        size = chain.n_states
+        balls = [_dirac_ball_forms(chain, s, dim) for s in chain.states]
+        self.vertex_curv = np.array([solve_pencil(m, n, confirm=False).value
+                                     for _, m, n in balls])
         self.k_global = float(self.vertex_curv.min())
+        self.form_scale = max(
+            float(np.abs(m).max() + abs(self.k_global) * np.abs(n).max())
+            for _, m, n in balls)
         self.q_mats = []
-        self.gamma_mats = []
-        self.form_scale = 0.0
-        for state in chain.states:
-            fp = assemble_forms(chain, ARITHMETIC, dirac(chain, state), dim)
-            self.q_mats.append(fp.m - self.k_global * fp.n)
-            self.gamma_mats.append(fp.n)       # f' n f = Gamma f(x)
-            self.form_scale = max(
-                self.form_scale,
-                float(np.abs(fp.m).max() + abs(self.k_global) * np.abs(fp.n).max()))
+        self.gamma_mats = []                   # f' n f = Gamma f(x)
+        for ball, m, n in balls:
+            block = np.ix_(ball, ball)
+            q_mat, gamma_mat = np.zeros((size, size)), np.zeros((size, size))
+            q_mat[block] = m - self.k_global * n
+            gamma_mat[block] = n
+            self.q_mats.append(q_mat)
+            self.gamma_mats.append(gamma_mat)
 
     def zero_cells(self):
         tol = X0_REL_TOL * max(1.0, abs(self.k_global))

@@ -189,6 +189,126 @@ def test_neg_infinity_pencil_detection():
     assert res2.value == NEG_INFINITY
 
 
+# -- 2-ball assembly and the pencil-seeded bisection ------------------------
+
+def _ball_pool():
+    """The randomized pool plus a lazy chain and a sparse chain with
+    non-uniform pi, both with 2-balls smaller than the chain."""
+    c8 = cycle(8)
+    lazy_c8 = build_chain(0.6 * np.eye(8) + 0.4 * c8.q, pi=c8.pi)
+    return small_chain_pool() + [lazy_c8,
+                                 random_reversible_chain(10, 3, edge_prob=0.2)]
+
+
+def test_ball_forms_equal_sliced_dense_forms():
+    from curvkit.gamma import _dirac_ball_forms
+    smaller = 0
+    for ch in _ball_pool():
+        for x in range(ch.n_states):
+            for dim in (INF, 4.0, 14.0):
+                ball, m, n = _dirac_ball_forms(ch, x, dim)
+                fp = assemble_forms(ch, ARITHMETIC, dirac(ch, x), dim)
+                scale = max(1.0, np.abs(fp.m).max(), np.abs(fp.n).max())
+                block = np.ix_(ball, ball)
+                assert np.abs(m - fp.m[block]).max() <= 1e-12 * scale
+                assert np.abs(n - fp.n[block]).max() <= 1e-12 * scale
+                # nothing of the dense forms lies outside the ball
+                rest = np.ones(ch.n_states, dtype=bool)
+                rest[ball] = False
+                assert not fp.m[rest].any() and not fp.n[rest].any()
+                smaller += len(ball) < ch.n_states
+    assert smaller > 0
+
+
+def _pool_pencils():
+    rng = np.random.default_rng(7)
+    for ch in small_chain_pool():
+        for x in range(ch.n_states):
+            fp = assemble_forms(ch, ARITHMETIC, dirac(ch, x), INF)
+            yield fp.m, fp.n, ch.stats().q_min
+        fp = assemble_forms(ch, LOGARITHMIC,
+                            positive_density(ch, int(rng.integers(1 << 30))), 4.0)
+        yield fp.m, fp.n, ch.stats().q_min
+
+
+def test_seeded_and_full_bisection_agree():
+    from curvkit.curvature import _bisect, _pencil, _spectral_norm
+    seeded_count = 0
+    for m, n, q_min in _pool_pencils():
+        m_norm, n_norm = _spectral_norm(m), _spectral_norm(n)
+        k = _pencil(m, n, m_norm)[0]
+        seeded, tests, bracket = _bisect(m, n, k, -4.0 / q_min, 4.0, m_norm, n_norm)
+        full, _, _ = _bisect(m, n, INF, -4.0 / q_min, 4.0, m_norm, n_norm)
+        assert abs(seeded - full) <= 1e-9 * max(1.0, abs(full))
+        if bracket[1] - bracket[0] < 1e-7 * max(1.0, abs(k)):
+            seeded_count += 1
+    assert seeded_count > 50
+
+
+def test_wrong_pencil_value_falls_back_and_fails(monkeypatch):
+    import curvkit.curvature as cmod
+    true_pencil, true_bisect = cmod._pencil, cmod._bisect
+    fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
+    k0 = cmod.solve_pencil(fp.m, fp.n).value
+    seen = []
+
+    def shifted(m, n, m_norm):
+        k, *rest = true_pencil(m, n, m_norm)
+        return (k + 1e-6 * max(1.0, abs(k)), *rest)
+
+    def spy(*args):
+        out = true_bisect(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(cmod, "_pencil", shifted)
+    monkeypatch.setattr(cmod, "_bisect", spy)
+    with pytest.raises(NumericalFailure, match="disagree"):
+        cmod.solve_pencil(fp.m, fp.n)
+    (kb, tests, bracket), = seen
+    # the full search ran: a bracket wider than the seeded one, found k0
+    assert bracket[1] - bracket[0] > 1.0
+    assert tests > 8
+    assert kb == pytest.approx(k0, abs=1e-9)
+
+
+def test_infinite_pencils_take_the_full_route():
+    from curvkit.curvature import BISECT_CAP, solve_pencil
+    n = np.array([[1.0, 0.0], [0.0, 0.0]])
+    res = solve_pencil(np.array([[1.0, 0.0], [0.0, -1.0]]), n)
+    assert res.value == res.bisection_value == NEG_INFINITY
+    assert res.bracket[0] < -BISECT_CAP
+    res = solve_pencil(np.eye(2), np.zeros((2, 2)))
+    assert res.value == res.bisection_value == np.inf
+    assert res.bracket[1] > BISECT_CAP
+    assert res.iterations > 8
+
+
+def test_vertex_solve_operation_counts(monkeypatch):
+    import importlib
+
+    import curvkit.curvature as cmod
+    from curvkit.optimal import _PointwiseForms
+
+    gmod = importlib.import_module("curvkit.gamma")   # curvkit.gamma is also a function
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("vertex curvature assembled the dense forms")
+
+    monkeypatch.setattr(gmod, "assemble_forms", forbidden)
+    monkeypatch.setattr(cmod, "assemble_forms", forbidden)
+    small = 0
+    for ch in _ball_pool():
+        bakry_emery_global(ch, 4.0)
+        _PointwiseForms(ch, INF)
+        for x in range(ch.n_states):
+            res = bakry_emery_vertex(ch, x, INF, confirm=True)
+            if abs(res.value) <= 1.0:
+                assert res.iterations <= 8
+                small += 1
+    assert small > 50
+
+
 def test_single_state_sentinel():
     ch = build_chain([[1.0]])
     with pytest.warns(UserWarning):

@@ -217,8 +217,7 @@ def test_sharpness_probe_finds_violation_above_true_curvature(hyp2):
     assert probe.found_violation
     assert probe.residual < -1e-9
     # and the probe confirms the violating triple explicitly
-    sys = spectral_decompose(hyp2)
-    r = gradient_estimate_residual(hyp2, sys, "logarithmic", 1.05, INF,
+    r = gradient_estimate_residual(hyp2, "logarithmic", 1.05, INF,
                                    probe.witness["rho"], probe.witness["f"],
                                    probe.witness["t"])
     assert r < -1e-9
@@ -284,12 +283,11 @@ def test_reverse_poincare_holds_on_hypercubes():
 def test_reverse_poincare_zero_curvature_limit():
     # the K -> 0 coefficients agree with evaluation at K = 1e-8
     ch = cycle(5)
-    sys = spectral_decompose(ch)
     rng = np.random.default_rng(4)
     rho = positive_density(ch, 5)
     f = rng.standard_normal(5)
-    r0 = reverse_poincare_residual(ch, sys, "logarithmic", 0.0, INF, rho, f, 0.7)
-    r1 = reverse_poincare_residual(ch, sys, "logarithmic", 1e-8, INF, rho, f, 0.7)
+    r0 = reverse_poincare_residual(ch, "logarithmic", 0.0, INF, rho, f, 0.7)
+    r1 = reverse_poincare_residual(ch, "logarithmic", 1e-8, INF, rho, f, 0.7)
     assert r0 == pytest.approx(r1, abs=1e-6)
 
 
