@@ -12,7 +12,6 @@ import functools
 import json
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
@@ -286,6 +285,8 @@ def random_regular(d: int, n: int, seed: int = 0) -> MarkovChain:
     """Simple random walk on a random connected d-regular graph (nd even, n > d)."""
     if d < 1 or n <= d or (n * d) % 2 != 0:
         raise InvalidParameters(f"need nd even and n > d >= 1, got d={d}, n={n}")
+    import networkx as nx
+
     for attempt in range(64):
         g = nx.random_regular_graph(d, n, seed=seed + attempt)
         if nx.is_connected(g):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.optimize
 
 from .chain import MarkovChain
 from .errors import DomainError, NumericalFailure
@@ -34,9 +33,12 @@ PSD_REL_FLOOR = 1e-11
 BISECT_CAP = 1e6
 #: pencil/bisection agreement tolerance
 AGREE_TOL = 1e-8
-#: minimal-eigenvalue gap below which the analytic gradient falls back to
-#: central differences of the curvature value itself
+#: cluster width: pencil eigenvalues this close to the least one count as
+#: one multiple eigenvalue, whose witnesses the curvature gradient averages
 GRAD_GAP_TOL = 1e-7
+#: L-BFGS-B relative reduction tolerance and iteration cap per start
+DESCENT_FTOL = 1e-8
+DESCENT_MAX_ITERS = 500
 
 
 @dataclass
@@ -70,9 +72,11 @@ def _is_psd(a: np.ndarray, scale: float | None = None) -> bool:
 def _pencil(m: np.ndarray, n: np.ndarray, m_norm: float):
     """sup{K : m - K n >= 0} via Schur reduction on the null space of n.
 
-    m_norm is the spectral norm of m.  Returns (value, witness, null_dim,
-    gap).  The witness f satisfies f' (m - K n) f ~ 0 with f' n f > 0
-    whenever the value is finite.
+    m_norm is the spectral norm of m.  Returns (value, witnesses, null_dim,
+    gap).  When the value is finite, witnesses iterates over one witness f
+    per eigenvalue within GRAD_GAP_TOL of the least, least first, with
+    f' (m - K n) f ~ 0 and f' n f = 1; each is lifted only when drawn, so
+    a caller that needs the first pays for one.  Otherwise it is None.
     """
     dim = m.shape[0]
     evals, vecs = np.linalg.eigh(n)
@@ -113,12 +117,13 @@ def _pencil(m: np.ndarray, n: np.ndarray, m_norm: float):
     pvals, pvecs = sla.eigh(schur, nvv)
     k = float(pvals[0])
     gap = float(pvals[1] - pvals[0]) if len(pvals) > 1 else POS_INFINITY
-    y = pvecs[:, 0]
-    witness = v @ y + (u @ (lift @ y) if null_dim else 0.0)
-    nmass = float(witness @ n @ witness)
-    if nmass > 0:
-        witness = witness / np.sqrt(nmass)
-    return k, witness, null_dim, gap
+
+    def lifted(y):
+        witness = v @ y + (u @ (lift @ y) if null_dim else 0.0)
+        nmass = float(witness @ n @ witness)
+        return witness / np.sqrt(nmass) if nmass > 0 else witness
+
+    return k, map(lifted, pvecs[:, pvals - k < GRAD_GAP_TOL].T), null_dim, gap
 
 
 def _bisect(m: np.ndarray, n: np.ndarray, k: float, lo: float, hi: float,
@@ -176,7 +181,8 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, q_min: float = 1.0,
     certified by the PSD test of m - K n alone.
     """
     m_norm, n_norm = _spectral_norm(m), _spectral_norm(n)
-    k, witness, null_dim, gap = _pencil(m, n, m_norm)
+    k, witnesses, null_dim, gap = _pencil(m, n, m_norm)
+    witness = next(witnesses) if witnesses is not None else None
     result = CurvatureResult(value=k, witness=witness, method="pencil",
                              bracket=None, iterations=0, null_dim=null_dim,
                              gap=gap)
@@ -243,40 +249,30 @@ def bakry_emery_global(chain: MarkovChain, dim,
 
 
 def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.ndarray]:
-    """Value and gradient of rho -> K_dim(rho).
+    """Value and gradient of rho -> K_dim(rho), from one pencil solve.
 
-    K is the minimal pencil eigenvalue, M(f)/N(f) at its witness f.  When
-    that eigenvalue is simple (gap >= GRAD_GAP_TOL) first-order eigenvalue
-    sensitivity gives grad K = (grad M - K grad N) / N with f held fixed,
-    and cd_quadratic_grad evaluates grad M and grad N exactly in one pass
-    over the edges, using the mean's d1 and d11.  Near eigenvalue
-    degeneracy the value itself is central-differenced through the pencil.
+    K is the least pencil eigenvalue, M(f)/N(f) at its witness f.  The
+    gradient is (grad M - K grad N) / N at fixed f, which cd_quadratic_grad
+    evaluates exactly in one pass over the edges, averaged over the
+    n-orthonormal witnesses of the eigenvalues within GRAD_GAP_TOL of K.
+    For a simple eigenvalue that is first-order eigenvalue sensitivity; for
+    a multiple one it is the gradient of the cluster's mean eigenvalue, the
+    trace of the form derivative over the eigenspace (Lewis & Overton, Acta
+    Numerica 1996), whichever eigenbasis the solver returns.
     """
     mean = get_mean(mean)
     rho = validate_density(chain, mean, rho)
-
-    def value_at(r):
-        fp = assemble_forms(chain, mean, r, dim)
-        return _pencil(fp.m, fp.n, _spectral_norm(fp.m))
-
-    k, witness, null_dim, gap = value_at(rho)
+    fp = assemble_forms(chain, mean, rho, dim)
+    k, witnesses, null_dim, _ = _pencil(fp.m, fp.n, _spectral_norm(fp.m))
     if not np.isfinite(k):
-        raise NumericalFailure("curvature gradient undefined at K = -inf")
+        raise NumericalFailure(f"curvature gradient undefined at K = {k!r}")
     if null_dim > 1 and (rho > 0).all():
         # n vanishes only on constants at a positive density; more null
         # directions mean the density's range has outrun the eigensolver
         raise NumericalFailure(f"n lost rank ({null_dim} null directions) "
                                "at a strictly positive density")
-    if gap is not None and gap >= GRAD_GAP_TOL and witness is not None:
-        _, nmass, dm, dn = cd_quadratic_grad(chain, mean, rho, dim, witness)
-        return k, (dm - k * dn) / nmass
-    grad = np.zeros(chain.n_states)
-    for i in range(chain.n_states):
-        h = min(1e-6 * max(1.0, rho[i]), 0.5 * rho[i]) if rho[i] > 0 else 1e-6
-        rp = rho.copy(); rp[i] += h
-        rm = rho.copy(); rm[i] -= h
-        grad[i] = (value_at(rp)[0] - value_at(rm)[0]) / (2 * h)
-    return k, grad
+    parts = [cd_quadratic_grad(chain, mean, rho, dim, w) for w in witnesses]
+    return k, np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
 
 
 @dataclass
@@ -313,9 +309,7 @@ def _least_confirmed(chain: MarkovChain, mean, dim, seen):
 
 
 def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
-                                seed: int = 0, tol: float = 1e-8,
-                                max_iters: int = 500,
-                                mean=LOGARITHMIC) -> EntropicEstimate:
+                                seed: int = 0, mean=LOGARITHMIC) -> EntropicEstimate:
     """Minimize K_dim(rho) over the open probability simplex.
 
     Densities are parameterized as rho = exp(u)/<exp(u), 1>_pi so every
@@ -326,12 +320,17 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     confirmed value along its descent (see _least_confirmed).  A start
     whose eigensolver raises LinAlgError is recorded as (inf, False) and
     the next one runs; NumericalFailure is raised only when no start gives
-    a confirmed value.
+    a confirmed value.  A single-state chain runs no start: K is +inf.
     """
+    import scipy.optimize
+
     mean = get_mean(mean)
     if mean.domain_class != "open":
         raise DomainError("the entropic optimizer needs an open-domain mean")
     n = chain.n_states
+    if n == 1:
+        k = curvature_of_measure(chain, mean, np.ones(1), dim).value
+        return EntropicEstimate(k, np.ones(1), starts, certified_nonnegative=True)
     pi = chain.pi
 
     def rho_of(u):
@@ -365,12 +364,12 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
             g_u = rho * (g_rho - pi * float(np.dot(g_rho, rho)))
             return k, g_u
 
-        u0 = np.log(rho0)
         try:
             res = scipy.optimize.minimize(
-                fun_and_grad, u0, jac=True, method="L-BFGS-B",
+                fun_and_grad, np.log(rho0), jac=True, method="L-BFGS-B",
                 bounds=[(-30.0, 30.0)] * n,
-                options={"maxiter": max_iters, "ftol": tol, "gtol": 1e-10})
+                options={"maxiter": DESCENT_MAX_ITERS, "ftol": DESCENT_FTOL,
+                         "gtol": 1e-10})
             converged = bool(res.success)
         except NumericalFailure:
             converged = False

@@ -1,9 +1,14 @@
 """CLI: subcommand contracts, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curvkit
 from curvkit import check_cheeger_l1, hypercube
 from curvkit.cli import main
 
@@ -75,6 +80,28 @@ def test_curv_entropic(tmp_path):
     assert code == 0
     assert doc["results"]["k_hat"] == pytest.approx(2.0, abs=1e-3)
     assert doc["results"]["certified_nonnegative"]
+
+
+def test_curv_entropic_one_state_k_hat_inf(tmp_path):
+    one = tmp_path / "one.json"
+    one.write_text('{"Q": [[1.0]]}')
+    with pytest.warns(UserWarning, match="vacuously"):
+        code, doc = run_cli(tmp_path, "curv-entropic", "--in", str(one))
+    assert code == 0
+    assert doc["results"]["k_hat"] == "inf"
+
+
+def test_cli_import_defers_networkx_and_scipy_optimize():
+    # only random_regular needs networkx and only the entropic descent needs
+    # scipy.optimize; a fresh interpreter importing the CLI loads neither
+    probe = ("import sys, curvkit.cli; "
+             "print(sorted({'networkx', 'scipy.optimize'} & set(sys.modules)))")
+    paths = [str(Path(curvkit.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_spectrum(tmp_path):

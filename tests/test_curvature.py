@@ -10,8 +10,9 @@ from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, NumericalFailure,
                      bakry_emery_global, bakry_emery_vertex, build_chain,
                      complete, curvature_grad_rho, curvature_of_measure,
                      curvature_profile, custom_mean, cycle, dirac,
-                     entropic_curvature_estimate, equilibrium, hypercube,
-                     lambda1, lichnerowicz_check, path, random_regular)
+                     entropic_curvature_estimate, equilibrium, generate,
+                     hypercube, lambda1, lichnerowicz_check, path,
+                     random_regular)
 from curvkit.curvature import NEG_INFINITY
 from curvkit.gamma import assemble_forms
 
@@ -314,6 +315,11 @@ def test_single_state_sentinel():
     with pytest.warns(UserWarning):
         res = curvature_of_measure(ch, ARITHMETIC, np.ones(1), INF)
     assert res.value == np.inf
+    with pytest.warns(UserWarning, match="vacuously"):
+        est = entropic_curvature_estimate(ch, INF, starts=3)
+    assert est.k_hat == np.inf and est.certified_nonnegative
+    with pytest.raises(NumericalFailure, match=r"K = inf"):
+        curvature_grad_rho(ch, LOGARITHMIC, np.ones(1), INF)
 
 
 # -- spectral gap ------------------------------------------------------------
@@ -440,6 +446,47 @@ def test_gradient_matches_finite_differences_other_means(mean):
         assert np.abs(grad - fd).max() <= 1e-5 * scale + 1e-9
         checked += 1
     assert checked >= 35
+
+
+SYMMETRIC = ("hypercube:3", "cycle:7", "complete:5")
+
+
+def test_gradient_makes_one_pencil_solve(monkeypatch):
+    # one pencil solve per evaluation, also where the least eigenvalue is
+    # multiple (triple at the constant density of Q^3)
+    import curvkit.curvature as cmod
+    true_pencil = cmod._pencil
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return true_pencil(*args)
+
+    monkeypatch.setattr(cmod, "_pencil", counted)
+    ch = hypercube(3)
+    for rho in (np.ones(8), positive_density(ch, 21)):
+        calls.clear()
+        curvature_grad_rho(ch, LOGARITHMIC, rho, INF)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC)
+def test_gradient_vanishes_at_symmetric_constant_density(spec):
+    # the constant density is a critical point of K on vertex-transitive
+    # chains; the cluster-averaged gradient shows it to rounding, in the
+    # u-coordinates of the descent (rho = exp(u) / <exp(u), 1>_pi)
+    ch = generate(spec)
+    rho = np.ones(ch.n_states)
+    _, g = curvature_grad_rho(ch, LOGARITHMIC, rho, INF)
+    g_u = rho * (g - ch.pi * float(np.dot(g, rho)))
+    assert np.abs(g_u).max() < 1e-14
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC)
+def test_entropic_estimate_stays_at_symmetric_constant_density(spec):
+    ch = generate(spec)
+    est = entropic_curvature_estimate(ch, INF, starts=1)
+    assert est.k_hat == pytest.approx(lambda1(ch), abs=1e-12)
 
 
 def test_equilibrium_start_evaluates_to_lambda1():

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from curvkit import (avg_mixing_time, bakry_emery_global, build_chain,
-                     cheeger, diam_gamma, generate, lambda1,
-                     spectral_decompose)
+from curvkit import (ARITHMETIC, LOGARITHMIC, avg_mixing_time,
+                     bakry_emery_global, bakry_emery_vertex, build_chain,
+                     cheeger, curvature_grad_rho, curvature_of_measure,
+                     diam_gamma, generate, lambda1, spectral_decompose)
+
+from conftest import positive_density
 
 SPECS = ("hypercube:3", "cycle:7", "path:5", "complete:5")
 
@@ -41,3 +44,38 @@ def test_lazification_scales_derived_quantities(spec, a):
         k, _ = bakry_emery_global(ch, dim)
         k_lazy, _ = bakry_emery_global(lazy, dim)
         assert k_lazy == approx(a * k)
+
+
+def relabel(chain, perm):
+    """The same chain with its states listed in the order perm."""
+    return build_chain(chain.q[np.ix_(perm, perm)], pi=chain.pi[perm],
+                       states=[chain.states[i] for i in perm])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_relabeling_leaves_derived_quantities_unchanged(spec):
+    """Listing the states in another order changes no derived quantity:
+    scalars agree, per-state values follow their labels, and the curvature
+    gradient is permutation-equivariant."""
+    ch = generate(spec)
+    perm = np.random.default_rng(5).permutation(ch.n_states)
+    pc = relabel(ch, perm)
+    close = lambda ref: pytest.approx(ref, rel=1e-10, abs=1e-10)
+    assert lambda1(pc) == close(lambda1(ch))
+    assert cheeger(pc).h == close(cheeger(ch).h)
+    for dim in (math.inf, 4.0):
+        for state in ch.states:
+            assert bakry_emery_vertex(pc, state, dim).value == close(
+                bakry_emery_vertex(ch, state, dim).value)
+    tau = avg_mixing_time(spectral_decompose(ch), 0.25)
+    assert avg_mixing_time(spectral_decompose(pc), 0.25) == pytest.approx(
+        tau, rel=1e-9, abs=1e-9)
+    assert diam_gamma(pc) == pytest.approx(diam_gamma(ch), rel=1e-9, abs=1e-9)
+    for rho in (np.ones(ch.n_states), positive_density(ch, 7)):
+        for mean, dim in ((ARITHMETIC, 4.0), (LOGARITHMIC, math.inf)):
+            assert curvature_of_measure(pc, mean, rho[perm], dim).value == close(
+                curvature_of_measure(ch, mean, rho, dim).value)
+        k, grad = curvature_grad_rho(ch, LOGARITHMIC, rho, math.inf)
+        k_p, grad_p = curvature_grad_rho(pc, LOGARITHMIC, rho[perm], math.inf)
+        assert k_p == close(k)
+        assert np.abs(grad_p - grad[perm]).max() <= 1e-12
