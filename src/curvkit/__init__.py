@@ -16,9 +16,9 @@ from .curvature import (CurvatureResult, EntropicEstimate, bakry_emery_global,
                         entropic_curvature_estimate, lichnerowicz_check)
 from .errors import (ConvergenceWarning, CurvkitError, DomainError,
                      EpsTooLarge, InvalidParameters, NegativeInput,
-                     NegativeTime, NonConvergence, NotIrreducible,
-                     NotReversible, NotStochastic, NumericalFailure,
-                     PreconditionHeuristic, ShapeMismatch, TooLarge)
+                     NegativeTime, NotIrreducible, NotReversible,
+                     NotStochastic, NumericalFailure, PreconditionHeuristic,
+                     ShapeMismatch, TooLarge)
 from .gamma import (FormPair, a_form, assemble_forms, b_form,
                     check_geometric_green, dirac, divergence, equilibrium,
                     func_inner, gamma, gamma2, gamma2_rho, gamma_rho,

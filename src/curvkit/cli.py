@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Every subcommand ingests a chain (from a JSON/TSV file or a generator spec),
-dispatches to the library, and writes a machine-readable JSON report
-(schema "curvkit-report/1").  Reports are deterministic for a fixed
-(config, seed): no timestamps, sorted keys.
+`main` is the one path from argv to report.  It loads the chain (a JSON/TSV
+file or a generator spec) and runs the subcommand's handler, a function
+(chain, args) -> (config, results) that does no I/O but its own --csv file.
+It then writes a JSON report (schema "curvkit-report/1") whose "warnings"
+lists every library `UserWarning` the handler raised.  Reports are
+deterministic for a fixed (config, seed): no timestamps, sorted keys.
 
-Exit codes: 0 success; 2 invalid input; 3 numerical failure; 4 a `verify`
-inequality with exact preconditions does not hold.
+Exit codes: 0 success; 2 invalid input; 3 numerical failure (neither writes
+a report); 4 the report shows a failed `verify` suite (see `_failed`).
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from . import heat as heat_mod
 from . import optimal as opt
 from .gamma import (a_form, b_form, dirac, equilibrium, func_inner,
                     check_geometric_green, gamma2_rho, gamma_rho)
-from .errors import (CurvkitError, NumericalFailure, PreconditionHeuristic,
-                     TooLarge)
+from .errors import CurvkitError, NumericalFailure, TooLarge
 from .means import BUILTIN_MEANS
 
 SCHEMA = "curvkit-report/1"
@@ -40,9 +41,9 @@ EXIT_VERIFY_FAILED = 4
 
 
 def _load_chain(args) -> chain_mod.MarkovChain:
-    if getattr(args, "gen", None):
+    if args.gen:
         return chain_mod.generate(args.gen, seed=args.seed)
-    path = getattr(args, "infile", None)
+    path = args.infile
     if not path:
         raise CurvkitError("either --gen or --in is required")
     with open(path, "r", encoding="utf-8") as fh:
@@ -116,7 +117,7 @@ def _emit(args, config: dict, chain, results: dict, warnings_list: list[str]) ->
     report = {
         "schema": SCHEMA,
         "config": _jsonable(config),
-        "chain_stats": _chain_stats_doc(chain) if chain is not None else None,
+        "chain_stats": _chain_stats_doc(chain),
         "results": _jsonable(results),
         "warnings": warnings_list,
     }
@@ -146,32 +147,34 @@ def _curv_result_doc(res: curv.CurvatureResult) -> dict:
     }
 
 
-# -- subcommand handlers ----------------------------------------------------
+def _failed(results: dict) -> bool:
+    """A `verify` suite failed: the identities or the heat suite, or a
+    geometry inequality whose preconditions are all exact."""
+    return (results.get("identities", {}).get("holds") is False
+            or results.get("heat", {}).get("holds") is False
+            or any(r["holds"] is False
+                   and all(p["status"] == "exact" for p in r["preconditions"])
+                   for r in results.get("geometry", ())))
 
-def _cmd_gen(args):
-    chain = chain_mod.generate(args.spec, seed=args.seed)
-    doc = chain_mod.chain_to_json(chain)
-    _emit(args, {"command": "gen", "spec": args.spec, "seed": args.seed},
-          chain, {"chain": doc}, [])
-    return EXIT_OK
+
+# -- subcommand handlers: (chain, args) -> (config, results) ---------------
+
+def _cmd_gen(chain, args):
+    return {"spec": args.gen}, {"chain": chain_mod.chain_to_json(chain)}
 
 
-def _cmd_curv_vertex(args):
-    chain = _load_chain(args)
+def _cmd_curv_vertex(chain, args):
     dim = _parse_dim(args.n)
     per_vertex = {state: curv.bakry_emery_vertex(chain, state, dim)
                   for state in chain.states}
     k_min = min(res.value for res in per_vertex.values())
-    _emit(args, {"command": "curv-vertex", "n": args.n, "mean": "arithmetic",
-                 "seed": args.seed},
-          chain, {"per_vertex": {state: _curv_result_doc(res)
-                                 for state, res in per_vertex.items()},
-                  "k_global": k_min}, [])
-    return EXIT_OK
+    return ({"n": args.n, "mean": "arithmetic"},
+            {"per_vertex": {state: _curv_result_doc(res)
+                            for state, res in per_vertex.items()},
+             "k_global": k_min})
 
 
-def _cmd_curv_measure(args):
-    chain = _load_chain(args)
+def _cmd_curv_measure(chain, args):
     dim = _parse_dim(args.n)
     rho = _parse_rho(chain, args.rho)
     results = {}
@@ -187,51 +190,38 @@ def _cmd_curv_measure(args):
                     fh.write(f"{s!r},{k!r}\n")
     res = curv.curvature_of_measure(chain, args.mean, rho, dim)
     results["curvature"] = _curv_result_doc(res)
-    _emit(args, {"command": "curv-measure", "n": args.n, "mean": args.mean,
-                 "rho": args.rho, "seed": args.seed}, chain, results, [])
-    return EXIT_OK
+    return {"n": args.n, "mean": args.mean, "rho": args.rho}, results
 
 
-def _cmd_curv_entropic(args):
-    chain = _load_chain(args)
+def _cmd_curv_entropic(chain, args):
     dim = _parse_dim(args.n)
     est = curv.entropic_curvature_estimate(
         chain, dim, starts=args.starts, seed=args.seed)
-    _emit(args, {"command": "curv-entropic", "n": args.n, "starts": args.starts,
-                 "seed": args.seed}, chain,
-          {"k_hat": est.k_hat,
-           "rho_star": est.rho_star,
-           "per_start": [{"k": k, "converged": c} for k, c in est.per_start],
-           "certified_nonnegative": est.certified_nonnegative,
-           "note": "k_hat is an upper bound on the chain curvature; "
-                   "the global infimum is not certified"},
-          [])
-    return EXIT_OK
+    return ({"n": args.n, "starts": args.starts},
+            {"k_hat": est.k_hat,
+             "rho_star": est.rho_star,
+             "per_start": [{"k": k, "converged": c} for k, c in est.per_start],
+             "certified_nonnegative": est.certified_nonnegative,
+             "note": "k_hat is an upper bound on the chain curvature; "
+                     "the global infimum is not certified"})
 
 
-def _cmd_spectrum(args):
-    chain = _load_chain(args)
+def _cmd_spectrum(chain, args):
     sys_ = heat_mod.spectral_decompose(chain)
-    _emit(args, {"command": "spectrum", "seed": args.seed}, chain,
-          {"eigenvalues": sys_.eigenvalues,
-           "lambda1": float(sys_.eigenvalues[1])}, [])
-    return EXIT_OK
+    return {}, {"eigenvalues": sys_.eigenvalues,
+                "lambda1": float(sys_.eigenvalues[1])}
 
 
-def _cmd_optimal_sets(args):
-    chain = _load_chain(args)
+def _cmd_optimal_sets(chain, args):
     dim = _parse_dim(args.n)
     cx = opt.optimal_complex(chain, dim)
-    _emit(args, {"command": "optimal-sets", "n": args.n, "seed": args.seed},
-          chain,
-          {"facets": [sorted(f) for f in cx.facets],
-           "dimension": cx.dimension,
-           "zero_cells": sorted(cx.zero_cells)}, [])
-    return EXIT_OK
+    return ({"n": args.n},
+            {"facets": [sorted(f) for f in cx.facets],
+             "dimension": cx.dimension,
+             "zero_cells": sorted(cx.zero_cells)})
 
 
-def _cmd_heat(args):
-    chain = _load_chain(args)
+def _cmd_heat(chain, args):
     sys_ = heat_mod.spectral_decompose(chain)
     t_grid = [float(tok) for tok in args.t_grid.split(",")]
     rep = heat_mod.check_heat_kernel_bound(chain, tuple(t_grid))
@@ -240,22 +230,15 @@ def _cmd_heat(args):
         rho = _parse_rho(chain, args.rho)
         results["p_t_rho"] = {repr(t): heat_mod.heat_apply(sys_, t, rho)
                               for t in t_grid}
-    _emit(args, {"command": "heat", "t_grid": args.t_grid, "rho": args.rho,
-                 "seed": args.seed}, chain, results, [])
-    return EXIT_OK
+    return {"t_grid": args.t_grid, "rho": args.rho}, results
 
 
-def _cmd_mixing(args):
-    chain = _load_chain(args)
+def _cmd_mixing(chain, args):
     sys_ = heat_mod.spectral_decompose(chain)
-    tau = heat_mod.avg_mixing_time(sys_, args.eps)
-    _emit(args, {"command": "mixing", "eps": args.eps, "seed": args.seed},
-          chain, {"tau_avg": tau}, [])
-    return EXIT_OK
+    return {"eps": args.eps}, {"tau_avg": heat_mod.avg_mixing_time(sys_, args.eps)}
 
 
-def _cmd_dgamma(args):
-    chain = _load_chain(args)
+def _cmd_dgamma(chain, args):
     results = {}
     if args.pair:
         u, v = args.pair.split(",")
@@ -263,21 +246,16 @@ def _cmd_dgamma(args):
     else:
         results["diam_gamma"] = geo.diam_gamma(chain)
         results["diam_combinatorial"] = geo.diam_combinatorial(chain)
-    _emit(args, {"command": "dgamma", "pair": args.pair, "seed": args.seed},
-          chain, results, [])
-    return EXIT_OK
+    return {"pair": args.pair}, results
 
 
-def _cmd_cheeger(args):
-    chain = _load_chain(args)
+def _cmd_cheeger(chain, args):
     res = geo.cheeger(chain)
-    _emit(args, {"command": "cheeger", "seed": args.seed}, chain,
-          {"h": res.h, "argmin_subset": sorted(res.subset)}, [])
-    return EXIT_OK
+    return {}, {"h": res.h, "argmin_subset": sorted(res.subset)}
 
 
-def _run_verify(chain, args):
-    """Inequality suites; returns (report dicts, exact-precondition failure?)."""
+def _cmd_verify(chain, args):
+    """Inequality suites."""
     results = {}
     reports: list[geo.InequalityReport] = []
     suite = args.suite
@@ -335,7 +313,7 @@ def _run_verify(chain, args):
         }
         if k_ent >= -1e-6:
             linf = heat_mod.check_linf_gradient_bound(
-                chain, "logarithmic", trials=args.trials, seed=args.seed,
+                chain, trials=args.trials, seed=args.seed,
                 curvature_status=nonneg_status)
             results["heat"]["linf_gradient_bound"] = linf.to_dict()
 
@@ -358,28 +336,8 @@ def _run_verify(chain, args):
             "exact" if k_fin > 0 else "unmet"))
         results["geometry"] = [r.to_dict() for r in reports]
 
-    exact_failure = any(
-        r.holds is False and all(s == "exact" for _, s in r.preconditions)
-        for r in reports)
-    if suite in ("identities", "all") and not results["identities"]["holds"]:
-        exact_failure = True
-    if suite in ("heat", "all") and not results["heat"]["holds"]:
-        exact_failure = True
-    return results, exact_failure
-
-
-def _cmd_verify(args):
-    chain = _load_chain(args)
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always", PreconditionHeuristic)
-        results, exact_failure = _run_verify(chain, args)
-    warn_msgs = sorted({str(w.message) for w in wlist
-                        if issubclass(w.category, (PreconditionHeuristic, UserWarning))})
-    _emit(args, {"command": "verify", "suite": args.suite,
-                 "trials": args.trials, "seed": args.seed,
-                 "k_ent": args.k_ent, "starts": args.starts},
-          chain, results, warn_msgs)
-    return EXIT_VERIFY_FAILED if exact_failure else EXIT_OK
+    return ({"suite": suite, "trials": args.trials, "k_ent": args.k_ent,
+             "starts": args.starts}, results)
 
 
 def _add_common(p, with_input=True):
@@ -400,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a generated chain as JSON")
-    p.add_argument("spec", help="hypercube:N | cycle:n | complete:n | path:n "
-                                "| random-regular:d:n[:seed]")
+    p.add_argument("gen", metavar="spec",
+                   help="hypercube:N | cycle:n | complete:n | path:n "
+                        "| random-regular:d:n[:seed]")
     _add_common(p, with_input=False)
     p.set_defaults(fn=_cmd_gen)
 
@@ -476,13 +435,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        chain = _load_chain(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            config, results = args.fn(chain, args)
+        library = set()
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                library.add(str(w.message))
+            else:   # numpy's RuntimeWarnings and the like pass through
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        config.update(command=args.command, seed=args.seed)
+        _emit(args, config, chain, results, sorted(library))
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (CurvkitError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    return EXIT_VERIFY_FAILED if _failed(results) else EXIT_OK
 
 
 if __name__ == "__main__":

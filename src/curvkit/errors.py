@@ -37,10 +37,6 @@ class NumericalFailure(CurvkitError):
     """Two independent numeric routes disagree beyond tolerance."""
 
 
-class NonConvergence(CurvkitError):
-    """An iterative solver did not meet its stopping criterion."""
-
-
 class TooLarge(CurvkitError):
     """The chain exceeds the size guard of an exact enumeration."""
 

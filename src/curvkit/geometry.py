@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
-from .errors import PreconditionHeuristic, TooLarge
+from .errors import ConvergenceWarning, PreconditionHeuristic, TooLarge
 from .heat import avg_mixing_time, lambda1, spectral_decompose
 
 #: inequality slacks are compared against this times the sides' magnitudes
@@ -111,7 +111,8 @@ def d_gamma(chain: MarkovChain, x, y) -> float:
             break
     value = float(c @ f)
     if not converged:
-        warnings.warn(f"d_gamma({x},{y}) stopped early; value is a lower bound")
+        warnings.warn(f"d_gamma({x},{y}) stopped early; value is a lower bound",
+                      ConvergenceWarning)
     return value
 
 

@@ -85,10 +85,55 @@ def test_curv_entropic(tmp_path):
 def test_curv_entropic_one_state_k_hat_inf(tmp_path):
     one = tmp_path / "one.json"
     one.write_text('{"Q": [[1.0]]}')
-    with pytest.warns(UserWarning, match="vacuously"):
-        code, doc = run_cli(tmp_path, "curv-entropic", "--in", str(one))
+    code, doc = run_cli(tmp_path, "curv-entropic", "--in", str(one))
     assert code == 0
     assert doc["results"]["k_hat"] == "inf"
+    assert doc["warnings"] == ["single-state chain: curvature is vacuously +inf"]
+
+
+def test_library_warning_in_every_report(tmp_path, capsys):
+    # Python shows a warning once per location; the report lists it every time
+    one = tmp_path / "one.json"
+    one.write_text('{"Q": [[1.0]]}')
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["curv-measure", "--in", str(one), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    assert doc["warnings"] == ["single-state chain: curvature is vacuously +inf"]
+    assert capsys.readouterr().err == ""
+
+
+def test_other_warnings_pass_through(tmp_path, monkeypatch):
+    import warnings
+
+    import curvkit.heat as heat_mod
+
+    real = heat_mod.avg_mixing_time
+
+    def noisy(sys_, eps):
+        warnings.warn("overflow in exp", RuntimeWarning)
+        return real(sys_, eps)
+
+    monkeypatch.setattr(heat_mod, "avg_mixing_time", noisy)
+    with pytest.warns(RuntimeWarning, match="overflow in exp"):
+        code, doc = run_cli(tmp_path, "mixing", "--gen", "cycle:5")
+    assert code == 0
+    assert doc["warnings"] == []
+
+
+def test_dgamma_early_stop_is_a_convergence_warning(tmp_path, monkeypatch):
+    import curvkit.geometry as geo
+    from curvkit.errors import ConvergenceWarning
+
+    # a zero gap tolerance is never met: the barrier gives up at t > 1e16
+    monkeypatch.setattr(geo, "GAP_TOL", 0.0)
+    with pytest.warns(ConvergenceWarning, match="stopped early"):
+        geo.d_gamma(hypercube(2), "00", "11")
+    code, doc = run_cli(tmp_path, "dgamma", "--gen", "hypercube:2",
+                        "--pair", "00,11")
+    assert code == 0
+    assert doc["warnings"] == ["d_gamma(00,11) stopped early; value is a lower bound"]
 
 
 def test_cli_import_defers_networkx_and_scipy_optimize():
@@ -184,6 +229,17 @@ def test_verify_heat_violation_exit4_with_report(tmp_path, monkeypatch):
     assert code == 4
     assert doc["results"]["heat"]["holds"] is False
     assert doc["results"]["heat"]["gradient_estimate"]["violations"] == 1
+
+
+def test_verify_identity_violation_exit4_with_report(tmp_path, monkeypatch):
+    import curvkit.cli as cli
+
+    real = cli.b_form
+    monkeypatch.setattr(cli, "b_form", lambda *args: real(*args) + 1e-6)
+    code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:2",
+                        "--suite", "identities", "--k-ent", "0.1")
+    assert code == 4
+    assert doc["results"]["identities"]["holds"] is False
 
 
 def test_verify_cheeger_l1_matches_library(tmp_path):

@@ -294,7 +294,7 @@ def test_reverse_poincare_zero_curvature_limit():
 # -- sup-norm gradient bound --------------------------------------------------
 
 def test_linf_gradient_bound_on_hypercube(hyp3):
-    rep = check_linf_gradient_bound(hyp3, "logarithmic", trials=25, seed=1,
+    rep = check_linf_gradient_bound(hyp3, trials=25, seed=1,
                                     curvature_status="exact")
     assert rep.violations == 0
 
@@ -302,7 +302,7 @@ def test_linf_gradient_bound_on_hypercube(hyp3):
 def test_linf_gradient_bound_heuristic_warns(hyp2):
     from curvkit import PreconditionHeuristic
     with pytest.warns(PreconditionHeuristic):
-        check_linf_gradient_bound(hyp2, "logarithmic", trials=5, seed=1,
+        check_linf_gradient_bound(hyp2, trials=5, seed=1,
                                   curvature_status="heuristic")
 
 

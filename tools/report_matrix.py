@@ -1,0 +1,174 @@
+"""Byte-identity matrix of curvkit CLI reports.
+
+    python3 tools/report_matrix.py ROOT OUT.json
+    python3 tools/report_matrix.py --compare A.json B.json
+
+The first form imports curvkit from ROOT/src and runs a fixed matrix of
+commands through `curvkit.cli.main` in-process, one after another, in a
+scratch directory that is also the working directory:
+
+  * the CLI block of ROOT/README.md, in order;
+  * every task of the four benchmark workloads at seed 1, as listed by
+    ROOT/perfbench/workloads.py;
+  * edge cases: a one-state chain through curv-vertex, curv-measure and
+    curv-entropic, a chain too large for the exact Cheeger enumeration, an
+    unknown generator, and a verify run whose exact preconditions fail.
+
+For each command it records the exit code, stdout, stderr and the file
+named by --out or --csv (removed before the command runs), with the
+scratch path masked as <work>, and writes the records to OUT.json.
+
+The second form lists each command whose exit code, stdout, stderr or
+files differ between two such records, naming the top-level report keys
+that differ, and exits 1 if any command differs.  Compare records made on
+the same machine: degenerate witnesses depend on the BLAS build.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Fix the BLAS thread count before anything imports numpy, as the benchmark does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("entropic", "battery", "vertex", "smallcalls")
+OUTPUT_FLAGS = ("--out", "--csv")
+MASK = "<work>"
+
+
+def readme_commands(root: Path) -> list[list[str]]:
+    """The `curvkit ...` lines of the README's CLI block."""
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("## CLI")
+    argvs = []
+    for line in lines[start:]:
+        if line.startswith("curvkit "):
+            argvs.append(line.split()[1:])
+        elif argvs and line.startswith("```"):
+            break
+    return argvs
+
+
+def workload_commands(root: Path, work: str) -> list[list[str]]:
+    sys.path.insert(0, str(root / "perfbench"))
+    import workloads
+
+    return [list(task.argv) for name in WORKLOADS
+            for task in workloads.build(name, 1, work)]
+
+
+def edge_commands(work: str) -> list[list[str]]:
+    one = f"{work}/one.json"
+    with open(one, "w", encoding="utf-8") as fh:
+        fh.write('{"Q": [[1.0]]}')
+    return [["curv-vertex", "--in", one],
+            ["curv-measure", "--in", one],
+            ["curv-entropic", "--in", one],
+            ["cheeger", "--gen", "hypercube:6"],
+            ["curv-vertex", "--gen", "moebius:7"],
+            ["verify", "--gen", "hypercube:3", "--k-ent", "100"]]
+
+
+def run_one(main, argv: list[str], work: str) -> dict:
+    outputs = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a in OUTPUT_FLAGS]
+    for path in outputs:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    files = {}
+    for path in outputs:
+        with contextlib.suppress(FileNotFoundError), open(path, encoding="utf-8") as fh:
+            files[path.replace(work, MASK)] = fh.read().replace(work, MASK)
+    return {"argv": [a.replace(work, MASK) for a in argv], "exit": code,
+            "stdout": out.getvalue().replace(work, MASK),
+            "stderr": err.getvalue().replace(work, MASK), "files": files}
+
+
+def record(root: Path, out_path: str) -> int:
+    if not (root / "src" / "curvkit" / "cli.py").is_file():
+        print(f"error: no curvkit source under {root}/src", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(root / "src"))
+    from curvkit.cli import main
+
+    work = os.path.realpath(tempfile.mkdtemp(prefix="report-matrix-"))
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        argvs = (readme_commands(root) + workload_commands(root, work)
+                 + edge_commands(work))
+        commands = [run_one(main, argv, work) for argv in argvs]
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work, ignore_errors=True)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump({"commands": commands}, fh, indent=1)
+        fh.write("\n")
+    print(f"{len(commands)} commands recorded in {out_path}")
+    return 0
+
+
+def _report_keys(a: str, b: str) -> list[str] | None:
+    """Top-level keys in which two JSON reports differ, or None if either
+    text is not a report."""
+    try:
+        da, db = json.loads(a), json.loads(b)
+    except json.JSONDecodeError:
+        return None
+    if not (isinstance(da, dict) and isinstance(db, dict)):
+        return None
+    return sorted(k for k in da.keys() | db.keys() if da.get(k) != db.get(k))
+
+
+def differences(ra: dict, rb: dict) -> list[str]:
+    fields = [k for k in ("exit", "stderr") if ra[k] != rb[k]]
+    texts_a = dict(ra["files"], stdout=ra["stdout"])
+    texts_b = dict(rb["files"], stdout=rb["stdout"])
+    for name in sorted(texts_a.keys() | texts_b.keys()):
+        ta, tb = texts_a.get(name), texts_b.get(name)
+        if ta == tb:
+            continue
+        keys = _report_keys(ta, tb) if ta is not None and tb is not None else None
+        fields.append(name if not keys else f"{name} {{{', '.join(keys)}}}")
+    return fields
+
+
+def compare(a_path: str, b_path: str) -> int:
+    with open(a_path, encoding="utf-8") as fa, open(b_path, encoding="utf-8") as fb:
+        a, b = json.load(fa)["commands"], json.load(fb)["commands"]
+    if [r["argv"] for r in a] != [r["argv"] for r in b]:
+        print("the two records run different command lists")
+        return 1
+    differ = 0
+    for ra, rb in zip(a, b):
+        fields = differences(ra, rb)
+        if fields:
+            differ += 1
+            print(f"{' '.join(ra['argv'])}: {'; '.join(fields)}")
+    print(f"{differ} of {len(a)} commands differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    if len(argv) == 2 and not argv[0].startswith("-"):
+        return record(Path(argv[0]).resolve(), argv[1])
+    print("usage: report_matrix.py ROOT OUT.json | --compare A.json B.json",
+          file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
