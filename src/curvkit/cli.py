@@ -260,20 +260,21 @@ def _cmd_verify(chain, args):
     reports: list[geo.InequalityReport] = []
     suite = args.suite
 
-    k_arith, _ = curv.bakry_emery_global(chain, math.inf)
-    if args.k_ent is not None:
-        k_ent, ent_status = args.k_ent, "exact"
-    else:
-        est = curv.entropic_curvature_estimate(chain, math.inf,
-                                               starts=min(args.starts, 16),
-                                               seed=args.seed)
-        k_ent, ent_status = est.k_hat, "heuristic"
-    nonneg_status = (ent_status if k_ent >= -1e-6 else "unmet")
-    results["curvature_inputs"] = {
-        "k_arithmetic_inf": k_arith,
-        "k_entropic": k_ent,
-        "k_entropic_status": ent_status,
-    }
+    if suite != "identities":
+        k_arith, _ = curv.bakry_emery_global(chain, math.inf)
+        if args.k_ent is not None:
+            k_ent, ent_status = args.k_ent, "exact"
+        else:
+            est = curv.entropic_curvature_estimate(chain, math.inf,
+                                                   starts=min(args.starts, 16),
+                                                   seed=args.seed)
+            k_ent, ent_status = est.k_hat, "heuristic"
+        nonneg_status = (ent_status if k_ent >= -1e-6 else "unmet")
+        results["curvature_inputs"] = {
+            "k_arithmetic_inf": k_arith,
+            "k_entropic": k_ent,
+            "k_entropic_status": ent_status,
+        }
 
     if suite in ("identities", "all"):
         rng = np.random.default_rng(args.seed)

@@ -236,13 +236,13 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim,
     return res
 
 
-def bakry_emery_global(chain: MarkovChain, dim,
-                       confirm: bool = False) -> tuple[float, str]:
-    """Global curvature: minimum of the vertex curvatures (arithmetic mean)."""
+def bakry_emery_global(chain: MarkovChain, dim) -> tuple[float, str]:
+    """Global curvature: minimum of the vertex curvatures (arithmetic mean),
+    each from the pencil alone."""
     best = POS_INFINITY
     best_state = chain.states[0]
     for state in chain.states:
-        k = bakry_emery_vertex(chain, state, dim, confirm=confirm).value
+        k = bakry_emery_vertex(chain, state, dim, confirm=False).value
         if k < best:
             best, best_state = k, state
     return best, best_state
@@ -429,13 +429,14 @@ class CurvatureProfile:
     midpoint_concave: bool
 
 
-def curvature_profile(chain: MarkovChain, mean, rho, dim_grid,
-                      confirm: bool = False) -> CurvatureProfile:
-    """Evaluate the curvature of a density across a dimension grid."""
+def curvature_profile(chain: MarkovChain, mean, rho,
+                      dim_grid) -> CurvatureProfile:
+    """Evaluate the curvature of a density across a dimension grid, each
+    point from the pencil alone."""
     pts = []
     for dim in dim_grid:
         s = 0.0 if np.isinf(dim) else 1.0 / float(dim)
-        k = curvature_of_measure(chain, mean, rho, dim, confirm=confirm).value
+        k = curvature_of_measure(chain, mean, rho, dim, confirm=False).value
         pts.append((s, k))
     pts.sort(key=lambda p: p[0])
     ok = True

@@ -246,6 +246,16 @@ def _dimension(dim) -> float:
     return dim
 
 
+def _edge_laplacian(size: int, ex: np.ndarray, ey: np.ndarray,
+                    w: np.ndarray) -> np.ndarray:
+    """Dense L with f' L g = sum_e w_e (f(y) - f(x))(g(y) - g(x)) over the
+    ordered edges e = (x, y); symmetric, with constants in its kernel."""
+    a = np.zeros((size, size))
+    a[ex, ey] = w
+    a = a + a.T
+    return np.diag(a.sum(axis=1)) - a
+
+
 def _form_matrices(q: np.ndarray, pi: np.ndarray, edges, d1e: np.ndarray,
                    rho: np.ndarray, dim: float) -> tuple[np.ndarray, np.ndarray]:
     """(m, n) on the index set of the kernel block q, whose Laplacian block
@@ -253,16 +263,10 @@ def _form_matrices(q: np.ndarray, pi: np.ndarray, edges, d1e: np.ndarray,
     size = len(pi)
     ex, ey, qe = edges
     lap = q - np.eye(size)
-
-    def weight_matrix(a):
-        # T with f' T g = sum_x a(x) pi(x) Gamma_rho(f, g)(x)
-        w = np.zeros((size, size))
-        w[ex, ey] = a[ex] * pi[ex] * d1e * qe
-        ws = w + w.T
-        return np.diag(ws.sum(axis=1)) - ws
-
-    t_rho = weight_matrix(rho)
-    t_lrho = weight_matrix(lap @ rho)
+    # T_a with f' T_a g = sum_x a(x) pi(x) Gamma_rho(f, g)(x)
+    t_rho = _edge_laplacian(size, ex, ey, rho[ex] * pi[ex] * d1e * qe)
+    lrho = lap @ rho
+    t_lrho = _edge_laplacian(size, ex, ey, lrho[ex] * pi[ex] * d1e * qe)
     m = 0.5 * (t_lrho - t_rho @ lap - lap.T @ t_rho)
     if np.isfinite(dim):
         m = m - (1.0 / dim) * (lap.T @ np.diag(rho * pi) @ lap)

@@ -3,12 +3,13 @@ inequality battery.
 
 The intrinsic distance maximizes f(y) - f(x) subject to the pointwise energy
 constraint Gamma f <= 1 everywhere; a log-barrier Newton method solves the
-convex program.  The Cheeger constant is an exact minimum over subsets,
-found by a vectorized block enumeration.  Inequality checks take the chain
-alone: the spectrum, tau(1/4), h and diam_Gamma they need are memoized on
-the chain (see `chain.derived`).  They return reports that carry the status
-of every precondition, so proof-backed and heuristic-backed results stay
-distinguishable.
+convex program from the edge arrays, its Hessian a weighted Laplacian plus
+the outer products of the constraint gradients.  The Cheeger constant is
+an exact minimum over subsets, found by a vectorized block enumeration.
+Inequality checks take the chain alone: the spectrum, tau(1/4), h and
+diam_Gamma they need are memoized on the chain (see `chain.derived`).  They
+return reports that carry the status of every precondition, so proof-backed
+and heuristic-backed results stay distinguishable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import ConvergenceWarning, PreconditionHeuristic, TooLarge
+from .gamma import _edge_laplacian
 from .heat import avg_mixing_time, lambda1, spectral_decompose
 
 #: inequality slacks are compared against this times the sides' magnitudes
@@ -33,74 +35,64 @@ GAP_TOL = 1e-9
 
 # -- intrinsic metric -------------------------------------------------------
 
-@derived
-def _pointwise_gamma_matrices(chain: MarkovChain) -> np.ndarray:
-    """Stack of A_z with f' A_z f = Gamma f(z) = (1/2) sum_y Q(z,y)(f(y)-f(z))^2."""
-    n = chain.n_states
-    mats = np.zeros((n, n, n))
-    for z in range(n):
-        a = mats[z]
-        for y in np.flatnonzero(chain.adjacency[z]):
-            qzy = chain.q[z, y]
-            a[z, z] += qzy
-            a[y, y] += qzy
-            a[z, y] -= qzy
-            a[y, z] -= qzy
-    mats *= 0.5
-    mats.setflags(write=False)
-    return mats
-
-
 def d_gamma(chain: MarkovChain, x, y) -> float:
     """Intrinsic distance sup{f(y) - f(x) : Gamma f <= 1 pointwise}.
 
     Log-barrier Newton on the gauge-fixed program (f(x) = 0, start f = 0,
     barrier parameter grows tenfold per stage, 30 Newton steps per stage,
-    stop when the duality gap bound falls below GAP_TOL).
+    stop when the duality gap bound falls below GAP_TOL).  Everything is
+    read from the edge arrays: the slacks 1 - Gamma f are a bincount, the
+    constraint gradients the rows of one n x n matrix G, and the barrier
+    Hessian the edge Laplacian weighted by q_e / s(x) plus the outer
+    products G' diag(1/s^2) G of the gradients.
     """
     ix, iy = chain.index(x), chain.index(y)
     if ix == iy:
         return 0.0
     n = chain.n_states
-    keep = [i for i in range(n) if i != ix]
-    pos = {i: j for j, i in enumerate(keep)}
-    mats = _pointwise_gamma_matrices(chain)[:, keep][:, :, keep]
-    c = np.zeros(n - 1)
-    c[pos[iy]] = 1.0
+    ex, ey, qe = chain.edges
+    kept = np.flatnonzero(np.arange(n) != ix)
+    block = np.ix_(kept, kept)
 
     def slacks_of(v):
-        return 1.0 - np.einsum("zij,i,j->z", mats, v, v)
+        return 1.0 - 0.5 * np.bincount(ex, weights=qe * (v[ey] - v[ex]) ** 2,
+                                       minlength=n)
 
-    f = np.zeros(n - 1)
+    f = np.zeros(n)
+    slacks = slacks_of(f)
     t = 1.0
     m_constraints = n
     converged = True
     while True:
         for _ in range(30):
-            slacks = slacks_of(f)
-            grads = 2.0 * np.einsum("zij,j->zi", mats, f)
-            g = -t * c + grads.T @ (1.0 / slacks)
-            h = 2.0 * np.einsum("zij,z->ij", mats, 1.0 / slacks) \
-                + grads.T @ (grads / (slacks * slacks)[:, None])
+            # row z of grads is the gradient of Gamma f(z)
+            grads = np.zeros((n, n))
+            grads[ex, ey] = qe * (f[ey] - f[ex])
+            np.fill_diagonal(grads, -grads.sum(axis=1))
+            g = grads.T @ (1.0 / slacks)
+            g[iy] -= t
+            h = (_edge_laplacian(n, ex, ey, qe / slacks[ex])
+                 + grads.T @ (grads / (slacks * slacks)[:, None]))[block]
+            step = np.zeros(n)
             try:
-                step = np.linalg.solve(h, -g)
+                step[kept] = np.linalg.solve(h, -g[kept])
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(h, -g, rcond=None)[0]
+                step[kept] = np.linalg.lstsq(h, -g[kept], rcond=None)[0]
             decrement = float(-g @ step)
             alpha = 1.0
-            phi0 = -t * (c @ f) - float(np.log(slacks).sum())
+            phi0 = -t * f[iy] - float(np.log(slacks).sum())
             for _ in range(60):
                 f_new = f + alpha * step
                 s_new = slacks_of(f_new)
                 if (s_new > 0).all():
-                    phi_new = -t * (c @ f_new) - float(np.log(s_new).sum())
+                    phi_new = -t * f_new[iy] - float(np.log(s_new).sum())
                     if phi_new <= phi0 - 0.25 * alpha * decrement + 1e-14:
                         break
                 alpha *= 0.5
             else:
                 converged = False
                 break
-            f = f + alpha * step
+            f, slacks = f_new, s_new
             if decrement / 2.0 <= 1e-12:
                 break
         if m_constraints / t <= GAP_TOL:
@@ -109,7 +101,7 @@ def d_gamma(chain: MarkovChain, x, y) -> float:
         if t > 1e16:
             converged = False
             break
-    value = float(c @ f)
+    value = float(f[iy])
     if not converged:
         warnings.warn(f"d_gamma({x},{y}) stopped early; value is a lower bound",
                       ConvergenceWarning)

@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import (EpsTooLarge, NegativeTime, NumericalFailure,
                      PreconditionHeuristic)
-from .gamma import a_form, func_inner, laplacian, laplacian_matrix
+from .gamma import (_edge_laplacian, a_form, func_inner, laplacian,
+                    laplacian_matrix)
 from .means import get_mean
 
 
@@ -202,13 +204,11 @@ def gradient_estimate_residual(chain: MarkovChain, mean, k: float, dim: float,
     return (lhs - rhs) / _residual_scale(lhs, rhs, f)
 
 
-def verify_gradient_estimate(chain: MarkovChain, mean, k: float, dim,
-                             trials: int = 50, t_grid=(0.1, 1.0, 10.0),
-                             seed: int = 0) -> VerifyReport:
-    """Check the semigroup gradient estimate over random (rho, f, t)."""
-    mean = get_mean(mean)
+def _worst_trial(name: str, residual, chain: MarkovChain, trials: int,
+                 t_grid, seed: int) -> VerifyReport:
+    """Worst residual(rho, f, t) over random (rho, f) pairs and the t grid;
+    a residual below -1e-9 counts as a violation."""
     rng = np.random.default_rng(seed)
-    dim = float(dim)
     worst = math.inf
     witness = {}
     violations = 0
@@ -216,13 +216,23 @@ def verify_gradient_estimate(chain: MarkovChain, mean, k: float, dim,
         rho = _random_density(chain, rng)
         f = rng.standard_normal(chain.n_states)
         for t in t_grid:
-            r = gradient_estimate_residual(chain, mean, k, dim, rho, f, t)
+            r = residual(rho, f, t)
             if r < worst:
                 worst = r
                 witness = {"rho": rho.copy(), "f": f.copy(), "t": float(t)}
             if r < -1e-9:
                 violations += 1
-    return VerifyReport("gradient_estimate", trials, worst, witness, violations)
+    return VerifyReport(name, trials, worst, witness, violations)
+
+
+def verify_gradient_estimate(chain: MarkovChain, mean, k: float, dim,
+                             trials: int = 50, t_grid=(0.1, 1.0, 10.0),
+                             seed: int = 0) -> VerifyReport:
+    """Check the semigroup gradient estimate over random (rho, f, t)."""
+    residual = partial(gradient_estimate_residual, chain, get_mean(mean), k,
+                       float(dim))
+    return _worst_trial("gradient_estimate", residual, chain, trials, t_grid,
+                        seed)
 
 
 def _gradient_estimate_f_matrix(chain: MarkovChain, mean, k: float, dim: float,
@@ -235,14 +245,11 @@ def _gradient_estimate_f_matrix(chain: MarkovChain, mean, k: float, dim: float,
     pt = heat_operator(sys, t)
     rho_t = heat_apply(sys, t, rho)
     ex, ey, qe = chain.edges
-    n = chain.n_states
 
     def energy_matrix(dens):
         th = np.asarray(get_mean(mean).value(dens[ex], dens[ey]), float)
-        c = np.zeros((n, n))
-        c[ex, ey] = th * qe * chain.pi[ex]
-        c = 0.5 * (c + c.T)
-        return np.diag(c.sum(axis=1)) - c
+        return 0.5 * _edge_laplacian(chain.n_states, ex, ey,
+                                     th * qe * chain.pi[ex])
 
     lap = laplacian_matrix(chain)
     h = math.exp(-2.0 * k * t) * energy_matrix(rho_t) \
@@ -387,22 +394,9 @@ def verify_reverse_poincare(chain: MarkovChain, mean, k: float, dim,
     """Check the reverse Poincare inequality (needs a mean below arithmetic)."""
     mean = get_mean(mean)
     _check_below_arithmetic(mean)
-    rng = np.random.default_rng(seed)
-    dim = float(dim)
-    worst = math.inf
-    witness = {}
-    violations = 0
-    for _ in range(trials):
-        rho = _random_density(chain, rng)
-        f = rng.standard_normal(chain.n_states)
-        for t in t_grid:
-            r = reverse_poincare_residual(chain, mean, k, dim, rho, f, t)
-            if r < worst:
-                worst = r
-                witness = {"rho": rho.copy(), "f": f.copy(), "t": float(t)}
-            if r < -1e-9:
-                violations += 1
-    return VerifyReport("reverse_poincare", trials, worst, witness, violations)
+    residual = partial(reverse_poincare_residual, chain, mean, k, float(dim))
+    return _worst_trial("reverse_poincare", residual, chain, trials, t_grid,
+                        seed)
 
 
 def _check_below_arithmetic(mean, samples: int = 512, seed: int = 1):

@@ -242,6 +242,21 @@ def test_verify_identity_violation_exit4_with_report(tmp_path, monkeypatch):
     assert doc["results"]["identities"]["holds"] is False
 
 
+def test_verify_identities_computes_no_curvature(tmp_path, monkeypatch):
+    import curvkit.curvature as curv
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the identities suite reads no curvature")
+
+    monkeypatch.setattr(curv, "bakry_emery_global", unread)
+    monkeypatch.setattr(curv, "entropic_curvature_estimate", unread)
+    code, doc = run_cli(tmp_path, "verify", "--gen", "cycle:8",
+                        "--suite", "identities", "--seed", "1")
+    assert code == 0
+    assert "curvature_inputs" not in doc["results"]
+    assert doc["results"]["identities"]["holds"]
+
+
 def test_verify_cheeger_l1_matches_library(tmp_path):
     code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:4",
                         "--suite", "geometry", "--k-ent", "0.5", "--seed", "1")

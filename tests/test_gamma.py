@@ -9,7 +9,7 @@ from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, DomainError,
                      divergence, equilibrium, func_inner, gamma, gamma2,
                      gamma2_rho, gamma_rho, gradient_field, hypercube,
                      laplacian, rho_laplacian, vf_inner, vf_inner_rho)
-from curvkit.gamma import cd_quadratic, cd_quadratic_grad
+from curvkit.gamma import _edge_laplacian, cd_quadratic, cd_quadratic_grad
 
 from conftest import positive_density, random_reversible_chain
 
@@ -281,6 +281,20 @@ def test_form_pair_invariants():
     assert evals.min() >= -1e-12 * max(1.0, evals.max())
     assert fp.m == pytest.approx(fp.m.T, abs=0)     # exactly symmetrized
     assert fp.n == pytest.approx(fp.n.T, abs=0)
+
+
+def test_edge_laplacian_is_the_edge_sum():
+    ch = random_reversible_chain(7, seed=21)
+    ex, ey, _ = ch.edges
+    rng = np.random.default_rng(4)
+    w = rng.uniform(-1.0, 2.0, ex.size)
+    lap = _edge_laplacian(7, ex, ey, w)
+    for _ in range(5):
+        f, g = rng.standard_normal(7), rng.standard_normal(7)
+        edge_sum = float(np.sum(w * (f[ey] - f[ex]) * (g[ey] - g[ex])))
+        assert f @ lap @ g == pytest.approx(edge_sum, rel=1e-12, abs=1e-12)
+    assert np.array_equal(lap, lap.T)
+    assert lap @ np.ones(7) == pytest.approx(np.zeros(7), abs=1e-12)
 
 
 def test_dirac_forms_are_pointwise_operators():

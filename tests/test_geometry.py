@@ -1,6 +1,7 @@
 """Intrinsic metric, Cheeger constant, inequality battery."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -60,6 +61,21 @@ def test_combinatorial_dominated_by_intrinsic(ch):
             dg = d_gamma(ch, i, j)
             assert dist[i, j] <= math.sqrt(dmax / 2) * dg + 1e-8
             assert math.sqrt(dmax / 2) * dg <= dg / math.sqrt(2) + 1e-12
+
+
+def test_d_gamma_path_reads_the_edge_arrays():
+    # Gamma f <= 1 caps every increment of f along the path at sqrt 2; the
+    # solve needs O(n^2) memory, and 0.5 MB is a quarter of one 60^3 float64
+    # tensor
+    ch = path(60)
+    tracemalloc.start()
+    try:
+        value = d_gamma(ch, "0", "59")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(59 * math.sqrt(2), rel=1e-9)
+    assert peak < 0.5e6
 
 
 def test_diameters(two_state):

@@ -19,9 +19,11 @@ named by --out or --csv (removed before the command runs), with the
 scratch path masked as <work>, and writes the records to OUT.json.
 
 The second form lists each command whose exit code, stdout, stderr or
-files differ between two such records, naming the top-level report keys
-that differ, and exits 1 if any command differs.  Compare records made on
-the same machine: degenerate witnesses depend on the BLAS build.
+files differ between two such records, naming each report leaf that
+differs by its path (for example results.geometry[6].lhs) and, for a
+number, the relative difference |a - b| / max(|a|, |b|); it exits 1 if
+any command differs.  Compare records made on the same machine: degenerate
+witnesses depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -119,16 +121,37 @@ def record(root: Path, out_path: str) -> int:
     return 0
 
 
-def _report_keys(a: str, b: str) -> list[str] | None:
-    """Top-level keys in which two JSON reports differ, or None if either
-    text is not a report."""
+def _leaves(a, b, path: str):
+    """Describe each leaf at which two JSON values differ: its path, and for
+    two numbers also their relative difference."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{k}" if path else k
+            if k not in b or k not in a:
+                yield f"{sub} (only in {'A' if k in a else 'B'})"
+            else:
+                yield from _leaves(a[k], b[k], sub)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _leaves(x, y, f"{path}[{i}]")
+    elif a != b:
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (a, b)):
+            yield f"{path} (rel {abs(a - b) / max(abs(a), abs(b)):.2g})"
+        else:
+            yield path
+
+
+def _report_leaves(a: str, b: str) -> list[str] | None:
+    """The leaves in which two JSON reports differ, or None if either text
+    is not a report."""
     try:
         da, db = json.loads(a), json.loads(b)
     except json.JSONDecodeError:
         return None
     if not (isinstance(da, dict) and isinstance(db, dict)):
         return None
-    return sorted(k for k in da.keys() | db.keys() if da.get(k) != db.get(k))
+    return list(_leaves(da, db, ""))
 
 
 def differences(ra: dict, rb: dict) -> list[str]:
@@ -139,8 +162,8 @@ def differences(ra: dict, rb: dict) -> list[str]:
         ta, tb = texts_a.get(name), texts_b.get(name)
         if ta == tb:
             continue
-        keys = _report_keys(ta, tb) if ta is not None and tb is not None else None
-        fields.append(name if not keys else f"{name} {{{', '.join(keys)}}}")
+        leaves = _report_leaves(ta, tb) if ta is not None and tb is not None else None
+        fields.append(name if not leaves else f"{name} {{{', '.join(leaves)}}}")
     return fields
 
 
