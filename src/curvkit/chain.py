@@ -352,7 +352,7 @@ def chain_from_edgelist(text: str) -> MarkovChain:
     pi proportional to the weighted degree.
     """
     weights: dict[tuple[str, str], float] = {}
-    order: list[str] = []
+    idx: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -370,14 +370,12 @@ def chain_from_edgelist(text: str) -> MarkovChain:
         if u == v:
             raise InvalidParameters(f"edge list line {ln}: self loops not allowed")
         for s in (u, v):
-            if s not in weights and s not in order:
-                order.append(s)
+            idx.setdefault(s, len(idx))
         key = (u, v) if u <= v else (v, u)
         weights[key] = weights.get(key, 0.0) + wval
-    if not order:
+    if not idx:
         raise InvalidParameters("empty edge list")
-    idx = {s: i for i, s in enumerate(order)}
-    n = len(order)
+    n = len(idx)
     w = np.zeros((n, n))
     for (u, v), wval in weights.items():
         w[idx[u], idx[v]] += wval
@@ -387,4 +385,4 @@ def chain_from_edgelist(text: str) -> MarkovChain:
         raise InvalidParameters("edge list leaves a vertex with zero total weight")
     q = w / deg[:, None]
     pi = deg / deg.sum()
-    return MarkovChain(q, pi=pi, states=order)
+    return MarkovChain(q, pi=pi, states=list(idx))

@@ -266,7 +266,7 @@ def _cmd_verify(chain, args):
             k_ent, ent_status = args.k_ent, "exact"
         else:
             est = curv.entropic_curvature_estimate(chain, math.inf,
-                                                   starts=min(args.starts, 16),
+                                                   starts=args.starts,
                                                    seed=args.seed)
             k_ent, ent_status = est.k_hat, "heuristic"
         nonneg_status = (ent_status if k_ent >= -1e-6 else "unmet")

@@ -261,8 +261,8 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     Numerica 1996), whichever eigenbasis the solver returns.
     """
     mean = get_mean(mean)
-    rho = validate_density(chain, mean, rho)
     fp = assemble_forms(chain, mean, rho, dim)
+    rho = fp.rho
     k, witnesses, null_dim, _ = _pencil(fp.m, fp.n, _spectral_norm(fp.m))
     if not np.isfinite(k):
         raise NumericalFailure(f"curvature gradient undefined at K = {k!r}")

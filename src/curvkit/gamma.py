@@ -5,6 +5,9 @@ average of increments, the density-modulated Laplacian reweights edges by
 2 * d1theta(rho_x, rho_y), and the iterated form pairs the modulated
 carre du champ with the standard Laplacian.  Vector fields are antisymmetric
 edge functions with the half double-sum inner product.
+
+A density enters only through theta and its partials on the ordered edges,
+and _on_edges is the one place a mean meets the edges.
 """
 
 from __future__ import annotations
@@ -108,36 +111,19 @@ def vf_inner(chain: MarkovChain, v1, v2) -> float:
     return 0.5 * float(np.sum(v1 * v2 * chain.q * chain.pi[:, None]))
 
 
-def rho_hat_edges(chain: MarkovChain, mean, rho) -> np.ndarray:
-    """theta(rho_x, rho_y) on the ordered edge list."""
-    mean = get_mean(mean)
-    ex, ey, _ = chain.edges
-    return np.asarray(mean.value(rho[ex], rho[ey]), dtype=float)
-
-
-def d1_edges(chain: MarkovChain, mean, rho) -> np.ndarray:
-    """d1theta(rho_x, rho_y) on the ordered edge list."""
-    mean = get_mean(mean)
-    ex, ey, _ = chain.edges
-    out = mean.d1(rho[ex], rho[ey])
-    return np.broadcast_to(np.asarray(out, dtype=float), ex.shape).copy()
-
-
-def delta_hat_edges(chain: MarkovChain, mean, rho) -> np.ndarray:
-    """d1theta(rho_x,rho_y) Drho(x) + d2theta(rho_x,rho_y) Drho(y) on edges."""
-    mean = get_mean(mean)
-    ex, ey, _ = chain.edges
-    lap_rho = laplacian(chain, rho)
-    d1 = np.broadcast_to(np.asarray(mean.d1(rho[ex], rho[ey]), float), ex.shape)
-    d2 = np.broadcast_to(np.asarray(mean.d1(rho[ey], rho[ex]), float), ex.shape)
-    return d1 * lap_rho[ex] + d2 * lap_rho[ey]
+def _on_edges(fn, rho: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """fn(rho[ex], rho[ey]) as a float array of edge shape, for fn a mean's
+    value, d1 or d11; swapping ex and ey gives d2theta from d1.  A custom
+    mean may return a scalar (a constant partial), broadcast here."""
+    return np.broadcast_to(np.asarray(fn(rho[ex], rho[ey]), dtype=float),
+                           ex.shape)
 
 
 def vf_inner_rho(chain: MarkovChain, mean, rho, v1, v2) -> float:
     """<V1, V2>_rho: the pi inner product with edge weights theta(rho_x, rho_y)."""
     rho = validate_density(chain, mean, rho)
     ex, ey, qe = chain.edges
-    th = rho_hat_edges(chain, mean, rho)
+    th = _on_edges(get_mean(mean).value, rho, ex, ey)
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     return 0.5 * float(np.sum(th * v1[ex, ey] * v2[ex, ey] * qe * chain.pi[ex]))
@@ -152,8 +138,16 @@ def rho_laplacian(chain: MarkovChain, mean, rho, f) -> np.ndarray:
     rho = validate_density(chain, mean, rho)
     f = _as_function(chain, f)
     ex, ey, qe = chain.edges
-    d1 = d1_edges(chain, mean, rho)
+    d1 = _on_edges(get_mean(mean).d1, rho, ex, ey)
     contrib = 2.0 * d1 * (f[ey] - f[ex]) * qe
+    return np.bincount(ex, weights=contrib, minlength=chain.n_states)
+
+
+def _gamma_sum(chain: MarkovChain, d1: np.ndarray, f: np.ndarray,
+               g: np.ndarray) -> np.ndarray:
+    """sum_y d1(x,y)(f(y)-f(x))(g(y)-g(x))Q(x,y) from d1 on the edges."""
+    ex, ey, qe = chain.edges
+    contrib = d1 * (f[ey] - f[ex]) * (g[ey] - g[ex]) * qe
     return np.bincount(ex, weights=contrib, minlength=chain.n_states)
 
 
@@ -163,10 +157,8 @@ def gamma_rho(chain: MarkovChain, mean, rho, f, g=None) -> np.ndarray:
     rho = validate_density(chain, mean, rho)
     f = _as_function(chain, f)
     g = f if g is None else _as_function(chain, g)
-    ex, ey, qe = chain.edges
-    d1 = d1_edges(chain, mean, rho)
-    contrib = d1 * (f[ey] - f[ex]) * (g[ey] - g[ex]) * qe
-    return np.bincount(ex, weights=contrib, minlength=chain.n_states)
+    ex, ey, _ = chain.edges
+    return _gamma_sum(chain, _on_edges(get_mean(mean).d1, rho, ex, ey), f, g)
 
 
 def gamma2_rho(chain: MarkovChain, mean, rho, f, g=None) -> np.ndarray:
@@ -174,12 +166,14 @@ def gamma2_rho(chain: MarkovChain, mean, rho, f, g=None) -> np.ndarray:
     2 Gamma2 = Delta Gamma_rho(f,g) - Gamma_rho(f, Delta g) - Gamma_rho(g, Delta f)."""
     f = _as_function(chain, f)
     g = f if g is None else _as_function(chain, g)
-    grho = gamma_rho(chain, mean, rho, f, g)
+    rho = validate_density(chain, mean, rho)
+    ex, ey, _ = chain.edges
+    d1 = _on_edges(get_mean(mean).d1, rho, ex, ey)
     lf = laplacian(chain, f)
     lg = laplacian(chain, g)
-    return 0.5 * (laplacian(chain, grho)
-                  - gamma_rho(chain, mean, rho, f, lg)
-                  - gamma_rho(chain, mean, rho, g, lf))
+    return 0.5 * (laplacian(chain, _gamma_sum(chain, d1, f, g))
+                  - _gamma_sum(chain, d1, f, lg)
+                  - _gamma_sum(chain, d1, g, lf))
 
 
 def gamma(chain: MarkovChain, f, g=None) -> np.ndarray:
@@ -200,7 +194,7 @@ def a_form(chain: MarkovChain, mean, rho, f) -> float:
     rho = validate_density(chain, mean, rho)
     f = _as_function(chain, f)
     ex, ey, qe = chain.edges
-    th = rho_hat_edges(chain, mean, rho)
+    th = _on_edges(get_mean(mean).value, rho, ex, ey)
     df = f[ey] - f[ex]
     return 0.5 * float(np.sum(th * df * df * qe * chain.pi[ex]))
 
@@ -210,6 +204,7 @@ def b_form(chain: MarkovChain, mean, rho, f) -> float:
     (1/2) <Dhat rho . grad f, grad f>_pi - <rho_hat . grad f, grad(Delta f)>_pi,
     materialized from the edge arrays independently of the Gamma route.
     """
+    mean = get_mean(mean)
     rho = validate_density(chain, mean, rho)
     f = _as_function(chain, f)
     ex, ey, qe = chain.edges
@@ -217,8 +212,10 @@ def b_form(chain: MarkovChain, mean, rho, f) -> float:
     df = f[ey] - f[ex]
     lf = laplacian(chain, f)
     dlf = lf[ey] - lf[ex]
-    dhat = delta_hat_edges(chain, mean, rho)
-    th = rho_hat_edges(chain, mean, rho)
+    lrho = laplacian(chain, rho)
+    dhat = _on_edges(mean.d1, rho, ex, ey) * lrho[ex] \
+        + _on_edges(mean.d1, rho, ey, ex) * lrho[ey]
+    th = _on_edges(mean.value, rho, ex, ey)
     return 0.25 * float(np.sum(dhat * df * df * wpe)) \
         - 0.5 * float(np.sum(th * df * dlf * wpe))
 
@@ -234,9 +231,7 @@ class FormPair:
 
     m: np.ndarray
     n: np.ndarray
-    mean_kind: str
     rho: np.ndarray
-    dim: float
 
 
 def _dimension(dim) -> float:
@@ -283,9 +278,10 @@ def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
     mean = get_mean(mean)
     rho = validate_density(chain, mean, rho)
     dim = _dimension(dim)
+    ex, ey, _ = chain.edges
     m, n_mat = _form_matrices(chain.q, chain.pi, chain.edges,
-                              d1_edges(chain, mean, rho), rho, dim)
-    return FormPair(m=m, n=n_mat, mean_kind=mean.kind, rho=rho, dim=dim)
+                              _on_edges(mean.d1, rho, ex, ey), rho, dim)
+    return FormPair(m=m, n=n_mat, rho=rho)
 
 
 def _dirac_ball_forms(chain: MarkovChain, state,
@@ -310,10 +306,8 @@ def _dirac_ball_forms(chain: MarkovChain, state,
     ex, ey = np.nonzero(adj[block])
     rho = np.zeros(len(ball))
     rho[np.searchsorted(ball, ix)] = 1.0 / chain.pi[ix]
-    d1e = np.broadcast_to(np.asarray(ARITHMETIC.d1(rho[ex], rho[ey]), float),
-                          ex.shape)
-    m, n_mat = _form_matrices(q, chain.pi[ball], (ex, ey, q[ex, ey]), d1e,
-                              rho, dim)
+    m, n_mat = _form_matrices(q, chain.pi[ball], (ex, ey, q[ex, ey]),
+                              _on_edges(ARITHMETIC.d1, rho, ex, ey), rho, dim)
     return ball, m, n_mat
 
 
@@ -362,8 +356,8 @@ def cd_quadratic_grad(chain: MarkovChain, mean, rho, dim,
     a = wpe * df * df
     b = wpe * df * (lf[ey] - lf[ex])
     rx, ry = rho[ex], rho[ey]
-    t1 = d1_edges(chain, mean, rho)
-    t11 = np.broadcast_to(np.asarray(mean.d11(rx, ry), float), ex.shape)
+    t1 = _on_edges(mean.d1, rho, ex, ey)
+    t11 = _on_edges(mean.d11, rho, ex, ey)
     t12 = -rx * t11 / ry
     c = 0.5 * lrho[ex] * a - rx * b          # coefficient of theta1 in M
     ta = np.bincount(ex, weights=t1 * a, minlength=n)

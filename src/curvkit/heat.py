@@ -18,8 +18,8 @@ import numpy as np
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import (EpsTooLarge, NegativeTime, NumericalFailure,
                      PreconditionHeuristic)
-from .gamma import (_edge_laplacian, a_form, func_inner, laplacian,
-                    laplacian_matrix)
+from .gamma import (_edge_laplacian, _on_edges, a_form, func_inner,
+                    laplacian, laplacian_matrix)
 from .means import get_mean
 
 
@@ -245,11 +245,12 @@ def _gradient_estimate_f_matrix(chain: MarkovChain, mean, k: float, dim: float,
     pt = heat_operator(sys, t)
     rho_t = heat_apply(sys, t, rho)
     ex, ey, qe = chain.edges
+    theta = get_mean(mean).value
 
     def energy_matrix(dens):
-        th = np.asarray(get_mean(mean).value(dens[ex], dens[ey]), float)
         return 0.5 * _edge_laplacian(chain.n_states, ex, ey,
-                                     th * qe * chain.pi[ex])
+                                     _on_edges(theta, dens, ex, ey)
+                                     * qe * chain.pi[ex])
 
     lap = laplacian_matrix(chain)
     h = math.exp(-2.0 * k * t) * energy_matrix(rho_t) \

@@ -27,6 +27,8 @@ KERNEL_REL_TOL = 1e-8
 GRAM_REL_TOL = 1e-10
 #: tolerance for membership in the minimal-curvature vertex set
 X0_REL_TOL = 1e-8
+#: optimal_complex refuses chains with more states than this
+OPTIMAL_MAX_STATES = 24
 
 
 @dataclass
@@ -141,11 +143,12 @@ def is_optimal_set(chain: MarkovChain, states, dim,
     return OptimalityCertificate(True, witness, kernel_dim, None)
 
 
-def optimal_complex(chain: MarkovChain, dim, max_size: int = 24) -> OptimalComplex:
+def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
     """Enumerate the maximal optimal sets by downward search from the
     minimal-curvature vertices, pruning subsets of known facets."""
-    if chain.n_states > max_size:
-        raise TooLarge(f"optimal-set enumeration capped at {max_size} states")
+    if chain.n_states > OPTIMAL_MAX_STATES:
+        raise TooLarge(
+            f"optimal-set enumeration capped at {OPTIMAL_MAX_STATES} states")
     forms = _PointwiseForms(chain, dim)
     x0 = forms.zero_cells()
     facets: list[frozenset] = []

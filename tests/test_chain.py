@@ -144,6 +144,12 @@ def test_edgelist_parse():
     assert ch.q[0, 1] == pytest.approx(1.0)          # a only touches b
     assert ch.q[1, 0] == pytest.approx(2 / 3)
     assert ch.pi == pytest.approx([2 / 6, 3 / 6, 1 / 6])
+    # states keep first-seen order across both columns: c first appears second
+    ch = chain_from_edgelist("b\tc\t1.0\na\tc\t1.0\nd\tb\t2.0\n")
+    assert ch.states == ("b", "c", "a", "d")
+    assert ch.q[0, 3] == pytest.approx(2 / 3)
+    assert ch.q[1, 2] == pytest.approx(0.5)
+    assert ch.pi == pytest.approx([3 / 8, 2 / 8, 1 / 8, 2 / 8])
 
 
 def test_edgelist_rejects_malformed():

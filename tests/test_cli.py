@@ -257,6 +257,24 @@ def test_verify_identities_computes_no_curvature(tmp_path, monkeypatch):
     assert doc["results"]["identities"]["holds"]
 
 
+def test_verify_runs_the_starts_it_records(tmp_path, monkeypatch):
+    import curvkit.curvature as curv
+
+    seen = []
+    real = curv.entropic_curvature_estimate
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["starts"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curv, "entropic_curvature_estimate", recording)
+    code, doc = run_cli(tmp_path, "verify", "--gen", "cycle:6",
+                        "--suite", "heat", "--starts", "17")
+    assert code == 0
+    assert seen == [17]
+    assert doc["config"]["starts"] == 17
+
+
 def test_verify_cheeger_l1_matches_library(tmp_path):
     code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:4",
                         "--suite", "geometry", "--k-ent", "0.5", "--seed", "1")

@@ -10,6 +10,7 @@ from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, DomainError,
                      gamma2_rho, gamma_rho, gradient_field, hypercube,
                      laplacian, rho_laplacian, vf_inner, vf_inner_rho)
 from curvkit.gamma import _edge_laplacian, cd_quadratic, cd_quadratic_grad
+from curvkit.heat import _gradient_estimate_f_matrix
 
 from conftest import positive_density, random_reversible_chain
 
@@ -233,6 +234,27 @@ def test_assemble_forms_against_scalar_route():
                         m_val, abs=1e-10 * max(1, abs(m_val)))
                     assert f @ fp.n @ f == pytest.approx(
                         n_val, abs=1e-10 * max(1, abs(n_val)))
+
+
+def test_scalar_partial_custom_mean_matches_arithmetic():
+    # a custom mean whose d1 returns the scalar 0.5 is broadcast on the edges
+    flat = custom_mean(lambda r, s: 0.5 * (r + s), lambda r, s: 0.5, "closed")
+    for seed in range(2):
+        ch = random_reversible_chain(7, 90 + seed)
+        rho = positive_density(ch, seed)
+        f, g = np.random.default_rng(seed).standard_normal((2, 7))
+
+        def evaluate(mean):
+            out = [gamma_rho(ch, mean, rho, f, g), gamma2_rho(ch, mean, rho, f, g),
+                   b_form(ch, mean, rho, f),
+                   _gradient_estimate_f_matrix(ch, mean, 0.1, 4.0, rho, 0.3)]
+            for dim in (np.inf, 4.0):
+                fp = assemble_forms(ch, mean, rho, dim)
+                out += [fp.m, fp.n, *cd_quadratic_grad(ch, mean, rho, dim, f)]
+            return out
+
+        for got, want in zip(evaluate(flat), evaluate(ARITHMETIC)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_cd_quadratic_grad_matches_scalar_route():

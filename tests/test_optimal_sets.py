@@ -174,4 +174,4 @@ def test_non_optimal_measure_with_minimal_curvature():
 
 def test_enumeration_guard():
     with pytest.raises(TooLarge):
-        optimal_complex(cycle(30), INF, max_size=24)
+        optimal_complex(cycle(30), INF)

@@ -12,7 +12,10 @@ scratch directory that is also the working directory:
     ROOT/perfbench/workloads.py;
   * edge cases: a one-state chain through curv-vertex, curv-measure and
     curv-entropic, a chain too large for the exact Cheeger enumeration, an
-    unknown generator, and a verify run whose exact preconditions fail.
+    unknown generator, a verify run whose exact preconditions fail, a
+    weighted edge list (one state first seen in the second column) under
+    the geometric mean, and the full forms of a Dirac density over a
+    dimension grid.
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -72,12 +75,19 @@ def edge_commands(work: str) -> list[list[str]]:
     one = f"{work}/one.json"
     with open(one, "w", encoding="utf-8") as fh:
         fh.write('{"Q": [[1.0]]}')
+    tsv = f"{work}/w.tsv"
+    with open(tsv, "w", encoding="utf-8") as fh:
+        fh.write("a\tb\t1.0\nc\tb\t2.0\nd\ta\t0.5\nc\td\t1.5\n")
     return [["curv-vertex", "--in", one],
             ["curv-measure", "--in", one],
             ["curv-entropic", "--in", one],
             ["cheeger", "--gen", "hypercube:6"],
             ["curv-vertex", "--gen", "moebius:7"],
-            ["verify", "--gen", "hypercube:3", "--k-ent", "100"]]
+            ["verify", "--gen", "hypercube:3", "--k-ent", "100"],
+            ["curv-measure", "--in", tsv, "--mean", "geometric",
+             "--rho", "uniform", "--n", "4"],
+            ["curv-measure", "--gen", "path:5", "--rho", "dirac:2",
+             "--n-grid", "inf,6"]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
