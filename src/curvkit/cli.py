@@ -1,8 +1,9 @@
 """Command-line front end.
 
-`main` is the one path from argv to report.  It loads the chain (a JSON/TSV
-file or a generator spec) and runs the subcommand's handler, a function
-(chain, args) -> (config, results) that does no I/O but its own --csv file.
+`main` is the one path from argv to report.  It loads the chain (a chain
+JSON, a `gen` report, a TSV edge list or a generator spec) and runs the
+subcommand's handler, a function (chain, args) -> (config, results) that
+does no I/O but its own --csv file.
 It then writes a JSON report (schema "curvkit-report/1") whose "warnings"
 lists every library `UserWarning` the handler raised.  Reports are
 deterministic for a fixed (config, seed): no timestamps, sorted keys.
@@ -14,6 +15,7 @@ a report); 4 the report shows a failed `verify` suite (see `_failed`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -50,7 +52,14 @@ def _load_chain(args) -> chain_mod.MarkovChain:
         text = fh.read()
     if path.endswith((".tsv", ".txt")):
         return chain_mod.chain_from_edgelist(text)
-    return chain_mod.chain_from_json(text)
+    doc = json.loads(text)
+    if isinstance(doc, dict) and doc.get("schema") == SCHEMA:
+        command = doc.get("config", {}).get("command")
+        if command != "gen":
+            raise CurvkitError(f"--in takes a chain or a gen report, not a "
+                               f"{command} report")
+        doc = doc["results"]["chain"]
+    return chain_mod.chain_from_json(doc)
 
 
 def _parse_dim(text: str) -> float:
@@ -222,20 +231,18 @@ def _cmd_optimal_sets(chain, args):
 
 
 def _cmd_heat(chain, args):
-    sys_ = heat_mod.spectral_decompose(chain)
     t_grid = [float(tok) for tok in args.t_grid.split(",")]
     rep = heat_mod.check_heat_kernel_bound(chain, tuple(t_grid))
     results = {"heat_kernel_bound": rep.to_dict()}
     if args.rho:
         rho = _parse_rho(chain, args.rho)
-        results["p_t_rho"] = {repr(t): heat_mod.heat_apply(sys_, t, rho)
+        results["p_t_rho"] = {repr(t): heat_mod.heat_apply(chain, t, rho)
                               for t in t_grid}
     return {"t_grid": args.t_grid, "rho": args.rho}, results
 
 
 def _cmd_mixing(chain, args):
-    sys_ = heat_mod.spectral_decompose(chain)
-    return {"eps": args.eps}, {"tau_avg": heat_mod.avg_mixing_time(sys_, args.eps)}
+    return {"eps": args.eps}, {"tau_avg": heat_mod.avg_mixing_time(chain, args.eps)}
 
 
 def _cmd_dgamma(chain, args):
@@ -345,13 +352,13 @@ def _add_common(p, with_input=True):
     if with_input:
         src = p.add_mutually_exclusive_group()
         src.add_argument("--gen", help="generator spec, e.g. hypercube:3")
-        src.add_argument("--in", dest="infile", help="chain JSON or edge-list TSV")
+        src.add_argument("--in", dest="infile", help="chain JSON, gen report or edge-list TSV")
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("CURVKIT_SEED", "0")),
                    help="random seed (env CURVKIT_SEED overrides the default)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curvkit",
@@ -436,6 +443,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     try:
+        if args.seed is None:
+            args.seed = int(os.environ.get("CURVKIT_SEED", "0"))
         chain = _load_chain(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)

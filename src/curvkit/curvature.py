@@ -17,8 +17,7 @@ import scipy.linalg as sla
 
 from .chain import MarkovChain
 from .errors import DomainError, NumericalFailure
-from .gamma import (_dirac_ball_forms, assemble_forms, cd_quadratic_grad,
-                    validate_density)
+from .gamma import _dirac_ball_forms, assemble_forms, cd_quadratic_grad
 from .heat import lambda1
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
 
@@ -210,12 +209,10 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, q_min: float = 1.0,
 def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
                          confirm: bool = True) -> CurvatureResult:
     """Optimal curvature constant of a fixed density at dimension dim."""
-    mean = get_mean(mean)
-    rho = validate_density(chain, mean, rho)
+    fp = assemble_forms(chain, mean, rho, dim)
     if chain.n_states == 1:
         warnings.warn("single-state chain: curvature is vacuously +inf")
         return CurvatureResult(POS_INFINITY, None, "pencil", None, 0, 1)
-    fp = assemble_forms(chain, mean, rho, dim)
     return solve_pencil(fp.m, fp.n, q_min=chain.stats().q_min, confirm=confirm)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import ConvergenceWarning, PreconditionHeuristic, TooLarge
 from .gamma import _edge_laplacian
-from .heat import avg_mixing_time, lambda1, spectral_decompose
+from .heat import avg_mixing_time, lambda1
 
 #: inequality slacks are compared against this times the sides' magnitudes
 SLACK_REL_TOL = 1e-9
@@ -367,7 +367,7 @@ def check_diameter_bound_finite_n(chain: MarkovChain, mean_kind: str, k: float,
 @derived
 def _tau_quarter(chain: MarkovChain) -> float:
     """Average mixing time tau(1/4)."""
-    return avg_mixing_time(spectral_decompose(chain), 0.25)
+    return avg_mixing_time(chain, 0.25)
 
 
 def _r0(chain: MarkovChain):

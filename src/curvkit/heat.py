@@ -27,7 +27,6 @@ from .means import get_mean
 class HeatSystem:
     """Spectral data of minus the Laplacian: 0 = lam_0 < lam_1 <= ..."""
 
-    chain: MarkovChain
     eigenvalues: np.ndarray
     basis: np.ndarray           # columns phi_k, pi-orthonormal, phi_0 constant
 
@@ -44,7 +43,7 @@ def spectral_decompose(chain: MarkovChain) -> HeatSystem:
         basis[:, 0] = -basis[:, 0]
     for a in (evals, basis):
         a.setflags(write=False)
-    return HeatSystem(chain=chain, eigenvalues=evals, basis=basis)
+    return HeatSystem(eigenvalues=evals, basis=basis)
 
 
 def lambda1(chain: MarkovChain) -> float:
@@ -52,49 +51,45 @@ def lambda1(chain: MarkovChain) -> float:
     return float(spectral_decompose(chain).eigenvalues[1])
 
 
-def heat_operator(sys: HeatSystem, t: float) -> np.ndarray:
+def _damped(chain: MarkovChain, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, exp(-lam t)): the chain's eigenbasis and the damping of each
+    mode at time t >= 0."""
+    if t < 0:
+        raise NegativeTime(f"heat semigroup needs t >= 0, got {t}")
+    spec = spectral_decompose(chain)
+    return spec.basis, np.exp(-spec.eigenvalues * t)
+
+
+def heat_operator(chain: MarkovChain, t: float) -> np.ndarray:
     """Matrix of P_t acting on functions (row x: P_t f(x))."""
-    if t < 0:
-        raise NegativeTime(f"heat semigroup needs t >= 0, got {t}")
-    phi = sys.basis
-    damp = np.exp(-sys.eigenvalues * t)
-    return (phi * damp) @ (phi.T * sys.chain.pi)
+    phi, damp = _damped(chain, t)
+    return (phi * damp) @ (phi.T * chain.pi)
 
 
-def heat_apply(sys: HeatSystem, t: float, f) -> np.ndarray:
+def heat_apply(chain: MarkovChain, t: float, f) -> np.ndarray:
     """P_t f."""
-    if t < 0:
-        raise NegativeTime(f"heat semigroup needs t >= 0, got {t}")
-    f = np.asarray(f, dtype=float)
-    coeff = sys.basis.T @ (sys.chain.pi * f)
-    return sys.basis @ (np.exp(-sys.eigenvalues * t) * coeff)
+    phi, damp = _damped(chain, t)
+    coeff = phi.T @ (chain.pi * np.asarray(f, dtype=float))
+    return phi @ (damp * coeff)
 
 
-def heat_kernel(sys: HeatSystem, t: float, x=None, y=None):
-    """Heat kernel p_t(x, y) = sum_k exp(-lam_k t) phi_k(x) phi_k(y).
+def heat_kernel(chain: MarkovChain, t: float) -> np.ndarray:
+    """Heat kernel matrix p_t(x, y) = sum_k exp(-lam_k t) phi_k(x) phi_k(y).
 
-    Symmetric; sums to one against pi in either argument.  Without x, y the
-    full matrix is returned.
+    Symmetric; sums to one against pi in either argument.
     """
-    if t < 0:
-        raise NegativeTime(f"heat semigroup needs t >= 0, got {t}")
-    phi = sys.basis
-    p = (phi * np.exp(-sys.eigenvalues * t)) @ phi.T
-    if x is None and y is None:
-        return p
-    ix = sys.chain.index(x)
-    iy = sys.chain.index(y)
-    return float(p[ix, iy])
+    phi, damp = _damped(chain, t)
+    return (phi * damp) @ phi.T
 
 
-def l1_distance_from_equilibrium(sys: HeatSystem, t: float) -> float:
+def l1_distance_from_equilibrium(chain: MarkovChain, t: float) -> float:
     """sum_{x,y} pi(x) pi(y) |p_t(x,y) - 1| (monotone nonincreasing in t)."""
-    p = heat_kernel(sys, t)
-    pi = sys.chain.pi
+    p = heat_kernel(chain, t)
+    pi = chain.pi
     return float(np.sum(np.abs(p - 1.0) * pi[:, None] * pi[None, :]))
 
 
-def avg_mixing_time(sys: HeatSystem, eps: float) -> float:
+def avg_mixing_time(chain: MarkovChain, eps: float) -> float:
     """First time the doubly pi-weighted L1 distance to equilibrium is <= eps.
 
     Bracketing by doubling followed by bisection to 1e-10 in t.  The
@@ -106,7 +101,7 @@ def avg_mixing_time(sys: HeatSystem, eps: float) -> float:
     trace: list[tuple[float, float]] = []
 
     def phi(t):
-        v = l1_distance_from_equilibrium(sys, t)
+        v = l1_distance_from_equilibrium(chain, t)
         trace.append((t, v))
         return v
 
@@ -186,9 +181,8 @@ def _gradient_estimate_parts(chain: MarkovChain, mean, k: float, dim: float,
     The aggregate is the unsigned sum of all constituent terms; it bounds
     the rounding noise of the two (possibly cancelling) sides.
     """
-    sys = spectral_decompose(chain)
-    rho_t = heat_apply(sys, t, rho)
-    f_t = heat_apply(sys, t, f)
+    rho_t = heat_apply(chain, t, rho)
+    f_t = heat_apply(chain, t, f)
     term1 = math.exp(-2.0 * k * t) * a_form(chain, mean, rho_t, f)
     term2 = a_form(chain, mean, rho, f_t)
     lf = laplacian(chain, f_t)
@@ -241,9 +235,8 @@ def _gradient_estimate_f_matrix(chain: MarkovChain, mean, k: float, dim: float,
 
     A negative eigenvalue of H exhibits a violating f for the given (rho, t).
     """
-    sys = spectral_decompose(chain)
-    pt = heat_operator(sys, t)
-    rho_t = heat_apply(sys, t, rho)
+    pt = heat_operator(chain, t)
+    rho_t = heat_apply(chain, t, rho)
     ex, ey, qe = chain.edges
     theta = get_mean(mean).value
 
@@ -379,9 +372,8 @@ def reverse_poincare_residual(chain: MarkovChain, mean, k: float, dim: float,
     """Normalized residual of
     <f^2, P_t rho>_pi - <(P_t f)^2, rho>_pi
         >= c1(K,t) A_rho(P_t f) + c2(K,dim,t) <rho, (Delta P_t f)^2>_pi."""
-    sys = spectral_decompose(chain)
-    rho_t = heat_apply(sys, t, rho)
-    f_t = heat_apply(sys, t, f)
+    rho_t = heat_apply(chain, t, rho)
+    f_t = heat_apply(chain, t, f)
     lhs = func_inner(chain, f * f, rho_t) - func_inner(chain, f_t * f_t, rho)
     lf = laplacian(chain, f_t)
     rhs = _rp_coeff1(k, t) * a_form(chain, mean, rho, f_t) \
@@ -425,7 +417,6 @@ def check_linf_gradient_bound(chain: MarkovChain, trials: int = 20,
     if curvature_status == "heuristic":
         warnings.warn("nonnegative curvature is heuristic for this chain/mean",
                       PreconditionHeuristic)
-    sys = spectral_decompose(chain)
     rng = np.random.default_rng(seed)
     q_min = chain.stats().q_min
     ex, ey, _ = chain.edges
@@ -435,7 +426,7 @@ def check_linf_gradient_bound(chain: MarkovChain, trials: int = 20,
     for _ in range(trials):
         f = rng.standard_normal(chain.n_states)
         for t in t_grid:
-            f_t = heat_apply(sys, t, f)
+            f_t = heat_apply(chain, t, f)
             lhs = float(np.abs(f_t[ey] - f_t[ex]).max()) if ex.size else 0.0
             rhs = float(np.abs(f).max()) / math.sqrt(t * q_min)
             r = (rhs - lhs) / max(abs(lhs) + abs(rhs), 1e-300)
@@ -450,7 +441,6 @@ def check_linf_gradient_bound(chain: MarkovChain, trials: int = 20,
 def check_heat_kernel_bound(chain: MarkovChain,
                             t_grid=(0.1, 0.5, 1.0, 2.0)) -> VerifyReport:
     """Off-diagonal kernel bound p_t(x,y) <= (1/pi(x)) t^r / r! for r = d(x,y)."""
-    sys = spectral_decompose(chain)
     dist = distance_matrix(chain)
     pi = chain.pi
     worst = math.inf
@@ -459,7 +449,7 @@ def check_heat_kernel_bound(chain: MarkovChain,
     fact = np.array([math.factorial(r) for r in range(int(dist.max()) + 1)],
                     dtype=float)
     for t in t_grid:
-        p = heat_kernel(sys, t)
+        p = heat_kernel(chain, t)
         bound = (float(t) ** dist) / fact[dist] / pi[:, None]
         resid = (bound - p) / np.maximum(np.abs(bound) + np.abs(p), 1e-300)
         i, j = np.unravel_index(np.argmin(resid), resid.shape)

@@ -311,11 +311,35 @@ def test_bad_input_exit2(tmp_path):
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("CURVKIT_SEED", "123")
+    # the environment is read on every call, not once per process
+    for seed in (123, 45):
+        monkeypatch.setenv("CURVKIT_SEED", str(seed))
+        code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:1",
+                            "--suite", "identities")
+        assert code == 0
+        assert doc["config"]["seed"] == seed
     code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:1",
-                        "--suite", "identities")
-    assert code == 0
-    assert doc["config"]["seed"] == 123
+                        "--suite", "identities", "--seed", "7")
+    assert doc["config"]["seed"] == 7
+
+
+def test_in_reads_a_gen_report(tmp_path, capsys):
+    cube = tmp_path / "cube.json"
+    assert main(["gen", "hypercube:3", "--out", str(cube)]) == 0
+    argv = ["curv-measure", "--mean", "logarithmic", "--n-grid", "inf,8,4"]
+    capsys.readouterr()
+    assert main(argv + ["--in", str(cube)]) == 0
+    from_report = capsys.readouterr().out
+    assert main(argv + ["--gen", "hypercube:3"]) == 0
+    assert from_report == capsys.readouterr().out
+
+
+def test_in_rejects_other_reports(tmp_path, capsys):
+    spectrum = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--gen", "cycle:4", "--out", str(spectrum)]) == 0
+    code, doc = run_cli(tmp_path, "spectrum", "--in", str(spectrum))
+    assert code == 2 and doc is None
+    assert "spectrum report" in capsys.readouterr().err
 
 
 def test_tsv_input(tmp_path):
@@ -368,7 +392,7 @@ def test_mixing_non_monotone_trace_exit3(tmp_path, monkeypatch):
 
     # the distance rises between t = 1 and t = 2
     monkeypatch.setattr(heat_mod, "l1_distance_from_equilibrium",
-                        lambda sys, t: math.exp(-t) + (0.5 if 2 <= t < 4 else 0.0))
+                        lambda ch, t: math.exp(-t) + (0.5 if 2 <= t < 4 else 0.0))
     code, doc = run_cli(tmp_path, "mixing", "--gen", "cycle:5", "--eps", "0.25")
     assert code == 3 and doc is None
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from curvkit import (EpsTooLarge, NegativeTime, NumericalFailure,
-                     avg_mixing_time, check_heat_kernel_bound,
+from curvkit import (EpsTooLarge, HeatSystem, NegativeTime,
+                     NumericalFailure, avg_mixing_time, check_heat_kernel_bound,
                      check_linf_gradient_bound, complete, cycle, equilibrium,
                      func_inner, heat_apply, heat_kernel, heat_operator,
                      hypercube,
@@ -61,59 +61,78 @@ def test_eigenbasis_orthonormal_and_eigen():
 # -- semigroup ---------------------------------------------------------------
 
 def test_time_zero_is_identity(hyp3):
-    sys = spectral_decompose(hyp3)
     f = np.random.default_rng(0).standard_normal(8)
-    assert heat_apply(sys, 0.0, f) == pytest.approx(f, abs=1e-12)
+    assert heat_apply(hyp3, 0.0, f) == pytest.approx(f, abs=1e-12)
 
 
 def test_negative_time_rejected(hyp2):
-    sys = spectral_decompose(hyp2)
     with pytest.raises(NegativeTime):
-        heat_apply(sys, -0.1, np.zeros(4))
+        heat_apply(hyp2, -0.1, np.zeros(4))
     with pytest.raises(NegativeTime):
-        heat_kernel(sys, -1.0)
+        heat_kernel(hyp2, -1.0)
+    with pytest.raises(NegativeTime):
+        heat_operator(hyp2, -0.5)
+    with pytest.raises(NegativeTime):
+        l1_distance_from_equilibrium(hyp2, -2.0)
+
+
+def test_semigroup_takes_the_chain_not_its_spectrum():
+    # spectral data is memoized on the chain, so no public function takes it
+    import dataclasses
+    import importlib
+    import inspect
+    import pkgutil
+
+    import curvkit
+
+    modules = [curvkit] + [importlib.import_module(f"curvkit.{m.name}")
+                           for m in pkgutil.iter_modules(curvkit.__path__)]
+    for mod in modules:
+        for name, fn in vars(mod).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                assert "HeatSystem" not in str(param.annotation), \
+                    f"{mod.__name__}.{name}({param.name})"
+    assert [f.name for f in dataclasses.fields(HeatSystem)] == ["eigenvalues",
+                                                                 "basis"]
 
 
 def test_two_state_kernel_closed_form(two_state):
-    sys = spectral_decompose(two_state)
     for t in (0.05, 0.3, 1.0, 4.0):
-        assert heat_kernel(sys, t, 0, 1) == pytest.approx(1 - math.exp(-2 * t),
-                                                          abs=1e-12)
-        assert heat_kernel(sys, t, 0, 0) == pytest.approx(1 + math.exp(-2 * t),
-                                                          abs=1e-12)
+        p = heat_kernel(two_state, t)
+        assert p[0, 1] == pytest.approx(1 - math.exp(-2 * t), abs=1e-12)
+        assert p[0, 0] == pytest.approx(1 + math.exp(-2 * t), abs=1e-12)
 
 
 def test_semigroup_property():
     ch = random_reversible_chain(6, 9)
-    sys = spectral_decompose(ch)
     rng = np.random.default_rng(1)
     for _ in range(5):
         f = rng.standard_normal(6)
         s, t = rng.uniform(0.01, 3.0, 2)
-        lhs = heat_apply(sys, s, heat_apply(sys, t, f))
-        assert lhs == pytest.approx(heat_apply(sys, s + t, f), abs=1e-11)
+        lhs = heat_apply(ch, s, heat_apply(ch, t, f))
+        assert lhs == pytest.approx(heat_apply(ch, s + t, f), abs=1e-11)
 
 
 def test_kernel_stochastic_symmetric_positive():
     ch = random_reversible_chain(7, 10)
-    sys = spectral_decompose(ch)
     for t in (0.1, 1.0, 5.0):
-        p = heat_kernel(sys, t)
+        p = heat_kernel(ch, t)
         assert p @ ch.pi == pytest.approx(np.ones(7), abs=1e-12)
         assert p == pytest.approx(p.T, abs=1e-11)
         assert p.min() >= -1e-12
         # matrix detailed balance of the operator P_t
-        pt = heat_operator(sys, t)
+        pt = heat_operator(ch, t)
         assert pt * ch.pi[:, None] == pytest.approx(pt.T * ch.pi[None, :],
                                                     abs=1e-12)
 
 
 def test_semigroup_preserves_density_mass():
     ch = cycle(6)
-    sys = spectral_decompose(ch)
     rho = positive_density(ch, 4)
     for t in (0.2, 2.0):
-        rho_t = heat_apply(sys, t, rho)
+        rho_t = heat_apply(ch, t, rho)
         assert func_inner(ch, rho_t, np.ones(6)) == pytest.approx(1.0, abs=1e-12)
         assert rho_t.min() > 0
 
@@ -122,51 +141,46 @@ def test_semigroup_preserves_density_mass():
 
 def test_two_state_mixing_closed_form(two_state):
     # distance from equilibrium is exactly exp(-2t)
-    sys = spectral_decompose(two_state)
     for t in (0.1, 0.7):
-        assert l1_distance_from_equilibrium(sys, t) == pytest.approx(
+        assert l1_distance_from_equilibrium(two_state, t) == pytest.approx(
             math.exp(-2 * t), abs=1e-12)
-    tau = avg_mixing_time(sys, 0.25)
+    tau = avg_mixing_time(two_state, 0.25)
     assert tau == pytest.approx(math.log(4) / 2, abs=1e-9)
 
 
 def test_mixing_monotone_in_eps(hyp3):
-    sys = spectral_decompose(hyp3)
-    assert avg_mixing_time(sys, 1 / 8) >= avg_mixing_time(sys, 1 / 4)
+    assert avg_mixing_time(hyp3, 1 / 8) >= avg_mixing_time(hyp3, 1 / 4)
 
 
 def test_mixing_grid_scan_cross_check(hyp3):
-    sys = spectral_decompose(hyp3)
-    tau = avg_mixing_time(sys, 0.25)
+    tau = avg_mixing_time(hyp3, 0.25)
     # zooming grid scan as an independent root locator
     lo, hi = 0.0, 2 * tau + 1.0
     for _ in range(8):
         grid = np.linspace(lo, hi, 100)
-        vals = np.array([l1_distance_from_equilibrium(sys, t) for t in grid])
+        vals = np.array([l1_distance_from_equilibrium(hyp3, t) for t in grid])
         idx = int(np.argmax(vals <= 0.25))
         lo, hi = grid[idx - 1], grid[idx]
     assert tau == pytest.approx(0.5 * (lo + hi), abs=1e-6)
 
 
 def test_mixing_eps_too_large(two_state):
-    sys = spectral_decompose(two_state)
     with pytest.raises(EpsTooLarge):
-        avg_mixing_time(sys, 1.5)       # distance at 0 is 1 <= 1.5
+        avg_mixing_time(two_state, 1.5)       # distance at 0 is 1 <= 1.5
 
 
 def test_mixing_non_monotone_trace_is_numerical_failure(two_state, monkeypatch):
     import curvkit.heat as heat_mod
 
     monkeypatch.setattr(heat_mod, "l1_distance_from_equilibrium",
-                        lambda sys, t: np.exp(-t) + (0.5 if 2 <= t < 4 else 0.0))
+                        lambda ch, t: np.exp(-t) + (0.5 if 2 <= t < 4 else 0.0))
     with pytest.raises(NumericalFailure, match="not monotone"):
-        avg_mixing_time(spectral_decompose(two_state), 0.25)
+        avg_mixing_time(two_state, 0.25)
 
 
 def test_l1_contraction(hyp2):
-    sys = spectral_decompose(hyp2)
     ts = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0]
-    vals = [l1_distance_from_equilibrium(sys, t) for t in ts]
+    vals = [l1_distance_from_equilibrium(hyp2, t) for t in ts]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -192,10 +206,9 @@ def test_gradient_estimate_holds_at_valid_curvature():
 
 
 def test_gradient_estimate_t_zero_trivial(hyp2):
-    sys = spectral_decompose(hyp2)
     rho = positive_density(hyp2, 1)
     f = np.random.default_rng(2).standard_normal(4)
-    rho_0 = heat_apply(sys, 0.0, rho)
+    rho_0 = heat_apply(hyp2, 0.0, rho)
     from curvkit import a_form
     lhs = a_form(hyp2, "logarithmic", rho_0, f) - a_form(hyp2, "logarithmic", rho, f)
     assert lhs == pytest.approx(0.0, abs=1e-12)
@@ -256,12 +269,11 @@ def test_rp_coeff_limits():
 def test_reverse_poincare_two_state_closed_form(two_state):
     # rho = 1, f = (0,1): lhs = (1 - e^{-4t})/4 and A(P_t f) = e^{-4t}/2,
     # equality at K = 2, infinite dimension
-    sys = spectral_decompose(two_state)
     t = 1.0
     rho = equilibrium(two_state)
     f = np.array([0.0, 1.0])
-    f_t = heat_apply(sys, t, f)
-    lhs = func_inner(two_state, f * f, heat_apply(sys, t, rho)) \
+    f_t = heat_apply(two_state, t, f)
+    lhs = func_inner(two_state, f * f, heat_apply(two_state, t, rho)) \
         - func_inner(two_state, f_t * f_t, rho)
     assert lhs == pytest.approx((1 - math.exp(-4 * t)) / 4, abs=1e-12)
     from curvkit import a_form
@@ -307,17 +319,15 @@ def test_linf_gradient_bound_heuristic_warns(hyp2):
 
 
 def test_linf_constant_function_trivial(hyp2):
-    sys = spectral_decompose(hyp2)
-    f_t = heat_apply(sys, 1.0, np.full(4, 3.0))
+    f_t = heat_apply(hyp2, 1.0, np.full(4, 3.0))
     ex, ey, _ = hyp2.edges
     assert np.abs(f_t[ey] - f_t[ex]).max() == pytest.approx(0.0, abs=1e-13)
 
 
 def test_linf_large_time_spectral_decay(hyp2):
-    sys = spectral_decompose(hyp2)
     f = np.random.default_rng(3).standard_normal(4)
     t = 20.0
-    f_t = heat_apply(sys, t, f)
+    f_t = heat_apply(hyp2, t, f)
     ex, ey, _ = hyp2.edges
     lhs = np.abs(f_t[ey] - f_t[ex]).max()
     assert lhs <= 10 * np.abs(f).max() * math.exp(-t)       # lambda1 = 1
@@ -327,9 +337,8 @@ def test_linf_large_time_spectral_decay(hyp2):
 # -- heat kernel bound --------------------------------------------------------
 
 def test_heat_kernel_bound_two_state(two_state):
-    sys = spectral_decompose(two_state)
     t = 0.1
-    p_ab = heat_kernel(sys, t, 0, 1)
+    p_ab = heat_kernel(two_state, t)[0, 1]
     assert p_ab == pytest.approx(1 - math.exp(-0.2), abs=1e-12)
     assert p_ab <= 2 * t                  # (1/pi(a)) t^1 / 1!
     rep = check_heat_kernel_bound(two_state, (0.1, 1.0))
@@ -338,9 +347,8 @@ def test_heat_kernel_bound_two_state(two_state):
 
 def test_heat_kernel_bound_cycle8_antipodal():
     ch = cycle(8)
-    sys = spectral_decompose(ch)
     t = 0.5
-    p = heat_kernel(sys, t, 0, 4)        # distance 4
+    p = heat_kernel(ch, t)[0, 4]        # distance 4
     assert p <= (1 / ch.pi[0]) * t ** 4 / math.factorial(4) + 1e-12
     rep = check_heat_kernel_bound(ch, (0.25, 0.5, 1.0, 3.0))
     assert rep.violations == 0
@@ -349,6 +357,5 @@ def test_heat_kernel_bound_cycle8_antipodal():
 def test_heat_kernel_bound_various_chains():
     for ch in (hypercube(3), complete(4), path(5),
                random_reversible_chain(6, 77)):
-        sys = spectral_decompose(ch)
         rep = check_heat_kernel_bound(ch, (0.1, 0.6, 2.0))
         assert rep.violations == 0

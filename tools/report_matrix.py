@@ -14,8 +14,8 @@ scratch directory that is also the working directory:
     curv-entropic, a chain too large for the exact Cheeger enumeration, an
     unknown generator, a verify run whose exact preconditions fail, a
     weighted edge list (one state first seen in the second column) under
-    the geometric mean, and the full forms of a Dirac density over a
-    dimension grid.
+    the geometric mean, the full forms of a Dirac density over a dimension
+    grid, and a Dirac density evolved by the heat semigroup.
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -87,7 +87,8 @@ def edge_commands(work: str) -> list[list[str]]:
             ["curv-measure", "--in", tsv, "--mean", "geometric",
              "--rho", "uniform", "--n", "4"],
             ["curv-measure", "--gen", "path:5", "--rho", "dirac:2",
-             "--n-grid", "inf,6"]]
+             "--n-grid", "inf,6"],
+            ["heat", "--gen", "cycle:6", "--t-grid", "0.1,1", "--rho", "dirac:0"]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
