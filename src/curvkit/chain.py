@@ -36,16 +36,17 @@ class ChainStats:
 
 
 def derived(fn):
-    """Memoize ``fn(chain)`` in the chain's memo dict, so it is computed once
-    per chain and freed with it.  Threads racing on a missing entry may both
-    compute it; ``setdefault`` keeps one result, which every caller shares
-    and must not write to."""
+    """Memoize ``fn(chain, *args)`` in the chain's memo dict under the key
+    ``(fn, *args)``: computed once per chain and argument, freed with the
+    chain.  Threads racing on a missing entry may both compute it;
+    ``setdefault`` keeps one result, which every caller shares read-only."""
     @functools.wraps(fn)
-    def memoized(chain):
+    def memoized(chain, *args):
+        key = (fn, *args)
         try:
-            return chain._derived[fn]
+            return chain._derived[key]
         except KeyError:
-            return chain._derived.setdefault(fn, fn(chain))
+            return chain._derived.setdefault(key, fn(chain, *args))
     return memoized
 
 
@@ -54,10 +55,10 @@ class MarkovChain:
 
     Immutable after construction; its arrays must not be written to.
     Quantities derived from the chain (degree statistics, graph distances,
-    spectrum, Cheeger constant, intrinsic diameter, mixing time) are
-    computed on first use by functions decorated with `derived` and kept in
-    one memo dict on the chain, so no quantity is computed twice per chain
-    and callers never pass them around.  Safe for concurrent shared reads.
+    spectrum, Cheeger constant, intrinsic diameter, mixing times, vertex
+    curvatures, optimal-set forms) are computed on first use by `derived`
+    functions into one memo dict on the chain, so callers never pass them
+    around.  Safe for concurrent shared reads.
     """
 
     def __init__(self, q: np.ndarray, pi: np.ndarray | None = None,
@@ -337,8 +338,11 @@ def chain_from_json(doc) -> MarkovChain:
     """Build a chain from a JSON document (dict or JSON text)."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
-    if "Q" not in doc:
-        raise InvalidParameters('chain JSON must contain a "Q" matrix')
+    if not isinstance(doc, dict) or "Q" not in doc:
+        raise InvalidParameters('chain JSON must be an object with a "Q" matrix')
+    for key in ("Q", "states", "pi"):
+        if doc.get(key) is not None and not isinstance(doc[key], list):
+            raise InvalidParameters(f'chain JSON "{key}" must be a list')
     states = doc.get("states")
     if states is not None:
         states = [str(s) for s in states]

@@ -31,7 +31,7 @@ from . import heat as heat_mod
 from . import optimal as opt
 from .gamma import (a_form, b_form, dirac, equilibrium, func_inner,
                     check_geometric_green, gamma2_rho, gamma_rho)
-from .errors import CurvkitError, NumericalFailure, TooLarge
+from .errors import CurvkitError, InvalidParameters, NumericalFailure, TooLarge
 from .means import BUILTIN_MEANS
 
 SCHEMA = "curvkit-report/1"
@@ -54,11 +54,16 @@ def _load_chain(args) -> chain_mod.MarkovChain:
         return chain_mod.chain_from_edgelist(text)
     doc = json.loads(text)
     if isinstance(doc, dict) and doc.get("schema") == SCHEMA:
-        command = doc.get("config", {}).get("command")
+        config, results = doc.get("config"), doc.get("results")
+        if not isinstance(config, dict):
+            raise InvalidParameters('the report has no "config" object')
+        command = config.get("command")
         if command != "gen":
             raise CurvkitError(f"--in takes a chain or a gen report, not a "
                                f"{command} report")
-        doc = doc["results"]["chain"]
+        if not isinstance(results, dict) or "chain" not in results:
+            raise InvalidParameters("the gen report has no results.chain")
+        doc = results["chain"]
     return chain_mod.chain_from_json(doc)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .chain import MarkovChain
+from .chain import MarkovChain, derived
 from .errors import DomainError, NumericalFailure
 from .gamma import _dirac_ball_forms, assemble_forms, cd_quadratic_grad
 from .heat import lambda1
@@ -233,16 +233,21 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim,
     return res
 
 
+@derived
+def _vertex_curvatures(chain: MarkovChain, dim: float) -> np.ndarray:
+    """Vertex curvature of every state at dimension dim, from the pencil."""
+    curv = np.array([bakry_emery_vertex(chain, state, dim, confirm=False).value
+                     for state in chain.states])
+    curv.setflags(write=False)
+    return curv
+
+
 def bakry_emery_global(chain: MarkovChain, dim) -> tuple[float, str]:
-    """Global curvature: minimum of the vertex curvatures (arithmetic mean),
-    each from the pencil alone."""
-    best = POS_INFINITY
-    best_state = chain.states[0]
-    for state in chain.states:
-        k = bakry_emery_vertex(chain, state, dim, confirm=False).value
-        if k < best:
-            best, best_state = k, state
-    return best, best_state
+    """Global curvature: minimum of the vertex curvatures (arithmetic mean)
+    and the first state that attains it."""
+    curv = _vertex_curvatures(chain, float(dim))
+    best = int(np.argmin(curv))
+    return float(curv[best]), chain.states[best]
 
 
 def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.ndarray]:

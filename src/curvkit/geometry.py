@@ -364,12 +364,6 @@ def check_diameter_bound_finite_n(chain: MarkovChain, mean_kind: str, k: float,
     ]
 
 
-@derived
-def _tau_quarter(chain: MarkovChain) -> float:
-    """Average mixing time tau(1/4)."""
-    return avg_mixing_time(chain, 0.25)
-
-
 def _r0(chain: MarkovChain):
     """(preconditions, R0) of the bounds that need pi_max < 1/4 and
     q_min < 1; R0 = log(4 pi_max)/log(q_min), None when either fails."""
@@ -390,7 +384,7 @@ def check_tau_lower_bound(chain: MarkovChain) -> InequalityReport:
         nan = float("nan")
         return _report("tau_avg_lower_bound", nan, nan, pre, {})
     bound = (st.pi_min / (8.0 * st.pi_max)) ** (1.0 / r0) * (st.q_min / math.e) * r0
-    tau = _tau_quarter(chain)
+    tau = avg_mixing_time(chain, 0.25)
     return _report("tau_avg_lower_bound", bound, tau, pre,
                    {"r0": r0, "tau_avg_quarter": tau})
 
@@ -413,7 +407,7 @@ def check_lambda_tau(chain: MarkovChain,
     entropic curvature."""
     pre = [("entropic_curvature_nonnegative", curvature_status)]
     lamval = lambda1(chain)
-    tauval = _tau_quarter(chain)
+    tauval = avg_mixing_time(chain, 0.25)
     q_min = chain.stats().q_min
     rhs = 256.0 * math.log(2.0) / (q_min * q_min)
     return _report("lambda1_tau_avg", lamval * tauval, rhs, pre,

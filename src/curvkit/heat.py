@@ -89,6 +89,7 @@ def l1_distance_from_equilibrium(chain: MarkovChain, t: float) -> float:
     return float(np.sum(np.abs(p - 1.0) * pi[:, None] * pi[None, :]))
 
 
+@derived
 def avg_mixing_time(chain: MarkovChain, eps: float) -> float:
     """First time the doubly pi-weighted L1 distance to equilibrium is <= eps.
 

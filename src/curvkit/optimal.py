@@ -15,8 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .chain import MarkovChain, distance_matrix
-from .curvature import solve_pencil
+from .chain import MarkovChain, derived, distance_matrix
+from .curvature import _vertex_curvatures
 from .errors import InvalidParameters, TooLarge
 from .gamma import _dirac_ball_forms
 
@@ -46,44 +46,40 @@ class OptimalComplex:
     zero_cells: tuple[str, ...]      # minimal-curvature vertices
 
 
-class _PointwiseForms:
-    """Per-vertex matrices of the pointwise curvature forms at the global K."""
-
-    def __init__(self, chain: MarkovChain, dim):
-        self.chain = chain
-        self.dim = float(dim)
-        size = chain.n_states
-        balls = [_dirac_ball_forms(chain, s, dim) for s in chain.states]
-        self.vertex_curv = np.array([solve_pencil(m, n, confirm=False).value
-                                     for _, m, n in balls])
-        self.k_global = float(self.vertex_curv.min())
-        self.form_scale = max(
-            float(np.abs(m).max() + abs(self.k_global) * np.abs(n).max())
-            for _, m, n in balls)
-        self.q_mats = []
-        self.gamma_mats = []                   # f' n f = Gamma f(x)
-        for ball, m, n in balls:
-            block = np.ix_(ball, ball)
-            q_mat, gamma_mat = np.zeros((size, size)), np.zeros((size, size))
-            q_mat[block] = m - self.k_global * n
-            gamma_mat[block] = n
-            self.q_mats.append(q_mat)
-            self.gamma_mats.append(gamma_mat)
-
-    def zero_cells(self):
-        tol = X0_REL_TOL * max(1.0, abs(self.k_global))
-        return tuple(s for s, k in zip(self.chain.states, self.vertex_curv)
-                     if k - self.k_global <= tol)
+@derived
+def _pointwise_forms(chain: MarkovChain, dim: float):
+    """(forms, form_scale) at the global K.  forms[x] holds, for B = B2(x):
+    B, the flat positions of B x B in an n x n matrix, q_x = m_x - K n_x on
+    B x B (flattened) and n_x on B x B (f' n_x f = Gamma f(x)).  Both forms
+    vanish off B x B."""
+    k = float(_vertex_curvatures(chain, dim).min())
+    size = chain.n_states
+    forms, form_scale = [], 0.0
+    for state in chain.states:
+        ball, m, n = _dirac_ball_forms(chain, state, dim)
+        forms.append((ball, (ball[:, None] * size + ball).ravel(), (m - k * n).ravel(), n))
+        for a in forms[-1]:
+            a.setflags(write=False)
+        form_scale = max(form_scale, float(np.abs(m).max() + abs(k) * np.abs(n).max()))
+    return forms, form_scale
 
 
-def _kernel_basis(mats: list[np.ndarray], form_scale: float) -> np.ndarray:
-    total = np.sum(mats, axis=0)
+def _summed_q(size: int, forms: list) -> np.ndarray:
+    """Sum of the q_x of the given forms, as an n x n matrix."""
+    return np.bincount(np.concatenate([pos for _, pos, _, _ in forms]),
+                       np.concatenate([q for _, _, q, _ in forms]),
+                       minlength=size * size).reshape(size, size)
+
+
+def _kernel_basis(size: int, forms: list, form_scale: float) -> np.ndarray:
+    """Null space of the sum of the q_x of the given forms, as columns."""
+    total = _summed_q(size, forms)
     total = 0.5 * (total + total.T)
     evals, vecs = np.linalg.eigh(total)
     # the absolute term covers forms that cancel to rounding noise
     # (the summed matrix can be numerically zero on sharp chains)
     cutoff = KERNEL_REL_TOL * float(np.abs(evals).max()) \
-        + 1e-12 * form_scale * len(mats)
+        + 1e-12 * form_scale * len(forms)
     return vecs[:, evals <= cutoff]
 
 
@@ -115,22 +111,22 @@ def _positive_combination(grams: list[np.ndarray], basis: np.ndarray,
 
 
 def is_optimal_set(chain: MarkovChain, states, dim,
-                   forms: _PointwiseForms | None = None,
                    seed: int = 0) -> OptimalityCertificate:
     """Decide optimality of a vertex set at dimension dim (arithmetic mean)."""
     idx = [chain.index(s) for s in states]
     if not idx:
         raise InvalidParameters("the empty set has no optimality certificate")
-    if forms is None:
-        forms = _PointwiseForms(chain, dim)
-    basis = _kernel_basis([forms.q_mats[i] for i in idx], forms.form_scale)
+    forms, form_scale = _pointwise_forms(chain, float(dim))
+    basis = _kernel_basis(chain.n_states, [forms[i] for i in idx], form_scale)
     kernel_dim = basis.shape[1]
     if kernel_dim == 0:
         return OptimalityCertificate(False, None, 0, chain.states[idx[0]])
     grams = []
     for i in idx:
-        g = basis.T @ forms.gamma_mats[i] @ basis
-        if np.abs(g).max() <= GRAM_REL_TOL * max(1.0, float(np.abs(forms.gamma_mats[i]).max())):
+        ball, _, _, n = forms[i]
+        on_ball = basis.take(ball, axis=0)    # faster than basis[ball] here
+        g = on_ball.T @ n @ on_ball
+        if np.abs(g).max() <= GRAM_REL_TOL * max(1.0, float(np.abs(n).max())):
             # Gamma vanishes identically on the kernel at this vertex
             return OptimalityCertificate(False, None, kernel_dim, chain.states[i])
         grams.append(0.5 * (g + g.T))
@@ -149,15 +145,17 @@ def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
     if chain.n_states > OPTIMAL_MAX_STATES:
         raise TooLarge(
             f"optimal-set enumeration capped at {OPTIMAL_MAX_STATES} states")
-    forms = _PointwiseForms(chain, dim)
-    x0 = forms.zero_cells()
+    curv = _vertex_curvatures(chain, float(dim))
+    k_global = float(curv.min())
+    tol = X0_REL_TOL * max(1.0, abs(k_global))
+    x0 = tuple(s for s, k in zip(chain.states, curv) if k - k_global <= tol)
     facets: list[frozenset] = []
     for size in range(len(x0), 0, -1):
         for combo in combinations(x0, size):
             cand = frozenset(combo)
             if any(cand <= f for f in facets):
                 continue
-            if is_optimal_set(chain, combo, dim, forms=forms).is_optimal:
+            if is_optimal_set(chain, combo, dim).is_optimal:
                 facets.append(cand)
     facet_tuples = sorted(tuple(sorted(f, key=chain.index)) for f in facets)
     dimension = max((len(f) - 1 for f in facet_tuples), default=-1)

@@ -342,6 +342,24 @@ def test_in_rejects_other_reports(tmp_path, capsys):
     assert "spectrum report" in capsys.readouterr().err
 
 
+_Q2 = [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("doc", [
+    ["Q"],
+    {"Q": _Q2, "states": 3},
+    {"Q": _Q2, "pi": {"a": 1}},
+    {"schema": "curvkit-report/1", "config": [], "results": {}},
+    {"schema": "curvkit-report/1", "config": {"command": "gen"}, "results": {}},
+], ids=["list", "states-int", "pi-object", "config-list", "gen-no-chain"])
+def test_malformed_in_document_is_bad_input(tmp_path, capsys, doc):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(tmp_path, "spectrum", "--in", str(path))
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_tsv_input(tmp_path):
     tsv = tmp_path / "chain.tsv"
     tsv.write_text("a\tb\t1.0\nb\tc\t1.0\n")

@@ -289,7 +289,7 @@ def test_vertex_solve_operation_counts(monkeypatch):
     import importlib
 
     import curvkit.curvature as cmod
-    from curvkit.optimal import _PointwiseForms
+    from curvkit.optimal import _pointwise_forms
 
     gmod = importlib.import_module("curvkit.gamma")   # curvkit.gamma is also a function
 
@@ -301,7 +301,7 @@ def test_vertex_solve_operation_counts(monkeypatch):
     small = 0
     for ch in _ball_pool():
         bakry_emery_global(ch, 4.0)
-        _PointwiseForms(ch, INF)
+        _pointwise_forms(ch, INF)
         for x in range(ch.n_states):
             res = bakry_emery_vertex(ch, x, INF, confirm=True)
             if abs(res.value) <= 1.0:

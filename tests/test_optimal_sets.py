@@ -10,6 +10,8 @@ from curvkit import (ARITHMETIC, TooLarge, bakry_emery_global,
                      is_optimal_set, lichnerowicz_check, optimal_complex,
                      path)
 
+from test_curvature import _ball_pool
+
 INF = np.inf
 
 
@@ -175,3 +177,49 @@ def test_non_optimal_measure_with_minimal_curvature():
 def test_enumeration_guard():
     with pytest.raises(TooLarge):
         optimal_complex(cycle(30), INF)
+
+
+def test_vertex_curvatures_computed_once_per_chain_and_dimension(monkeypatch):
+    import curvkit.curvature as cmod
+
+    real = cmod.bakry_emery_vertex
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cmod, "bakry_emery_vertex", counted)
+    ch = cycle(8)
+    first = bakry_emery_global(ch, INF)
+    assert bakry_emery_global(ch, INF) == first
+    assert optimal_complex(ch, INF).zero_cells == ch.states
+    assert len(calls) == ch.n_states
+    bakry_emery_global(ch, 4)
+    bakry_emery_global(ch, 4.0)
+    assert len(calls) == 2 * ch.n_states
+    assert cmod._vertex_curvatures(ch, 4) is cmod._vertex_curvatures(ch, 4.0)
+
+
+def test_is_optimal_set_takes_no_forms():
+    import inspect
+
+    assert "forms" not in inspect.signature(is_optimal_set).parameters
+
+
+def test_summed_form_equals_padded_sum_bitwise():
+    from curvkit.optimal import _pointwise_forms, _summed_q
+
+    rng = np.random.default_rng(0)
+    for ch in _ball_pool():
+        size = ch.n_states
+        forms, _ = _pointwise_forms(ch, INF)
+        padded = []
+        for ball, _, q, _ in forms:
+            mat = np.zeros((size, size))
+            mat[np.ix_(ball, ball)] = q.reshape(len(ball), len(ball))
+            padded.append(mat)
+        for _ in range(8):
+            idx = rng.permutation(size)[:rng.integers(1, size + 1)]
+            summed = _summed_q(size, [forms[i] for i in idx])
+            assert np.array_equal(summed, np.sum([padded[i] for i in idx], axis=0))

@@ -15,7 +15,8 @@ scratch directory that is also the working directory:
     unknown generator, a verify run whose exact preconditions fail, a
     weighted edge list (one state first seen in the second column) under
     the geometric mean, the full forms of a Dirac density over a dimension
-    grid, and a Dirac density evolved by the heat semigroup.
+    grid, a Dirac density evolved by the heat semigroup, and optimal sets
+    at a finite dimension on chains whose 2-balls miss some states.
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -88,7 +89,9 @@ def edge_commands(work: str) -> list[list[str]]:
              "--rho", "uniform", "--n", "4"],
             ["curv-measure", "--gen", "path:5", "--rho", "dirac:2",
              "--n-grid", "inf,6"],
-            ["heat", "--gen", "cycle:6", "--t-grid", "0.1,1", "--rho", "dirac:0"]]
+            ["heat", "--gen", "cycle:6", "--t-grid", "0.1,1", "--rho", "dirac:0"],
+            ["optimal-sets", "--gen", "hypercube:3", "--n", "4"],
+            ["optimal-sets", "--gen", "random-regular:3:12:2", "--n", "4"]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
