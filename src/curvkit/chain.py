@@ -346,7 +346,34 @@ def chain_from_json(doc) -> MarkovChain:
     states = doc.get("states")
     if states is not None:
         states = [str(s) for s in states]
-    return build_chain(doc["Q"], pi=doc.get("pi"), states=states)
+    pi = doc.get("pi")
+    return build_chain(_float_array("Q", doc["Q"]),
+                       pi=None if pi is None else _float_array("pi", pi),
+                       states=states)
+
+
+def _float_array(key: str, values: list) -> np.ndarray:
+    """The chain JSON list ``key`` as a float array; an entry that float()
+    rejects raises InvalidParameters naming it."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        for name, value in _json_leaves(f'"{key}"', values):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise InvalidParameters(
+                    f"chain JSON {name} = {value!r} is not a number") from None
+        raise
+
+
+def _json_leaves(name: str, value):
+    """(name, entry) for every entry of a nested JSON list, in order."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_leaves(f"{name}[{i}]", item)
+    else:
+        yield name, value
 
 
 def chain_from_edgelist(text: str) -> MarkovChain:

@@ -94,7 +94,12 @@ def _parse_rho(chain, spec: str) -> np.ndarray:
         raise CurvkitError("rho JSON must map state ids to values")
     rho = np.zeros(chain.n_states)
     for state, value in doc.items():
-        rho[chain.index(state)] = float(value)
+        i = chain.index(state)
+        try:
+            rho[i] = float(value)
+        except (TypeError, ValueError):
+            raise InvalidParameters(
+                f"rho[{state!r}] = {value!r} is not a number") from None
     return rho
 
 
@@ -253,7 +258,11 @@ def _cmd_mixing(chain, args):
 def _cmd_dgamma(chain, args):
     results = {}
     if args.pair:
-        u, v = args.pair.split(",")
+        pair = args.pair.split(",")
+        if len(pair) != 2:
+            raise InvalidParameters(
+                f"--pair takes two states X,Y, got {args.pair!r}")
+        u, v = pair
         results["d_gamma"] = geo.d_gamma(chain, u, v)
     else:
         results["diam_gamma"] = geo.diam_gamma(chain)

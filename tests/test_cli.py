@@ -360,6 +360,33 @@ def test_malformed_in_document_is_bad_input(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("doc, entry", [
+    ({"Q": [[{}]]}, '"Q"[0][0] = {}'),
+    ({"Q": _Q2, "pi": [{}, 1]}, '"pi"[0] = {}'),
+], ids=["q-object-entry", "pi-object-entry"])
+def test_non_numeric_chain_entry_is_bad_input(tmp_path, capsys, doc, entry):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(tmp_path, "spectrum", "--in", str(path))
+    assert code == 2 and report is None
+    assert f"chain JSON {entry} is not a number" in capsys.readouterr().err
+
+
+def test_non_numeric_rho_entry_is_bad_input(tmp_path, capsys):
+    code, report = run_cli(tmp_path, "curv-measure", "--gen", "cycle:4",
+                           "--rho", '{"0": [1]}')
+    assert code == 2 and report is None
+    assert "rho['0'] = [1] is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["00", "00,11,01"])
+def test_dgamma_pair_takes_two_states(tmp_path, capsys, pair):
+    code, report = run_cli(tmp_path, "dgamma", "--gen", "hypercube:2",
+                           "--pair", pair)
+    assert code == 2 and report is None
+    assert "--pair takes two states X,Y" in capsys.readouterr().err
+
+
 def test_tsv_input(tmp_path):
     tsv = tmp_path / "chain.tsv"
     tsv.write_text("a\tb\t1.0\nb\tc\t1.0\n")

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from curvkit import (PreconditionHeuristic, TooLarge, bakry_emery_global,
-                     cheeger, check_buser, check_cheeger_l1,
+                     build_chain, cheeger, check_buser, check_cheeger_l1,
                      check_diameter_bound_ent, check_diameter_bound_finite_n,
                      check_expander_bounds, check_lambda_tau,
                      check_tau_lower_bound, complete, cycle, d_gamma,
                      diam_combinatorial, diam_gamma, distance_matrix,
-                     hypercube, path, random_regular)
-from curvkit.geometry import cut_weight
+                     generate, hypercube, path, random_regular)
+from curvkit import geometry
+from curvkit.geometry import _d_gamma_upper, cut_weight
 
-from conftest import cheeger_gray, random_reversible_chain
+from conftest import cheeger_gray, random_reversible_chain, small_chain_pool
 
 
 # -- intrinsic metric ---------------------------------------------------------
@@ -82,6 +83,89 @@ def test_diameters(two_state):
     assert diam_gamma(two_state) == pytest.approx(math.sqrt(2), abs=1e-8)
     assert diam_combinatorial(hypercube(2)) == 2
     assert diam_combinatorial(cycle(6)) == 3
+
+
+def _lazy_chain():
+    ch = cycle(6)
+    return build_chain(0.6 * np.eye(6) + 0.4 * ch.q, pi=ch.pi)
+
+
+def _weighted_chain():
+    """Weighted walk with non-uniform pi."""
+    return random_reversible_chain(9, 21)
+
+
+def _pair_values(ch):
+    n = ch.n_states
+    return {(i, j): d_gamma(ch, i, j) for i in range(n) for j in range(i + 1, n)}
+
+
+def test_diam_gamma_pruning_is_the_exhaustive_maximum(monkeypatch):
+    # every skipped pair has a bound below a value already solved, so the
+    # pruned maximum is the exhaustive one bit for bit; diam_gamma replays
+    # the exhaustive solves, so each pair is solved once
+    pool = small_chain_pool() + [_lazy_chain(), _weighted_chain()]
+    pool += [random_regular(3, 16, seed=s) for s in (1, 2, 3)]
+    values = {}
+    monkeypatch.setattr(geometry, "d_gamma", lambda ch, i, j: values[i, j])
+    for ch in pool:
+        values = _pair_values(ch)
+        assert diam_gamma(ch) == max(values.values())
+
+
+@pytest.mark.parametrize("ch", [cycle(6), path(5), complete(4), hypercube(3),
+                                _weighted_chain()])
+def test_edge_length_bound_dominates_d_gamma(ch):
+    upper = _d_gamma_upper(ch)
+    for (i, j), value in _pair_values(ch).items():
+        assert value <= upper[i, j]
+
+
+def test_edge_length_bound_is_attained_on_path3():
+    # each end state has Q = 1 to the middle, so Gamma f <= 1 there caps its
+    # edge at sqrt 2, and Gamma f(middle) = 1 at the two capped increments
+    ch = path(3)
+    assert _d_gamma_upper(ch)[0, 2] == pytest.approx(2 * math.sqrt(2), rel=1e-15)
+    assert d_gamma(ch, 0, 2) == pytest.approx(2 * math.sqrt(2), rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, solved, diam", [
+    ("cycle:12", 18, 6 * math.sqrt(2)),
+    ("hypercube:4", 88, 4 * math.sqrt(2)),
+], ids=["cycle:12", "hypercube:4"])
+def test_diam_gamma_solves_only_unpruned_pairs(monkeypatch, spec, solved, diam):
+    # hypercube:4 solves its 8 + 32 + 48 pairs at Hamming distance 4, 3 and
+    # 2, whose bounds 4, 3 and 2 times sqrt 8 are not below the diameter
+    # 4 sqrt 2; the 32 neighbour pairs (bound sqrt 8) are skipped
+    calls = []
+
+    def counted(chain, x, y):
+        calls.append((x, y))
+        return d_gamma(chain, x, y)
+
+    monkeypatch.setattr(geometry, "d_gamma", counted)
+    ch = generate(spec)
+    assert diam_gamma(ch) == pytest.approx(diam, rel=1e-8)
+    n = ch.n_states
+    assert len(calls) == solved < n * (n - 1) // 2
+
+
+def test_diam_gamma_solves_pairs_whose_bound_ties_the_best(monkeypatch):
+    # a barrier solve stops short of its bound (Q^4's diameter reads 1.6e-10
+    # below the Hamming-2 bound 2 sqrt 8), so real solves do not tie here;
+    # fed the bound itself, the 8 antipodal pairs tie at 4 sqrt 8 and the
+    # strict skip solves every one of them
+    ch = hypercube(4)
+    upper = _d_gamma_upper(ch)
+    calls = []
+
+    def tight(chain, x, y):
+        calls.append((x, y))
+        return float(upper[x, y])
+
+    monkeypatch.setattr(geometry, "d_gamma", tight)
+    assert diam_gamma(ch) == upper.max()
+    assert len(calls) == 8
 
 
 # -- Cheeger ------------------------------------------------------------------

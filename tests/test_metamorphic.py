@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curvkit import (ARITHMETIC, LOGARITHMIC, avg_mixing_time,
+from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, avg_mixing_time,
                      bakry_emery_global, bakry_emery_vertex, build_chain,
                      cheeger, curvature_grad_rho, curvature_of_measure,
                      diam_gamma, generate, lambda1)
@@ -44,6 +44,21 @@ def test_lazification_scales_derived_quantities(spec, a):
         k, _ = bakry_emery_global(ch, dim)
         k_lazy, _ = bakry_emery_global(lazy, dim)
         assert k_lazy == approx(a * k)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("a", (0.3, 0.7))
+def test_lazification_scales_measure_curvature(spec, a):
+    """At a fixed non-constant density the a-form scales by a and the b-form
+    by a^2 under every mean, so K(rho) scales by a; pi, and with it the
+    density, is unchanged."""
+    ch = generate(spec)
+    lazy = lazify(ch, a)
+    rho = positive_density(ch, 3)
+    for mean in (LOGARITHMIC, GEOMETRIC):
+        for dim in (math.inf, 4.0):
+            k = curvature_of_measure(ch, mean, rho, dim).value
+            assert curvature_of_measure(lazy, mean, rho, dim).value == approx(a * k)
 
 
 def relabel(chain, perm):
