@@ -64,6 +64,12 @@ class MarkovChain:
     def __init__(self, q: np.ndarray, pi: np.ndarray | None = None,
                  states: list[str] | None = None):
         q = np.array(q, dtype=float)
+        pi = None if pi is None else np.array(pi, dtype=float)
+        for name, a in (("Q", q), ("pi", pi)):
+            if a is not None and not np.isfinite(a).all():
+                at = ",".join(map(str, np.argwhere(~np.isfinite(a))[0]))
+                raise InvalidParameters(
+                    f"{name}[{at}] = {a[~np.isfinite(a)][0]} is not finite")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise NotStochastic(f"Q must be square, got shape {q.shape}")
         n = q.shape[0]
@@ -82,7 +88,7 @@ class MarkovChain:
         if bad.any():
             x = int(np.argmax(np.abs(row_sums - 1.0)))
             raise NotStochastic(
-                f"row {states[x]} sums to {row_sums[x]!r} "
+                f"row {states[x]} sums to {float(row_sums[x])!r} "
                 f"(residual {row_sums[x] - 1.0:.3e})")
 
         adjacency = (q > 0.0)
@@ -93,10 +99,8 @@ class MarkovChain:
 
         if pi is None:
             pi = _stationary_vector(q)
-        else:
-            pi = np.array(pi, dtype=float)
-            if pi.shape != (n,):
-                raise InvalidParameters(f"pi must have shape ({n},)")
+        elif pi.shape != (n,):
+            raise InvalidParameters(f"pi must have shape ({n},)")
         if (pi <= 0).any() or abs(pi.sum() - 1.0) > VALIDATION_RTOL:
             raise InvalidParameters("pi must be strictly positive and sum to 1")
 
@@ -110,7 +114,7 @@ class MarkovChain:
             x, y = np.argwhere(bad)[0]
             raise NotReversible(
                 f"detailed balance fails for ({states[x]},{states[y]}): "
-                f"Q(x,y)pi(x)={w[x, y]!r} vs Q(y,x)pi(y)={w[y, x]!r}")
+                f"Q(x,y)pi(x)={float(w[x, y])!r} vs Q(y,x)pi(y)={float(w[y, x])!r}")
 
         stat_resid = np.abs(pi @ q - pi)
         if (stat_resid > VALIDATION_RTOL * np.maximum(pi, 1e-300)).any():

@@ -349,13 +349,11 @@ def _cmd_verify(chain, args):
         reports.append(geo.check_tau_lower_bound(chain))
         reports.append(geo.check_lambda_tau(chain, nonneg_status))
         reports.extend(geo.check_expander_bounds(chain, nonneg_status))
-        reports.extend(geo.check_diameter_bound_ent(
-            chain, k_ent, ent_status if k_ent > 0 else "unmet"))
+        reports.extend(geo.check_diameter_bound_ent(chain, k_ent, ent_status))
         dim_probe = 2.0 * chain.n_states
         k_fin, _ = curv.bakry_emery_global(chain, dim_probe)
         reports.extend(geo.check_diameter_bound_finite_n(
-            chain, "arithmetic", k_fin, dim_probe,
-            "exact" if k_fin > 0 else "unmet"))
+            chain, "arithmetic", k_fin, dim_probe, "exact"))
         results["geometry"] = [r.to_dict() for r in reports]
 
     return ({"suite": suite, "trials": args.trials, "k_ent": args.k_ent,

@@ -17,7 +17,8 @@ import scipy.linalg as sla
 
 from .chain import MarkovChain, derived
 from .errors import DomainError, NumericalFailure
-from .gamma import _dirac_ball_forms, assemble_forms, cd_quadratic_grad
+from .gamma import (_cd_grad, _density_d1, _dimension, _dirac_ball_forms,
+                    _form_matrices, assemble_forms)
 from .heat import lambda1
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
 
@@ -257,15 +258,18 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     gradient is (grad M - K grad N) / N at fixed f, which cd_quadratic_grad
     evaluates exactly in one pass over the edges, averaged over the
     n-orthonormal witnesses of the eigenvalues within GRAD_GAP_TOL of K.
+    The density is validated and d1theta evaluated on its edges once; the
+    forms and every witness's gradient read that one evaluation.
     For a simple eigenvalue that is first-order eigenvalue sensitivity; for
     a multiple one it is the gradient of the cluster's mean eigenvalue, the
     trace of the form derivative over the eigenspace (Lewis & Overton, Acta
     Numerica 1996), whichever eigenbasis the solver returns.
     """
     mean = get_mean(mean)
-    fp = assemble_forms(chain, mean, rho, dim)
-    rho = fp.rho
-    k, witnesses, null_dim, _ = _pencil(fp.m, fp.n, _spectral_norm(fp.m))
+    rho, d1 = _density_d1(chain, mean, rho)
+    m, n = _form_matrices(chain.q, chain.pi, chain.edges, d1, rho,
+                          _dimension(dim))
+    k, witnesses, null_dim, _ = _pencil(m, n, _spectral_norm(m))
     if not np.isfinite(k):
         raise NumericalFailure(f"curvature gradient undefined at K = {k!r}")
     if null_dim > 1 and (rho > 0).all():
@@ -273,7 +277,7 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
         # directions mean the density's range has outrun the eigensolver
         raise NumericalFailure(f"n lost rank ({null_dim} null directions) "
                                "at a strictly positive density")
-    parts = [cd_quadratic_grad(chain, mean, rho, dim, w) for w in witnesses]
+    parts = [_cd_grad(chain, mean, rho, d1, dim, w) for w in witnesses]
     return k, np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
 
 

@@ -7,7 +7,9 @@ carre du champ with the standard Laplacian.  Vector fields are antisymmetric
 edge functions with the half double-sum inner product.
 
 A density enters only through theta and its partials on the ordered edges,
-and _on_edges is the one place a mean meets the edges.
+and _on_edges is the one place a mean meets the edges.  _density_d1 is the
+one place a density is validated and its d1theta laid on the edges; the
+operators and the curvature descent all read a density through it.
 """
 
 from __future__ import annotations
@@ -119,6 +121,14 @@ def _on_edges(fn, rho: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray
                            ex.shape)
 
 
+def _density_d1(chain: MarkovChain, mean, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, d1): the validated density and d1theta(rho_x, rho_y) on the
+    ordered edges."""
+    rho = validate_density(chain, mean, rho)
+    ex, ey, _ = chain.edges
+    return rho, _on_edges(get_mean(mean).d1, rho, ex, ey)
+
+
 def vf_inner_rho(chain: MarkovChain, mean, rho, v1, v2) -> float:
     """<V1, V2>_rho: the pi inner product with edge weights theta(rho_x, rho_y)."""
     rho = validate_density(chain, mean, rho)
@@ -135,10 +145,9 @@ def rho_laplacian(chain: MarkovChain, mean, rho, f) -> np.ndarray:
     Coincides with the standard Laplacian for the arithmetic mean (any rho)
     and for the constant density (any mean).
     """
-    rho = validate_density(chain, mean, rho)
+    _, d1 = _density_d1(chain, mean, rho)
     f = _as_function(chain, f)
     ex, ey, qe = chain.edges
-    d1 = _on_edges(get_mean(mean).d1, rho, ex, ey)
     contrib = 2.0 * d1 * (f[ey] - f[ex]) * qe
     return np.bincount(ex, weights=contrib, minlength=chain.n_states)
 
@@ -154,11 +163,10 @@ def _gamma_sum(chain: MarkovChain, d1: np.ndarray, f: np.ndarray,
 def gamma_rho(chain: MarkovChain, mean, rho, f, g=None) -> np.ndarray:
     """Modulated carre du champ
     sum_y d1theta(rho_x,rho_y)(f(y)-f(x))(g(y)-g(x))Q(x,y)."""
-    rho = validate_density(chain, mean, rho)
+    _, d1 = _density_d1(chain, mean, rho)
     f = _as_function(chain, f)
     g = f if g is None else _as_function(chain, g)
-    ex, ey, _ = chain.edges
-    return _gamma_sum(chain, _on_edges(get_mean(mean).d1, rho, ex, ey), f, g)
+    return _gamma_sum(chain, d1, f, g)
 
 
 def gamma2_rho(chain: MarkovChain, mean, rho, f, g=None) -> np.ndarray:
@@ -166,9 +174,7 @@ def gamma2_rho(chain: MarkovChain, mean, rho, f, g=None) -> np.ndarray:
     2 Gamma2 = Delta Gamma_rho(f,g) - Gamma_rho(f, Delta g) - Gamma_rho(g, Delta f)."""
     f = _as_function(chain, f)
     g = f if g is None else _as_function(chain, g)
-    rho = validate_density(chain, mean, rho)
-    ex, ey, _ = chain.edges
-    d1 = _on_edges(get_mean(mean).d1, rho, ex, ey)
+    _, d1 = _density_d1(chain, mean, rho)
     lf = laplacian(chain, f)
     lg = laplacian(chain, g)
     return 0.5 * (laplacian(chain, _gamma_sum(chain, d1, f, g))
@@ -231,7 +237,6 @@ class FormPair:
 
     m: np.ndarray
     n: np.ndarray
-    rho: np.ndarray
 
 
 def _dimension(dim) -> float:
@@ -275,13 +280,10 @@ def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
     dim is the dimension parameter in (0, inf]; pass numpy.inf to drop the
     (Delta f)^2 correction.
     """
-    mean = get_mean(mean)
-    rho = validate_density(chain, mean, rho)
-    dim = _dimension(dim)
-    ex, ey, _ = chain.edges
-    m, n_mat = _form_matrices(chain.q, chain.pi, chain.edges,
-                              _on_edges(mean.d1, rho, ex, ey), rho, dim)
-    return FormPair(m=m, n=n_mat, rho=rho)
+    rho, d1 = _density_d1(chain, mean, rho)
+    m, n_mat = _form_matrices(chain.q, chain.pi, chain.edges, d1, rho,
+                              _dimension(dim))
+    return FormPair(m=m, n=n_mat)
 
 
 def _dirac_ball_forms(chain: MarkovChain, state,
@@ -343,7 +345,14 @@ def cd_quadratic_grad(chain: MarkovChain, mean, rho, dim,
     must be strictly positive.
     """
     mean = get_mean(mean)
-    rho = validate_density(chain, mean, rho)
+    rho, d1 = _density_d1(chain, mean, rho)
+    return _cd_grad(chain, mean, rho, d1, dim, f)
+
+
+def _cd_grad(chain: MarkovChain, mean, rho: np.ndarray, d1: np.ndarray, dim,
+             f) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """cd_quadratic_grad of a validated density rho with d1 = d1theta on
+    the ordered edges, as _density_d1 returns them."""
     if (rho == 0).any():
         raise DomainError("the curvature gradient needs a strictly positive density")
     f = _as_function(chain, f)
@@ -356,17 +365,16 @@ def cd_quadratic_grad(chain: MarkovChain, mean, rho, dim,
     a = wpe * df * df
     b = wpe * df * (lf[ey] - lf[ex])
     rx, ry = rho[ex], rho[ey]
-    t1 = _on_edges(mean.d1, rho, ex, ey)
     t11 = _on_edges(mean.d11, rho, ex, ey)
     t12 = -rx * t11 / ry
     c = 0.5 * lrho[ex] * a - rx * b          # coefficient of theta1 in M
-    ta = np.bincount(ex, weights=t1 * a, minlength=n)
+    ta = np.bincount(ex, weights=d1 * a, minlength=n)
     n_val = float(np.dot(rho, ta))
-    m_val = float(np.dot(c, t1))
+    m_val = float(np.dot(c, d1))
     dn = ta + np.bincount(ex, weights=rx * a * t11, minlength=n) \
         + np.bincount(ey, weights=rx * a * t12, minlength=n)
     dm = 0.5 * (chain.q.T @ ta - ta) \
-        - np.bincount(ex, weights=t1 * b, minlength=n) \
+        - np.bincount(ex, weights=d1 * b, minlength=n) \
         + np.bincount(ex, weights=c * t11, minlength=n) \
         + np.bincount(ey, weights=c * t12, minlength=n)
     if np.isfinite(dim):

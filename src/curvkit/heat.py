@@ -264,7 +264,6 @@ class ProbeResult:
 
 
 def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
-                    trials: int = 40, iters: int = 200,
                     seed: int = 0) -> ProbeResult:
     """Search for a violation of the gradient estimate at a candidate K.
 
@@ -278,7 +277,7 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
     rng = np.random.default_rng(seed)
     dim = float(dim)
 
-    report = verify_gradient_estimate(chain, mean, k, dim, trials=trials,
+    report = verify_gradient_estimate(chain, mean, k, dim, trials=40,
                                       t_grid=(1e-3, 1e-2, 0.1, 1.0), seed=seed)
 
     def score(cand, f, tc):
@@ -322,7 +321,7 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
             if r < best:
                 best, rho, t = r, cand, float(tc)
                 witness = {"rho": cand.copy(), "f": f.copy(), "t": float(tc)}
-    for _ in range(iters):
+    for _ in range(200):
         improved = False
         # exact f step at fixed rho, scanning t
         for tc in t_candidates:

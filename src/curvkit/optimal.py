@@ -110,8 +110,7 @@ def _positive_combination(grams: list[np.ndarray], basis: np.ndarray,
     return None
 
 
-def is_optimal_set(chain: MarkovChain, states, dim,
-                   seed: int = 0) -> OptimalityCertificate:
+def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
     """Decide optimality of a vertex set at dimension dim (arithmetic mean)."""
     idx = [chain.index(s) for s in states]
     if not idx:
@@ -130,8 +129,7 @@ def is_optimal_set(chain: MarkovChain, states, dim,
             # Gamma vanishes identically on the kernel at this vertex
             return OptimalityCertificate(False, None, kernel_dim, chain.states[i])
         grams.append(0.5 * (g + g.T))
-    rng = np.random.default_rng(seed)
-    c = _positive_combination(grams, basis, rng)
+    c = _positive_combination(grams, basis, np.random.default_rng(0))
     if c is None:        # pragma: no cover - Vandermonde fallback is exhaustive
         return OptimalityCertificate(False, None, kernel_dim, None)
     witness = basis @ c

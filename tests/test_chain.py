@@ -56,6 +56,27 @@ def test_wrong_pi_rejected(two_state):
         build_chain([[0.0, 1.0], [1.0, 0.0]], pi=[0.25, 0.75])
 
 
+@pytest.mark.parametrize("q, pi, entry", [
+    ([[0.0, 1.0], [1.0, 0.0]], [np.nan, 0.5], "pi[0] = nan is not finite"),
+    ([[np.nan, 1.0], [1.0, 0.0]], None, "Q[0,0] = nan is not finite"),
+], ids=["nan-pi", "nan-q"])
+def test_non_finite_entry_rejected(q, pi, entry):
+    with pytest.raises(InvalidParameters) as exc:
+        build_chain(q, pi=pi)
+    assert entry in str(exc.value)
+
+
+def test_validation_messages_print_plain_floats():
+    with pytest.raises(NotStochastic) as row:
+        build_chain([[0.4, 0.5], [0.5, 0.5]])
+    with pytest.raises(NotReversible) as pair:
+        build_chain([[0.0, 1.0], [1.0, 0.0]], pi=[0.25, 0.75])
+    for exc, value in ((row, "row 0 sums to 0.9 "),
+                       (pair, "Q(x,y)pi(x)=0.25 vs Q(y,x)pi(y)=0.75")):
+        assert value in str(exc.value)
+        assert "np.float64" not in str(exc.value)
+
+
 def test_stationary_vector_computed():
     ch = path(3)
     # degrees 1,2,1 so pi = (1/4, 1/2, 1/4)

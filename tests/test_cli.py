@@ -372,6 +372,25 @@ def test_non_numeric_chain_entry_is_bad_input(tmp_path, capsys, doc, entry):
     assert f"chain JSON {entry} is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, entry", [
+    ('{"Q": [[NaN, 1.0], [1.0, 0.0]]}', "Q[0,0] = nan is not finite"),
+    ('{"Q": [[0, 1], [1, 0]], "pi": [NaN, 0.5]}', "pi[0] = nan is not finite"),
+], ids=["nan-q", "nan-pi"])
+def test_non_finite_chain_entry_is_bad_input(tmp_path, text, entry):
+    # a fresh interpreter, so that anything LAPACK prints to the process's
+    # stdout shows up too
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    paths = [str(Path(curvkit.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-m", "curvkit.cli", "spectrum",
+                           "--in", str(path)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert entry in proc.stderr
+
+
 def test_non_numeric_rho_entry_is_bad_input(tmp_path, capsys):
     code, report = run_cli(tmp_path, "curv-measure", "--gen", "cycle:4",
                            "--rho", '{"0": [1]}')

@@ -15,6 +15,7 @@ from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, NumericalFailure,
                      random_regular)
 from curvkit.curvature import NEG_INFINITY
 from curvkit.gamma import assemble_forms
+from curvkit.gamma import cd_quadratic_grad
 
 from conftest import positive_density, random_reversible_chain, small_chain_pool
 
@@ -468,6 +469,62 @@ def test_gradient_makes_one_pencil_solve(monkeypatch):
         calls.clear()
         curvature_grad_rho(ch, LOGARITHMIC, rho, INF)
         assert len(calls) == 1
+
+
+def _grad_by_public_route(ch, mean, rho, dim):
+    """curvature_grad_rho rebuilt from the public forms and gradient:
+    (K, gradient, number of witnesses averaged)."""
+    import curvkit.curvature as cmod
+    fp = assemble_forms(ch, mean, rho, dim)
+    k, witnesses, _, _ = cmod._pencil(fp.m, fp.n, cmod._spectral_norm(fp.m))
+    parts = [cd_quadratic_grad(ch, mean, rho, dim, w) for w in witnesses]
+    grad = np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
+    return k, grad, len(parts)
+
+
+def test_gradient_equals_public_route_bitwise():
+    # the descent shares one validated density and one d1theta between the
+    # forms and every witness's gradient; the public operators, each
+    # validating and evaluating on its own, give the same bits
+    cases = [(ch, mean, positive_density(ch, 500 + i), dim)
+             for i, ch in enumerate(small_chain_pool())
+             for mean in (LOGARITHMIC, GEOMETRIC, ARITHMETIC)
+             for dim in (INF, 4.0)]
+    cases.append((hypercube(3), LOGARITHMIC, np.ones(8), INF))
+    for ch, mean, rho, dim in cases:
+        k, grad = curvature_grad_rho(ch, mean, rho, dim)
+        k_ref, grad_ref, n_witnesses = _grad_by_public_route(ch, mean, rho, dim)
+        assert np.array_equal(k, k_ref) and np.array_equal(grad, grad_ref)
+    assert n_witnesses == 3      # the constant density on hypercube:3
+
+
+@pytest.mark.parametrize("ch, rho", [
+    (path(4), np.array([0.5, 1.5, 0.8, 1.2])),
+    (hypercube(3), np.ones(8)),
+], ids=["simple", "triple"])
+def test_gradient_evaluates_d1_once(monkeypatch, ch, rho):
+    # one density validation and one d1theta evaluation on the edges per
+    # gradient, also where three witnesses are averaged
+    import importlib
+
+    from curvkit.means import Mean
+
+    gmod = importlib.import_module("curvkit.gamma")   # curvkit.gamma is also a function
+    calls = {"d1": 0, "validate": 0}
+    true_d1, true_validate = Mean.d1, gmod.validate_density
+
+    def d1(self, r, s):
+        calls["d1"] += 1
+        return true_d1(self, r, s)
+
+    def validate(*args):
+        calls["validate"] += 1
+        return true_validate(*args)
+
+    monkeypatch.setattr(Mean, "d1", d1)
+    monkeypatch.setattr(gmod, "validate_density", validate)
+    curvature_grad_rho(ch, LOGARITHMIC, rho, INF)
+    assert calls == {"d1": 1, "validate": 1}
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC)

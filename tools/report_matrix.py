@@ -15,8 +15,10 @@ scratch directory that is also the working directory:
     unknown generator, a verify run whose exact preconditions fail, a
     weighted edge list (one state first seen in the second column) under
     the geometric mean, the full forms of a Dirac density over a dimension
-    grid, a Dirac density evolved by the heat semigroup, and optimal sets
-    at a finite dimension on chains whose 2-balls miss some states.
+    grid, a Dirac density evolved by the heat semigroup, optimal sets at a
+    finite dimension on chains whose 2-balls miss some states, and two
+    entropic descents at a finite dimension (the (1/dim) terms of the
+    forms and the curvature gradient along a descent).
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -91,7 +93,9 @@ def edge_commands(work: str) -> list[list[str]]:
              "--n-grid", "inf,6"],
             ["heat", "--gen", "cycle:6", "--t-grid", "0.1,1", "--rho", "dirac:0"],
             ["optimal-sets", "--gen", "hypercube:3", "--n", "4"],
-            ["optimal-sets", "--gen", "random-regular:3:12:2", "--n", "4"]]
+            ["optimal-sets", "--gen", "random-regular:3:12:2", "--n", "4"],
+            ["curv-entropic", "--gen", "path:5", "--starts", "4", "--n", "4"],
+            ["curv-entropic", "--gen", "hypercube:3", "--starts", "2", "--n", "6"]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
