@@ -56,30 +56,22 @@ class CurvatureResult:
                                       # to the next one (degeneracy indicator)
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.size else 0.0
-
-
-def _is_psd(a: np.ndarray, scale: float | None = None) -> bool:
-    if a.size == 0:
-        return True
-    evals = np.linalg.eigvalsh(a)
-    if scale is None:
-        scale = max(1.0, float(np.abs(evals).max()))
-    return bool(evals.min() >= -PSD_REL_FLOOR * scale)
-
-
-def _pencil(m: np.ndarray, n: np.ndarray, m_norm: float):
+def _pencil(m: np.ndarray, n: np.ndarray):
     """sup{K : m - K n >= 0} via Schur reduction on the null space of n.
 
-    m_norm is the spectral norm of m.  Returns (value, witnesses, null_dim,
-    gap).  When the value is finite, witnesses iterates over one witness f
-    per eigenvalue within GRAD_GAP_TOL of the least, least first, with
-    f' (m - K n) f ~ 0 and f' n f = 1; each is lifted only when drawn, so
-    a caller that needs the first pays for one.  Otherwise it is None.
+    Each matrix is decomposed once here: eigvalsh of m and eigh of n.
+    Returns (value, witnesses, null_dim, gap, m_norm, n_norm), the last two
+    the spectral norms of m and n, which set the PSD floors of the
+    bisection and the certificate.  When the value is finite, witnesses
+    iterates over one witness f per eigenvalue within GRAD_GAP_TOL of the
+    least, least first, with f' (m - K n) f ~ 0 and f' n f = 1; each is
+    lifted only when drawn, so a caller that needs the first pays for one.
+    Otherwise it is None.
     """
-    dim = m.shape[0]
+    m_evals = np.linalg.eigvalsh(m)
+    m_norm = float(np.abs(m_evals).max())
     evals, vecs = np.linalg.eigh(n)
+    n_norm = float(np.abs(evals).max())
     n_scale = max(float(evals.max()), 0.0)
     null_mask = evals <= NULL_REL_TOL * max(n_scale, 1e-300)
     u = vecs[:, null_mask]
@@ -90,8 +82,9 @@ def _pencil(m: np.ndarray, n: np.ndarray, m_norm: float):
 
     if v.shape[1] == 0:
         # n vanishes: K unbounded above iff m itself is PSD
-        value = POS_INFINITY if _is_psd(m, m_scale) else NEG_INFINITY
-        return value, None, null_dim, None
+        psd = m_evals.min() >= -PSD_REL_FLOOR * m_scale
+        value = POS_INFINITY if psd else NEG_INFINITY
+        return value, None, null_dim, None, m_norm, n_norm
 
     muu = u.T @ m @ u
     muv = u.T @ m @ v
@@ -100,12 +93,12 @@ def _pencil(m: np.ndarray, n: np.ndarray, m_norm: float):
     if null_dim:
         uevals, uvecs = np.linalg.eigh(muu)
         if uevals.min() < -1e-10 * m_scale:
-            return NEG_INFINITY, None, null_dim, None
+            return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
         pos = uevals > 1e-10 * max(m_scale, float(np.abs(uevals).max()))
         # range coupling: rows of muv must lie in the range of muu
         resid = muv - uvecs[:, pos] @ (uvecs[:, pos].T @ muv)
         if np.abs(resid).max() > 1e-8 * m_scale:
-            return NEG_INFINITY, None, null_dim, None
+            return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
         pinv = uvecs[:, pos] @ np.diag(1.0 / uevals[pos]) @ uvecs[:, pos].T
         schur = mvv - muv.T @ pinv @ muv
         lift = -pinv @ muv
@@ -123,7 +116,8 @@ def _pencil(m: np.ndarray, n: np.ndarray, m_norm: float):
         nmass = float(witness @ n @ witness)
         return witness / np.sqrt(nmass) if nmass > 0 else witness
 
-    return k, map(lifted, pvecs[:, pvals - k < GRAD_GAP_TOL].T), null_dim, gap
+    witnesses = map(lifted, pvecs[:, pvals - k < GRAD_GAP_TOL].T)
+    return k, witnesses, null_dim, gap, m_norm, n_norm
 
 
 def _bisect(m: np.ndarray, n: np.ndarray, k: float, lo: float, hi: float,
@@ -178,10 +172,10 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, q_min: float = 1.0,
 
     The bisection starts from the pencil value and falls back to a full
     search when the PSD test does not bracket it; either way the value is
-    certified by the PSD test of m - K n alone.
+    certified by the PSD test of m - K n alone.  The PSD floors of both
+    checks scale with the norms of m and n that _pencil returns.
     """
-    m_norm, n_norm = _spectral_norm(m), _spectral_norm(n)
-    k, witnesses, null_dim, gap = _pencil(m, n, m_norm)
+    k, witnesses, null_dim, gap, m_norm, n_norm = _pencil(m, n)
     witness = next(witnesses) if witnesses is not None else None
     result = CurvatureResult(value=k, witness=witness, method="pencil",
                              bracket=None, iterations=0, null_dim=null_dim,
@@ -269,7 +263,7 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     rho, d1 = _density_d1(chain, mean, rho)
     m, n = _form_matrices(chain.q, chain.pi, chain.edges, d1, rho,
                           _dimension(dim))
-    k, witnesses, null_dim, _ = _pencil(m, n, _spectral_norm(m))
+    k, witnesses, null_dim, *_ = _pencil(m, n)
     if not np.isfinite(k):
         raise NumericalFailure(f"curvature gradient undefined at K = {k!r}")
     if null_dim > 1 and (rho > 0).all():

@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import shortest_path
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import ConvergenceWarning, PreconditionHeuristic, TooLarge
 from .gamma import _edge_laplacian
-from .heat import avg_mixing_time, lambda1
+from .heat import avg_mixing_time, l1_distance_from_equilibrium, lambda1
 
 #: inequality slacks are compared against this times the sides' magnitudes
 SLACK_REL_TOL = 1e-9
@@ -439,7 +439,9 @@ def check_lambda_tau(chain: MarkovChain,
     entropic curvature."""
     pre = [("entropic_curvature_nonnegative", curvature_status)]
     lamval = lambda1(chain)
-    tauval = avg_mixing_time(chain, 0.25)
+    # a concentrated pi can start within 1/4 of equilibrium: then tau = 0
+    mixed = l1_distance_from_equilibrium(chain, 0.0) <= 0.25
+    tauval = 0.0 if mixed else avg_mixing_time(chain, 0.25)
     q_min = chain.stats().q_min
     rhs = 256.0 * math.log(2.0) / (q_min * q_min)
     return _report("lambda1_tau_avg", lamval * tauval, rhs, pre,

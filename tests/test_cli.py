@@ -6,11 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvkit
-from curvkit import check_cheeger_l1, hypercube
+from curvkit import (ARITHMETIC, chain_from_json, check_cheeger_l1,
+                     curvature_of_measure, dirac, hypercube)
 from curvkit.cli import main
+
+from conftest import cheeger_gray
 
 
 def run_cli(tmp_path, *argv):
@@ -287,6 +291,76 @@ def test_verify_cheeger_l1_matches_library(tmp_path):
     assert entry["lhs"] == pytest.approx(0.0625, abs=1e-12)
     assert entry["rhs"] == pytest.approx(0.125, abs=1e-12)
     assert entry["details"]["trials"] == 26
+
+
+def test_verify_geometry_with_concentrated_pi_exit0(tmp_path):
+    # the chain starts within 1/4 of equilibrium: tau(1/4) = 0
+    two = tmp_path / "two.json"
+    two.write_text('{"Q": [[0.95, 0.05], [0.95, 0.05]], "pi": [0.95, 0.05]}')
+    code, doc = run_cli(tmp_path, "verify", "--in", str(two),
+                        "--suite", "geometry", "--k-ent", "0.5")
+    assert code == 0
+    tau = [r for r in doc["results"]["geometry"]
+           if r["name"] == "lambda1_tau_avg"]
+    assert tau[0]["details"]["tau"] == 0.0
+
+
+def _birth_death(e):
+    """Four-state birth-death chain with pi proportional to r^x,
+    r = 10^(e/3), so that pi_max / pi_min = 10^e."""
+    r = 10.0 ** (e / 3.0)
+    p = r / (1.0 + r)
+    q = np.zeros((4, 4))
+    for x in range(3):
+        q[x, x + 1], q[x + 1, x] = p, 1.0 - p
+    q += np.diag(1.0 - q.sum(axis=1))
+    pi = r ** np.arange(4.0)
+    return {"Q": q.tolist(), "pi": (pi / pi.sum()).tolist()}
+
+
+@pytest.mark.parametrize("e", [6, 12])
+def test_skewed_chain_gives_the_right_number_or_exit3(tmp_path, capsys, e):
+    # each command reports the right number, or a numerical failure with
+    # no report; none rejects the valid chain as bad input
+    doc = _birth_death(e)
+    path = tmp_path / "bd.json"
+    path.write_text(json.dumps(doc))
+    ch = chain_from_json(doc)
+
+    def run(*argv):
+        capsys.readouterr()
+        code = main([argv[0], "--in", str(path), *argv[1:]])
+        out = capsys.readouterr().out
+        assert code in (0, 3, 4)
+        if code == 3:
+            assert out == ""
+        return code, json.loads(out) if out else None
+
+    q, pi = np.array(doc["Q"]), np.array(doc["pi"])
+    sqrt_pi = np.sqrt(pi)
+    sym = (np.eye(4) - q) * (sqrt_pi[:, None] / sqrt_pi[None, :])
+    lam = np.linalg.eigvalsh(0.5 * (sym + sym.T))[1]
+
+    code, rep = run("spectrum")
+    assert code == 0
+    assert rep["results"]["lambda1"] == pytest.approx(lam, abs=1e-12)
+    code, rep = run("cheeger")
+    assert code == 0
+    assert rep["results"]["h"] == pytest.approx(cheeger_gray(ch).h, abs=1e-12)
+    code, rep = run("curv-measure", "--mean", "logarithmic", "--rho", "ones")
+    assert code in (0, 3)
+    if code == 0:
+        assert rep["results"]["curvature"]["value"] == pytest.approx(lam, abs=1e-8)
+    code, rep = run("curv-vertex")
+    assert code in (0, 3)
+    if code == 0:
+        for state in ch.states:
+            full = curvature_of_measure(ch, ARITHMETIC, dirac(ch, state),
+                                        np.inf, confirm=False).value
+            value = rep["results"]["per_vertex"][str(state)]["value"]
+            assert value == pytest.approx(full, abs=1e-8)
+    code, _ = run("verify", "--suite", "all", "--starts", "1")
+    assert code in (0, 3, 4)
 
 
 def test_verify_deterministic(tmp_path):

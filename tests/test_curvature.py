@@ -234,17 +234,46 @@ def _pool_pencils():
 
 
 def test_seeded_and_full_bisection_agree():
-    from curvkit.curvature import _bisect, _pencil, _spectral_norm
+    from curvkit.curvature import _bisect, _pencil
     seeded_count = 0
     for m, n, q_min in _pool_pencils():
-        m_norm, n_norm = _spectral_norm(m), _spectral_norm(n)
-        k = _pencil(m, n, m_norm)[0]
+        k, *_, m_norm, n_norm = _pencil(m, n)
         seeded, tests, bracket = _bisect(m, n, k, -4.0 / q_min, 4.0, m_norm, n_norm)
         full, _, _ = _bisect(m, n, INF, -4.0 / q_min, 4.0, m_norm, n_norm)
         assert abs(seeded - full) <= 1e-9 * max(1.0, abs(full))
         if bracket[1] - bracket[0] < 1e-7 * max(1.0, abs(k)):
             seeded_count += 1
     assert seeded_count > 50
+
+
+def test_pencil_returns_the_norms_of_m_and_n():
+    from curvkit.curvature import _pencil
+    for m, n, _ in _pool_pencils():
+        *_, m_norm, n_norm = _pencil(m, n)
+        assert m_norm == np.abs(np.linalg.eigvalsh(m)).max()
+        n_ref = np.abs(np.linalg.eigvalsh(n)).max()
+        assert abs(n_norm - n_ref) <= 1e-14 * n_ref
+
+
+def test_pencil_solve_decomposes_n_once(monkeypatch):
+    # the norm of n comes from the eigendecomposition the Schur reduction
+    # already makes, not from a second eigvalsh of n
+    import curvkit.curvature as cmod
+    from curvkit.gamma import _dirac_ball_forms
+    _, m, n = _dirac_ball_forms(hypercube(3), 0, INF)
+    true_eigh, true_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    seen = []
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            seen.append((name, a is n))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", true_eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", true_eigvalsh))
+    cmod.solve_pencil(m, n, confirm=False)
+    assert [name for name, is_n in seen if is_n] == ["eigh"]
 
 
 def test_wrong_pencil_value_falls_back_and_fails(monkeypatch):
@@ -254,8 +283,8 @@ def test_wrong_pencil_value_falls_back_and_fails(monkeypatch):
     k0 = cmod.solve_pencil(fp.m, fp.n).value
     seen = []
 
-    def shifted(m, n, m_norm):
-        k, *rest = true_pencil(m, n, m_norm)
+    def shifted(m, n):
+        k, *rest = true_pencil(m, n)
         return (k + 1e-6 * max(1.0, abs(k)), *rest)
 
     def spy(*args):
@@ -476,7 +505,7 @@ def _grad_by_public_route(ch, mean, rho, dim):
     (K, gradient, number of witnesses averaged)."""
     import curvkit.curvature as cmod
     fp = assemble_forms(ch, mean, rho, dim)
-    k, witnesses, _, _ = cmod._pencil(fp.m, fp.n, cmod._spectral_norm(fp.m))
+    k, witnesses, *_ = cmod._pencil(fp.m, fp.n)
     parts = [cd_quadratic_grad(ch, mean, rho, dim, w) for w in witnesses]
     grad = np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
     return k, grad, len(parts)

@@ -340,6 +340,16 @@ def test_lambda_tau_bound():
     assert rep.holds
 
 
+def test_lambda_tau_with_concentrated_pi():
+    # the L1 distance at t = 0, 2(1 - sum pi^2) = 0.19, is already within
+    # 1/4 of equilibrium, so tau(1/4) = 0
+    two = build_chain([[0.95, 0.05], [0.95, 0.05]], pi=[0.95, 0.05])
+    rep = check_lambda_tau(two, "exact")
+    assert rep.lhs == 0.0
+    assert rep.details["tau"] == 0.0
+    assert rep.holds is True
+
+
 def test_expander_bounds_hypercubes():
     # N=3: size guard 8 < 12 marks the regular bound not applicable
     reps = {r.name: r for r in check_expander_bounds(hypercube(3), "exact")}

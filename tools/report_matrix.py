@@ -18,7 +18,13 @@ scratch directory that is also the working directory:
     grid, a Dirac density evolved by the heat semigroup, optimal sets at a
     finite dimension on chains whose 2-balls miss some states, and two
     entropic descents at a finite dimension (the (1/dim) terms of the
-    forms and the curvature gradient along a descent).
+    forms and the curvature gradient along a descent);
+  * a four-state birth-death chain with pi_max/pi_min = 1e6 (written to
+    the scratch directory): the full verify battery, where pi is so
+    concentrated that the chain starts within 1/4 of equilibrium and
+    tau(1/4) = 0, and curv-measure at the constant density under the
+    logarithmic mean, a numerical failure (exit 3) because the bisection's
+    PSD floor accepts K a little above the pencil value.
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -74,6 +80,21 @@ def workload_commands(root: Path, work: str) -> list[list[str]]:
             for task in workloads.build(name, 1, work)]
 
 
+def _birth_death(e: int) -> dict:
+    """Four-state birth-death chain, Q(x, x+1) = p = r/(1+r) and
+    Q(x+1, x) = 1 - p with r = 10^(e/3), so pi is proportional to r^x and
+    pi_max/pi_min = 10^e."""
+    r = 10.0 ** (e / 3.0)
+    p = r / (1.0 + r)
+    q = [[0.0] * 4 for _ in range(4)]
+    for x in range(3):
+        q[x][x + 1], q[x + 1][x] = p, 1.0 - p
+    for x in range(4):
+        q[x][x] = 1.0 - sum(q[x])
+    pi = [r ** x for x in range(4)]
+    return {"Q": q, "pi": [v / sum(pi) for v in pi]}
+
+
 def edge_commands(work: str) -> list[list[str]]:
     one = f"{work}/one.json"
     with open(one, "w", encoding="utf-8") as fh:
@@ -81,6 +102,9 @@ def edge_commands(work: str) -> list[list[str]]:
     tsv = f"{work}/w.tsv"
     with open(tsv, "w", encoding="utf-8") as fh:
         fh.write("a\tb\t1.0\nc\tb\t2.0\nd\ta\t0.5\nc\td\t1.5\n")
+    bd6 = f"{work}/bd6.json"
+    with open(bd6, "w", encoding="utf-8") as fh:
+        json.dump(_birth_death(6), fh)
     return [["curv-vertex", "--in", one],
             ["curv-measure", "--in", one],
             ["curv-entropic", "--in", one],
@@ -95,7 +119,10 @@ def edge_commands(work: str) -> list[list[str]]:
             ["optimal-sets", "--gen", "hypercube:3", "--n", "4"],
             ["optimal-sets", "--gen", "random-regular:3:12:2", "--n", "4"],
             ["curv-entropic", "--gen", "path:5", "--starts", "4", "--n", "4"],
-            ["curv-entropic", "--gen", "hypercube:3", "--starts", "2", "--n", "6"]]
+            ["curv-entropic", "--gen", "hypercube:3", "--starts", "2", "--n", "6"],
+            ["verify", "--in", bd6, "--suite", "all", "--starts", "1"],
+            ["curv-measure", "--in", bd6, "--mean", "logarithmic",
+             "--rho", "ones"]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
