@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import json
+import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,16 +288,60 @@ def path(n: int) -> MarkovChain:
     return srw_from_graph(adj)
 
 
+def _repairable(edges: set, leftover: dict) -> bool:
+    """networkx 3's test that some leftover pair may still become an edge,
+    kept verbatim: the swap also rebinds the outer node, which changes the
+    pairs visited and so which tries are abandoned."""
+    for s1 in leftover:
+        for s2 in leftover:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _pairing_edges(d: int, n: int, rng: random.Random):
+    """One try of the pairing model for a d-regular graph on n nodes: pair
+    off shuffled stubs, keep each pair that is neither a loop nor a repeat,
+    and re-pair the stubs of the others until none are left.  Returns the
+    edge set (i < j), or None when no leftover pair can ever be kept.  It
+    draws from `rng` as networkx 3's `random_regular_graph` does, so a seed
+    gives the same graph."""
+    edges = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        leftover = defaultdict(int)          # insertion order is re-pairing order
+        rng.shuffle(stubs)
+        pairs = iter(stubs)
+        for s1, s2 in zip(pairs, pairs):
+            s1, s2 = min(s1, s2), max(s1, s2)
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftover[s1] += 1
+                leftover[s2] += 1
+        if leftover and not _repairable(edges, leftover):
+            return None
+        stubs = [node for node, count in leftover.items() for _ in range(count)]
+    return edges
+
+
 def random_regular(d: int, n: int, seed: int = 0) -> MarkovChain:
     """Simple random walk on a random connected d-regular graph (nd even, n > d)."""
     if d < 1 or n <= d or (n * d) % 2 != 0:
         raise InvalidParameters(f"need nd even and n > d >= 1, got d={d}, n={n}")
-    import networkx as nx
-
     for attempt in range(64):
-        g = nx.random_regular_graph(d, n, seed=seed + attempt)
-        if nx.is_connected(g):
-            adj = nx.to_numpy_array(g, nodelist=sorted(g.nodes()))
+        rng = random.Random(seed + attempt)
+        edges = None
+        while edges is None:
+            edges = _pairing_edges(d, n, rng)
+        i, j = np.array(sorted(edges)).T
+        adj = np.zeros((n, n))
+        adj[i, j] = adj[j, i] = 1.0
+        if connected_components(csr_matrix(adj), directed=False)[0] == 1:
             return srw_from_graph(adj)
     raise InvalidParameters(f"no connected {d}-regular graph found from seed {seed}")
 

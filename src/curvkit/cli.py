@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -115,11 +116,19 @@ def _chain_stats_doc(chain) -> dict:
     }
 
 
+#: a report's text is built from joins of this many encoder chunks, so the
+#: chunks of a large report are never all held at once
+_EMIT_BATCH = 4096
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False,
+                            default=np.ndarray.tolist)
+
+
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        # a finite numeric array converts in one call; any other goes element-wise
+        # a finite numeric array is left to the encoder, which lists one
+        # array at a time; any other converts element-wise
         if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return obj.tolist()
+            return obj
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonable(obj.item())
@@ -140,12 +149,15 @@ def _emit(args, config: dict, chain, results: dict, warnings_list: list[str]) ->
         "results": _jsonable(results),
         "warnings": warnings_list,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    chunks = _ENCODER.iterencode(report)
+    parts = ["".join(batch) for batch in
+             iter(lambda: list(itertools.islice(chunks, _EMIT_BATCH)), [])]
+    parts.append("\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(parts)
     else:
-        print(text)
+        sys.stdout.writelines(parts)
 
 
 def _float_or_none(v):

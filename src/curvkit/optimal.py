@@ -11,7 +11,7 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -29,6 +29,11 @@ GRAM_REL_TOL = 1e-10
 X0_REL_TOL = 1e-8
 #: optimal_complex refuses chains with more states than this
 OPTIMAL_MAX_STATES = 24
+#: the screen rejects a set only when its least projected eigenvalue exceeds
+#: this multiple of the kernel cutoff, far beyond rounding
+SCREEN_MARGIN = 10.0
+#: candidates screened per stacked eigvalsh; bounds the screen's memory
+SCREEN_CHUNK = 512
 
 
 @dataclass
@@ -71,16 +76,52 @@ def _summed_q(size: int, forms: list) -> np.ndarray:
                        minlength=size * size).reshape(size, size)
 
 
+def _kernel_cutoff(evals: np.ndarray, form_scale: float, count):
+    """Eigenvalue cutoff of the null space of a sum of `count` q_x, from the
+    sum's eigenvalues along the last axis."""
+    # the absolute term covers forms that cancel to rounding noise
+    # (the summed matrix can be numerically zero on sharp chains)
+    return KERNEL_REL_TOL * np.abs(evals).max(axis=-1) + 1e-12 * form_scale * count
+
+
 def _kernel_basis(size: int, forms: list, form_scale: float) -> np.ndarray:
     """Null space of the sum of the q_x of the given forms, as columns."""
     total = _summed_q(size, forms)
     total = 0.5 * (total + total.T)
     evals, vecs = np.linalg.eigh(total)
-    # the absolute term covers forms that cancel to rounding noise
-    # (the summed matrix can be numerically zero on sharp chains)
-    cutoff = KERNEL_REL_TOL * float(np.abs(evals).max()) \
-        + 1e-12 * form_scale * len(forms)
-    return vecs[:, evals <= cutoff]
+    return vecs[:, evals <= float(_kernel_cutoff(evals, form_scale, len(forms)))]
+
+
+@derived
+def _projected_forms(chain: MarkovChain, dim: float) -> np.ndarray:
+    """Row x holds P' q_x P, flattened, where the columns of P (Helmert) are
+    an orthonormal basis of the vectors with zero sum.  Every q_x kills the
+    constants, so a summed q has the eigenvalues of its projection and a
+    zero for the constants."""
+    forms, _ = _pointwise_forms(chain, dim)
+    size = chain.n_states
+    helmert = np.tril(np.ones((size, size - 1)))
+    k = np.arange(1, size)
+    helmert[k, k - 1] = -k
+    helmert /= np.sqrt(k * (k + 1.0))
+    proj = np.array([helmert.T @ _summed_q(size, [form]) @ helmert for form in forms])
+    rows = (0.5 * (proj + proj.transpose(0, 2, 1))).reshape(size, -1)
+    rows.setflags(write=False)
+    return rows
+
+
+def _screen(chain: MarkovChain, dim: float, sets: np.ndarray) -> np.ndarray:
+    """Which of the vertex sets (0/1 rows over the states) may be optimal.
+    A set is rejected only when its summed q has no eigenvalue within
+    SCREEN_MARGIN cutoffs of zero off the constants: then its kernel is the
+    constants, on which Gamma vanishes, and `is_optimal_set` fails it at
+    its Gram test."""
+    _, form_scale = _pointwise_forms(chain, dim)
+    size = chain.n_states - 1
+    summed = (sets @ _projected_forms(chain, dim)).reshape(-1, size, size)
+    evals = np.linalg.eigvalsh(summed)
+    cutoff = _kernel_cutoff(evals, form_scale, sets.sum(axis=1))
+    return ~(evals[:, 0] > SCREEN_MARGIN * cutoff)      # a NaN keeps the set
 
 
 def _positive_combination(grams: list[np.ndarray], basis: np.ndarray,
@@ -139,7 +180,11 @@ def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
 
 def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
     """Enumerate the maximal optimal sets by downward search from the
-    minimal-curvature vertices, pruning subsets of known facets."""
+    minimal-curvature vertices, pruning subsets of known facets.
+
+    Each level is handled in chunks: candidates inside a facet of a larger
+    level are dropped by a bitmask test, the rest go through the stacked
+    `_screen`, and each survivor is decided by `is_optimal_set`."""
     if chain.n_states > OPTIMAL_MAX_STATES:
         raise TooLarge(
             f"optimal-set enumeration capped at {OPTIMAL_MAX_STATES} states")
@@ -147,15 +192,25 @@ def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
     k_global = float(curv.min())
     tol = X0_REL_TOL * max(1.0, abs(k_global))
     x0 = tuple(s for s, k in zip(chain.states, curv) if k - k_global <= tol)
-    facets: list[frozenset] = []
+    cols = np.array([chain.index(s) for s in x0])
+    bits = 1 << np.arange(len(x0), dtype=np.int64)
+    facets = np.empty(0, dtype=np.int64)          # bitmasks over x0
     for size in range(len(x0), 0, -1):
-        for combo in combinations(x0, size):
-            cand = frozenset(combo)
-            if any(cand <= f for f in facets):
-                continue
-            if is_optimal_set(chain, combo, dim).is_optimal:
-                facets.append(cand)
-    facet_tuples = sorted(tuple(sorted(f, key=chain.index)) for f in facets)
+        combos = combinations(range(len(x0)), size)
+        found = []
+        while chunk := list(islice(combos, SCREEN_CHUNK)):
+            pos = np.array(chunk)
+            masks = bits[pos].sum(axis=1)
+            # a candidate of this level can only lie inside a larger facet
+            pos = pos[((masks[:, None] & ~facets) != 0).all(axis=1)]
+            sets = np.zeros((len(pos), chain.n_states))
+            sets[np.arange(len(pos))[:, None], cols[pos]] = 1.0
+            for row in pos[_screen(chain, float(dim), sets)]:
+                if is_optimal_set(chain, tuple(x0[j] for j in row), dim).is_optimal:
+                    found.append(bits[row].sum())
+        facets = np.append(facets, np.array(found, dtype=np.int64))
+    facet_tuples = sorted(tuple(s for s, b in zip(x0, bits) if f & b)
+                          for f in facets)
     dimension = max((len(f) - 1 for f in facet_tuples), default=-1)
     return OptimalComplex(facets=facet_tuples, dimension=dimension,
                           zero_cells=x0)
@@ -181,6 +236,8 @@ def check_union_proposition(chain: MarkovChain, a0, a1, dim) -> UnionReport:
     """
     i0 = [chain.index(s) for s in a0]
     i1 = [chain.index(s) for s in a1]
+    if not (i0 and i1):
+        raise InvalidParameters("the union proposition needs two nonempty sets")
     dist = distance_matrix(chain)
     d = int(min(dist[i, j] for i in i0 for j in i1))
     if d < 5:

@@ -1,14 +1,17 @@
 """Shared fixtures: standard chains, random reversible chains, and the
-reference Cheeger engine."""
+reference Cheeger and optimal-set engines."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from curvkit import (CheegerResult, TooLarge, build_chain, complete, cycle,
-                     hypercube, path)
+                     hypercube, is_optimal_set, path)
+from curvkit.curvature import _vertex_curvatures
 from curvkit.geometry import cut_weight
+from curvkit.optimal import X0_REL_TOL, OptimalComplex
 
 
 @pytest.fixture
@@ -118,3 +121,24 @@ def cheeger_gray(chain, max_states: int = 20) -> CheegerResult:
     h = cut_weight(chain, best_members) / float(pi[best_members].sum())
     subset = sorted((chain.states[i] for i in best_members), key=chain.index)
     return CheegerResult(h=h, subset=tuple(subset))
+
+
+def optimal_complex_reference(chain, dim) -> OptimalComplex:
+    """Reference optimal-set engine: the downward search that decides every
+    candidate outside a known facet by `is_optimal_set`, with no screen."""
+    curv = _vertex_curvatures(chain, float(dim))
+    k_global = float(curv.min())
+    tol = X0_REL_TOL * max(1.0, abs(k_global))
+    x0 = tuple(s for s, k in zip(chain.states, curv) if k - k_global <= tol)
+    facets: list[frozenset] = []
+    for size in range(len(x0), 0, -1):
+        for combo in combinations(x0, size):
+            cand = frozenset(combo)
+            if any(cand <= f for f in facets):
+                continue
+            if is_optimal_set(chain, combo, dim).is_optimal:
+                facets.append(cand)
+    facet_tuples = sorted(tuple(sorted(f, key=chain.index)) for f in facets)
+    dimension = max((len(f) - 1 for f in facet_tuples), default=-1)
+    return OptimalComplex(facets=facet_tuples, dimension=dimension,
+                          zero_cells=x0)

@@ -1,6 +1,7 @@
 """Chain construction, validation, generators, distances, file formats."""
 
 import json
+import random
 import sys
 import threading
 from itertools import product
@@ -118,6 +119,32 @@ def test_random_regular_structure():
     assert st.q_min == pytest.approx(1 / 3)
     assert ch.pi == pytest.approx([1 / 8] * 8)
     assert (ch.adjacency.sum(axis=1) == 3).all()
+
+
+def test_random_regular_matches_networkx():
+    # the pairing model draws as networkx 3's random_regular_graph does, so
+    # every seed gives the same graph, and the same connected retry
+    nx = pytest.importorskip("networkx")
+    from curvkit.chain import _pairing_edges
+
+    for d in range(1, 7):
+        for n in range(d + 1, 31):
+            if n * d % 2:
+                continue
+            for seed in range(5):
+                g = nx.random_regular_graph(d, n, seed=seed)
+                rng = random.Random(seed)
+                edges = None
+                while edges is None:
+                    edges = _pairing_edges(d, n, rng)
+                assert edges == {tuple(sorted(e)) for e in g.edges()}, (d, n, seed)
+    for d, n, seed in ((2, 12, 0), (2, 20, 3), (3, 16, 1), (4, 128, 1)):
+        attempt = next(a for a in range(64)
+                       if nx.is_connected(nx.random_regular_graph(d, n, seed=seed + a)))
+        g = nx.random_regular_graph(d, n, seed=seed + attempt)
+        adj = nx.to_numpy_array(g, nodelist=sorted(g.nodes()))
+        assert np.array_equal(random_regular(d, n, seed=seed).q,
+                              adj / adj.sum(axis=1)[:, None]), (d, n, seed)
 
 
 def test_generate_bad_spec():

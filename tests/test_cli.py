@@ -1,5 +1,7 @@
 """CLI: subcommand contracts, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 import curvkit
 from curvkit import (ARITHMETIC, chain_from_json, check_cheeger_l1,
                      curvature_of_measure, dirac, hypercube)
-from curvkit.cli import main
+from curvkit.cli import _EMIT_BATCH, main
 
 from conftest import cheeger_gray
 
@@ -151,6 +153,25 @@ def test_cli_import_defers_networkx_and_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_report_text_is_the_canonical_json_dump(tmp_path, out):
+    # the report is written in joined batches of encoder chunks; its text
+    # must be json.dumps of the document itself, also for a report of many
+    # batches (hypercube:7 has 128 vertices)
+    argv = ["curv-vertex", "--gen", "hypercube:7"]
+    if out:
+        path = tmp_path / "report.json"
+        assert main(argv + ["--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+    else:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        text = buf.getvalue()
+    assert text.count("\n") > 2 * _EMIT_BATCH       # a line holds at least one chunk
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_spectrum(tmp_path):

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from curvkit import (ARITHMETIC, TooLarge, bakry_emery_global,
-                     bakry_emery_vertex, check_equilibrium_optimality,
-                     check_union_proposition, complete, cycle,
-                     distance_matrix, func_inner, gamma, gamma2, hypercube,
-                     is_optimal_set, lichnerowicz_check, optimal_complex,
-                     path)
+from itertools import combinations
 
+from curvkit import (ARITHMETIC, InvalidParameters, TooLarge,
+                     bakry_emery_global, bakry_emery_vertex,
+                     check_equilibrium_optimality, check_union_proposition,
+                     complete, cycle, distance_matrix, func_inner, gamma,
+                     gamma2, generate, hypercube, is_optimal_set,
+                     lichnerowicz_check, optimal_complex, path)
+
+from conftest import optimal_complex_reference
 from test_curvature import _ball_pool
 
 INF = np.inf
@@ -120,6 +123,51 @@ def test_union_proposition_cycle16():
     rep = check_union_proposition(ch, ["0"], ["4"], INF)
     assert not rep.precondition_met and rep.union_optimal is None
     assert rep.distance == 4
+
+
+def test_union_proposition_rejects_an_empty_set():
+    ch = cycle(16)
+    for a0, a1 in (([], ["0"]), (["0"], [])):
+        with pytest.raises(InvalidParameters):
+            check_union_proposition(ch, a0, a1, INF)
+
+
+REFERENCE_SPECS = ([f"cycle:{n}" for n in range(5, 13)]
+                   + [f"hypercube:{d}" for d in range(1, 5)]
+                   + ["complete:4", "complete:6", "path:4", "path:8"]
+                   + [f"random-regular:3:{n}:{s}" for n in (10, 12)
+                      for s in range(1, 6)])
+
+
+@pytest.mark.parametrize("dim", [INF, 4.0])
+def test_optimal_complex_matches_reference_engine(dim):
+    for spec in REFERENCE_SPECS:
+        cx = optimal_complex(generate(spec), dim)
+        assert cx == optimal_complex_reference(generate(spec), dim), spec
+
+
+def test_optimal_complex_matches_reference_engine_cycle14():
+    assert optimal_complex(cycle(14), INF) == optimal_complex_reference(cycle(14), INF)
+
+
+@pytest.mark.parametrize("dim", [INF, 4.0])
+def test_screen_keeps_every_optimal_set(dim):
+    from curvkit.optimal import _screen
+
+    rejected = 0
+    for spec in ("cycle:8", "hypercube:3", "path:6", "random-regular:3:10:1"):
+        ch = generate(spec)
+        x0 = optimal_complex(ch, dim).zero_cells
+        subsets = [c for k in range(1, len(x0) + 1) for c in combinations(x0, k)]
+        sets = np.zeros((len(subsets), ch.n_states))
+        for row, sub in zip(sets, subsets):
+            row[[ch.index(s) for s in sub]] = 1.0
+        keep = _screen(ch, dim, sets)
+        for sub, kept in zip(subsets, keep):
+            if not kept:
+                assert not is_optimal_set(ch, sub, dim).is_optimal, (spec, sub)
+        rejected += int((~keep).sum())
+    assert rejected > 0
 
 
 def test_equilibrium_optimality_matches_sharpness():

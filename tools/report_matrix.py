@@ -15,10 +15,12 @@ scratch directory that is also the working directory:
     unknown generator, a verify run whose exact preconditions fail, a
     weighted edge list (one state first seen in the second column) under
     the geometric mean, the full forms of a Dirac density over a dimension
-    grid, a Dirac density evolved by the heat semigroup, optimal sets at a
-    finite dimension on chains whose 2-balls miss some states, and two
-    entropic descents at a finite dimension (the (1/dim) terms of the
-    forms and the curvature gradient along a descent);
+    grid, a Dirac density evolved by the heat semigroup, the non-pure
+    optimal-set complex of the 8-cycle (its maximal antipodal pairs),
+    optimal sets at a finite dimension on a cycle and on chains whose
+    2-balls miss some states, and two entropic descents at a finite
+    dimension (the (1/dim) terms of the forms and the curvature gradient
+    along a descent);
   * a four-state birth-death chain with pi_max/pi_min = 1e6 (written to
     the scratch directory): the full verify battery, where pi is so
     concentrated that the chain starts within 1/4 of equilibrium and
@@ -116,6 +118,8 @@ def edge_commands(work: str) -> list[list[str]]:
             ["curv-measure", "--gen", "path:5", "--rho", "dirac:2",
              "--n-grid", "inf,6"],
             ["heat", "--gen", "cycle:6", "--t-grid", "0.1,1", "--rho", "dirac:0"],
+            ["optimal-sets", "--gen", "cycle:8"],
+            ["optimal-sets", "--gen", "cycle:10", "--n", "4"],
             ["optimal-sets", "--gen", "hypercube:3", "--n", "4"],
             ["optimal-sets", "--gen", "random-regular:3:12:2", "--n", "4"],
             ["curv-entropic", "--gen", "path:5", "--starts", "4", "--n", "4"],
