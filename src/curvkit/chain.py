@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from .errors import InvalidParameters, NotIrreducible, NotReversible, NotStochastic
 
@@ -100,7 +100,7 @@ class MarkovChain:
             raise NotIrreducible(f"adjacency graph has {n_comp} components")
 
         if pi is None:
-            pi = _stationary_vector(q)
+            pi = _stationary_vector(q, adjacency, states)
         elif pi.shape != (n,):
             raise InvalidParameters(f"pi must have shape ({n},)")
         if (pi <= 0).any() or abs(pi.sum() - 1.0) > VALIDATION_RTOL:
@@ -202,21 +202,25 @@ class MarkovChain:
         return f"MarkovChain(n={self.n_states})"
 
 
-def _stationary_vector(q: np.ndarray) -> np.ndarray:
-    """Left Perron vector of Q via the singular system (Q^T - I) with an
-    appended normalization row; exact (least squares) for small dense chains."""
-    n = q.shape[0]
-    a = np.vstack([q.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return pi
+def _stationary_vector(q: np.ndarray, adjacency: np.ndarray, states) -> np.ndarray:
+    """pi(y) = pi(x) Q(x,y) / Q(y,x) along a breadth-first spanning tree: exact to
+    rounding for a reversible chain whatever its gap.  The caller's checks reject
+    any other chain; a one-way edge, which admits no such pi, raises here."""
+    if (oneway := adjacency & ~adjacency.T).any():
+        x, y = np.argwhere(oneway)[0]
+        raise NotReversible(f"detailed balance fails for ({states[x]},{states[y]}): "
+                            f"Q(x,y)={float(q[x, y])!r} > 0 but Q(y,x)=0")
+    order, parent = breadth_first_order(csr_matrix(adjacency), 0)
+    pi = np.ones(len(q))
+    for y in order[1:]:
+        pi[y] = pi[parent[y]] * q[parent[y], y] / q[y, parent[y]]
+    return pi / pi.sum()
 
 
 def build_chain(q, pi=None, states=None) -> MarkovChain:
     """Validate and construct a chain from a row-stochastic kernel.
 
-    When pi is omitted it is computed as the unique stationary vector.
+    When pi is omitted it is computed from detailed balance on a spanning tree.
     Raises NotStochastic / NotIrreducible / NotReversible naming the violated
     row or pair together with the residual.
     """

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
 from .curvature import _vertex_curvatures
-from .errors import InvalidParameters, TooLarge
+from .errors import InvalidParameters, NumericalFailure, TooLarge
 from .gamma import _dirac_ball_forms
 
 #: singular-value cutoff (relative to the largest) for null spaces of the
@@ -53,27 +53,30 @@ class OptimalComplex:
 
 @derived
 def _pointwise_forms(chain: MarkovChain, dim: float):
-    """(forms, form_scale) at the global K.  forms[x] holds, for B = B2(x):
-    B, the flat positions of B x B in an n x n matrix, q_x = m_x - K n_x on
-    B x B (flattened) and n_x on B x B (f' n_x f = Gamma f(x)).  Both forms
-    vanish off B x B."""
+    """(forms, rows, helmert, form_scale) at the global K.
+
+    The columns of `helmert` (n x (n-1)) are an orthonormal basis of the
+    vectors with zero sum.  forms[x] is (B, n_x on B x B) for B = B2(x), with
+    f' n_x f = Gamma f(x); row x of `rows` holds H' q_x H, flattened, for
+    q_x = m_x - K n_x, computed from the B x B blocks as H[B]' q_x H[B].
+    Both forms vanish off B x B and kill the constants, so a sum of q_x has
+    the eigenvalues of its projection and a zero for the constants."""
     k = float(_vertex_curvatures(chain, dim).min())
     size = chain.n_states
-    forms, form_scale = [], 0.0
-    for state in chain.states:
+    helmert = np.tril(np.ones((size, size - 1)))
+    j = np.arange(1, size)
+    helmert[j, j - 1] = -j
+    helmert /= np.sqrt(j * (j + 1.0))
+    forms, rows, form_scale = [], np.empty((size, (size - 1) ** 2)), 0.0
+    for x, state in enumerate(chain.states):
         ball, m, n = _dirac_ball_forms(chain, state, dim)
-        forms.append((ball, (ball[:, None] * size + ball).ravel(), (m - k * n).ravel(), n))
-        for a in forms[-1]:
-            a.setflags(write=False)
+        proj = helmert[ball].T @ (m - k * n) @ helmert[ball]
+        rows[x] = (0.5 * (proj + proj.T)).ravel()
+        forms.append((ball, n))
         form_scale = max(form_scale, float(np.abs(m).max() + abs(k) * np.abs(n).max()))
-    return forms, form_scale
-
-
-def _summed_q(size: int, forms: list) -> np.ndarray:
-    """Sum of the q_x of the given forms, as an n x n matrix."""
-    return np.bincount(np.concatenate([pos for _, pos, _, _ in forms]),
-                       np.concatenate([q for _, _, q, _ in forms]),
-                       minlength=size * size).reshape(size, size)
+    for a in (rows, helmert, *(a for form in forms for a in form)):
+        a.setflags(write=False)
+    return forms, rows, helmert, form_scale
 
 
 def _kernel_cutoff(evals: np.ndarray, form_scale: float, count):
@@ -84,62 +87,35 @@ def _kernel_cutoff(evals: np.ndarray, form_scale: float, count):
     return KERNEL_REL_TOL * np.abs(evals).max(axis=-1) + 1e-12 * form_scale * count
 
 
-def _kernel_basis(size: int, forms: list, form_scale: float) -> np.ndarray:
-    """Null space of the sum of the q_x of the given forms, as columns."""
-    total = _summed_q(size, forms)
-    total = 0.5 * (total + total.T)
-    evals, vecs = np.linalg.eigh(total)
-    return vecs[:, evals <= float(_kernel_cutoff(evals, form_scale, len(forms)))]
-
-
-@derived
-def _projected_forms(chain: MarkovChain, dim: float) -> np.ndarray:
-    """Row x holds P' q_x P, flattened, where the columns of P (Helmert) are
-    an orthonormal basis of the vectors with zero sum.  Every q_x kills the
-    constants, so a summed q has the eigenvalues of its projection and a
-    zero for the constants."""
-    forms, _ = _pointwise_forms(chain, dim)
-    size = chain.n_states
-    helmert = np.tril(np.ones((size, size - 1)))
-    k = np.arange(1, size)
-    helmert[k, k - 1] = -k
-    helmert /= np.sqrt(k * (k + 1.0))
-    proj = np.array([helmert.T @ _summed_q(size, [form]) @ helmert for form in forms])
-    rows = (0.5 * (proj + proj.transpose(0, 2, 1))).reshape(size, -1)
-    rows.setflags(write=False)
-    return rows
-
-
 def _screen(chain: MarkovChain, dim: float, sets: np.ndarray) -> np.ndarray:
     """Which of the vertex sets (0/1 rows over the states) may be optimal.
     A set is rejected only when its summed q has no eigenvalue within
     SCREEN_MARGIN cutoffs of zero off the constants: then its kernel is the
     constants, on which Gamma vanishes, and `is_optimal_set` fails it at
     its Gram test."""
-    _, form_scale = _pointwise_forms(chain, dim)
+    _, rows, _, form_scale = _pointwise_forms(chain, dim)
     size = chain.n_states - 1
-    summed = (sets @ _projected_forms(chain, dim)).reshape(-1, size, size)
-    evals = np.linalg.eigvalsh(summed)
+    evals = np.linalg.eigvalsh((sets @ rows).reshape(-1, size, size))
     cutoff = _kernel_cutoff(evals, form_scale, sets.sum(axis=1))
     return ~(evals[:, 0] > SCREEN_MARGIN * cutoff)      # a NaN keeps the set
 
 
-def _positive_combination(grams: list[np.ndarray], basis: np.ndarray,
-                          rng: np.random.Generator):
-    """A kernel vector with strictly positive value in every PSD Gram form.
+def _positive_combination(grams: list[np.ndarray]):
+    """A coefficient vector with strictly positive value in every PSD Gram form.
 
     Random draws are generically sufficient (each Gram's zero set is a
     proper subspace); the fallback scans Vandermonde coefficient vectors,
     which must succeed because a polynomial c(t)' G c(t) that vanishes at
     more points than its degree forces G = 0 on the kernel.
     """
-    dim = basis.shape[1]
+    dim = len(grams[0])
     floors = [GRAM_REL_TOL * max(1.0, float(np.abs(g).max())) for g in grams]
 
     def good(c):
         c = c / np.linalg.norm(c)
         return all(float(c @ g @ c) > floor for g, floor in zip(grams, floors)), c
 
+    rng = np.random.default_rng(0)
     for _ in range(100):
         ok, c = good(rng.standard_normal(dim))
         if ok:
@@ -152,25 +128,31 @@ def _positive_combination(grams: list[np.ndarray], basis: np.ndarray,
 
 
 def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
-    """Decide optimality of a vertex set at dimension dim (arithmetic mean)."""
+    """Decide optimality of a vertex set at dimension dim (arithmetic mean).
+
+    The kernel of the summed q_x is the constants plus H times the null
+    vectors of the projected sum; `kernel_dim` counts both.  Gamma vanishes
+    on the constants, so when the projected kernel is empty the set fails
+    at the Gram test of its first vertex."""
     idx = [chain.index(s) for s in states]
     if not idx:
         raise InvalidParameters("the empty set has no optimality certificate")
-    forms, form_scale = _pointwise_forms(chain, float(dim))
-    basis = _kernel_basis(chain.n_states, [forms[i] for i in idx], form_scale)
-    kernel_dim = basis.shape[1]
-    if kernel_dim == 0:
-        return OptimalityCertificate(False, None, 0, chain.states[idx[0]])
+    forms, rows, helmert, form_scale = _pointwise_forms(chain, float(dim))
+    size = chain.n_states - 1
+    total = (np.bincount(idx, minlength=chain.n_states) @ rows).reshape(size, size)
+    evals, vecs = np.linalg.eigh(total)
+    basis = helmert @ vecs[:, evals <= float(_kernel_cutoff(evals, form_scale, len(idx)))]
+    kernel_dim = basis.shape[1] + 1
     grams = []
     for i in idx:
-        ball, _, _, n = forms[i]
+        ball, n = forms[i]
         on_ball = basis.take(ball, axis=0)    # faster than basis[ball] here
         g = on_ball.T @ n @ on_ball
-        if np.abs(g).max() <= GRAM_REL_TOL * max(1.0, float(np.abs(n).max())):
+        if np.abs(g).max(initial=0.0) <= GRAM_REL_TOL * max(1.0, float(np.abs(n).max())):
             # Gamma vanishes identically on the kernel at this vertex
             return OptimalityCertificate(False, None, kernel_dim, chain.states[i])
         grams.append(0.5 * (g + g.T))
-    c = _positive_combination(grams, basis, np.random.default_rng(0))
+    c = _positive_combination(grams)
     if c is None:        # pragma: no cover - Vandermonde fallback is exhaustive
         return OptimalityCertificate(False, None, kernel_dim, None)
     witness = basis @ c
@@ -184,7 +166,11 @@ def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
 
     Each level is handled in chunks: candidates inside a facet of a larger
     level are dropped by a bitmask test, the rest go through the stacked
-    `_screen`, and each survivor is decided by `is_optimal_set`."""
+    `_screen`, and each survivor is decided by `is_optimal_set`.
+
+    A minimal-curvature vertex is an optimal singleton (its pencil witness
+    kills q_x with Gamma f(x) > 0), so a zero cell in no facet means K or the
+    forms are too inaccurate to decide the complex: NumericalFailure."""
     if chain.n_states > OPTIMAL_MAX_STATES:
         raise TooLarge(
             f"optimal-set enumeration capped at {OPTIMAL_MAX_STATES} states")
@@ -209,6 +195,10 @@ def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
                 if is_optimal_set(chain, tuple(x0[j] for j in row), dim).is_optimal:
                     found.append(bits[row].sum())
         facets = np.append(facets, np.array(found, dtype=np.int64))
+    covered = np.bitwise_or.reduce(facets, initial=0)
+    if uncovered := [s for s, b in zip(x0, bits) if not covered & b]:
+        raise NumericalFailure(
+            f"minimal-curvature vertices {', '.join(uncovered)} lie in no optimal set")
     facet_tuples = sorted(tuple(s for s, b in zip(x0, bits) if f & b)
                           for f in facets)
     dimension = max((len(f) - 1 for f in facet_tuples), default=-1)

@@ -86,6 +86,23 @@ def test_stationary_vector_computed():
     assert rebuilt.pi == pytest.approx(ch.pi, abs=1e-10)
 
 
+def test_stationary_vector_of_a_chain_with_a_small_spectral_gap():
+    # a birth-death chain whose middle edge is 1e-6: pi from detailed
+    # balance is exact to rounding, where a linear solve misses it by eps/gap
+    w = 1e-6
+    q = np.array([[0.0, 1.0, 0.0, 0.0],
+                  [1.0 / (1 + w), 0.0, w / (1 + w), 0.0],
+                  [0.0, w / (1 + w), 0.0, 1.0 / (1 + w)],
+                  [0.0, 0.0, 1.0, 0.0]])
+    pi = build_chain(q).pi
+    assert np.abs(pi - np.array([1, 1 + w, 1 + w, 1]) / (4 + 2 * w)).max() <= 1e-12
+
+
+def test_one_way_edge_rejected_without_pi():
+    with pytest.raises(NotReversible, match=r"\(0,1\)"):
+        build_chain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
 @pytest.mark.parametrize("spec,size", [
     ("hypercube:1", 2), ("hypercube:3", 8), ("cycle:5", 5),
     ("complete:4", 4), ("path:6", 6),

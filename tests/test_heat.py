@@ -178,6 +178,27 @@ def test_mixing_non_monotone_trace_is_numerical_failure(two_state, monkeypatch):
         avg_mixing_time(two_state, 0.25)
 
 
+def test_mixing_time_past_float_resolution_of_the_bisection(monkeypatch):
+    # tau ~ 1.4e6 > 2^19, where adjacent floats are more than 1e-10 apart
+    import curvkit.heat as heat_mod
+    from curvkit import chain_from_edgelist
+
+    ch = chain_from_edgelist("a\tb\t1\nb\tc\t1e-6\nc\td\t1\n")
+    real = heat_mod.l1_distance_from_equilibrium
+    calls = []
+
+    def bounded(chain, t):
+        calls.append(t)
+        if len(calls) > 500:
+            raise AssertionError("bisection does not terminate")
+        return real(chain, t)
+
+    monkeypatch.setattr(heat_mod, "l1_distance_from_equilibrium", bounded)
+    tau = avg_mixing_time(ch, 0.25)
+    assert tau > 2.0 ** 19
+    assert real(ch, tau) <= 0.25 < real(ch, np.nextafter(tau, 0.0))
+
+
 def test_l1_contraction(hyp2):
     ts = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0]
     vals = [l1_distance_from_equilibrium(hyp2, t) for t in ts]

@@ -12,6 +12,8 @@ from curvkit import (ARITHMETIC, InvalidParameters, TooLarge,
                      gamma2, generate, hypercube, is_optimal_set,
                      lichnerowicz_check, optimal_complex, path)
 
+from curvkit.curvature import _vertex_curvatures
+
 from conftest import optimal_complex_reference
 from test_curvature import _ball_pool
 
@@ -255,19 +257,50 @@ def test_is_optimal_set_takes_no_forms():
     assert "forms" not in inspect.signature(is_optimal_set).parameters
 
 
-def test_summed_form_equals_padded_sum_bitwise():
-    from curvkit.optimal import _pointwise_forms, _summed_q
+def test_projected_rows_and_kernel_basis_match_the_padded_forms():
+    # the padded n x n forms q_x are the reference for the projected rows,
+    # and their sum over a set annihilates is_optimal_set's kernel basis
+    from curvkit.gamma import _dirac_ball_forms
+    from curvkit.optimal import _kernel_cutoff, _pointwise_forms
 
     rng = np.random.default_rng(0)
+    witnesses = 0
     for ch in _ball_pool():
         size = ch.n_states
-        forms, _ = _pointwise_forms(ch, INF)
+        _, rows, helmert, form_scale = _pointwise_forms(ch, INF)
+        k = float(_vertex_curvatures(ch, INF).min())
         padded = []
-        for ball, _, q, _ in forms:
+        for x in range(size):
+            ball, m, n = _dirac_ball_forms(ch, x, INF)
             mat = np.zeros((size, size))
-            mat[np.ix_(ball, ball)] = q.reshape(len(ball), len(ball))
+            mat[np.ix_(ball, ball)] = m - k * n
             padded.append(mat)
-        for _ in range(8):
-            idx = rng.permutation(size)[:rng.integers(1, size + 1)]
-            summed = _summed_q(size, [forms[i] for i in idx])
-            assert np.array_equal(summed, np.sum([padded[i] for i in idx], axis=0))
+            proj = helmert.T @ mat @ helmert
+            scale = max(1.0, np.abs(mat).max())
+            assert np.abs(rows[x] - proj.ravel()).max() <= 1e-13 * scale
+        subsets = [[x] for x in np.flatnonzero(_vertex_curvatures(ch, INF) == k)]
+        subsets += [rng.permutation(size)[:rng.integers(1, size + 1)] for _ in range(8)]
+        for idx in subsets:
+            total = np.sum([padded[i] for i in idx], axis=0)
+            evals = np.linalg.eigvalsh(total)
+            cutoff = _kernel_cutoff(evals, form_scale, len(idx))
+            cert = is_optimal_set(ch, [ch.states[i] for i in idx], INF)
+            assert cert.kernel_dim == int((evals <= cutoff).sum())
+            if cert.is_optimal:
+                witnesses += 1
+                assert np.linalg.norm(total @ cert.witness) <= cutoff
+    assert witnesses > len(_ball_pool())
+
+
+def test_zero_cell_outside_every_facet_is_numerical_failure(tmp_path):
+    # a 1e-10 middle edge: the vertex pencils are not confirmed, and the
+    # zero cell they name is no optimal singleton
+    from curvkit import NumericalFailure, chain_from_edgelist
+    from curvkit.cli import main
+
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
+    with pytest.raises(NumericalFailure, match="lie in no optimal set"):
+        optimal_complex(chain_from_edgelist(edges.read_text()), INF)
+    assert main(["optimal-sets", "--in", str(edges),
+                 "--out", str(tmp_path / "report.json")]) == 3

@@ -18,9 +18,11 @@ scratch directory that is also the working directory:
     grid, a Dirac density evolved by the heat semigroup, the non-pure
     optimal-set complex of the 8-cycle (its maximal antipodal pairs),
     optimal sets at a finite dimension on a cycle and on chains whose
-    2-balls miss some states, and two entropic descents at a finite
-    dimension (the (1/dim) terms of the forms and the curvature gradient
-    along a descent);
+    2-balls miss some states, optimal sets whose zero cells are a proper
+    subset of the states (path:8), whose complex is 0-dimensional
+    (complete:6) and whose one facet holds all 16 states (hypercube:4),
+    and two entropic descents at a finite dimension (the (1/dim) terms of
+    the forms and the curvature gradient along a descent);
   * a four-state birth-death chain with pi_max/pi_min = 1e6 (written to
     the scratch directory): the full verify battery, where pi is so
     concentrated that the chain starts within 1/4 of equilibrium and
@@ -122,6 +124,9 @@ def edge_commands(work: str) -> list[list[str]]:
             ["optimal-sets", "--gen", "cycle:10", "--n", "4"],
             ["optimal-sets", "--gen", "hypercube:3", "--n", "4"],
             ["optimal-sets", "--gen", "random-regular:3:12:2", "--n", "4"],
+            ["optimal-sets", "--gen", "path:8"],
+            ["optimal-sets", "--gen", "complete:6"],
+            ["optimal-sets", "--gen", "hypercube:4"],
             ["curv-entropic", "--gen", "path:5", "--starts", "4", "--n", "4"],
             ["curv-entropic", "--gen", "hypercube:3", "--starts", "2", "--n", "6"],
             ["verify", "--in", bd6, "--suite", "all", "--starts", "1"],
