@@ -23,8 +23,7 @@ from .gamma import (FormPair, a_form, assemble_forms, b_form,
                     check_geometric_green, dirac, divergence, equilibrium,
                     func_inner, gamma, gamma2, gamma2_rho, gamma_rho,
                     gradient_field, laplacian, laplacian_matrix,
-                    rho_laplacian, validate_density, vector_field, vf_inner,
-                    vf_inner_rho)
+                    rho_laplacian, validate_density, vf_inner, vf_inner_rho)
 from .geometry import (CheegerResult, InequalityReport, cheeger, check_buser,
                        check_cheeger_l1, check_diameter_bound_ent,
                        check_diameter_bound_finite_n, check_expander_bounds,

@@ -8,6 +8,7 @@ relation x ~ y holds iff Q[x, y] > 0 for x != y; self loops are allowed in Q
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import random
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from .errors import InvalidParameters, NotIrreducible, NotReversible, NotStochastic
 
@@ -95,12 +96,16 @@ class MarkovChain:
 
         adjacency = (q > 0.0)
         np.fill_diagonal(adjacency, False)
-        n_comp, _ = connected_components(csr_matrix(adjacency), directed=False)
-        if n_comp != 1:
-            raise NotIrreducible(f"adjacency graph has {n_comp} components")
+        # one search answers irreducibility and gives pi's spanning tree
+        order, parent = breadth_first_order(csr_matrix(adjacency), 0,
+                                            directed=False)
+        if len(order) < n:
+            lost = np.setdiff1d(np.arange(n), order)[0]
+            raise NotIrreducible(
+                f"state {states[lost]} is not reachable from state {states[0]}")
 
         if pi is None:
-            pi = _stationary_vector(q, adjacency, states)
+            pi = _stationary_vector(q, adjacency, states, order, parent)
         elif pi.shape != (n,):
             raise InvalidParameters(f"pi must have shape ({n},)")
         if (pi <= 0).any() or abs(pi.sum() - 1.0) > VALIDATION_RTOL:
@@ -202,15 +207,15 @@ class MarkovChain:
         return f"MarkovChain(n={self.n_states})"
 
 
-def _stationary_vector(q: np.ndarray, adjacency: np.ndarray, states) -> np.ndarray:
-    """pi(y) = pi(x) Q(x,y) / Q(y,x) along a breadth-first spanning tree: exact to
-    rounding for a reversible chain whatever its gap.  The caller's checks reject
-    any other chain; a one-way edge, which admits no such pi, raises here."""
+def _stationary_vector(q: np.ndarray, adjacency: np.ndarray, states, order,
+                       parent) -> np.ndarray:
+    """pi(y) = pi(x) Q(x,y) / Q(y,x) along the breadth-first spanning tree (order,
+    parent): exact to rounding for a reversible chain whatever its gap.  The caller's
+    checks reject any other chain; a one-way edge, which admits no such pi, raises here."""
     if (oneway := adjacency & ~adjacency.T).any():
         x, y = np.argwhere(oneway)[0]
         raise NotReversible(f"detailed balance fails for ({states[x]},{states[y]}): "
                             f"Q(x,y)={float(q[x, y])!r} > 0 but Q(y,x)=0")
-    order, parent = breadth_first_order(csr_matrix(adjacency), 0)
     pi = np.ones(len(q))
     for y in order[1:]:
         pi[y] = pi[parent[y]] * q[parent[y], y] / q[y, parent[y]]
@@ -240,14 +245,24 @@ def distance_matrix(chain: MarkovChain) -> np.ndarray:
 # -- generators ----------------------------------------------------------
 
 def srw_from_graph(adj: np.ndarray, states: list[str] | None = None) -> MarkovChain:
-    """Simple random walk on an undirected graph: Q = A/deg, pi proportional to deg."""
+    """Random walk on an undirected, weighted graph: Q = A/deg, pi proportional to deg."""
     adj = np.asarray(adj, dtype=float)
     deg = adj.sum(axis=1)
     if (deg == 0).any():
-        raise InvalidParameters("graph has an isolated vertex")
+        x = int(np.argmax(deg == 0))
+        raise InvalidParameters(
+            f"state {states[x] if states else x} has zero total edge weight")
     q = adj / deg[:, None]
     pi = deg / deg.sum()
     return MarkovChain(q, pi=pi, states=states)
+
+
+def _srw_on_edges(n: int, i, j, states: list[str] | None = None) -> MarkovChain:
+    """Simple random walk on the graph with n vertices and the undirected
+    edges (i[e], j[e]), its adjacency built in one scatter."""
+    adj = np.zeros((n, n))
+    adj[np.concatenate([i, j]), np.concatenate([j, i])] = 1.0
+    return srw_from_graph(adj, states=states)
 
 
 def hypercube(n_dim: int) -> MarkovChain:
@@ -256,22 +271,18 @@ def hypercube(n_dim: int) -> MarkovChain:
         raise InvalidParameters("hypercube dimension must be >= 1")
     size = 1 << n_dim
     labels = [format(v, f"0{n_dim}b") for v in range(size)]
-    adj = np.zeros((size, size))
-    for v in range(size):
-        for j in range(n_dim):
-            adj[v, v ^ (1 << j)] = 1.0
-    return srw_from_graph(adj, states=labels)
+    v = np.arange(size)
+    return _srw_on_edges(size, np.repeat(v, n_dim),
+                         (v[:, None] ^ (1 << np.arange(n_dim))).ravel(),
+                         states=labels)
 
 
 def cycle(n: int) -> MarkovChain:
     """Simple random walk on the cycle Z/nZ: Q(x, x-1) = Q(x, x+1) = 1/2."""
     if n < 3:
         raise InvalidParameters("cycle needs n >= 3")
-    adj = np.zeros((n, n))
-    for x in range(n):
-        adj[x, (x + 1) % n] = 1.0
-        adj[x, (x - 1) % n] = 1.0
-    return srw_from_graph(adj)
+    x = np.arange(n)
+    return _srw_on_edges(n, x, (x + 1) % n)
 
 
 def complete(n: int) -> MarkovChain:
@@ -286,10 +297,8 @@ def path(n: int) -> MarkovChain:
     """Simple random walk on the path with n vertices."""
     if n < 2:
         raise InvalidParameters("path needs n >= 2")
-    adj = np.zeros((n, n))
-    for x in range(n - 1):
-        adj[x, x + 1] = adj[x + 1, x] = 1.0
-    return srw_from_graph(adj)
+    x = np.arange(n - 1)
+    return _srw_on_edges(n, x, x + 1)
 
 
 def _repairable(edges: set, leftover: dict) -> bool:
@@ -342,11 +351,8 @@ def random_regular(d: int, n: int, seed: int = 0) -> MarkovChain:
         edges = None
         while edges is None:
             edges = _pairing_edges(d, n, rng)
-        i, j = np.array(sorted(edges)).T
-        adj = np.zeros((n, n))
-        adj[i, j] = adj[j, i] = 1.0
-        if connected_components(csr_matrix(adj), directed=False)[0] == 1:
-            return srw_from_graph(adj)
+        with contextlib.suppress(NotIrreducible):      # disconnected: retry
+            return _srw_on_edges(n, *np.array(sorted(edges)).T)
     raise InvalidParameters(f"no connected {d}-regular graph found from seed {seed}")
 
 
@@ -465,9 +471,4 @@ def chain_from_edgelist(text: str) -> MarkovChain:
     for (u, v), wval in weights.items():
         w[idx[u], idx[v]] += wval
         w[idx[v], idx[u]] += wval
-    deg = w.sum(axis=1)
-    if (deg == 0).any():
-        raise InvalidParameters("edge list leaves a vertex with zero total weight")
-    q = w / deg[:, None]
-    pi = deg / deg.sum()
-    return MarkovChain(q, pi=pi, states=list(idx))
+    return srw_from_graph(w, states=list(idx))

@@ -211,16 +211,15 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
     return solve_pencil(fp.m, fp.n, q_min=chain.stats().q_min, confirm=confirm)
 
 
-def bakry_emery_vertex(chain: MarkovChain, state, dim,
-                       confirm: bool = True) -> CurvatureResult:
+def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     """Vertex curvature: the Dirac density under the arithmetic mean.
 
     The forms vanish outside the 2-ball of the vertex, so they are
-    assembled and the pencil solved on that ball, and the witness
-    re-embedded.
+    assembled and the pencil solved on that ball, the value confirmed by
+    bisection, and the witness re-embedded.
     """
     ball, m, n = _dirac_ball_forms(chain, state, dim)
-    res = solve_pencil(m, n, q_min=chain.stats().q_min, confirm=confirm)
+    res = solve_pencil(m, n, q_min=chain.stats().q_min)
     if res.witness is not None:
         full = np.zeros(chain.n_states)
         full[ball] = res.witness
@@ -230,8 +229,9 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim,
 
 @derived
 def _vertex_curvatures(chain: MarkovChain, dim: float) -> np.ndarray:
-    """Vertex curvature of every state at dimension dim, from the pencil."""
-    curv = np.array([bakry_emery_vertex(chain, state, dim, confirm=False).value
+    """Vertex curvature of every state at dimension dim, each confirmed by
+    both routes."""
+    curv = np.array([bakry_emery_vertex(chain, state, dim).value
                      for state in chain.states])
     curv.setflags(write=False)
     return curv
@@ -432,11 +432,11 @@ class CurvatureProfile:
 def curvature_profile(chain: MarkovChain, mean, rho,
                       dim_grid) -> CurvatureProfile:
     """Evaluate the curvature of a density across a dimension grid, each
-    point from the pencil alone."""
+    point confirmed by both routes."""
     pts = []
     for dim in dim_grid:
         s = 0.0 if np.isinf(dim) else 1.0 / float(dim)
-        k = curvature_of_measure(chain, mean, rho, dim, confirm=False).value
+        k = curvature_of_measure(chain, mean, rho, dim).value
         pts.append((s, k))
     pts.sort(key=lambda p: p[0])
     ok = True

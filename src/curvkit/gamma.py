@@ -93,19 +93,6 @@ def divergence(chain: MarkovChain, v) -> np.ndarray:
     return (v * chain.q).sum(axis=1)
 
 
-def vector_field(chain: MarkovChain, v) -> np.ndarray:
-    """Validate an antisymmetric, adjacency-supported edge field."""
-    v = np.asarray(v, dtype=float)
-    n = chain.n_states
-    if v.shape != (n, n):
-        raise ShapeMismatch(f"expected field of shape ({n},{n}), got {v.shape}")
-    if np.abs(v + v.T).max() > 1e-12 * max(1.0, np.abs(v).max()):
-        raise DomainError("vector field is not antisymmetric")
-    if np.abs(np.where(chain.adjacency, 0.0, v)).max() > 0:
-        raise DomainError("vector field supported off the adjacency relation")
-    return v
-
-
 def vf_inner(chain: MarkovChain, v1, v2) -> float:
     """<V1, V2>_pi = (1/2) sum_{x,y} V1 V2 Q(x,y) pi(x)."""
     v1 = np.asarray(v1, dtype=float)

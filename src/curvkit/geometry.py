@@ -12,10 +12,10 @@ strictly below the best value so far; no skipped pair can exceed that
 value, so the result is the maximum over all pairs bit for bit.  The
 Cheeger constant is an exact minimum over subsets, found by a vectorized
 block enumeration.
-Inequality checks take the chain alone: the spectrum, tau(1/4), h and
-diam_Gamma they need are memoized on the chain (see `chain.derived`).  They
-return reports that carry the status of every precondition, so proof-backed
-and heuristic-backed results stay distinguishable.
+Inequality checks take the chain alone: the spectrum, tau(1/4), h, diam_Gamma
+and global curvature they need are memoized on the chain (`chain.derived`).
+They return reports that carry the status of every precondition, so
+proof-backed and heuristic-backed results stay distinguishable.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .chain import MarkovChain, derived, distance_matrix
+from .curvature import bakry_emery_global
 from .errors import ConvergenceWarning, PreconditionHeuristic, TooLarge
 from .gamma import _edge_laplacian
 from .heat import avg_mixing_time, l1_distance_from_equilibrium, lambda1
@@ -292,15 +293,8 @@ class InequalityReport:
     rhs: float
     holds: bool | None
     slack: float
-    preconditions: list[tuple[str, str]] = field(default_factory=list)
+    preconditions: list[dict] = field(default_factory=list)  # {"name", "status"}
     details: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "holds": self.holds, "slack": self.slack,
-                "preconditions": [{"name": n, "status": s}
-                                  for n, s in self.preconditions],
-                "details": self.details}
 
 
 def _report(name, lhs, rhs, preconditions, details=None) -> InequalityReport:
@@ -313,7 +307,9 @@ def _report(name, lhs, rhs, preconditions, details=None) -> InequalityReport:
                       PreconditionHeuristic)
     holds = None if unmet else bool(slack >= -SLACK_REL_TOL * (abs(lhs) + abs(rhs)))
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, holds=holds,
-                            slack=slack, preconditions=list(preconditions),
+                            slack=slack,
+                            preconditions=[{"name": n, "status": s}
+                                           for n, s in preconditions],
                             details=details or {})
 
 
@@ -373,14 +369,14 @@ def check_diameter_bound_ent(chain: MarkovChain, k: float,
     ]
 
 
-def check_diameter_bound_finite_n(chain: MarkovChain, mean_kind: str, k: float,
-                                  dim: float,
-                                  k_status: str = "exact") -> list[InequalityReport]:
-    """Finite-dimension diameter bounds pi sqrt(dim/K) and pi sqrt(D dim/(2K))."""
-    below_arith = mean_kind in ("arithmetic", "logarithmic", "geometric")
-    pre = [("curvature_positive", k_status if k > 0 else "unmet"),
+def check_diameter_bound_finite_n(chain: MarkovChain,
+                                  dim: float) -> list[InequalityReport]:
+    """Finite-dimension diameter bounds pi sqrt(dim/K) and pi sqrt(D dim/(2K))
+    at the chain's confirmed global curvature K (arithmetic mean) at dim."""
+    k, _ = bakry_emery_global(chain, dim)
+    pre = [("curvature_positive", "exact" if k > 0 else "unmet"),
            ("dimension_finite", "exact" if np.isfinite(dim) else "unmet"),
-           ("mean_below_arithmetic", "exact" if below_arith else "heuristic")]
+           ("mean_below_arithmetic", "exact")]
     if k <= 0 or not np.isfinite(dim):
         nan = float("nan")
         return [_report("diameter_finite_n_dgamma", nan, nan, pre, {"k": k}),

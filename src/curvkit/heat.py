@@ -141,13 +141,6 @@ class VerifyReport:
     witness: dict = field(default_factory=dict)
     violations: int = 0
 
-    def to_dict(self):
-        w = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-             for k, v in self.witness.items()}
-        return {"inequality": self.inequality, "trials": self.trials,
-                "worst_residual": self.worst_residual, "witness": w,
-                "violations": self.violations}
-
 
 def _random_density(chain: MarkovChain, rng) -> np.ndarray:
     """Dirichlet(1) mass converted to a density, floored at 1e-9."""
@@ -256,15 +249,8 @@ def _gradient_estimate_f_matrix(chain: MarkovChain, mean, k: float, dim: float,
     return 0.5 * (h + h.T)
 
 
-@dataclass
-class ProbeResult:
-    found_violation: bool
-    residual: float
-    witness: dict
-
-
 def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
-                    seed: int = 0) -> ProbeResult:
+                    seed: int = 0) -> VerifyReport:
     """Search for a violation of the gradient estimate at a candidate K.
 
     Coordinate descent over (rho, f, t): the f-block is minimized exactly
@@ -272,6 +258,8 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
     greedy multiplicative perturbations.  Seeds are the worst random sample
     plus smoothed Dirac densities, because violations of a barely-too-large
     K can hide arbitrarily close to the boundary of the density simplex.
+    The report's trials count the triples scored and its violations those
+    scored below -1e-9.
     """
     mean = get_mean(mean)
     rng = np.random.default_rng(seed)
@@ -301,12 +289,23 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
         f = basis @ v
         return f / np.linalg.norm(f)
 
-    rho = np.asarray(report.witness["rho"])
-    f0 = np.asarray(report.witness["f"])
-    t = float(report.witness["t"])
-    best = score(rho, f0, t)
-    witness = dict(report.witness)
+    probe = VerifyReport("gradient_estimate", 0, math.inf)
+    rho = t = None
 
+    def consider(cand, tc, f=None):
+        # score (cand, f, tc), f the exact minimizer unless given; the
+        # search moves to the worst triple so far
+        nonlocal rho, t
+        f = best_f_at(cand, tc) if f is None else f
+        r = score(cand, f, tc)
+        probe.trials += 1
+        probe.violations += int(r < -1e-9)
+        if r < probe.worst_residual:
+            probe.worst_residual, rho, t = r, cand, float(tc)
+            probe.witness = {"rho": cand.copy(), "f": f.copy(), "t": t}
+
+    consider(np.asarray(report.witness["rho"]), report.witness["t"],
+             np.asarray(report.witness["f"]))
     t_candidates = np.geomspace(1e-4, 10.0, 24)
     seeds = [rho]
     eps = 1e-6
@@ -316,38 +315,21 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
         seeds.append(bump / float(np.dot(bump, chain.pi)))
     for cand in seeds:
         for tc in t_candidates:
-            f = best_f_at(cand, tc)
-            r = score(cand, f, tc)
-            if r < best:
-                best, rho, t = r, cand, float(tc)
-                witness = {"rho": cand.copy(), "f": f.copy(), "t": float(tc)}
+            consider(cand, tc)
     for _ in range(200):
-        improved = False
+        before = probe.worst_residual
         # exact f step at fixed rho, scanning t
         for tc in t_candidates:
-            f = best_f_at(rho, tc)
-            r = score(rho, f, tc)
-            if r < best:
-                best, t = r, float(tc)
-                witness = {"rho": rho.copy(), "f": f.copy(), "t": float(tc)}
-                improved = True
-        if best < -1e-9:
+            consider(rho, tc)
+        if probe.violations:
             break
         # greedy multiplicative rho proposals
         for _ in range(8):
             prop = rho * np.exp(0.5 * rng.standard_normal(chain.n_states))
-            prop = prop / float(np.dot(prop, chain.pi))
-            f = best_f_at(prop, t)
-            r = score(prop, f, t)
-            if r < best:
-                best = r
-                rho = prop
-                witness = {"rho": rho.copy(), "f": f.copy(), "t": float(t)}
-                improved = True
-        if best < -1e-9 or not improved:
+            consider(prop / float(np.dot(prop, chain.pi)), t)
+        if probe.violations or probe.worst_residual == before:
             break
-    return ProbeResult(found_violation=bool(best < -1e-9), residual=best,
-                       witness=witness)
+    return probe
 
 
 def _rp_coeff1(k: float, t: float) -> float:

@@ -171,6 +171,8 @@ def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
     A minimal-curvature vertex is an optimal singleton (its pencil witness
     kills q_x with Gamma f(x) > 0), so a zero cell in no facet means K or the
     forms are too inaccurate to decide the complex: NumericalFailure."""
+    if chain.n_states < 2:
+        raise TooLarge("optimal sets need at least two states")
     if chain.n_states > OPTIMAL_MAX_STATES:
         raise TooLarge(
             f"optimal-set enumeration capped at {OPTIMAL_MAX_STATES} states")

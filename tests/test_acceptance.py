@@ -146,9 +146,9 @@ def test_criterion_6_gradient_estimate_suite():
                                        seed=6)
         ok &= rep.violations == 0 and rep.worst_residual >= -1e-9
         probe = sharpness_probe(ch, LOGARITHMIC, k + 0.05, INF, seed=6)
-        ok &= probe.found_violation
+        ok &= probe.violations > 0
         details.append(f"Q^{n_dim}: worst = {rep.worst_residual:.2e}, "
-                       f"probe = {probe.residual:.2e}")
+                       f"probe = {probe.worst_residual:.2e}")
     _record(6, ok, "; ".join(details))
 
 
@@ -199,11 +199,7 @@ def test_criterion_9_inequality_battery_hypercubes():
             reports.append(check_buser(ch, "exact"))
             reports.append(check_lambda_tau(ch, "exact"))
             reports.extend(check_diameter_bound_ent(ch, k_ent, "exact"))
-            dim = 2.0 * n_dim * n_dim
-            k_fin, _ = bakry_emery_global(ch, dim)
-            reports.extend(check_diameter_bound_finite_n(
-                ch, "arithmetic", k_fin, dim,
-                "exact" if k_fin > 0 else "unmet"))
+            reports.extend(check_diameter_bound_finite_n(ch, 2.0 * n_dim * n_dim))
             reports.extend(check_expander_bounds(ch, "exact"))
             for rep in reports:
                 if rep.holds is False:

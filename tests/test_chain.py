@@ -39,7 +39,7 @@ def test_negative_entry_rejected():
 
 def test_disconnected_rejected():
     q = np.eye(4)
-    with pytest.raises(NotIrreducible):
+    with pytest.raises(NotIrreducible, match="state 1 is not reachable from state 0"):
         build_chain(q)
 
 
@@ -222,6 +222,31 @@ def test_edgelist_rejects_malformed():
         chain_from_edgelist("a b 1.0\n")             # wrong separator
     with pytest.raises(InvalidParameters):
         chain_from_edgelist("a\ta\t1.0\n")           # self loop
+    with pytest.raises(InvalidParameters, match="state c has zero total edge weight"):
+        chain_from_edgelist("a\tb\t1.0\nc\tb\t0\n")
+
+
+def test_generators_match_loop_built_adjacency():
+    # the reference: each edge set one entry at a time
+    def srw(adj):
+        return adj / adj.sum(axis=1)[:, None]
+
+    for n_dim in (1, 3, 5):
+        adj = np.zeros((1 << n_dim, 1 << n_dim))
+        for v in range(1 << n_dim):
+            for j in range(n_dim):
+                adj[v, v ^ (1 << j)] = 1.0
+        assert np.array_equal(hypercube(n_dim).q, srw(adj))
+    for n in (3, 4, 9):
+        adj = np.zeros((n, n))
+        for x in range(n):
+            adj[x, (x + 1) % n] = adj[x, (x - 1) % n] = 1.0
+        assert np.array_equal(cycle(n).q, srw(adj))
+    for n in (2, 7):
+        adj = np.zeros((n, n))
+        for x in range(n - 1):
+            adj[x, x + 1] = adj[x + 1, x] = 1.0
+        assert np.array_equal(path(n).q, srw(adj))
 
 
 def test_generated_chains_validate():

@@ -14,7 +14,7 @@ import pytest
 import curvkit
 from curvkit import (ARITHMETIC, chain_from_json, check_cheeger_l1,
                      curvature_of_measure, dirac, hypercube)
-from curvkit.cli import _EMIT_BATCH, main
+from curvkit.cli import _EMIT_BATCH, _ENCODER, _jsonable, main
 
 from conftest import cheeger_gray
 
@@ -188,6 +188,14 @@ def test_optimal_sets(tmp_path):
     assert doc["results"]["dimension"] == 1
 
 
+def test_optimal_sets_one_state_exit2(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text('{"Q": [[1.0]]}')
+    code, doc = run_cli(tmp_path, "optimal-sets", "--in", str(one))
+    assert code == 2 and doc is None
+    assert "optimal sets need at least two states" in capsys.readouterr().err
+
+
 def test_heat_and_mixing(tmp_path):
     code, doc = run_cli(tmp_path, "heat", "--gen", "hypercube:2",
                         "--t-grid", "0.1,1.0", "--rho", "ones")
@@ -256,6 +264,40 @@ def test_verify_heat_violation_exit4_with_report(tmp_path, monkeypatch):
     assert doc["results"]["heat"]["gradient_estimate"]["violations"] == 1
 
 
+def test_verify_linf_violation_fails_only_under_an_exact_k(tmp_path, monkeypatch):
+    import curvkit.heat as heat_mod
+
+    real = heat_mod.check_linf_gradient_bound
+
+    def one_violation(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.violations = 1
+        return rep
+
+    monkeypatch.setattr(heat_mod, "check_linf_gradient_bound", one_violation)
+    argv = ("verify", "--gen", "hypercube:2", "--suite", "heat", "--trials", "3")
+    code, doc = run_cli(tmp_path, *argv, "--k-ent", "0.5")
+    assert code == 4
+    assert doc["results"]["heat"]["holds"] is False
+    # a heuristic K >= 0 keeps the bound informative only
+    code, doc = run_cli(tmp_path, *argv, "--starts", "1")
+    assert code == 0
+    assert doc["results"]["curvature_inputs"]["k_entropic_status"] == "heuristic"
+    assert doc["results"]["heat"]["linf_gradient_bound"]["violations"] == 1
+    assert doc["results"]["heat"]["holds"] is True
+
+
+def test_verify_unconfirmed_vertex_curvature_exit3(tmp_path, capsys):
+    # a 1e-10 middle edge: pencil and bisection disagree on a vertex
+    # curvature, so verify reports no K and claims no failed bound
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
+    code, doc = run_cli(tmp_path, "verify", "--in", str(edges), "--suite",
+                        "all", "--k-ent", "0.1", "--trials", "3")
+    assert code == 3 and doc is None
+    assert "disagree beyond 1e-08" in capsys.readouterr().err
+
+
 def test_verify_identity_violation_exit4_with_report(tmp_path, monkeypatch):
     import curvkit.cli as cli
 
@@ -306,8 +348,8 @@ def test_verify_cheeger_l1_matches_library(tmp_path):
     assert code == 0
     entry = next(r for r in doc["results"]["geometry"]
                  if r["name"] == "cheeger_l1")
-    lib = check_cheeger_l1(hypercube(4), trials=25, seed=1).to_dict()
-    assert entry == json.loads(json.dumps(lib))
+    lib = check_cheeger_l1(hypercube(4), trials=25, seed=1)
+    assert entry == json.loads(_ENCODER.encode(_jsonable(lib)))
     # the indicator of the Cheeger minimizer is the worst trial: factor two
     assert entry["lhs"] == pytest.approx(0.0625, abs=1e-12)
     assert entry["rhs"] == pytest.approx(0.125, abs=1e-12)

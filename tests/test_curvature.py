@@ -333,7 +333,7 @@ def test_vertex_solve_operation_counts(monkeypatch):
         bakry_emery_global(ch, 4.0)
         _pointwise_forms(ch, INF)
         for x in range(ch.n_states):
-            res = bakry_emery_vertex(ch, x, INF, confirm=True)
+            res = bakry_emery_vertex(ch, x, INF)
             if abs(res.value) <= 1.0:
                 assert res.iterations <= 8
                 small += 1

@@ -266,8 +266,7 @@ def test_diameter_bound_ent_dpi_one_convention(two_state):
 def test_diameter_bound_finite_n_two_state(two_state):
     k2, _ = bakry_emery_global(two_state, 2.0)
     assert k2 == pytest.approx(1.0, abs=1e-10)
-    reps = check_diameter_bound_finite_n(two_state, "arithmetic", k2, 2.0,
-                                         "exact")
+    reps = check_diameter_bound_finite_n(two_state, 2.0)
     by_name = {r.name: r for r in reps}
     r = by_name["diameter_finite_n_dgamma"]
     assert r.rhs == pytest.approx(math.pi * math.sqrt(2), rel=1e-9)
@@ -280,8 +279,9 @@ def test_diameter_bound_finite_n_hypercube(hyp2):
     dim = 8.0
     k, _ = bakry_emery_global(hyp2, dim)
     assert k > 0
-    reps = check_diameter_bound_finite_n(hyp2, "arithmetic", k, dim, "exact")
+    reps = check_diameter_bound_finite_n(hyp2, dim)
     assert all(r.holds for r in reps)
+    assert all(r.details["k"] == k for r in reps)
 
 
 def test_diameter_bound_unmet_guard(cycle5):
@@ -301,7 +301,7 @@ def test_tau_lower_bound_hypercube3(hyp3):
 def test_tau_lower_bound_two_state_not_applicable(two_state):
     rep = check_tau_lower_bound(two_state)
     assert rep.holds is None
-    assert ("pi_max_below_quarter", "unmet") in rep.preconditions
+    assert {"name": "pi_max_below_quarter", "status": "unmet"} in rep.preconditions
 
 
 def test_tau_lower_bound_cycle8():
@@ -375,4 +375,5 @@ def test_expander_bounds_negative_curvature_not_applicable():
 def test_non_regular_chain_skips_regular_bound():
     reps = {r.name: r for r in check_expander_bounds(path(12), "exact")}
     assert reps["regular_spectral_gap"].holds is None
-    assert ("regular_srw", "unmet") in reps["regular_spectral_gap"].preconditions
+    assert ({"name": "regular_srw", "status": "unmet"}
+            in reps["regular_spectral_gap"].preconditions)

@@ -5,8 +5,8 @@ import pytest
 
 from itertools import combinations
 
-from curvkit import (ARITHMETIC, InvalidParameters, TooLarge,
-                     bakry_emery_global, bakry_emery_vertex,
+from curvkit import (ARITHMETIC, InvalidParameters, NumericalFailure, TooLarge,
+                     bakry_emery_global, bakry_emery_vertex, build_chain,
                      check_equilibrium_optimality, check_union_proposition,
                      complete, cycle, distance_matrix, func_inner, gamma,
                      gamma2, generate, hypercube, is_optimal_set,
@@ -292,15 +292,32 @@ def test_projected_rows_and_kernel_basis_match_the_padded_forms():
     assert witnesses > len(_ball_pool())
 
 
-def test_zero_cell_outside_every_facet_is_numerical_failure(tmp_path):
-    # a 1e-10 middle edge: the vertex pencils are not confirmed, and the
-    # zero cell they name is no optimal singleton
-    from curvkit import NumericalFailure, chain_from_edgelist
+def test_unconfirmed_vertex_curvature_is_numerical_failure(tmp_path):
+    # a 1e-10 middle edge: pencil and bisection disagree on a vertex
+    # curvature, so no zero cell is named
+    from curvkit import chain_from_edgelist
     from curvkit.cli import main
 
     edges = tmp_path / "edges.tsv"
     edges.write_text("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
-    with pytest.raises(NumericalFailure, match="lie in no optimal set"):
+    with pytest.raises(NumericalFailure, match="disagree beyond 1e-08"):
         optimal_complex(chain_from_edgelist(edges.read_text()), INF)
     assert main(["optimal-sets", "--in", str(edges),
                  "--out", str(tmp_path / "report.json")]) == 3
+
+
+def test_zero_cell_outside_every_facet_is_numerical_failure(monkeypatch):
+    # every vertex of path:8 reads as minimal, though only some are optimal
+    # singletons: the others lie in no facet
+    import curvkit.optimal as omod
+
+    real = omod._vertex_curvatures
+    monkeypatch.setattr(omod, "_vertex_curvatures",
+                        lambda ch, dim: np.full(ch.n_states, real(ch, dim).min()))
+    with pytest.raises(NumericalFailure, match="lie in no optimal set"):
+        optimal_complex(path(8), INF)
+
+
+def test_one_state_chain_has_no_optimal_complex():
+    with pytest.raises(TooLarge, match="at least two states"):
+        optimal_complex(build_chain([[1.0]]), INF)

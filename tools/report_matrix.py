@@ -28,7 +28,14 @@ scratch directory that is also the working directory:
     concentrated that the chain starts within 1/4 of equilibrium and
     tau(1/4) = 0, and curv-measure at the constant density under the
     logarithmic mean, a numerical failure (exit 3) because the bisection's
-    PSD floor accepts K a little above the pencil value.
+    PSD floor accepts K a little above the pencil value;
+  * the edge list a-b-c-d with weights 1, 1e-10, 1 under the full verify
+    battery with an exact entropic K: a numerical failure (exit 3), since
+    pencil and bisection disagree on a vertex curvature, so no global K
+    is reported;
+  * the one-state chain under optimal-sets (exit 2: optimal sets need two
+    states) and a chain of two components under spectrum (exit 2, naming
+    a state the other component cannot reach).
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -109,6 +116,12 @@ def edge_commands(work: str) -> list[list[str]]:
     bd6 = f"{work}/bd6.json"
     with open(bd6, "w", encoding="utf-8") as fh:
         json.dump(_birth_death(6), fh)
+    thin = f"{work}/thin.tsv"
+    with open(thin, "w", encoding="utf-8") as fh:
+        fh.write("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
+    split = f"{work}/split.json"
+    with open(split, "w", encoding="utf-8") as fh:
+        fh.write('{"Q": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}')
     return [["curv-vertex", "--in", one],
             ["curv-measure", "--in", one],
             ["curv-entropic", "--in", one],
@@ -131,7 +144,10 @@ def edge_commands(work: str) -> list[list[str]]:
             ["curv-entropic", "--gen", "hypercube:3", "--starts", "2", "--n", "6"],
             ["verify", "--in", bd6, "--suite", "all", "--starts", "1"],
             ["curv-measure", "--in", bd6, "--mean", "logarithmic",
-             "--rho", "ones"]]
+             "--rho", "ones"],
+            ["verify", "--in", thin, "--suite", "all", "--k-ent", "0.1"],
+            ["optimal-sets", "--in", one],
+            ["spectrum", "--in", split]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
