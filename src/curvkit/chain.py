@@ -16,8 +16,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from .errors import InvalidParameters, NotIrreducible, NotReversible, NotStochastic
 
@@ -97,8 +95,7 @@ class MarkovChain:
         adjacency = (q > 0.0)
         np.fill_diagonal(adjacency, False)
         # one search answers irreducibility and gives pi's spanning tree
-        order, parent = breadth_first_order(csr_matrix(adjacency), 0,
-                                            directed=False)
+        order, parent = _breadth_first(adjacency)
         if len(order) < n:
             lost = np.setdiff1d(np.arange(n), order)[0]
             raise NotIrreducible(
@@ -207,6 +204,30 @@ class MarkovChain:
         return f"MarkovChain(n={self.n_states})"
 
 
+def _breadth_first(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, parent) of a FIFO breadth-first search from state 0 over the
+    edges in either direction: each state's out-neighbours ascending, then its
+    in-neighbours ascending.  parent is -9999 at the root and at every state
+    not reached, as in `scipy.sparse.csgraph.breadth_first_order`."""
+    n = len(adjacency)
+    ox, out = np.nonzero(adjacency)
+    ix, inn = np.nonzero(adjacency.T)
+    out_at = np.searchsorted(ox, np.arange(n + 1)).tolist()
+    in_at = np.searchsorted(ix, np.arange(n + 1)).tolist()
+    out, inn = out.tolist(), inn.tolist()
+    parent, seen, order = [-9999] * n, [False] * n, [0]
+    seen[0] = True
+    for x in order:                  # the loop visits what it appends
+        if len(order) == n:
+            break
+        for y in out[out_at[x]:out_at[x + 1]] + inn[in_at[x]:in_at[x + 1]]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                order.append(y)
+    return np.array(order), np.array(parent)
+
+
 def _stationary_vector(q: np.ndarray, adjacency: np.ndarray, states, order,
                        parent) -> np.ndarray:
     """pi(y) = pi(x) Q(x,y) / Q(y,x) along the breadth-first spanning tree (order,
@@ -235,6 +256,9 @@ def build_chain(q, pi=None, states=None) -> MarkovChain:
 @derived
 def distance_matrix(chain: MarkovChain) -> np.ndarray:
     """Combinatorial (shortest-path) distances of the adjacency graph."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     d = shortest_path(csr_matrix(chain.adjacency), method="D",
                       unweighted=True, directed=False)
     dist = d.astype(np.int64)

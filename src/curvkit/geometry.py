@@ -25,8 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .chain import MarkovChain, derived, distance_matrix
 from .curvature import bakry_emery_global
@@ -122,6 +120,9 @@ def _d_gamma_upper(chain: MarkovChain) -> np.ndarray:
     |f(y) - f(x)| at sqrt(2/Q(x,y)) on each edge, and Gamma f(y) <= 1 at
     sqrt(2/Q(y,x)), so U is the shortest-path distance with edge length
     sqrt(2 / max(Q(x,y), Q(y,x)))."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     ex, ey, qe = chain.edges
     length = np.sqrt(2.0 / np.maximum(qe, chain.q[ey, ex]))
     n = chain.n_states

@@ -11,7 +11,6 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
@@ -29,11 +28,8 @@ GRAM_REL_TOL = 1e-10
 X0_REL_TOL = 1e-8
 #: optimal_complex refuses chains with more states than this
 OPTIMAL_MAX_STATES = 24
-#: the screen rejects a set only when its least projected eigenvalue exceeds
-#: this multiple of the kernel cutoff, far beyond rounding
-SCREEN_MARGIN = 10.0
-#: candidates screened per stacked eigvalsh; bounds the screen's memory
-SCREEN_CHUNK = 512
+#: bitmask pairs compared at once by the border search; bounds its memory
+BORDER_CHUNK = 1 << 18
 
 
 @dataclass
@@ -87,19 +83,6 @@ def _kernel_cutoff(evals: np.ndarray, form_scale: float, count):
     return KERNEL_REL_TOL * np.abs(evals).max(axis=-1) + 1e-12 * form_scale * count
 
 
-def _screen(chain: MarkovChain, dim: float, sets: np.ndarray) -> np.ndarray:
-    """Which of the vertex sets (0/1 rows over the states) may be optimal.
-    A set is rejected only when its summed q has no eigenvalue within
-    SCREEN_MARGIN cutoffs of zero off the constants: then its kernel is the
-    constants, on which Gamma vanishes, and `is_optimal_set` fails it at
-    its Gram test."""
-    _, rows, _, form_scale = _pointwise_forms(chain, dim)
-    size = chain.n_states - 1
-    evals = np.linalg.eigvalsh((sets @ rows).reshape(-1, size, size))
-    cutoff = _kernel_cutoff(evals, form_scale, sets.sum(axis=1))
-    return ~(evals[:, 0] > SCREEN_MARGIN * cutoff)      # a NaN keeps the set
-
-
 def _positive_combination(grams: list[np.ndarray]):
     """A coefficient vector with strictly positive value in every PSD Gram form.
 
@@ -134,6 +117,8 @@ def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
     vectors of the projected sum; `kernel_dim` counts both.  Gamma vanishes
     on the constants, so when the projected kernel is empty the set fails
     at the Gram test of its first vertex."""
+    if chain.n_states < 2:
+        raise TooLarge("optimal sets need at least two states")
     idx = [chain.index(s) for s in states]
     if not idx:
         raise InvalidParameters("the empty set has no optimality certificate")
@@ -160,13 +145,79 @@ def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
     return OptimalityCertificate(True, witness, kernel_dim, None)
 
 
-def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
-    """Enumerate the maximal optimal sets by downward search from the
-    minimal-curvature vertices, pruning subsets of known facets.
+def _zero_cells(chain: MarkovChain, dim) -> tuple[str, ...]:
+    """The minimal-curvature vertices, within X0_REL_TOL of the global K."""
+    curv = _vertex_curvatures(chain, float(dim))
+    k_global = float(curv.min())
+    tol = X0_REL_TOL * max(1.0, abs(k_global))
+    return tuple(s for s, k in zip(chain.states, curv) if k - k_global <= tol)
 
-    Each level is handled in chunks: candidates inside a facet of a larger
-    level are dropped by a bitmask test, the rest go through the stacked
-    `_screen`, and each survivor is decided by `is_optimal_set`.
+
+def _contains_any(sets: np.ndarray, subs: np.ndarray) -> np.ndarray:
+    """Whether each bitmask of `sets` contains some bitmask of `subs`,
+    compared in chunks of about BORDER_CHUNK pairs."""
+    out = np.zeros(len(sets), dtype=bool)
+    step = max(1, BORDER_CHUNK // max(1, len(subs)))
+    for i in range(0, len(sets), step):
+        out[i:i + step] = ((subs & ~sets[i:i + step, None]) == 0).any(axis=1)
+    return out
+
+
+def _border(chain: MarkovChain, dim):
+    """(facets, minimal non-faces) of the optimal complex by Dualize and
+    Advance, each a sorted list of state tuples in zero-cell order.
+
+    The minimal sets in no known facet are the minimal transversals of the
+    facets' complements, held as bitmasks over the zero cells and updated
+    by Berge's step on each new facet.  Each untested one is decided by
+    `is_optimal_set`, and a face is extended greedily to a new facet.  When
+    every transversal fails, they are exactly the minimal non-faces."""
+    x0 = _zero_cells(chain, dim)
+    bits = 1 << np.arange(len(x0), dtype=np.int64)
+    nonfaces = np.empty(0, dtype=np.int64)        # every set that failed
+
+    def face(mask) -> bool:
+        nonlocal nonfaces
+        if is_optimal_set(chain, tuple(x0[j] for j in np.flatnonzero(mask & bits)),
+                          dim).is_optimal:
+            return True
+        nonfaces = np.append(nonfaces, mask)
+        return False
+
+    def extend(mask):
+        """A facet containing the face `mask`: add zero cells in index order,
+        skipping every candidate that contains a known non-face."""
+        for b in bits[(mask & bits) == 0]:
+            if not ((nonfaces & ~(mask | b)) == 0).any() and face(mask | b):
+                mask |= b
+        return mask
+
+    facets = [extend(np.int64(0))]                # tests every singleton it adds
+    trans = bits[(facets[0] & bits) == 0]         # minimal transversals
+    while True:
+        new = []
+        for t in trans[~np.isin(trans, nonfaces)]:
+            # one inside a facet found this round is a face; Berge drops it
+            if not any((t & f) == t for f in new) and face(t):
+                new.append(extend(t))
+        if not new:
+            break
+        for f in new:                             # Berge's step on ~f
+            hit = (trans & ~f) != 0
+            kept, miss = trans[hit], trans[~hit]
+            # a join t | e can contain a kept transversal only through e
+            joins = [j[~_contains_any(j, kept[(kept & e) != 0])]
+                     for e in bits[(f & bits) == 0] for j in [miss | e]]
+            trans = np.concatenate([kept, *joins])
+        facets += new
+
+    def named(masks):
+        return sorted(tuple(s for s, b in zip(x0, bits) if m & b) for m in masks if m)
+    return named(facets), named(trans)
+
+
+def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
+    """The maximal optimal sets, found by the border search of `_border`.
 
     A minimal-curvature vertex is an optimal singleton (its pencil witness
     kills q_x with Gamma f(x) > 0), so a zero cell in no facet means K or the
@@ -176,36 +227,14 @@ def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
     if chain.n_states > OPTIMAL_MAX_STATES:
         raise TooLarge(
             f"optimal-set enumeration capped at {OPTIMAL_MAX_STATES} states")
-    curv = _vertex_curvatures(chain, float(dim))
-    k_global = float(curv.min())
-    tol = X0_REL_TOL * max(1.0, abs(k_global))
-    x0 = tuple(s for s, k in zip(chain.states, curv) if k - k_global <= tol)
-    cols = np.array([chain.index(s) for s in x0])
-    bits = 1 << np.arange(len(x0), dtype=np.int64)
-    facets = np.empty(0, dtype=np.int64)          # bitmasks over x0
-    for size in range(len(x0), 0, -1):
-        combos = combinations(range(len(x0)), size)
-        found = []
-        while chunk := list(islice(combos, SCREEN_CHUNK)):
-            pos = np.array(chunk)
-            masks = bits[pos].sum(axis=1)
-            # a candidate of this level can only lie inside a larger facet
-            pos = pos[((masks[:, None] & ~facets) != 0).all(axis=1)]
-            sets = np.zeros((len(pos), chain.n_states))
-            sets[np.arange(len(pos))[:, None], cols[pos]] = 1.0
-            for row in pos[_screen(chain, float(dim), sets)]:
-                if is_optimal_set(chain, tuple(x0[j] for j in row), dim).is_optimal:
-                    found.append(bits[row].sum())
-        facets = np.append(facets, np.array(found, dtype=np.int64))
-    covered = np.bitwise_or.reduce(facets, initial=0)
-    if uncovered := [s for s, b in zip(x0, bits) if not covered & b]:
+    x0 = _zero_cells(chain, dim)
+    facets, _ = _border(chain, dim)
+    covered = {s for f in facets for s in f}
+    if uncovered := [s for s in x0 if s not in covered]:
         raise NumericalFailure(
             f"minimal-curvature vertices {', '.join(uncovered)} lie in no optimal set")
-    facet_tuples = sorted(tuple(s for s, b in zip(x0, bits) if f & b)
-                          for f in facets)
-    dimension = max((len(f) - 1 for f in facet_tuples), default=-1)
-    return OptimalComplex(facets=facet_tuples, dimension=dimension,
-                          zero_cells=x0)
+    dimension = max((len(f) - 1 for f in facets), default=-1)
+    return OptimalComplex(facets=facets, dimension=dimension, zero_cells=x0)
 
 
 def check_equilibrium_optimality(chain: MarkovChain, dim=np.inf) -> bool:

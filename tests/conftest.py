@@ -125,7 +125,7 @@ def cheeger_gray(chain, max_states: int = 20) -> CheegerResult:
 
 def optimal_complex_reference(chain, dim) -> OptimalComplex:
     """Reference optimal-set engine: the downward search that decides every
-    candidate outside a known facet by `is_optimal_set`, with no screen."""
+    candidate outside a known facet by `is_optimal_set`."""
     curv = _vertex_curvatures(chain, float(dim))
     k_global = float(curv.min())
     tol = X0_REL_TOL * max(1.0, abs(k_global))

@@ -98,6 +98,24 @@ def test_stationary_vector_of_a_chain_with_a_small_spectral_gap():
     assert np.abs(pi - np.array([1, 1 + w, 1 + w, 1]) / (4 + 2 * w)).max() <= 1e-12
 
 
+def test_breadth_first_matches_scipy_on_random_digraphs():
+    # the spanning tree of pi: same order and parents as csgraph's search
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    from curvkit.chain import _breadth_first
+
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n = int(rng.integers(1, 30))
+        adj = rng.random((n, n)) < rng.uniform(0.02, 0.5)
+        np.fill_diagonal(adj, False)
+        order, parent = _breadth_first(adj)
+        ref_order, ref_parent = breadth_first_order(csr_matrix(adj), 0, directed=False)
+        assert order.tolist() == ref_order.tolist(), adj
+        assert parent.tolist() == ref_parent.tolist(), adj
+
+
 def test_one_way_edge_rejected_without_pi():
     with pytest.raises(NotReversible, match=r"\(0,1\)"):
         build_chain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])

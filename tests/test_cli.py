@@ -142,17 +142,27 @@ def test_dgamma_early_stop_is_a_convergence_warning(tmp_path, monkeypatch):
     assert doc["warnings"] == ["d_gamma(00,11) stopped early; value is a lower bound"]
 
 
-def test_cli_import_defers_networkx_and_scipy_optimize():
-    # only random_regular needs networkx and only the entropic descent needs
-    # scipy.optimize; a fresh interpreter importing the CLI loads neither
-    probe = ("import sys, curvkit.cli; "
-             "print(sorted({'networkx', 'scipy.optimize'} & set(sys.modules)))")
+def _loaded_by_cli_import(modules):
+    """Which of `modules` a fresh interpreter has loaded after importing the CLI."""
+    probe = f"import sys, curvkit.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     paths = [str(Path(curvkit.__file__).resolve().parents[1]),
              os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_defers_networkx_and_scipy_optimize():
+    # only random_regular needs networkx and only the entropic descent needs
+    # scipy.optimize; a fresh interpreter importing the CLI loads neither
+    assert _loaded_by_cli_import({"networkx", "scipy.optimize"}) == "[]"
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # chains are searched without csgraph; only the shortest-path distances
+    # import scipy.sparse, when first asked for
+    assert _loaded_by_cli_import({"scipy.sparse", "scipy.sparse.csgraph"}) == "[]"
 
 
 @pytest.mark.parametrize("out", [False, True])

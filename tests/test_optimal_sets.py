@@ -152,24 +152,58 @@ def test_optimal_complex_matches_reference_engine_cycle14():
     assert optimal_complex(cycle(14), INF) == optimal_complex_reference(cycle(14), INF)
 
 
-@pytest.mark.parametrize("dim", [INF, 4.0])
-def test_screen_keeps_every_optimal_set(dim):
-    from curvkit.optimal import _screen
+def _border_pool(dim):
+    """(spec, chain) over the reference pool at dim, and C14 at dim inf."""
+    specs = REFERENCE_SPECS + ["cycle:14"] * (dim == INF)
+    return [(spec, generate(spec)) for spec in specs]
 
-    rejected = 0
-    for spec in ("cycle:8", "hypercube:3", "path:6", "random-regular:3:10:1"):
-        ch = generate(spec)
+
+@pytest.mark.parametrize("dim", [INF, 4.0])
+def test_border_is_a_certificate(dim):
+    # checked against is_optimal_set and a brute-force dualization, not
+    # against the search that produced it
+    from curvkit.optimal import _border
+
+    for spec, ch in _border_pool(dim):
+        facets, nonfaces = _border(ch, dim)
         x0 = optimal_complex(ch, dim).zero_cells
-        subsets = [c for k in range(1, len(x0) + 1) for c in combinations(x0, k)]
-        sets = np.zeros((len(subsets), ch.n_states))
-        for row, sub in zip(sets, subsets):
-            row[[ch.index(s) for s in sub]] = 1.0
-        keep = _screen(ch, dim, sets)
-        for sub, kept in zip(subsets, keep):
-            if not kept:
-                assert not is_optimal_set(ch, sub, dim).is_optimal, (spec, sub)
-        rejected += int((~keep).sum())
-    assert rejected > 0
+        assert all(is_optimal_set(ch, f, dim).is_optimal for f in facets), spec
+        assert not any(set(f) < set(g) for f in facets for g in facets), spec
+        for nf in nonfaces:
+            assert not is_optimal_set(ch, nf, dim).is_optimal, (spec, nf)
+            for s in nf:
+                assert any(set(nf) - {s} <= set(f) for f in facets), (spec, nf, s)
+        # bitmasks over the zero cells: a transversal meets every complement
+        complements = [sum(1 << i for i, s in enumerate(x0) if s not in f) for f in facets]
+        masks = {c: sum(1 << i for i in c)
+                 for k in range(1, len(x0) + 1) for c in combinations(range(len(x0)), k)}
+        hits = {m for m in masks.values() if all(m & comp for comp in complements)}
+        brute = [tuple(x0[i] for i in c) for c, m in masks.items()
+                 if m in hits and not any(m & ~(1 << i) in hits for i in c)]
+        assert nonfaces == sorted(brute), spec
+
+
+@pytest.mark.parametrize("dim", [INF, 4.0])
+def test_union_proposition_on_the_border(dim):
+    # the paper's union proposition as an oracle: two optimal sets at
+    # combinatorial distance >= 5 have an optimal union, which must then lie
+    # in a facet.  Two distinct facets can meet the precondition only if the
+    # proposition fails (their union would be a larger face), so the pairs
+    # of zero cells are what makes the check bite
+    from curvkit.optimal import _border
+
+    met = 0
+    for spec, ch in _border_pool(dim):
+        facets, _ = _border(ch, dim)
+        cells = sorted({s for f in facets for s in f}, key=ch.index)
+        pairs = list(combinations(facets, 2)) + [([a], [b]) for a, b in combinations(cells, 2)]
+        for a0, a1 in pairs:
+            rep = check_union_proposition(ch, a0, a1, dim)
+            if rep.precondition_met:
+                met += 1
+                assert rep.union_optimal, (spec, a0, a1)
+                assert any(set(a0) | set(a1) <= set(f) for f in facets), (spec, a0, a1)
+    assert met > 0
 
 
 def test_equilibrium_optimality_matches_sharpness():
@@ -321,3 +355,11 @@ def test_zero_cell_outside_every_facet_is_numerical_failure(monkeypatch):
 def test_one_state_chain_has_no_optimal_complex():
     with pytest.raises(TooLarge, match="at least two states"):
         optimal_complex(build_chain([[1.0]]), INF)
+
+
+def test_one_state_chain_has_no_optimal_set():
+    ch = build_chain([[1.0]])
+    with pytest.raises(TooLarge, match="at least two states"):
+        is_optimal_set(ch, ch.states, INF)
+    with pytest.raises(TooLarge, match="at least two states"):
+        check_equilibrium_optimality(ch, INF)

@@ -1,4 +1,4 @@
-"""Wall time of `optimal_complex` on the cycles C14, C16 and C20.
+"""Wall time of `optimal_complex` on the cycles C14, C16, C20 and C24.
 
     PYTHONPATH=ROOT/src python3 tools/bench_optimal.py [OUT.json]
 
@@ -6,10 +6,11 @@ curvkit is imported from PYTHONPATH, so the same script measures any
 checkout.  For each cycle it builds a fresh chain three times and times
 `optimal_complex(chain, inf)` on each, the vertex curvatures included,
 with one BLAS thread.  It counts the calls of `is_optimal_set` (the dense
-decision) in every run, and writes the median time, the samples, the call
-count and the facet count per chain, together with the host, the BLAS
-build, the numpy and scipy versions and the checkout's git commit, to
-OUT.json (default BENCH_optimal.json).
+decision, the one oracle of the border search) in every run, and writes
+the median time, the samples, the call count and the facet count per
+chain, together with the host, the BLAS build, the numpy and scipy
+versions and the checkout's git commit, to OUT.json (default
+BENCH_optimal.json).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import scipy
 import curvkit
 from curvkit import optimal
 
-CYCLES = (14, 16, 20)
+CYCLES = (14, 16, 20, 24)
 REPEATS = 3
 
 
