@@ -9,9 +9,12 @@ pairs in order of decreasing upper bound U (Gamma f <= 1 at either end of
 an edge caps its increment at sqrt(2 / max(Q(x,y), Q(y,x))); U is the
 shortest path in those lengths) and stops at the first pair whose U is
 strictly below the best value so far; no skipped pair can exceed that
-value, so the result is the maximum over all pairs bit for bit.  The
-Cheeger constant is an exact minimum over subsets, found by a vectorized
-block enumeration.
+value.  Each solved pair is also cut short once a weak-duality bound
+(Boyd & Vandenberghe, ch. 5) at the barrier's multipliers falls strictly
+below that best value: the cut returns a feasible value below it, which
+cannot change the maximum, so the result is the maximum over all pairs of
+the complete solves bit for bit.  The Cheeger constant is an exact minimum
+over subsets, found by a vectorized block enumeration.
 Inequality checks take the chain alone: the spectrum, tau(1/4), h, diam_Gamma
 and global curvature they need are memoized on the chain (`chain.derived`).
 They return reports that carry the status of every precondition, so
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +46,7 @@ GAP_TOL = 1e-9
 
 # -- intrinsic metric -------------------------------------------------------
 
-def d_gamma(chain: MarkovChain, x, y) -> float:
+def d_gamma(chain: MarkovChain, x, y, *, below: float = -math.inf) -> float:
     """Intrinsic distance sup{f(y) - f(x) : Gamma f <= 1 pointwise}.
 
     Log-barrier Newton on the gauge-fixed program (f(x) = 0, start f = 0,
@@ -52,14 +56,59 @@ def d_gamma(chain: MarkovChain, x, y) -> float:
     constraint gradients the rows of one n x n matrix G, and the barrier
     Hessian the edge Laplacian weighted by q_e / s(x) plus the outer
     products G' diag(1/s^2) G of the gradients.
+
+    With `below` > 0 the weak-duality bound `_dual_bound` at the barrier's
+    multipliers is checked before every Newton step, and the solve stops
+    once it is strictly below `below` (by a relative 1e-12, for rounding),
+    returning its current feasible f(y): a value below `below`, though not
+    d_Gamma itself.  Every bound is positive, so under below <= 0, the
+    default included, the bound is never evaluated.
     """
     ix, iy = chain.index(x), chain.index(y)
     if ix == iy:
         return 0.0
+    run = _barrier(chain, ix, iy, below)
+    if not run.converged:
+        warnings.warn(f"d_gamma({x},{y}) stopped early; value is a lower bound",
+                      ConvergenceWarning)
+    return float(run.f[iy])
+
+
+class _Barrier(NamedTuple):
+    f: np.ndarray           # the last iterate: feasible, f[ix] = 0
+    steps: int              # Newton steps taken
+    cut: bool               # stopped by the dual bound
+    converged: bool
+
+
+def _dual_bound(lap: np.ndarray, slacks: np.ndarray, k: int) -> float:
+    """Weak-duality bound on d_Gamma at the multipliers lambda ~ 1/slacks.
+
+    For multipliers lambda > 0 the Lagrangian f(y) + sum_z lambda(z)
+    (1 - Gamma f(z)) is sum(lambda) + f(y) - f' L f / 2, L the edge
+    Laplacian with weights lambda(x) q_e; its supremum over f with
+    f(x) = 0 is sum(lambda) + e' L^-1 e / 2 on the rows other than x, e the
+    target's unit vector, and by weak duality it is >= d_Gamma.  `lap` is
+    L at lambda = 1/slacks on those rows and k the target's row in it;
+    minimizing over the scale of lambda gives
+    sqrt(2 sum(1/slacks) e' lap^-1 e).  The barrier's multipliers are
+    1/(t slacks), so at its central point the bound is within the m/t gap
+    of f(y).
+    """
+    e = np.zeros(len(lap))
+    e[k] = 1.0
+    return math.sqrt(2.0 * float((1.0 / slacks).sum())
+                     * float(np.linalg.solve(lap, e)[k]))
+
+
+def _barrier(chain: MarkovChain, ix: int, iy: int, below: float) -> _Barrier:
+    """The barrier Newton method of `d_gamma`, from source ix to target iy."""
     n = chain.n_states
     ex, ey, qe = chain.edges
     kept = np.flatnonzero(np.arange(n) != ix)
     block = np.ix_(kept, kept)
+    k_target = iy - (iy > ix)
+    cut_at = below * (1.0 - 1e-12) if below > 0 else None
 
     def slacks_of(v):
         return 1.0 - 0.5 * np.bincount(ex, weights=qe * (v[ey] - v[ex]) ** 2,
@@ -69,22 +118,30 @@ def d_gamma(chain: MarkovChain, x, y) -> float:
     slacks = slacks_of(f)
     t = 1.0
     m_constraints = n
+    steps = 0
     converged = True
     while True:
         for _ in range(30):
+            lap = _edge_laplacian(n, ex, ey, qe / slacks[ex])[block]
+            if cut_at is not None:
+                try:
+                    if _dual_bound(lap, slacks, k_target) < cut_at:
+                        return _Barrier(f, steps, True, True)
+                except np.linalg.LinAlgError:
+                    pass
             # row z of grads is the gradient of Gamma f(z)
             grads = np.zeros((n, n))
             grads[ex, ey] = qe * (f[ey] - f[ex])
             np.fill_diagonal(grads, -grads.sum(axis=1))
             g = grads.T @ (1.0 / slacks)
             g[iy] -= t
-            h = (_edge_laplacian(n, ex, ey, qe / slacks[ex])
-                 + grads.T @ (grads / (slacks * slacks)[:, None]))[block]
+            h = lap + (grads.T @ (grads / (slacks * slacks)[:, None]))[block]
             step = np.zeros(n)
             try:
                 step[kept] = np.linalg.solve(h, -g[kept])
             except np.linalg.LinAlgError:
                 step[kept] = np.linalg.lstsq(h, -g[kept], rcond=None)[0]
+            steps += 1
             decrement = float(-g @ step)
             alpha = 1.0
             phi0 = -t * f[iy] - float(np.log(slacks).sum())
@@ -108,11 +165,7 @@ def d_gamma(chain: MarkovChain, x, y) -> float:
         if t > 1e16:
             converged = False
             break
-    value = float(f[iy])
-    if not converged:
-        warnings.warn(f"d_gamma({x},{y}) stopped early; value is a lower bound",
-                      ConvergenceWarning)
-    return value
+    return _Barrier(f, steps, False, converged)
 
 
 def _d_gamma_upper(chain: MarkovChain) -> np.ndarray:
@@ -137,10 +190,13 @@ def diam_gamma(chain: MarkovChain) -> float:
     Pairs are solved in order of decreasing bound U (`_d_gamma_upper`),
     ties in (i, j) order, and the loop stops at the first pair with
     U < best.  Every solved value is attained by a feasible f, so it is at
-    most d_Gamma <= U: no skipped pair exceeds best, and the result is bit
-    for bit the maximum over all pairs.  The skip is strict, so a pair
-    whose bound ties best is still solved; bounds can equal the diameter
-    (the Hamming-2 pairs of Q^4).
+    most d_Gamma <= U: no skipped pair exceeds best.  Each solve gets
+    `below=best` and ends once its dual bound, itself >= d_Gamma, is
+    strictly below best; its value then stays below best, while a pair
+    whose complete solve would exceed best is never cut, so the result is
+    bit for bit the maximum of the complete solves over all pairs.  The
+    skip and the cut are strict, so a pair whose bound ties best is still
+    solved; bounds can equal the diameter (the Hamming-2 pairs of Q^4).
     """
     iu, ju = np.triu_indices(chain.n_states, 1)
     bound = _d_gamma_upper(chain)[iu, ju]
@@ -148,7 +204,7 @@ def diam_gamma(chain: MarkovChain) -> float:
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] < best:
             break
-        best = max(best, d_gamma(chain, int(iu[k]), int(ju[k])))
+        best = max(best, d_gamma(chain, int(iu[k]), int(ju[k]), below=best))
     return best
 
 

@@ -143,8 +143,11 @@ def test_dgamma_early_stop_is_a_convergence_warning(tmp_path, monkeypatch):
 
 
 def _loaded_by_cli_import(modules):
-    """Which of `modules` a fresh interpreter has loaded after importing the CLI."""
-    probe = f"import sys, curvkit.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
+    """Which of `modules`, or of their submodules, a fresh interpreter has
+    loaded after importing the CLI."""
+    probe = ("import sys, curvkit.cli; "
+             f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') "
+             f"for p in {sorted(modules)!r})))")
     paths = [str(Path(curvkit.__file__).resolve().parents[1]),
              os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -163,6 +166,13 @@ def test_cli_import_leaves_scipy_sparse_out():
     # chains are searched without csgraph; only the shortest-path distances
     # import scipy.sparse, when first asked for
     assert _loaded_by_cli_import({"scipy.sparse", "scipy.sparse.csgraph"}) == "[]"
+
+
+def test_cli_import_leaves_every_scipy_module_out():
+    # scipy.linalg is imported by the pencil solve, scipy.sparse by the
+    # shortest-path distances and scipy.optimize by the entropic descent,
+    # each on first use; commands that need none of them never load scipy
+    assert _loaded_by_cli_import({"scipy"}) == "[]"
 
 
 @pytest.mark.parametrize("out", [False, True])

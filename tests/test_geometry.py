@@ -3,18 +3,21 @@
 import math
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from curvkit import (PreconditionHeuristic, TooLarge, bakry_emery_global,
-                     build_chain, cheeger, check_buser, check_cheeger_l1,
-                     check_diameter_bound_ent, check_diameter_bound_finite_n,
-                     check_expander_bounds, check_lambda_tau,
+from curvkit import (ConvergenceWarning, PreconditionHeuristic, TooLarge,
+                     bakry_emery_global, build_chain, cheeger, check_buser,
+                     check_cheeger_l1, check_diameter_bound_ent,
+                     check_diameter_bound_finite_n, check_expander_bounds,
+                     check_lambda_tau,
                      check_tau_lower_bound, complete, cycle, d_gamma,
                      diam_combinatorial, diam_gamma, distance_matrix,
-                     generate, hypercube, path, random_regular)
+                     gamma, generate, hypercube, path, random_regular)
 from curvkit import geometry
+from curvkit.cli import main
 from curvkit.geometry import _d_gamma_upper, cut_weight
 
 from conftest import cheeger_gray, random_reversible_chain, small_chain_pool
@@ -100,17 +103,112 @@ def _pair_values(ch):
     return {(i, j): d_gamma(ch, i, j) for i in range(n) for j in range(i + 1, n)}
 
 
-def test_diam_gamma_pruning_is_the_exhaustive_maximum(monkeypatch):
+def _diameter_pool():
+    pool = small_chain_pool() + [_lazy_chain(), _weighted_chain()]
+    return pool + [random_regular(3, 16, seed=s) for s in (1, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def exhaustive():
+    """The complete solve of every pair i < j, for `_diameter_pool()` plus
+    Q^4 and C16; each test rebuilds the chains, so no diameter is memoized
+    across tests."""
+    return [{(i, j): geometry._barrier(ch, i, j, -math.inf)
+             for i, j in combinations(range(ch.n_states), 2)}
+            for ch in _diameter_pool() + [hypercube(4), cycle(16)]]
+
+
+def _solved(runs):
+    return {(i, j): float(run.f[j]) for (i, j), run in runs.items()}
+
+
+def test_diam_gamma_pruning_is_the_exhaustive_maximum(monkeypatch, exhaustive):
     # every skipped pair has a bound below a value already solved, so the
     # pruned maximum is the exhaustive one bit for bit; diam_gamma replays
     # the exhaustive solves, so each pair is solved once
-    pool = small_chain_pool() + [_lazy_chain(), _weighted_chain()]
-    pool += [random_regular(3, 16, seed=s) for s in (1, 2, 3)]
+    pool = _diameter_pool()
     values = {}
-    monkeypatch.setattr(geometry, "d_gamma", lambda ch, i, j: values[i, j])
-    for ch in pool:
-        values = _pair_values(ch)
+    monkeypatch.setattr(geometry, "d_gamma",
+                        lambda ch, i, j, *, below=-math.inf: values[i, j])
+    for ch, runs in zip(pool, exhaustive):
+        values = _solved(runs)
         assert diam_gamma(ch) == max(values.values())
+
+
+def test_diam_gamma_with_cut_solves_is_the_exhaustive_maximum(exhaustive):
+    # real solves, cut by their dual bound below the running maximum: a cut
+    # value stays below it, and a pair that would exceed it is never cut
+    pool = _diameter_pool() + [hypercube(4), cycle(16)]
+    for ch, runs in zip(pool, exhaustive, strict=True):
+        assert d_gamma(ch, 0, 1) == runs[0, 1].f[1]
+        assert diam_gamma(ch) == max(_solved(runs).values())
+
+
+def _lagrangian_dual(ch, f, i, j):
+    """The Lagrangian dual at the multipliers c / (1 - Gamma f), minimized
+    over c > 0, from the dense kernel: the supremum over g with g(i) = 0 of
+    g(j) + sum_x lam(x) (1 - Gamma g(x)) is sum(lam) + L^-1[j, j] / 2, L the
+    Laplacian with conductances lam(x) Q(x, y) + lam(y) Q(y, x) on the rows
+    other than i.  Returns the bound, that L at c = 1, and the slacks."""
+    slacks = 1.0 - gamma(ch, f)
+    lam = 1.0 / slacks
+    a = lam[:, None] * ch.q
+    np.fill_diagonal(a, 0.0)
+    a = a + a.T
+    kept = np.arange(ch.n_states) != i
+    lap = (np.diag(a.sum(axis=1)) - a)[np.ix_(kept, kept)]
+    r = np.linalg.inv(lap)[j - 1, j - 1]
+
+    def dual(c):
+        return c * lam.sum() + r / (2.0 * c)
+
+    return dual(math.sqrt(r / (2.0 * lam.sum()))), lap, slacks
+
+
+def test_dual_bound_holds_and_is_tight_at_convergence(exhaustive):
+    # at the multipliers of a complete solve the dual bound is above the
+    # solved value (weak duality) and within the barrier's gap of it
+    for ch, runs in zip(_diameter_pool(), exhaustive):
+        for (i, j), run in runs.items():
+            assert run.converged and not run.cut and run.f[i] == 0.0
+            value = float(run.f[j])
+            bound, lap, slacks = _lagrangian_dual(ch, run.f, i, j)
+            assert value <= bound <= value + 1e-6
+            assert geometry._dual_bound(lap, slacks, j - 1) == pytest.approx(bound, rel=1e-9)
+
+
+def test_cut_pair_emits_no_convergence_warning(monkeypatch):
+    # with a zero gap tolerance every complete solve gives up at t > 1e16
+    # and warns; a pair whose dual bound falls below `below` returns before
+    ch = hypercube(4)
+    monkeypatch.setattr(geometry, "GAP_TOL", 0.0)
+    with pytest.warns(ConvergenceWarning, match="stopped early"):
+        d_gamma(ch, 0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        assert d_gamma(ch, 0, 1, below=4 * math.sqrt(2)) < 4 * math.sqrt(2)
+    assert geometry._barrier(ch, 0, 1, 4 * math.sqrt(2)).cut
+
+
+def test_single_pair_solves_never_evaluate_the_dual_bound(monkeypatch, capsys):
+    # the default solve (the `dgamma --pair` command and the README call)
+    # and a below <= 0 run to the gap; the bound is evaluated only under a
+    # positive below
+    real, calls = geometry._dual_bound, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_dual_bound", counted)
+    ch = hypercube(3)
+    full = d_gamma(ch, "000", "111")
+    assert d_gamma(ch, "000", "001", below=0.0) == d_gamma(ch, "000", "001")
+    assert main(["dgamma", "--gen", "hypercube:3", "--pair", "000,111"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert d_gamma(ch, "000", "001", below=full) < full
+    assert calls
 
 
 @pytest.mark.parametrize("ch", [cycle(6), path(5), complete(4), hypercube(3),
@@ -139,9 +237,9 @@ def test_diam_gamma_solves_only_unpruned_pairs(monkeypatch, spec, solved, diam):
     # 4 sqrt 2; the 32 neighbour pairs (bound sqrt 8) are skipped
     calls = []
 
-    def counted(chain, x, y):
+    def counted(chain, x, y, *, below=-math.inf):
         calls.append((x, y))
-        return d_gamma(chain, x, y)
+        return d_gamma(chain, x, y, below=below)
 
     monkeypatch.setattr(geometry, "d_gamma", counted)
     ch = generate(spec)
@@ -159,7 +257,7 @@ def test_diam_gamma_solves_pairs_whose_bound_ties_the_best(monkeypatch):
     upper = _d_gamma_upper(ch)
     calls = []
 
-    def tight(chain, x, y):
+    def tight(chain, x, y, *, below=-math.inf):
         calls.append((x, y))
         return float(upper[x, y])
 
