@@ -255,13 +255,29 @@ def build_chain(q, pi=None, states=None) -> MarkovChain:
 
 @derived
 def distance_matrix(chain: MarkovChain) -> np.ndarray:
-    """Combinatorial (shortest-path) distances of the adjacency graph."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
-    d = shortest_path(csr_matrix(chain.adjacency), method="D",
-                      unweighted=True, directed=False)
-    dist = d.astype(np.int64)
+    """Combinatorial (shortest-path) distances of the adjacency graph, its
+    edges taken in either direction: a breadth-first search from every state
+    at once, one level per step.  Row y of a level is the union of the rows
+    of y's neighbours in the last one; nbr[y, k] is the k-th neighbour of y,
+    padded with y itself.  dist counts the levels at which y is unreached."""
+    adjacency = chain.adjacency | chain.adjacency.T
+    n = len(adjacency)
+    ys, xs = np.nonzero(adjacency)
+    slot = np.arange(len(ys)) - np.searchsorted(ys, ys)
+    nbr = np.repeat(np.arange(n)[:, None], slot.max(initial=-1) + 1, axis=1)
+    nbr[ys, slot] = xs
+    reached = np.eye(n, dtype=bool)
+    frontier = reached
+    dist = (~reached).astype(np.int64)
+    while True:
+        step = np.zeros_like(reached)
+        for col in nbr.T:
+            step |= frontier[col]
+        frontier = step > reached
+        if not frontier.any():
+            break
+        reached |= frontier
+        dist += ~reached
     dist.setflags(write=False)
     return dist
 

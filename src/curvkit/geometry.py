@@ -14,7 +14,9 @@ value.  Each solved pair is also cut short once a weak-duality bound
 below that best value: the cut returns a feasible value below it, which
 cannot change the maximum, so the result is the maximum over all pairs of
 the complete solves bit for bit.  The Cheeger constant is an exact minimum
-over subsets, found by a vectorized block enumeration.
+over subsets, found by a vectorized block enumeration: subset-sum tables,
+built by doubling, hold pi and the cut of every pattern of each vertex
+block, and each block step scores 2^16 subsets by one ratio apiece.
 Inequality checks take the chain alone: the spectrum, tau(1/4), h, diam_Gamma
 and global curvature they need are memoized on the chain (`chain.derived`).
 They return reports that carry the status of every precondition, so
@@ -38,10 +40,12 @@ from .heat import avg_mixing_time, l1_distance_from_equilibrium, lambda1
 
 #: inequality slacks are compared against this times the sides' magnitudes
 SLACK_REL_TOL = 1e-9
-#: exact cheeger enumeration guard (block engine handles up to 2^31 subsets)
+#: exact cheeger enumeration guard: 2^(n-1) subsets, 2^31 at the cap (Q^5: 8-12 s)
 CHEEGER_MAX_STATES = 32
 #: the d_Gamma barrier method stops once its duality gap bound is below this
 GAP_TOL = 1e-9
+#: the Cheeger enumeration scores 2^16 low patterns per step (the arrays stay in cache)
+_CHEEGER_LOW_BITS = 16
 
 
 # -- intrinsic metric -------------------------------------------------------
@@ -232,8 +236,9 @@ def cheeger(chain: MarkovChain) -> CheegerResult:
     """Exact Cheeger constant inf_{pi(W) <= 1/2} |boundary W| / pi(W).
 
     Enumerates the 2^(n-1) subsets avoiding one fixed vertex and scores each
-    in both orientations (a set and its complement cut identically), which
-    covers every feasible W for any stationary measure.
+    by |boundary W| / min(pi(W), 1 - pi(W)): a set and its complement cut
+    identically, so this covers every feasible W for any stationary measure.
+    The subset reported is the one of the pair with pi(W) <= 1/2.
     """
     n = chain.n_states
     if n < 2:
@@ -246,93 +251,75 @@ def cheeger(chain: MarkovChain) -> CheegerResult:
                                              key=chain.index)))
 
 
+def _subset_sums(v: np.ndarray) -> np.ndarray:
+    """out[S] = sum of v[a] over the bits a of S, by doubling: one add per bit."""
+    out = np.zeros(1 << len(v))
+    for a, x in enumerate(v):
+        k = 1 << a
+        np.add(out[:k], x, out=out[k:2 * k])
+    return out
+
+
+def _subset_cuts(w: np.ndarray, r: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """out[S] = weight leaving {verts[a] : a in S}, bit by bit: adding verts[a]
+    to a set S of earlier bits adds its row sum r and takes back twice its
+    weight into S, itself a subset-sum table over the earlier bits."""
+    out = np.zeros(1 << len(verts))
+    for a, x in enumerate(verts):
+        k = 1 << a
+        np.subtract(out[:k] + r[x], 2.0 * _subset_sums(w[x, verts[:a]]), out=out[k:2 * k])
+    return out
+
+
 def _cheeger_block(chain: MarkovChain) -> list[int]:
     """Vectorized enumeration: subsets split into low/high vertex blocks.
 
-    For each high-block pattern, all low-block patterns are scored at once;
-    cross terms between blocks are maintained incrementally over a Gray-code
-    walk of the high patterns.
+    Subset-sum tables give pi and the cut of every low pattern, and of every
+    high pattern.  The high patterns are walked in Gray-code order, so the
+    cut between the blocks moves by one table per step; each step scores
+    all low patterns at once by cut / min(pi(S), 1 - pi(S)), one argmin.
+    The empty set (0/0) is skipped.
     """
     n = chain.n_states
     w = chain.w
     r = w.sum(axis=1)
     pi = chain.pi
-    nb = n - 1                      # vertex 0 fixed outside the enumerated set
-    verts = np.arange(1, n)
-    lo_bits = min(nb, 20)
-    hi_bits = nb - lo_bits
-    lo_verts = verts[:lo_bits]
-    hi_verts = verts[lo_bits:]
+    verts = np.arange(1, n)          # vertex 0 fixed outside the enumerated set
+    lo_verts = verts[:_CHEEGER_LOW_BITS]
+    hi_verts = verts[_CHEEGER_LOW_BITS:]
+    pi_lo = _subset_sums(pi[lo_verts])
+    base = _subset_cuts(w, r, lo_verts)        # low cut minus the cross cut
+    pi_hi = _subset_sums(pi[hi_verts])
+    cut_hi = _subset_cuts(w, r, hi_verts)
+    contrib = [_subset_sums(2.0 * w[x, lo_verts]) for x in hi_verts]
 
-    size_lo = 1 << lo_bits
-    b = ((np.arange(size_lo, dtype=np.int64)[:, None]
-          >> np.arange(lo_bits)[None, :]) & 1).astype(bool)
-    pi_lo = b @ pi[lo_verts]
-    t_lo = b @ r[lo_verts]
-    for a in range(lo_bits):
-        for bb in range(a + 1, lo_bits):
-            wv = w[lo_verts[a], lo_verts[bb]]
-            if wv > 0:
-                t_lo -= (2.0 * wv) * (b[:, a] & b[:, bb])
-    contrib = [b @ (2.0 * w[h, lo_verts]) for h in hi_verts]
-
-    best = math.inf
-    best_lo = 0
-    best_hi_set: set[int] = set()
-    best_flip = False
-    cross = np.zeros(size_lo)
-    hi_set: set[int] = set()
-    const = 0.0
-    pi_hi = 0.0
-    prev_gray = 0
-    cut_buf = np.empty(size_lo)
-    piw_buf = np.empty(size_lo)
-    ratio = np.empty(size_lo)
-
-    for m in range(1 << hi_bits):
+    best, best_lo, best_hi = math.inf, 0, 0
+    cut = np.empty_like(pi_lo)
+    den = np.empty_like(pi_lo)
+    for m in range(1 << len(hi_verts)):
         gray = m ^ (m >> 1)
-        diff = gray ^ prev_gray
-        if diff:
-            j = diff.bit_length() - 1
-            hv = hi_verts[j]
-            if j in hi_set:
-                hi_set.remove(j)
-                sign = -1.0
+        if m:
+            j = (m & -m).bit_length() - 1       # the bit the walk flips
+            if (gray >> j) & 1:
+                base -= contrib[j]
             else:
-                hi_set.add(j)
-                sign = 1.0
-            cross += sign * contrib[j]
-            pi_hi += sign * pi[hv]
-            const += sign * r[hv]
-            for k in hi_set:
-                if k != j and w[hv, hi_verts[k]] > 0:
-                    const -= sign * 2.0 * w[hv, hi_verts[k]]
-        prev_gray = gray
+                base += contrib[j]
+        np.add(base, cut_hi[gray], out=cut)
+        np.add(pi_lo, pi_hi[gray], out=den)
+        np.minimum(den, 1.0 - den, out=den)
+        if not m:
+            cut[0], den[0] = math.inf, 1.0
+        np.divide(cut, den, out=cut)
+        i = int(np.argmin(cut))
+        if cut[i] < best:
+            best, best_lo, best_hi = float(cut[i]), i, gray
 
-        np.add(t_lo, const - cross, out=cut_buf)
-        np.add(pi_lo, pi_hi, out=piw_buf)
-        feasible = (piw_buf > 0) & (piw_buf <= 0.5 + 1e-12)
-        if feasible.any():
-            np.divide(cut_buf, piw_buf, out=ratio, where=feasible)
-            ratio[~feasible] = math.inf
-            i = int(np.argmin(ratio))
-            if ratio[i] < best:
-                best = float(ratio[i])
-                best_lo, best_hi_set, best_flip = i, set(hi_set), False
-        comp = (piw_buf >= 0.5 - 1e-12) & (piw_buf < 1.0)
-        if comp.any():
-            np.divide(cut_buf, 1.0 - piw_buf, out=ratio, where=comp)
-            ratio[~comp] = math.inf
-            i = int(np.argmin(ratio))
-            if ratio[i] < best:
-                best = float(ratio[i])
-                best_lo, best_hi_set, best_flip = i, set(hi_set), True
-
-    members = [int(lo_verts[a]) for a in range(lo_bits) if (best_lo >> a) & 1]
-    members += [int(hi_verts[k]) for k in best_hi_set]
-    if best_flip:
-        members = [i for i in range(n) if i not in set(members)]
-    return members
+    mask = np.zeros(n, dtype=bool)
+    mask[lo_verts] = (best_lo >> np.arange(len(lo_verts))) & 1
+    mask[hi_verts] = (best_hi >> np.arange(len(hi_verts))) & 1
+    if pi[mask].sum() > 0.5:
+        mask = ~mask
+    return np.flatnonzero(mask).tolist()
 
 
 # -- inequality reports -----------------------------------------------------

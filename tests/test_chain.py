@@ -15,6 +15,8 @@ from curvkit import (InvalidParameters, NotIrreducible, NotReversible,
                      cycle, distance_matrix, generate, hypercube, lambda1,
                      path, random_regular, spectral_decompose)
 
+from conftest import small_chain_pool
+
 
 def test_two_state_uniform_pi(two_state):
     assert two_state.pi == pytest.approx([0.5, 0.5], abs=1e-14)
@@ -209,6 +211,19 @@ def test_triangle_inequality_exhaustive():
         n = ch.n_states
         for i, j, k in product(range(n), repeat=3):
             assert d[i, j] <= d[i, k] + d[k, j]
+
+
+def test_distance_matrix_matches_scipy():
+    # the numpy breadth-first search against csgraph's unweighted distances
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    for ch in small_chain_pool() + [cycle(128)]:
+        ref = shortest_path(csr_matrix(ch.adjacency), method="D", unweighted=True,
+                            directed=False)
+        d = distance_matrix(ch)
+        assert d.dtype == np.int64 and not d.flags.writeable
+        assert np.array_equal(d, ref.astype(np.int64)), ch.n_states
 
 
 def test_json_round_trip(hyp2):

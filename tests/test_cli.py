@@ -142,18 +142,22 @@ def test_dgamma_early_stop_is_a_convergence_warning(tmp_path, monkeypatch):
     assert doc["warnings"] == ["d_gamma(00,11) stopped early; value is a lower bound"]
 
 
-def _loaded_by_cli_import(modules):
+def _loaded_by_cli_import(modules, argv=None):
     """Which of `modules`, or of their submodules, a fresh interpreter has
-    loaded after importing the CLI."""
-    probe = ("import sys, curvkit.cli; "
-             f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') "
+    loaded after importing the CLI, and after running `argv` through it."""
+    run = (f"sys.stdout = io.StringIO(); code = curvkit.cli.main({argv!r}); "
+           f"sys.stdout = sys.__stdout__; " if argv else "code = 0; ")
+    probe = (f"import io, sys, curvkit.cli; {run}"
+             f"print(code, sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') "
              f"for p in {sorted(modules)!r})))")
     paths = [str(Path(curvkit.__file__).resolve().parents[1]),
              os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip()
+    code, loaded = out.strip().split(" ", 1)
+    assert code == "0"
+    return loaded
 
 
 def test_cli_import_defers_networkx_and_scipy_optimize():
@@ -163,16 +167,21 @@ def test_cli_import_defers_networkx_and_scipy_optimize():
 
 
 def test_cli_import_leaves_scipy_sparse_out():
-    # chains are searched without csgraph; only the shortest-path distances
-    # import scipy.sparse, when first asked for
+    # chains are searched without csgraph; only the Dijkstra bound on d_Gamma
+    # imports scipy.sparse, when first asked for
     assert _loaded_by_cli_import({"scipy.sparse", "scipy.sparse.csgraph"}) == "[]"
 
 
 def test_cli_import_leaves_every_scipy_module_out():
     # scipy.linalg is imported by the pencil solve, scipy.sparse by the
-    # shortest-path distances and scipy.optimize by the entropic descent,
+    # Dijkstra bound on d_Gamma and scipy.optimize by the entropic descent,
     # each on first use; commands that need none of them never load scipy
     assert _loaded_by_cli_import({"scipy"}) == "[]"
+
+
+def test_heat_command_loads_no_scipy():
+    # the heat-kernel check reads graph distances, a numpy breadth-first search
+    assert _loaded_by_cli_import({"scipy"}, ["heat", "--gen", "cycle:6"]) == "[]"
 
 
 @pytest.mark.parametrize("out", [False, True])
