@@ -78,6 +78,17 @@ def _parse_dim(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type of --starts and --trials: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_rho(chain, spec: str) -> np.ndarray:
     """Density input: 'ones', 'uniform', 'dirac:STATE', inline JSON object
     keyed by state id, or a path to such a JSON file."""
@@ -305,7 +316,7 @@ def _cmd_verify(chain, args):
                                                    starts=args.starts,
                                                    seed=args.seed)
             k_ent, ent_status = est.k_hat, "heuristic"
-        nonneg_status = (ent_status if k_ent >= -1e-6 else "unmet")
+        nonneg_status = (ent_status if k_ent >= -curv.NONNEG_TOL else "unmet")
         results["curvature_inputs"] = {
             "k_arithmetic_inf": k_arith,
             "k_entropic": k_ent,
@@ -346,7 +357,7 @@ def _cmd_verify(chain, args):
                                   "reverse_poincare": rp,
                                   "heat_kernel_bound": hk}
         binding = [grad, rp, hk]
-        if k_ent >= -1e-6:
+        if k_ent >= -curv.NONNEG_TOL:
             linf = heat_mod.check_linf_gradient_bound(
                 chain, trials=args.trials, seed=args.seed,
                 curvature_status=nonneg_status)
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curv-entropic", help="multi-start entropic estimate")
     p.add_argument("--n", default="inf")
-    p.add_argument("--starts", type=int, default=32)
+    p.add_argument("--starts", type=_count, default=32)
     _add_common(p)
     p.set_defaults(fn=_cmd_curv_entropic)
 
@@ -452,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="inequality suites")
     p.add_argument("--suite", default="all",
                    choices=["identities", "heat", "geometry", "all"])
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--starts", type=int, default=8,
+    p.add_argument("--trials", type=_count, default=25)
+    p.add_argument("--starts", type=_count, default=8,
                    help="optimizer starts for the entropic curvature input")
     p.add_argument("--k-ent", type=float, default=None,
                    help="known entropic curvature bound (treated as exact)")

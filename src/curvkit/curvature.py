@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import MarkovChain, derived
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError, InvalidParameters, NumericalFailure
 from .gamma import (_cd_grad, _density_d1, _dimension, _dirac_ball_forms,
                     _form_matrices, assemble_forms)
 from .heat import lambda1
@@ -38,6 +38,8 @@ GRAD_GAP_TOL = 1e-7
 #: L-BFGS-B relative reduction tolerance and iteration cap per start
 DESCENT_FTOL = 1e-8
 DESCENT_MAX_ITERS = 500
+#: an entropic K at or above -NONNEG_TOL counts as K >= 0
+NONNEG_TOL = 1e-6
 
 
 @dataclass
@@ -325,6 +327,9 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     """
     import scipy.optimize
 
+    if starts < 1:
+        raise InvalidParameters(
+            f"the entropic optimizer needs starts >= 1, got {starts}")
     mean = get_mean(mean)
     if mean.domain_class != "open":
         raise DomainError("the entropic optimizer needs an open-domain mean")
@@ -387,7 +392,7 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
         raise NumericalFailure(f"no start of {starts} gave a confirmed curvature")
     return EntropicEstimate(
         k_hat=best_k, rho_star=best_rho, starts=starts, per_start=per_start,
-        certified_nonnegative=bool(best_k >= -1e-6))
+        certified_nonnegative=bool(best_k >= -NONNEG_TOL))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
-from .errors import (EpsTooLarge, NegativeTime, NumericalFailure,
-                     PreconditionHeuristic)
+from .errors import (EpsTooLarge, InvalidParameters, NegativeTime,
+                     NumericalFailure, PreconditionHeuristic)
 from .gamma import (_edge_laplacian, _on_edges, a_form, func_inner,
                     laplacian, laplacian_matrix)
 from .means import get_mean
@@ -56,6 +56,8 @@ def _damped(chain: MarkovChain, t: float) -> tuple[np.ndarray, np.ndarray]:
     mode at time t >= 0."""
     if t < 0:
         raise NegativeTime(f"heat semigroup needs t >= 0, got {t}")
+    if not math.isfinite(t):
+        raise InvalidParameters(f"heat semigroup needs a finite t, got {t}")
     spec = spectral_decompose(chain)
     return spec.basis, np.exp(-spec.eigenvalues * t)
 
@@ -98,7 +100,7 @@ def avg_mixing_time(chain: MarkovChain, eps: float) -> float:
     distance is non-increasing in t, so a non-monotone evaluation trace is
     a NumericalFailure.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise EpsTooLarge("eps must be positive")
     trace: list[tuple[float, float]] = []
 

@@ -237,6 +237,29 @@ def test_heat_and_mixing(tmp_path):
     assert doc["results"]["tau_avg"] == pytest.approx(math.log(4) / 2, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mixing", "--gen", "cycle:6", "--eps", "nan"], "eps must be positive"),
+    (["heat", "--gen", "cycle:6", "--t-grid", "inf"], "finite t, got inf"),
+    (["heat", "--gen", "cycle:6", "--t-grid", "0.1,nan"], "finite t, got nan"),
+])
+def test_non_finite_heat_input_exit2(tmp_path, capsys, argv, message):
+    code, doc = run_cli(tmp_path, *argv)
+    assert (code, doc) == (2, None)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["curv-entropic", "--gen", "cycle:6", "--starts", "0"], "--starts"),
+    (["verify", "--gen", "cycle:6", "--starts", "-1"], "--starts"),
+    (["verify", "--gen", "cycle:6", "--suite", "heat", "--trials", "0",
+      "--k-ent", "0"], "--trials"),
+])
+def test_counts_below_one_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
+    code, doc = run_cli(tmp_path, *argv)
+    assert (code, doc) == (2, None)
+    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
 def test_dgamma_pair(tmp_path):
     code, doc = run_cli(tmp_path, "dgamma", "--gen", "hypercube:1",
                         "--pair", "0,1")

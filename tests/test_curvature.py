@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, NumericalFailure,
+from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, InvalidParameters,
+                     NumericalFailure,
                      bakry_emery_global, bakry_emery_vertex, build_chain,
                      complete, curvature_grad_rho, curvature_of_measure,
                      curvature_profile, custom_mean, cycle, dirac,
@@ -596,6 +597,13 @@ def test_entropic_estimate_negative_curvature_chain():
     # a long path has negative entropic curvature somewhere
     est = entropic_curvature_estimate(path(6), INF, starts=10, seed=0)
     assert est.k_hat < lambda1(path(6)) + 1e-9
+
+
+@pytest.mark.parametrize("starts", [0, -1])
+def test_entropic_estimate_needs_a_start(starts):
+    # no start is invalid input, not a numerical failure of the descent
+    with pytest.raises(InvalidParameters, match="starts >= 1"):
+        entropic_curvature_estimate(hypercube(2), INF, starts=starts)
 
 
 def test_entropic_estimate_deterministic():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curvkit import (EpsTooLarge, HeatSystem, NegativeTime,
+from curvkit import (EpsTooLarge, HeatSystem, InvalidParameters, NegativeTime,
                      NumericalFailure, avg_mixing_time, check_heat_kernel_bound,
                      check_linf_gradient_bound, complete, cycle, equilibrium,
                      func_inner, heat_apply, heat_kernel, heat_operator,
@@ -74,6 +74,17 @@ def test_negative_time_rejected(hyp2):
         heat_operator(hyp2, -0.5)
     with pytest.raises(NegativeTime):
         l1_distance_from_equilibrium(hyp2, -2.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_time_rejected(hyp2, t):
+    # exp(-0 * inf) is nan on the constant mode, and nan passes `t < 0`
+    with pytest.raises(InvalidParameters, match="finite t"):
+        heat_kernel(hyp2, t)
+    with pytest.raises(InvalidParameters):
+        heat_apply(hyp2, t, np.zeros(4))
+    with pytest.raises(InvalidParameters):
+        check_heat_kernel_bound(hyp2, (0.1, t))
 
 
 def test_semigroup_takes_the_chain_not_its_spectrum():
@@ -167,6 +178,13 @@ def test_mixing_grid_scan_cross_check(hyp3):
 def test_mixing_eps_too_large(two_state):
     with pytest.raises(EpsTooLarge):
         avg_mixing_time(two_state, 1.5)       # distance at 0 is 1 <= 1.5
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.25, math.nan])
+def test_mixing_eps_not_positive(two_state, eps):
+    # every `> nan` test is false, so a nan threshold would bisect down to 0
+    with pytest.raises(EpsTooLarge, match="eps must be positive"):
+        avg_mixing_time(two_state, eps)
 
 
 def test_mixing_non_monotone_trace_is_numerical_failure(two_state, monkeypatch):

@@ -1,0 +1,85 @@
+"""The scripts under tools/: one child run of each bench case, and the
+report-matrix comparison."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import curvkit
+from curvkit.cli import main
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = Path(curvkit.__file__).resolve().parents[1]
+
+
+def _tool(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, str(TOOLS / argv[0]), *argv[1:]], env=env,
+                          capture_output=True, text=True)
+
+
+def _bench_child(case, spec, *flags):
+    out = _tool("bench.py", case, "--child", spec, *flags)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def _dgamma_counts(counts):
+    # one Newton solve per step, and a dual-bound solve before most steps
+    return (counts["pairs_solved"] == 3 and counts["pairs_cut"] <= 3
+            and counts["newton_steps"] <= counts["linalg_solves"] <= 2 * counts["newton_steps"])
+
+
+@pytest.mark.parametrize("case, spec, check_result, check_counts", [
+    ("cheeger", "hypercube:3",
+     lambda result: float(result["h"]) == pytest.approx(1 / 3, rel=1e-15),
+     lambda counts: counts == {}),
+    ("dgamma", "cycle:6",        # the three antipodal pairs tie at 3 sqrt(2)
+     lambda result: float(result["diam_gamma"]) == pytest.approx(3 * math.sqrt(2), rel=1e-9),
+     _dgamma_counts),
+    ("optimal", "cycle:6",       # 16 of the 30 oracle calls are failed extensions
+     lambda result: result == {"facets": 6},
+     lambda counts: counts == {"is_optimal_set_calls": 30}),
+])
+def test_bench_child_runs(case, spec, check_result, check_counts):
+    counted = _bench_child(case, spec, "--counted")
+    timed = _bench_child(case, spec)
+    assert check_result(counted["result"]) and check_counts(counted["counts"])
+    assert counted["environment"]["blas"]["threads"] == 1
+    assert timed["result"] == counted["result"]
+    assert "counts" not in timed
+    assert timed["wall_s"] > 0 and timed["peak_rss_mb"] >= timed["rss_before_mb"]
+
+
+def _record(tmp_path):
+    """A report-matrix record of two real commands."""
+    commands = []
+    for argv in (["cheeger", "--gen", "cycle:6"], ["spectrum", "--gen", "path:3"]):
+        out = tmp_path / "report.json"
+        code = main(argv + ["--out", str(out)])
+        commands.append({"argv": argv + ["--out", "<work>/report.json"], "exit": code,
+                         "stdout": "", "stderr": "",
+                         "files": {"<work>/report.json": out.read_text()}})
+    return {"commands": commands}
+
+
+def test_report_matrix_compare(tmp_path):
+    record = _record(tmp_path)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(record))
+    same = _tool("report_matrix.py", "--compare", str(a), str(a))
+    assert (same.returncode, same.stdout) == (0, "0 of 2 commands differ\n")
+
+    report = json.loads(record["commands"][0]["files"]["<work>/report.json"])
+    report["results"]["h"] *= 1 + 1e-9
+    record["commands"][0]["files"]["<work>/report.json"] = json.dumps(report)
+    b.write_text(json.dumps(record))
+    differ = _tool("report_matrix.py", "--compare", str(a), str(b))
+    assert differ.returncode == 1
+    assert "<work>/report.json {results.h (rel 1e-09)}" in differ.stdout
+    assert differ.stdout.endswith("1 of 2 commands differ\n")
