@@ -89,6 +89,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type of --k-ent: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _parse_rho(chain, spec: str) -> np.ndarray:
     """Density input: 'ones', 'uniform', 'dirac:STATE', inline JSON object
     keyed by state id, or a path to such a JSON file."""
@@ -253,9 +264,8 @@ def _cmd_curv_entropic(chain, args):
 
 
 def _cmd_spectrum(chain, args):
-    sys_ = heat_mod.spectral_decompose(chain)
-    return {}, {"eigenvalues": sys_.eigenvalues,
-                "lambda1": float(sys_.eigenvalues[1])}
+    return {}, {"eigenvalues": heat_mod.spectral_decompose(chain).eigenvalues,
+                "lambda1": heat_mod.lambda1(chain)}
 
 
 def _cmd_optimal_sets(chain, args):
@@ -466,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, default=25)
     p.add_argument("--starts", type=_count, default=8,
                    help="optimizer starts for the entropic curvature input")
-    p.add_argument("--k-ent", type=float, default=None,
+    p.add_argument("--k-ent", type=_finite, default=None,
                    help="known entropic curvature bound (treated as exact)")
     _add_common(p)
     p.set_defaults(fn=_cmd_verify)

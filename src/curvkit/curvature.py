@@ -4,7 +4,7 @@ The optimal constant of the curvature-dimension inequality for a fixed
 density is sup{K : m - K n is positive semidefinite}.  Since n is PSD with a
 nontrivial null space (always containing constants, more for Dirac
 densities), the supremum is computed through a Schur reduction onto the
-n-positive subspace and independently confirmed by bisection with a PSD test.
+n-positive subspace and independently confirmed by a PSD test bracket.
 """
 
 from __future__ import annotations
@@ -123,18 +123,17 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     return k, witnesses, null_dim, gap, m_norm, n_norm
 
 
-def _bisect(m: np.ndarray, n: np.ndarray, k: float, lo: float, hi: float,
-            m_norm: float, n_norm: float):
-    """sup{K : m - K n >= 0} by bisection on the PSD test.
+def _bisect(m: np.ndarray, n: np.ndarray, k: float, m_norm: float, n_norm: float):
+    """sup{K : m - K n >= 0} by the PSD test of m - K n alone.
 
-    The pencil value k only proposes where to look: when m - K n is PSD at
-    k - d and not at k + d, d = AGREE_TOL/4 * max(1, |k|), that bracket is
-    bisected.  Otherwise, and whenever k = +-inf, the search brackets from
-    [lo, hi], doubling outwards.  Returns (value, PSD tests, bracket).
-
-    The eigenvalue floor stays anchored to the fixed problem scale (plus a
-    small |K|-proportional rounding allowance) so that spurious acceptance
-    at huge |K| cannot mask an unbounded pencil.
+    When m - K n is PSD at k - h and not at k + h, those two tests certify
+    the pencil value k to within h, and k - h returns at once.  h is
+    min(d, 5e-9), d = AGREE_TOL/4 * max(1, |k|), and then d: at large |k|
+    or norms the floor hides a 5e-9 step, and the full search stops at
+    BISECT_CAP.  Otherwise, and whenever k = +-inf, a full search brackets
+    from [-4, 4], doubling outwards, and bisects to 1e-9.  Returns (value,
+    PSD tests, bracket).  The floor is the fixed problem scale plus a small
+    |K| allowance, so acceptance at huge |K| cannot mask an unbounded pencil.
     """
     base = max(1.0, m_norm, n_norm)
     tests = 0
@@ -146,17 +145,18 @@ def _bisect(m: np.ndarray, n: np.ndarray, k: float, lo: float, hi: float,
         return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
 
     d = 0.25 * AGREE_TOL * max(1.0, abs(k))
-    if np.isfinite(k) and psd_at(k - d) and not psd_at(k + d):
-        lo, hi = k - d, k + d
-    else:
-        while psd_at(hi):
-            lo, hi = hi, 2.0 * abs(hi) if hi > 0 else 4.0
-            if hi > BISECT_CAP:
-                return POS_INFINITY, tests, (lo, hi)
-        while not psd_at(lo):
-            hi, lo = lo, -2.0 * abs(lo) if lo < 0 else -4.0
-            if lo < -BISECT_CAP:
-                return NEG_INFINITY, tests, (lo, hi)
+    for h in sorted({min(d, 5e-9), d}) if np.isfinite(k) else ():
+        if psd_at(k - h) and not psd_at(k + h):
+            return k - h, tests, (k - h, k + h)
+    lo, hi = -4.0, 4.0
+    while psd_at(hi):
+        lo, hi = hi, 2.0 * abs(hi) if hi > 0 else 4.0
+        if hi > BISECT_CAP:
+            return POS_INFINITY, tests, (lo, hi)
+    while not psd_at(lo):
+        hi, lo = lo, -2.0 * abs(lo) if lo < 0 else -4.0
+        if lo < -BISECT_CAP:
+            return NEG_INFINITY, tests, (lo, hi)
     bracket = (lo, hi)
     steps = 0
     while hi - lo > 1e-9 and steps < 256:
@@ -169,14 +169,12 @@ def _bisect(m: np.ndarray, n: np.ndarray, k: float, lo: float, hi: float,
     return lo, tests, bracket
 
 
-def solve_pencil(m: np.ndarray, n: np.ndarray, q_min: float = 1.0,
-                 confirm: bool = True) -> CurvatureResult:
-    """Solve sup{K : m - K n >= 0} with optional bisection confirmation.
+def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> CurvatureResult:
+    """Solve sup{K : m - K n >= 0} with optional confirmation by _bisect.
 
-    The bisection starts from the pencil value and falls back to a full
-    search when the PSD test does not bracket it; either way the value is
-    certified by the PSD test of m - K n alone.  The PSD floors of both
-    checks scale with the norms of m and n that _pencil returns.
+    A finite value must also pass the certificate test at K itself, which
+    the PSD test at k - h does not imply when ||m|| is small.  The PSD
+    floors of all checks scale with the norms of m and n from _pencil.
     """
     k, witnesses, null_dim, gap, m_norm, n_norm = _pencil(m, n)
     witness = next(witnesses) if witnesses is not None else None
@@ -184,8 +182,7 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, q_min: float = 1.0,
                              bracket=None, iterations=0, null_dim=null_dim,
                              gap=gap)
     if confirm:
-        lo0 = -4.0 / q_min if q_min > 0 else -4.0
-        kb, iters, bracket = _bisect(m, n, k, lo0, 4.0, m_norm, n_norm)
+        kb, iters, bracket = _bisect(m, n, k, m_norm, n_norm)
         result.bisection_value = kb
         result.bracket = bracket
         result.iterations = iters
@@ -211,7 +208,7 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
     if chain.n_states == 1:
         warnings.warn("single-state chain: curvature is vacuously +inf")
         return CurvatureResult(POS_INFINITY, None, "pencil", None, 0, 1)
-    return solve_pencil(fp.m, fp.n, q_min=chain.stats().q_min, confirm=confirm)
+    return solve_pencil(fp.m, fp.n, confirm=confirm)
 
 
 def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
@@ -219,10 +216,10 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
 
     The forms vanish outside the 2-ball of the vertex, so they are
     assembled and the pencil solved on that ball, the value confirmed by
-    bisection, and the witness re-embedded.
+    the PSD test, and the witness re-embedded.
     """
     ball, m, n = _dirac_ball_forms(chain, state, dim)
-    res = solve_pencil(m, n, q_min=chain.stats().q_min)
+    res = solve_pencil(m, n)
     if res.witness is not None:
         full = np.zeros(chain.n_states)
         full[ball] = res.witness

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import (EpsTooLarge, InvalidParameters, NegativeTime,
-                     NumericalFailure, PreconditionHeuristic)
+                     NumericalFailure, PreconditionHeuristic, TooLarge)
 from .gamma import (_edge_laplacian, _on_edges, a_form, func_inner,
                     laplacian, laplacian_matrix)
 from .means import get_mean
@@ -48,6 +48,8 @@ def spectral_decompose(chain: MarkovChain) -> HeatSystem:
 
 def lambda1(chain: MarkovChain) -> float:
     """Smallest positive eigenvalue of minus the Laplacian."""
+    if chain.n_states < 2:
+        raise TooLarge("the spectral gap needs at least two states")
     return float(spectral_decompose(chain).eigenvalues[1])
 
 
@@ -160,14 +162,13 @@ def _grad_coeff(k: float, dim: float, t: float) -> float:
     return -math.expm1(-2.0 * k * t) / (k * dim)
 
 
-def _residual_scale(lhs: float, rhs: float, *fields) -> float:
-    """|lhs| + |rhs| floored by the rounding scale of the input functions.
+def _residual_scale(scale: float, f) -> float:
+    """scale floored by the rounding scale of the input function f.
 
     Without the floor, triples whose two sides cancel exactly (constant f,
     t = 0) normalize rounding noise up to order one.
     """
-    noise = sum(float(np.abs(f).max()) ** 2 for f in fields)
-    return max(abs(lhs) + abs(rhs), 1e-13 * noise, 1e-300)
+    return max(scale, 1e-13 * float(np.abs(f).max()) ** 2, 1e-300)
 
 
 def _gradient_estimate_parts(chain: MarkovChain, mean, k: float, dim: float,
@@ -189,9 +190,10 @@ def _gradient_estimate_parts(chain: MarkovChain, mean, k: float, dim: float,
 def gradient_estimate_residual(chain: MarkovChain, mean, k: float, dim: float,
                                rho, f, t: float) -> float:
     """Normalized residual of
-    exp(-2Kt) A_{P_t rho}(f) - A_rho(P_t f) >= coeff * <rho, (Delta P_t f)^2>_pi."""
-    lhs, rhs, _ = _gradient_estimate_parts(chain, mean, k, dim, rho, f, t)
-    return (lhs - rhs) / _residual_scale(lhs, rhs, f)
+    exp(-2Kt) A_{P_t rho}(f) - A_rho(P_t f) >= coeff * <rho, (Delta P_t f)^2>_pi,
+    scaled by the unsigned aggregate of the terms, not by |lhs| + |rhs|."""
+    lhs, rhs, agg = _gradient_estimate_parts(chain, mean, k, dim, rho, f, t)
+    return (lhs - rhs) / _residual_scale(agg, f)
 
 
 def _worst_trial(name: str, residual, chain: MarkovChain, trials: int,
@@ -270,14 +272,6 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
     report = verify_gradient_estimate(chain, mean, k, dim, trials=40,
                                       t_grid=(1e-3, 1e-2, 0.1, 1.0), seed=seed)
 
-    def score(cand, f, tc):
-        # normalize by the unsigned aggregate of terms: a violation has to
-        # clear the cancellation noise of the sides, not hide inside it
-        lhs, rhs, agg = _gradient_estimate_parts(chain, mean, k, dim,
-                                                 cand, f, tc)
-        noise = 1e-13 * float(np.abs(f).max()) ** 2
-        return (lhs - rhs) / max(agg, noise, 1e-300)
-
     # both sides of the estimate are invariant under f -> f + const, so the
     # search lives in the complement of constants (whose rounding-level
     # kernel direction would otherwise win every eigendecomposition)
@@ -299,7 +293,7 @@ def sharpness_probe(chain: MarkovChain, mean, k: float, dim,
         # search moves to the worst triple so far
         nonlocal rho, t
         f = best_f_at(cand, tc) if f is None else f
-        r = score(cand, f, tc)
+        r = gradient_estimate_residual(chain, mean, k, dim, cand, f, tc)
         probe.trials += 1
         probe.violations += int(r < -1e-9)
         if r < probe.worst_residual:
@@ -362,7 +356,7 @@ def reverse_poincare_residual(chain: MarkovChain, mean, k: float, dim: float,
     lf = laplacian(chain, f_t)
     rhs = _rp_coeff1(k, t) * a_form(chain, mean, rho, f_t) \
         + _rp_coeff2(k, dim, t) * func_inner(chain, rho, lf * lf)
-    return (lhs - rhs) / _residual_scale(lhs, rhs, f)
+    return (lhs - rhs) / _residual_scale(abs(lhs) + abs(rhs), f)
 
 
 def verify_reverse_poincare(chain: MarkovChain, mean, k: float, dim,
@@ -398,6 +392,8 @@ def check_linf_gradient_bound(chain: MarkovChain, trials: int = 20,
                               curvature_status: str = "exact") -> VerifyReport:
     """sup-norm gradient decay under nonnegative curvature:
     max over edges |P_t f(y) - P_t f(x)| <= ||f||_inf / sqrt(t q_min)."""
+    if chain.n_states < 2:
+        raise TooLarge("the L-inf gradient bound needs at least two states")
     if curvature_status == "heuristic":
         warnings.warn("nonnegative curvature is heuristic for this chain/mean",
                       PreconditionHeuristic)

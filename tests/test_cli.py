@@ -260,6 +260,41 @@ def test_counts_below_one_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_ent", ["nan", "inf", "-inf"])
+def test_non_finite_k_ent_exit2_naming_the_flag(tmp_path, capsys, k_ent):
+    code, doc = run_cli(tmp_path, "verify", "--gen", "cycle:6", "--suite",
+                        "geometry", f"--k-ent={k_ent}")
+    assert (code, doc) == (2, None)
+    assert f"argument --k-ent: must be finite, got {k_ent}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum"], "spectral gap needs at least two states"),
+    (["verify", "--suite", "heat"], "gradient bound needs at least two states"),
+    (["verify", "--suite", "all"], "gradient bound needs at least two states"),
+    (["verify", "--suite", "geometry", "--k-ent", "1"],
+     "spectral gap needs at least two states"),
+])
+def test_one_state_exit2_without_traceback(tmp_path, capsys, argv, message):
+    one = tmp_path / "one.json"
+    one.write_text('{"Q": [[1.0]]}')
+    code, doc = run_cli(tmp_path, *argv, "--in", str(one))
+    assert (code, doc) == (2, None)
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["complete:2", "path:2", "hypercube:1"])
+def test_verify_heat_on_the_sharp_two_state_chain_exit0(tmp_path, spec):
+    # at dim = inf the gradient estimate's two sides cancel to rounding on
+    # two states; the residual scale must not turn that into a violation
+    code, doc = run_cli(tmp_path, "verify", "--gen", spec, "--suite", "heat",
+                        "--starts", "1")
+    assert code == 0 and doc["results"]["heat"]["holds"]
+    grad = doc["results"]["heat"]["gradient_estimate"]
+    assert grad["violations"] == 0 and abs(grad["worst_residual"]) < 1e-9
+
+
 def test_dgamma_pair(tmp_path):
     code, doc = run_cli(tmp_path, "dgamma", "--gen", "hypercube:1",
                         "--pair", "0,1")

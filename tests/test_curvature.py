@@ -228,28 +228,47 @@ def _pool_pencils():
     for ch in small_chain_pool():
         for x in range(ch.n_states):
             fp = assemble_forms(ch, ARITHMETIC, dirac(ch, x), INF)
-            yield fp.m, fp.n, ch.stats().q_min
+            yield fp.m, fp.n
         fp = assemble_forms(ch, LOGARITHMIC,
                             positive_density(ch, int(rng.integers(1 << 30))), 4.0)
-        yield fp.m, fp.n, ch.stats().q_min
+        yield fp.m, fp.n
 
 
 def test_seeded_and_full_bisection_agree():
+    # two PSD tests bracket the pencil value; the full search, bisected to
+    # its own 1e-9 resolution, lands inside that bracket
     from curvkit.curvature import _bisect, _pencil
-    seeded_count = 0
-    for m, n, q_min in _pool_pencils():
+    bracketed = 0
+    for m, n in _pool_pencils():
         k, *_, m_norm, n_norm = _pencil(m, n)
-        seeded, tests, bracket = _bisect(m, n, k, -4.0 / q_min, 4.0, m_norm, n_norm)
-        full, _, _ = _bisect(m, n, INF, -4.0 / q_min, 4.0, m_norm, n_norm)
-        assert abs(seeded - full) <= 1e-9 * max(1.0, abs(full))
-        if bracket[1] - bracket[0] < 1e-7 * max(1.0, abs(k)):
-            seeded_count += 1
-    assert seeded_count > 50
+        seeded, tests, (lo, hi) = _bisect(m, n, k, m_norm, n_norm)
+        full, _, _ = _bisect(m, n, INF, m_norm, n_norm)
+        if hi - lo < 1e-7 * max(1.0, abs(k)):
+            assert tests == 2 and seeded == lo < k < hi
+            assert lo - 1e-9 <= full <= hi + 1e-9
+            bracketed += 1
+    assert bracketed > 50
+
+
+def test_bracketed_confirmation_makes_two_eigvalsh_calls(monkeypatch):
+    import curvkit.curvature as cmod
+    from curvkit.gamma import _dirac_ball_forms
+    true_eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a) or true_eigvalsh(a))
+    for ch in (hypercube(3), cycle(5), complete(4)):
+        _, m, n = _dirac_ball_forms(ch, 0, INF)
+        k, *_, m_norm, n_norm = cmod._pencil(m, n)
+        calls.clear()
+        value, tests, (lo, hi) = cmod._bisect(m, n, k, m_norm, n_norm)
+        assert len(calls) == tests == 2
+        assert value == lo < k < hi and hi - lo <= 1e-8
 
 
 def test_pencil_returns_the_norms_of_m_and_n():
     from curvkit.curvature import _pencil
-    for m, n, _ in _pool_pencils():
+    for m, n in _pool_pencils():
         *_, m_norm, n_norm = _pencil(m, n)
         assert m_norm == np.abs(np.linalg.eigvalsh(m)).max()
         n_ref = np.abs(np.linalg.eigvalsh(n)).max()
@@ -336,9 +355,19 @@ def test_vertex_solve_operation_counts(monkeypatch):
         for x in range(ch.n_states):
             res = bakry_emery_vertex(ch, x, INF)
             if abs(res.value) <= 1.0:
-                assert res.iterations <= 8
+                assert res.iterations == 2
                 small += 1
     assert small > 50
+
+
+def test_large_curvature_confirmed_by_the_wider_pair():
+    # K is about -2/dim: at dim 1e-6 the PSD floor's |K| allowance hides a
+    # 5e-9 step and the full search stops at BISECT_CAP, so the pair at
+    # AGREE_TOL/4 |K| certifies the value
+    res = bakry_emery_vertex(cycle(6), 0, 1e-6)
+    assert res.value == pytest.approx(-1999999.0, rel=1e-12)
+    assert res.iterations == 4
+    assert res.bracket[0] == res.bisection_value < res.value < res.bracket[1]
 
 
 def test_single_state_sentinel():

@@ -264,6 +264,15 @@ def test_gradient_estimate_finite_dimension():
     assert rep.violations == 0
 
 
+def test_gradient_estimate_counts_violations_above_true_curvature(hyp2):
+    # the arithmetic K of Q^2 is 1; K + 0.05 fails on random triples, and
+    # every triple scored reads a residual in [-1, 1]
+    rep = verify_gradient_estimate(hyp2, "arithmetic", 1.05, INF, trials=30,
+                                   seed=5)
+    assert rep.violations > 0
+    assert -1.0 <= rep.worst_residual < -1e-9
+
+
 def test_sharpness_probe_finds_violation_above_true_curvature(hyp2):
     probe = sharpness_probe(hyp2, "logarithmic", 1.0 + 0.05, INF, seed=0)
     assert probe.violations > 0

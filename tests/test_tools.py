@@ -45,6 +45,9 @@ def _dgamma_counts(counts):
     ("optimal", "cycle:6",       # 16 of the 30 oracle calls are failed extensions
      lambda result: result == {"facets": 6},
      lambda counts: counts == {"is_optimal_set_calls": 30}),
+    ("vertex", "hypercube:3",    # every pencil confirmed by a two-point bracket
+     lambda result: float(result["k"]) == pytest.approx(2 / 3, rel=1e-14),
+     lambda counts: counts == {"solve_pencil_calls": 8, "psd_tests": 16}),
 ])
 def test_bench_child_runs(case, spec, check_result, check_counts):
     counted = _bench_child(case, spec, "--counted")

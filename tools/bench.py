@@ -13,7 +13,11 @@ CASE is one of
            and the `np.linalg.solve` calls of the whole diameter;
   optimal  `optimal.optimal_complex(chain, inf)` on C14, C16, C20 and C24,
            vertex curvatures included; the result is the facet count, and
-           the counter is the calls of `is_optimal_set`.
+           the counter is the calls of `is_optimal_set`;
+  vertex   `curvature.bakry_emery_global(chain, inf)` on Q^8, Q^9,
+           rr:4:128:1 and C256; the result is K's repr and the argmin
+           state, and the counters are the calls of `solve_pencil` and the
+           PSD tests that `_bisect` reports.
 
 DIR is the root of another checkout holding `src/curvkit` (a `git archive`
 tree records no commit).  Every run is a fresh interpreter with one BLAS
@@ -63,6 +67,11 @@ def _optimal_complex(ck, chain) -> dict:
     return {"facets": len(ck.optimal.optimal_complex(chain, float("inf")).facets)}
 
 
+def _vertex_global(ck, chain) -> dict:
+    k, state = ck.curvature.bakry_emery_global(chain, float("inf"))
+    return {"k": repr(k), "argmin": state}
+
+
 def _wrap(obj, name: str, after) -> None:
     """Replace obj.name by a wrapper that hands each call's result to `after`."""
     real = getattr(obj, name)
@@ -94,6 +103,14 @@ def _count_optimal(ck) -> Counter:
     return stats
 
 
+def _count_vertex(ck) -> Counter:
+    """Install the vertex counters; a counted child makes one call and exits."""
+    stats = Counter(solve_pencil_calls=0, psd_tests=0)
+    _wrap(ck.curvature, "solve_pencil", lambda _: stats.update(solve_pencil_calls=1))
+    _wrap(ck.curvature, "_bisect", lambda out: stats.update(psd_tests=out[1]))
+    return stats
+
+
 # case: (chains, modules imported before the clock starts, call, counters)
 CASES = {
     "cheeger": (tuple(f"random-regular:3:24:{s}" for s in range(1, 11))
@@ -104,6 +121,8 @@ CASES = {
                ("scipy.sparse.csgraph",), _diam_gamma, _count_dgamma),
     "optimal": (("cycle:14", "cycle:16", "cycle:20", "cycle:24"),
                 ("scipy.linalg",), _optimal_complex, _count_optimal),
+    "vertex": (("hypercube:8", "hypercube:9", "random-regular:4:128:1", "cycle:256"),
+               ("scipy.linalg",), _vertex_global, _count_vertex),
 }
 
 
