@@ -26,11 +26,11 @@ POS_INFINITY = float("inf")
 
 #: eigenvalues of n below this relative threshold count as null directions
 NULL_REL_TOL = 1e-12
-#: relative eigenvalue floor of the PSD test used by the bisection route
+#: relative eigenvalue floor of the PSD test that confirms each pencil
 PSD_REL_FLOOR = 1e-11
-#: |K| cap beyond which the bisection declares the value unbounded
+#: the PSD test at +-BISECT_CAP certifies an unbounded pencil value
 BISECT_CAP = 1e6
-#: pencil/bisection agreement tolerance
+#: relative half-width of the widest PSD bracket that certifies a pencil value
 AGREE_TOL = 1e-8
 #: cluster width: pencil eigenvalues this close to the least one count as
 #: one multiple eigenvalue, whose witnesses the curvature gradient averages
@@ -63,7 +63,7 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     Each matrix is decomposed once here: eigvalsh of m and eigh of n.
     Returns (value, witnesses, null_dim, gap, m_norm, n_norm), the last two
     the spectral norms of m and n, which set the PSD floors of the
-    bisection and the certificate.  When the value is finite, witnesses
+    bracket and the certificate.  When the value is finite, witnesses
     iterates over one witness f per eigenvalue within GRAD_GAP_TOL of the
     least, least first, with f' (m - K n) f ~ 0 and f' n f = 1; each is
     lifted only when drawn, so a caller that needs the first pays for one.
@@ -123,16 +123,18 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     return k, witnesses, null_dim, gap, m_norm, n_norm
 
 
-def _bisect(m: np.ndarray, n: np.ndarray, k: float, m_norm: float, n_norm: float):
-    """sup{K : m - K n >= 0} by the PSD test of m - K n alone.
+def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
+                 n_norm: float):
+    """Certify the pencil value k by the PSD test of m - K n alone.
 
-    When m - K n is PSD at k - h and not at k + h, those two tests certify
-    the pencil value k to within h, and k - h returns at once.  h is
-    min(d, 5e-9), d = AGREE_TOL/4 * max(1, |k|), and then d: at large |k|
-    or norms the floor hides a 5e-9 step, and the full search stops at
-    BISECT_CAP.  Otherwise, and whenever k = +-inf, a full search brackets
-    from [-4, 4], doubling outwards, and bisects to 1e-9.  Returns (value,
-    PSD tests, bracket).  The floor is the fixed problem scale plus a small
+    A finite k is certified to within h when m - K n is PSD at k - h and
+    not PSD at k + h.  The pairs tried are h = min(d, 5e-9), d and 4d,
+    d = AGREE_TOL/4 * max(1, |k|): at large |k| or norms the floor hides a
+    5e-9 step, and the widest pair is the agreement tolerance itself.
+    Since n is PSD, m - K n can only lose PSD-ness as K grows, so k = +-inf
+    is certified by the one test at +-BISECT_CAP.  Returns (value, PSD tests,
+    bracket), the value k - h for finite k; raises NumericalFailure when
+    no pair certifies k.  The floor is the fixed problem scale plus a small
     |K| allowance, so acceptance at huge |K| cannot mask an unbounded pencil.
     """
     base = max(1.0, m_norm, n_norm)
@@ -144,33 +146,23 @@ def _bisect(m: np.ndarray, n: np.ndarray, k: float, m_norm: float, n_norm: float
         floor = PSD_REL_FLOOR * base + 1e-13 * abs(kk) * n_norm
         return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
 
+    if np.isinf(k):
+        cap = BISECT_CAP if k > 0 else -BISECT_CAP
+        if psd_at(cap) == (k > 0):
+            return k, tests, (cap, k) if k > 0 else (k, cap)
+        raise NumericalFailure(
+            f"pencil K={k!r} and the PSD test at K={cap!r} disagree")
     d = 0.25 * AGREE_TOL * max(1.0, abs(k))
-    for h in sorted({min(d, 5e-9), d}) if np.isfinite(k) else ():
+    for h in sorted({min(d, 5e-9), d, 4.0 * d}):
         if psd_at(k - h) and not psd_at(k + h):
             return k - h, tests, (k - h, k + h)
-    lo, hi = -4.0, 4.0
-    while psd_at(hi):
-        lo, hi = hi, 2.0 * abs(hi) if hi > 0 else 4.0
-        if hi > BISECT_CAP:
-            return POS_INFINITY, tests, (lo, hi)
-    while not psd_at(lo):
-        hi, lo = lo, -2.0 * abs(lo) if lo < 0 else -4.0
-        if lo < -BISECT_CAP:
-            return NEG_INFINITY, tests, (lo, hi)
-    bracket = (lo, hi)
-    steps = 0
-    while hi - lo > 1e-9 and steps < 256:
-        mid = 0.5 * (lo + hi)
-        if psd_at(mid):
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-    return lo, tests, bracket
+    raise NumericalFailure(
+        f"pencil K={k!r} and the PSD test of m - K n disagree beyond {AGREE_TOL}")
 
 
 def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> CurvatureResult:
-    """Solve sup{K : m - K n >= 0} with optional confirmation by _bisect.
+    """Solve sup{K : m - K n >= 0}, with optional confirmation by
+    _psd_bracket, which raises NumericalFailure when it refuses the value.
 
     A finite value must also pass the certificate test at K itself, which
     the PSD test at k - h does not imply when ||m|| is small.  The PSD
@@ -182,17 +174,8 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> Curvatur
                              bracket=None, iterations=0, null_dim=null_dim,
                              gap=gap)
     if confirm:
-        kb, iters, bracket = _bisect(m, n, k, m_norm, n_norm)
-        result.bisection_value = kb
-        result.bracket = bracket
-        result.iterations = iters
-        both_finite = np.isfinite(k) and np.isfinite(kb)
-        if both_finite and abs(k - kb) > AGREE_TOL * max(1.0, abs(k)):
-            raise NumericalFailure(
-                f"pencil K={k!r} and bisection K={kb!r} disagree beyond {AGREE_TOL}")
-        if np.isfinite(k) != np.isfinite(kb) and not (k == kb):
-            raise NumericalFailure(
-                f"pencil K={k!r} and bisection K={kb!r} disagree on finiteness")
+        (result.bisection_value, result.iterations,
+         result.bracket) = _psd_bracket(m, n, k, m_norm, n_norm)
     if np.isfinite(k) and witness is not None:
         a = m - k * n
         floor = 1e-9 * (m_norm + abs(k) * n_norm + 1.0)
@@ -280,7 +263,7 @@ class EntropicEstimate:
     """Best upper bound on the global curvature found by multi-start descent.
 
     Every density yields an upper bound on the chain curvature; k_hat is
-    the least value seen that the pencil and bisection routes both confirm.
+    the least value seen that the PSD test confirms.
     The global infimum is NOT certified: certified_nonnegative is a
     heuristic flag only.
     """

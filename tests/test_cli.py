@@ -237,6 +237,15 @@ def test_heat_and_mixing(tmp_path):
     assert doc["results"]["tau_avg"] == pytest.approx(math.log(4) / 2, abs=1e-8)
 
 
+def test_heat_at_overflowing_time(tmp_path, capsys):
+    code, doc = run_cli(tmp_path, "heat", "--gen", "cycle:6",
+                        "--t-grid", "1e300")
+    rep = doc["results"]["heat_kernel_bound"]
+    assert code == 0 and rep["violations"] == 0 and rep["witness"]
+    assert isinstance(rep["worst_residual"], float)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["mixing", "--gen", "cycle:6", "--eps", "nan"], "eps must be positive"),
     (["heat", "--gen", "cycle:6", "--t-grid", "inf"], "finite t, got inf"),
@@ -375,8 +384,8 @@ def test_verify_linf_violation_fails_only_under_an_exact_k(tmp_path, monkeypatch
 
 
 def test_verify_unconfirmed_vertex_curvature_exit3(tmp_path, capsys):
-    # a 1e-10 middle edge: pencil and bisection disagree on a vertex
-    # curvature, so verify reports no K and claims no failed bound
+    # a 1e-10 middle edge: the PSD certificate refuses a vertex curvature's
+    # pencil value, so verify reports no K and claims no failed bound
     edges = tmp_path / "edges.tsv"
     edges.write_text("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
     code, doc = run_cli(tmp_path, "verify", "--in", str(edges), "--suite",

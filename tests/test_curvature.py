@@ -1,5 +1,6 @@
 """Curvature solvers: hand values, dual-route agreement, optimizer."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_neg_infinity_pencil_detection():
     assert res2.value == NEG_INFINITY
 
 
-# -- 2-ball assembly and the pencil-seeded bisection ------------------------
+# -- 2-ball assembly and the PSD bracket -------------------------------------
 
 def _ball_pool():
     """The randomized pool plus a lazy chain and a sparse chain with
@@ -235,18 +236,31 @@ def _pool_pencils():
 
 
 def test_seeded_and_full_bisection_agree():
-    # two PSD tests bracket the pencil value; the full search, bisected to
-    # its own 1e-9 resolution, lands inside that bracket
-    from curvkit.curvature import _bisect, _pencil
+    # two PSD tests bracket the pencil value; a from-scratch search on the
+    # same PSD test, doubling out from [-4, 4] and bisected to 1e-9, lands
+    # inside that bracket
+    from curvkit.curvature import PSD_REL_FLOOR, _pencil, _psd_bracket
     bracketed = 0
     for m, n in _pool_pencils():
         k, *_, m_norm, n_norm = _pencil(m, n)
-        seeded, tests, (lo, hi) = _bisect(m, n, k, m_norm, n_norm)
-        full, _, _ = _bisect(m, n, INF, m_norm, n_norm)
-        if hi - lo < 1e-7 * max(1.0, abs(k)):
-            assert tests == 2 and seeded == lo < k < hi
-            assert lo - 1e-9 <= full <= hi + 1e-9
-            bracketed += 1
+        seeded, tests, (lo, hi) = _psd_bracket(m, n, k, m_norm, n_norm)
+        base = max(1.0, m_norm, n_norm)
+
+        def psd_at(kk):
+            floor = PSD_REL_FLOOR * base + 1e-13 * abs(kk) * n_norm
+            return np.linalg.eigvalsh(m - kk * n).min() >= -floor
+
+        below, above = -4.0, 4.0
+        while psd_at(above):
+            below, above = above, 2.0 * above
+        while not psd_at(below):
+            below, above = 2.0 * below, below
+        while above - below > 1e-9:
+            mid = 0.5 * (below + above)
+            below, above = (mid, above) if psd_at(mid) else (below, mid)
+        assert seeded == lo < k < hi
+        assert lo - 1e-9 <= below <= hi + 1e-9
+        bracketed += tests == 2
     assert bracketed > 50
 
 
@@ -261,7 +275,7 @@ def test_bracketed_confirmation_makes_two_eigvalsh_calls(monkeypatch):
         _, m, n = _dirac_ball_forms(ch, 0, INF)
         k, *_, m_norm, n_norm = cmod._pencil(m, n)
         calls.clear()
-        value, tests, (lo, hi) = cmod._bisect(m, n, k, m_norm, n_norm)
+        value, tests, (lo, hi) = cmod._psd_bracket(m, n, k, m_norm, n_norm)
         assert len(calls) == tests == 2
         assert value == lo < k < hi and hi - lo <= 1e-8
 
@@ -296,43 +310,57 @@ def test_pencil_solve_decomposes_n_once(monkeypatch):
     assert [name for name, is_n in seen if is_n] == ["eigh"]
 
 
-def test_wrong_pencil_value_falls_back_and_fails(monkeypatch):
+@contextlib.contextmanager
+def _confirming(shift):
+    """Make _pencil return shift(k), and yield the eigvalsh arguments after
+    it: the PSD tests of the confirmation and the certificate."""
     import curvkit.curvature as cmod
-    true_pencil, true_bisect = cmod._pencil, cmod._bisect
-    fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
-    k0 = cmod.solve_pencil(fp.m, fp.n).value
-    seen = []
+    true_pencil, true_eigvalsh = cmod._pencil, np.linalg.eigvalsh
+    calls = []
 
     def shifted(m, n):
         k, *rest = true_pencil(m, n)
-        return (k + 1e-6 * max(1.0, abs(k)), *rest)
+        calls.clear()
+        return (shift(k), *rest)
 
-    def spy(*args):
-        out = true_bisect(*args)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(cmod, "_pencil", shifted)
-    monkeypatch.setattr(cmod, "_bisect", spy)
-    with pytest.raises(NumericalFailure, match="disagree"):
-        cmod.solve_pencil(fp.m, fp.n)
-    (kb, tests, bracket), = seen
-    # the full search ran: a bracket wider than the seeded one, found k0
-    assert bracket[1] - bracket[0] > 1.0
-    assert tests > 8
-    assert kb == pytest.approx(k0, abs=1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmod, "_pencil", shifted)
+        mp.setattr(np.linalg, "eigvalsh",
+                   lambda a: calls.append(a) or true_eigvalsh(a))
+        yield calls
 
 
-def test_infinite_pencils_take_the_full_route():
+def test_wrong_pencil_value_is_refused_within_six_tests():
+    from curvkit.curvature import solve_pencil
+    fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
+    for sign in (1.0, -1.0):
+        with (_confirming(lambda k: k + sign * 1e-6 * max(1.0, abs(k))) as calls,
+              pytest.raises(NumericalFailure, match="disagree beyond 1e-08")):
+            solve_pencil(fp.m, fp.n)
+        assert 1 <= len(calls) <= 6
+
+
+def test_infinite_pencils_are_certified_at_the_cap():
     from curvkit.curvature import BISECT_CAP, solve_pencil
-    n = np.array([[1.0, 0.0], [0.0, 0.0]])
-    res = solve_pencil(np.array([[1.0, 0.0], [0.0, -1.0]]), n)
+    m, n = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])
+    with _confirming(lambda k: k) as calls:
+        res = solve_pencil(m, n)
     assert res.value == res.bisection_value == NEG_INFINITY
-    assert res.bracket[0] < -BISECT_CAP
-    res = solve_pencil(np.eye(2), np.zeros((2, 2)))
+    assert res.bracket == (NEG_INFINITY, -BISECT_CAP) and res.iterations == 1
+    (tested,) = calls
+    assert np.array_equal(tested, m + BISECT_CAP * n)
+    with _confirming(lambda k: k) as calls:
+        res = solve_pencil(np.eye(2), np.zeros((2, 2)))
     assert res.value == res.bisection_value == np.inf
-    assert res.bracket[1] > BISECT_CAP
-    assert res.iterations > 8
+    assert res.bracket == (BISECT_CAP, np.inf) and res.iterations == 1
+    assert len(calls) == 1
+    # a finite pencil passed off as unbounded fails its one test at the cap
+    fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
+    for k in (np.inf, NEG_INFINITY):
+        with (_confirming(lambda _: k) as calls,
+              pytest.raises(NumericalFailure, match="disagree")):
+            solve_pencil(fp.m, fp.n)
+        assert len(calls) == 1
 
 
 def test_vertex_solve_operation_counts(monkeypatch):
@@ -362,8 +390,7 @@ def test_vertex_solve_operation_counts(monkeypatch):
 
 def test_large_curvature_confirmed_by_the_wider_pair():
     # K is about -2/dim: at dim 1e-6 the PSD floor's |K| allowance hides a
-    # 5e-9 step and the full search stops at BISECT_CAP, so the pair at
-    # AGREE_TOL/4 |K| certifies the value
+    # 5e-9 step, so the pair at AGREE_TOL/4 |K| certifies the value
     res = bakry_emery_vertex(cycle(6), 0, 1e-6)
     assert res.value == pytest.approx(-1999999.0, rel=1e-12)
     assert res.iterations == 4

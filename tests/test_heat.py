@@ -139,6 +139,16 @@ def test_kernel_stochastic_symmetric_positive():
                                                     abs=1e-12)
 
 
+def test_zero_mode_never_grows_at_large_time():
+    # eigh may return the zero mode as a tiny negative eigenvalue; its
+    # damping is clamped at 1, so the kernel tends to 1, not past it
+    ch = cycle(6)
+    for t in (1e17, 1e300):
+        assert heat_kernel(ch, t) == pytest.approx(np.ones((6, 6)), abs=1e-12)
+        assert heat_apply(ch, t, np.arange(6.0)) == pytest.approx(
+            np.full(6, 2.5), abs=1e-12)
+
+
 def test_semigroup_preserves_density_mass():
     ch = cycle(6)
     rho = positive_density(ch, 4)
@@ -408,3 +418,14 @@ def test_heat_kernel_bound_various_chains():
                random_reversible_chain(6, 77)):
         rep = check_heat_kernel_bound(ch, (0.1, 0.6, 2.0))
         assert rep.violations == 0
+
+
+def test_heat_kernel_bound_holds_where_it_overflows(recwarn):
+    # t^d overflows at t = 1e300 for d >= 2: such a bound holds, residual 1
+    rep = check_heat_kernel_bound(cycle(6), (1e17, 1e300))
+    assert rep.violations == 0
+    assert math.isfinite(rep.worst_residual) and 0 < rep.worst_residual < 1
+    assert set(rep.witness) == {"x", "y", "t"}
+    rep = check_heat_kernel_bound(path(5), (1e300,))
+    assert rep.violations == 0 and math.isfinite(rep.worst_residual)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

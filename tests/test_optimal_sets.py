@@ -327,8 +327,8 @@ def test_projected_rows_and_kernel_basis_match_the_padded_forms():
 
 
 def test_unconfirmed_vertex_curvature_is_numerical_failure(tmp_path):
-    # a 1e-10 middle edge: pencil and bisection disagree on a vertex
-    # curvature, so no zero cell is named
+    # a 1e-10 middle edge: the PSD certificate refuses a vertex curvature's
+    # pencil value, so no zero cell is named
     from curvkit import chain_from_edgelist
     from curvkit.cli import main
 

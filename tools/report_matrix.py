@@ -27,15 +27,17 @@ scratch directory that is also the working directory:
     the scratch directory): the full verify battery, where pi is so
     concentrated that the chain starts within 1/4 of equilibrium and
     tau(1/4) = 0, and curv-measure at the constant density under the
-    logarithmic mean, a numerical failure (exit 3) because the bisection's
-    PSD floor accepts K a little above the pencil value;
+    logarithmic mean, a numerical failure (exit 3) because the PSD
+    certificate refuses the pencil value;
   * the edge list a-b-c-d with weights 1, 1e-10, 1 under the full verify
     battery with an exact entropic K: a numerical failure (exit 3), since
-    pencil and bisection disagree on a vertex curvature, so no global K
-    is reported;
+    the PSD certificate refuses a vertex pencil value, so no global K is
+    reported;
   * the one-state chain under optimal-sets (exit 2: optimal sets need two
     states) and a chain of two components under spectrum (exit 2, naming
-    a state the other component cannot reach).
+    a state the other component cannot reach);
+  * the heat kernel bound on the 6-cycle at t = 1e17 and 1e300, where the
+    zero mode must not grow and the bound t^d overflows.
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -147,7 +149,8 @@ def edge_commands(work: str) -> list[list[str]]:
              "--rho", "ones"],
             ["verify", "--in", thin, "--suite", "all", "--k-ent", "0.1"],
             ["optimal-sets", "--in", one],
-            ["spectrum", "--in", split]]
+            ["spectrum", "--in", split],
+            ["heat", "--gen", "cycle:6", "--t-grid", "1e17,1e300"]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
