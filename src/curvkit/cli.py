@@ -232,6 +232,8 @@ def _cmd_curv_vertex(chain, args):
 
 
 def _cmd_curv_measure(chain, args):
+    if args.csv and not args.n_grid:
+        raise InvalidParameters("--csv writes the --n-grid profile; give --n-grid too")
     dim = _parse_dim(args.n)
     rho = _parse_rho(chain, args.rho)
     results = {}

@@ -60,26 +60,23 @@ class CurvatureResult:
 def _pencil(m: np.ndarray, n: np.ndarray):
     """sup{K : m - K n >= 0} via Schur reduction on the null space of n.
 
-    Each matrix is decomposed once here: eigvalsh of m and eigh of n.
-    Returns (value, witnesses, null_dim, gap, m_norm, n_norm), the last two
+    Each matrix is decomposed once here: eigvalsh of m and eigh of n, whose
+    eigenbasis makes n the diagonal D on its positive subspace, so the
+    reduced pencil (S, D) is the symmetric D^-1/2 S D^-1/2 with eigenvectors
+    scaled back by D^-1/2 (Golub & Van Loan, sec. 8.7).
+    Returns (value, cluster, null_dim, gap, m_norm, n_norm), the last two
     the spectral norms of m and n, which set the PSD floors of the
-    bracket and the certificate.  When the value is finite, witnesses
-    iterates over one witness f per eigenvalue within GRAD_GAP_TOL of the
-    least, least first, with f' (m - K n) f ~ 0 and f' n f = 1; each is
-    lifted only when drawn, so a caller that needs the first pays for one.
-    Otherwise it is None.
+    bracket and the certificate.  For a finite value the rows of cluster
+    are n-orthonormal witnesses of the eigenvalues within GRAD_GAP_TOL of
+    the least, in the solver's basis of their span; otherwise it is None.
     """
-    import scipy.linalg as sla          # ~0.3 s and 27 MB; only pencils need it
-
     m_evals = np.linalg.eigvalsh(m)
     m_norm = float(np.abs(m_evals).max())
     evals, vecs = np.linalg.eigh(n)
     n_norm = float(np.abs(evals).max())
-    n_scale = max(float(evals.max()), 0.0)
-    null_mask = evals <= NULL_REL_TOL * max(n_scale, 1e-300)
+    null_mask = evals <= NULL_REL_TOL * max(float(evals.max()), 1e-300)
     u = vecs[:, null_mask]
     v = vecs[:, ~null_mask]
-    nvv = np.diag(evals[~null_mask])
     null_dim = int(null_mask.sum())
     m_scale = max(1.0, m_norm)
 
@@ -93,34 +90,27 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     muv = u.T @ m @ v
     mvv = v.T @ m @ v
 
-    if null_dim:
-        uevals, uvecs = np.linalg.eigh(muu)
-        if uevals.min() < -1e-10 * m_scale:
-            return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
-        pos = uevals > 1e-10 * max(m_scale, float(np.abs(uevals).max()))
-        # range coupling: rows of muv must lie in the range of muu
-        resid = muv - uvecs[:, pos] @ (uvecs[:, pos].T @ muv)
-        if np.abs(resid).max() > 1e-8 * m_scale:
-            return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
-        pinv = uvecs[:, pos] @ np.diag(1.0 / uevals[pos]) @ uvecs[:, pos].T
-        schur = mvv - muv.T @ pinv @ muv
-        lift = -pinv @ muv
-    else:
-        schur = mvv
-        lift = np.zeros((0, v.shape[1]))
+    # an empty null space (null_dim = 0) passes both tests with schur = mvv
+    uevals, uvecs = np.linalg.eigh(muu)
+    if uevals.min(initial=0.0) < -1e-10 * m_scale:
+        return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
+    pos = uevals > 1e-10 * max(m_scale, float(np.abs(uevals).max(initial=0.0)))
+    # range coupling: rows of muv must lie in the range of muu
+    resid = muv - uvecs[:, pos] @ (uvecs[:, pos].T @ muv)
+    if np.abs(resid).max(initial=0.0) > 1e-8 * m_scale:
+        return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
+    pinv = uvecs[:, pos] @ np.diag(1.0 / uevals[pos]) @ uvecs[:, pos].T
+    schur = mvv - muv.T @ pinv @ muv
+    lift = -pinv @ muv
 
-    schur = 0.5 * (schur + schur.T)
-    pvals, pvecs = sla.eigh(schur, nvv)
+    scale = 1.0 / np.sqrt(evals[~null_mask])
+    schur = 0.5 * (schur + schur.T) * scale * scale[:, None]
+    pvals, pvecs = np.linalg.eigh(schur)
     k = float(pvals[0])
     gap = float(pvals[1] - pvals[0]) if len(pvals) > 1 else POS_INFINITY
-
-    def lifted(y):
-        witness = v @ y + (u @ (lift @ y) if null_dim else 0.0)
-        nmass = float(witness @ n @ witness)
-        return witness / np.sqrt(nmass) if nmass > 0 else witness
-
-    witnesses = map(lifted, pvecs[:, pvals - k < GRAD_GAP_TOL].T)
-    return k, witnesses, null_dim, gap, m_norm, n_norm
+    y = scale[:, None] * pvecs[:, pvals - k < GRAD_GAP_TOL]
+    cluster = (v @ y + u @ (lift @ y)).T
+    return k, cluster, null_dim, gap, m_norm, n_norm
 
 
 def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
@@ -164,19 +154,25 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> Curvatur
     """Solve sup{K : m - K n >= 0}, with optional confirmation by
     _psd_bracket, which raises NumericalFailure when it refuses the value.
 
+    The witness f is the n-normalized n-orthogonal projection of g =
+    (sin 1, sin 2, ...), which has no rational linear relation (e^i is
+    transcendental), onto the span of the least eigenvalue's cluster, so
+    no basis of that span changes it; a one-dimensional cluster has its
+    sign fixed, f' n g > 0.  f' n f = 1, 0 <= f' (m - K n) f <= GRAD_GAP_TOL.
     A finite value must also pass the certificate test at K itself, which
     the PSD test at k - h does not imply when ||m|| is small.  The PSD
     floors of all checks scale with the norms of m and n from _pencil.
     """
-    k, witnesses, null_dim, gap, m_norm, n_norm = _pencil(m, n)
-    witness = next(witnesses) if witnesses is not None else None
-    result = CurvatureResult(value=k, witness=witness, method="pencil",
+    k, cluster, null_dim, gap, m_norm, n_norm = _pencil(m, n)
+    result = CurvatureResult(value=k, witness=None, method="pencil",
                              bracket=None, iterations=0, null_dim=null_dim,
                              gap=gap)
     if confirm:
         (result.bisection_value, result.iterations,
          result.bracket) = _psd_bracket(m, n, k, m_norm, n_norm)
-    if np.isfinite(k) and witness is not None:
+    if cluster is not None:         # k is finite
+        f = cluster.T @ (cluster @ (n @ np.sin(np.arange(1.0, len(n) + 1.0))))
+        result.witness = f / np.sqrt(f @ n @ f)
         a = m - k * n
         floor = 1e-9 * (m_norm + abs(k) * n_norm + 1.0)
         if np.linalg.eigvalsh(a).min() < -floor:
@@ -246,7 +242,7 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     rho, d1 = _density_d1(chain, mean, rho)
     m, n = _form_matrices(chain.q, chain.pi, chain.edges, d1, rho,
                           _dimension(dim))
-    k, witnesses, null_dim, *_ = _pencil(m, n)
+    k, cluster, null_dim, *_ = _pencil(m, n)
     if not np.isfinite(k):
         raise NumericalFailure(f"curvature gradient undefined at K = {k!r}")
     if null_dim > 1 and (rho > 0).all():
@@ -254,7 +250,7 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
         # directions mean the density's range has outrun the eigensolver
         raise NumericalFailure(f"n lost rank ({null_dim} null directions) "
                                "at a strictly positive density")
-    parts = [_cd_grad(chain, mean, rho, d1, dim, w) for w in witnesses]
+    parts = [_cd_grad(chain, mean, rho, d1, dim, w) for w in cluster]
     return k, np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
 
 

@@ -176,15 +176,15 @@ def _d_gamma_upper(chain: MarkovChain) -> np.ndarray:
     """Upper bound U >= d_Gamma on every pair: Gamma f(x) <= 1 caps
     |f(y) - f(x)| at sqrt(2/Q(x,y)) on each edge, and Gamma f(y) <= 1 at
     sqrt(2/Q(y,x)), so U is the shortest-path distance with edge length
-    sqrt(2 / max(Q(x,y), Q(y,x)))."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
+    sqrt(2 / max(Q(x,y), Q(y,x))), by Floyd-Warshall: n passes over the
+    n x n array, cheap beside the barrier solves of diam_Gamma's chains."""
     ex, ey, qe = chain.edges
-    length = np.sqrt(2.0 / np.maximum(qe, chain.q[ey, ex]))
-    n = chain.n_states
-    return shortest_path(csr_matrix((length, (ex, ey)), shape=(n, n)),
-                         method="D", directed=False)
+    upper = np.full((chain.n_states, chain.n_states), np.inf)
+    np.fill_diagonal(upper, 0.0)
+    upper[ex, ey] = np.sqrt(2.0 / np.maximum(qe, chain.q[ey, ex]))
+    for k in range(chain.n_states):
+        np.minimum(upper, upper[:, k, None] + upper[k], out=upper)
+    return upper
 
 
 @derived

@@ -67,6 +67,14 @@ def test_curv_measure_with_profile_csv(tmp_path):
     assert len(rows) == 4
 
 
+def test_curv_measure_csv_needs_n_grid(tmp_path, capsys):
+    csv = tmp_path / "profile.csv"
+    code, doc = run_cli(tmp_path, "curv-measure", "--gen", "cycle:4", "--csv", str(csv))
+    assert code == 2 and doc is None and not csv.exists()
+    err = capsys.readouterr().err
+    assert "--csv" in err and "--n-grid" in err
+
+
 def test_curv_measure_rho_inline_json(tmp_path):
     code, doc = run_cli(tmp_path, "curv-measure", "--gen", "cycle:5",
                         "--rho", '{"0": 1.0, "1": 2.0, "2": 1.0, "3": 1.0, "4": 1.0}',
@@ -160,28 +168,25 @@ def _loaded_by_cli_import(modules, argv=None):
     return loaded
 
 
-def test_cli_import_defers_networkx_and_scipy_optimize():
-    # only random_regular needs networkx and only the entropic descent needs
-    # scipy.optimize; a fresh interpreter importing the CLI loads neither
-    assert _loaded_by_cli_import({"networkx", "scipy.optimize"}) == "[]"
-
-
-def test_cli_import_leaves_scipy_sparse_out():
-    # chains are searched without csgraph; only the Dijkstra bound on d_Gamma
-    # imports scipy.sparse, when first asked for
-    assert _loaded_by_cli_import({"scipy.sparse", "scipy.sparse.csgraph"}) == "[]"
-
-
-def test_cli_import_leaves_every_scipy_module_out():
-    # scipy.linalg is imported by the pencil solve, scipy.sparse by the
-    # Dijkstra bound on d_Gamma and scipy.optimize by the entropic descent,
-    # each on first use; commands that need none of them never load scipy
-    assert _loaded_by_cli_import({"scipy"}) == "[]"
-
-
-def test_heat_command_loads_no_scipy():
-    # the heat-kernel check reads graph distances, a numpy breadth-first search
-    assert _loaded_by_cli_import({"scipy"}, ["heat", "--gen", "cycle:6"]) == "[]"
+@pytest.mark.parametrize("argv", [
+    None,
+    ["gen", "cycle:6"],
+    ["curv-vertex", "--gen", "cycle:6"],
+    ["curv-measure", "--gen", "cycle:6"],
+    ["spectrum", "--gen", "cycle:6"],
+    ["optimal-sets", "--gen", "cycle:6"],
+    ["heat", "--gen", "cycle:6"],
+    ["mixing", "--gen", "cycle:6"],
+    ["dgamma", "--gen", "cycle:6"],
+    ["cheeger", "--gen", "cycle:6"],
+    ["verify", "--gen", "cycle:6", "--k-ent", "0.1", "--suite", "geometry"],
+], ids=lambda argv: argv[0] if argv else "import")
+def test_command_loads_no_scipy_or_networkx(argv):
+    # numpy is the one linear-algebra backend: only the entropic descent
+    # imports scipy (scipy.optimize) and only random_regular networkx, so
+    # a fresh interpreter loads neither on importing the CLI or running
+    # any other command
+    assert _loaded_by_cli_import({"networkx", "scipy"}, argv) == "[]"
 
 
 @pytest.mark.parametrize("out", [False, True])
@@ -243,6 +248,15 @@ def test_heat_at_overflowing_time(tmp_path, capsys):
     rep = doc["results"]["heat_kernel_bound"]
     assert code == 0 and rep["violations"] == 0 and rep["witness"]
     assert isinstance(rep["worst_residual"], float)
+    assert capsys.readouterr().err == ""
+
+
+def test_heat_beyond_distance_170(tmp_path, capsys):
+    # 171! overflows a float; the bound at distance 171 is evaluated in logs
+    code, doc = run_cli(tmp_path, "heat", "--gen", "path:172", "--t-grid", "0.5,1e3")
+    rep = doc["results"]["heat_kernel_bound"]
+    assert code == 0 and rep["violations"] == 0
+    assert np.isfinite(rep["worst_residual"])
     assert capsys.readouterr().err == ""
 
 

@@ -289,6 +289,32 @@ def test_pencil_returns_the_norms_of_m_and_n():
         assert abs(n_norm - n_ref) <= 1e-14 * n_ref
 
 
+def test_witness_is_fixed_by_the_span_of_its_cluster():
+    # a random orthogonal rotation of the solver's basis of the least
+    # eigenvalue's eigenspace leaves the reported witness unchanged, and
+    # every witness is n-normalized and certifies K
+    import curvkit.curvature as cmod
+    true_pencil = cmod._pencil
+    rng = np.random.default_rng(11)
+    rotated = 0
+    for m, n in _pool_pencils():
+        res = cmod.solve_pencil(m, n, confirm=False)
+        if res.witness is None:
+            continue
+        f, k = res.witness, res.value
+        assert f @ n @ f == pytest.approx(1.0, rel=1e-12)
+        m_norm, n_norm = (np.abs(np.linalg.eigvalsh(a)).max() for a in (m, n))
+        assert f @ (m - k * n) @ f >= -1e-9 * (m_norm + abs(k) * n_norm + 1.0)
+        value, cluster, *rest = true_pencil(m, n)
+        turn, _ = np.linalg.qr(rng.standard_normal((len(cluster), len(cluster))))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cmod, "_pencil", lambda m, n: (value, turn @ cluster, *rest))
+            turned = cmod.solve_pencil(m, n, confirm=False).witness
+        assert np.abs(turned - f).max() <= 1e-12 * np.abs(f).max()
+        rotated += len(cluster) > 1
+    assert rotated >= 10
+
+
 def test_pencil_solve_decomposes_n_once(monkeypatch):
     # the norm of n comes from the eigendecomposition the Schur reduction
     # already makes, not from a second eigvalsh of n
@@ -562,8 +588,8 @@ def _grad_by_public_route(ch, mean, rho, dim):
     (K, gradient, number of witnesses averaged)."""
     import curvkit.curvature as cmod
     fp = assemble_forms(ch, mean, rho, dim)
-    k, witnesses, *_ = cmod._pencil(fp.m, fp.n)
-    parts = [cd_quadratic_grad(ch, mean, rho, dim, w) for w in witnesses]
+    k, cluster, *_ = cmod._pencil(fp.m, fp.n)
+    parts = [cd_quadratic_grad(ch, mean, rho, dim, w) for w in cluster]
     grad = np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
     return k, grad, len(parts)
 

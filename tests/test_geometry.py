@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from curvkit import (ConvergenceWarning, PreconditionHeuristic, TooLarge,
-                     bakry_emery_global, build_chain, cheeger, check_buser,
+                     bakry_emery_global, build_chain, chain_from_edgelist,
+                     cheeger, check_buser,
                      check_cheeger_l1, check_diameter_bound_ent,
                      check_diameter_bound_finite_n, check_expander_bounds,
                      check_lambda_tau,
@@ -217,6 +218,23 @@ def test_edge_length_bound_dominates_d_gamma(ch):
     upper = _d_gamma_upper(ch)
     for (i, j), value in _pair_values(ch).items():
         assert value <= upper[i, j]
+
+
+def test_edge_length_bound_matches_dijkstra():
+    # scipy's Dijkstra over the same edge lengths is the oracle of the
+    # numpy Floyd-Warshall
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+    edge_list = chain_from_edgelist("a\tb\t1.0\nc\tb\t2.0\nd\ta\t0.5\nc\td\t1.5\n")
+    pool = _diameter_pool() + [edge_list, hypercube(5), cycle(20), path(12),
+                               complete(10), random_regular(3, 24, seed=1)]
+    for ch in pool:
+        ex, ey, qe = ch.edges
+        length = np.sqrt(2.0 / np.maximum(qe, ch.q[ey, ex]))
+        n = ch.n_states
+        ref = shortest_path(csr_matrix((length, (ex, ey)), shape=(n, n)),
+                            method="D", directed=False)
+        assert np.allclose(_d_gamma_upper(ch), ref, rtol=1e-12, atol=0)
 
 
 def test_edge_length_bound_is_attained_on_path3():

@@ -1,6 +1,7 @@
 """The scripts under tools/: one child run of each bench case, and the
 report-matrix comparison."""
 
+import importlib.util
 import json
 import math
 import os
@@ -86,3 +87,18 @@ def test_report_matrix_compare(tmp_path):
     assert differ.returncode == 1
     assert "<work>/report.json {results.h (rel 1e-09)}" in differ.stdout
     assert differ.stdout.endswith("1 of 2 commands differ\n")
+
+
+def test_report_matrix_records_a_crash(tmp_path):
+    # an uncaught exception is the command's outcome: exit null, its type
+    # and message as stderr
+    spec = importlib.util.spec_from_file_location("report_matrix", TOOLS / "report_matrix.py")
+    report_matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_matrix)
+
+    def crash(argv):
+        raise OverflowError("int too large to convert to float")
+
+    rec = report_matrix.run_one(crash, ["heat", "--gen", "path:172"], str(tmp_path))
+    assert (rec["exit"], rec["stdout"]) == (None, "")
+    assert rec["stderr"] == "OverflowError: int too large to convert to float\n"

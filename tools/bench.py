@@ -24,8 +24,7 @@ tree records no commit).  Every run is a fresh interpreter with one BLAS
 thread and PYTHONPATH set to its side's `src`.  Per side and chain, one
 counted run records the counters, the result and the environment.  Then N
 timed rounds (default 5) run, in which the sides take turns on every chain
-and the side that goes first alternates.  A timed run installs no counter,
-imports what its call would import on first use before the clock starts,
+and the side that goes first alternates.  A timed run installs no counter
 and must reproduce its side's counted result.  The record, written to
 OUT.json (default BENCH_CASE.json), holds each side's time quartiles and
 samples, peak RSS, result and counters, and `same_result`.
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import json
 import os
 import platform
@@ -111,18 +109,17 @@ def _count_vertex(ck) -> Counter:
     return stats
 
 
-# case: (chains, modules imported before the clock starts, call, counters)
+# case: (chains, call, counters)
 CASES = {
     "cheeger": (tuple(f"random-regular:3:24:{s}" for s in range(1, 11))
                 + ("cycle:20", "hypercube:4", "hypercube:5"),
-                (), _cheeger, lambda ck: Counter()),
+                _cheeger, lambda ck: Counter()),
     "dgamma": (("hypercube:4", "hypercube:5", "cycle:16", "cycle:20",
-                "random-regular:3:24:1", "complete:10"),
-               ("scipy.sparse.csgraph",), _diam_gamma, _count_dgamma),
+                "random-regular:3:24:1", "complete:10"), _diam_gamma, _count_dgamma),
     "optimal": (("cycle:14", "cycle:16", "cycle:20", "cycle:24"),
-                ("scipy.linalg",), _optimal_complex, _count_optimal),
+                _optimal_complex, _count_optimal),
     "vertex": (("hypercube:8", "hypercube:9", "random-regular:4:128:1", "cycle:256"),
-               ("scipy.linalg",), _vertex_global, _count_vertex),
+               _vertex_global, _count_vertex),
 }
 
 
@@ -150,13 +147,11 @@ def _child(case: str, spec: str, counted: bool) -> dict:
     """Run in the child interpreter: one counted or one timed call."""
     import curvkit as ck
 
-    _, imports, call, counters = CASES[case]
+    _, call, counters = CASES[case]
     chain = ck.generate(spec)
     if counted:
         stats = counters(ck)
         return {"result": call(ck, chain), "counts": stats, "environment": _environment(ck)}
-    for module in imports:
-        importlib.import_module(module)
     before = _peak_mb()
     t0 = time.perf_counter()
     result = call(ck, chain)
@@ -198,7 +193,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--counted", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("out", nargs="?")
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)
     if args.child:
         print(json.dumps(_child(args.case, args.child, args.counted)))
         return 0

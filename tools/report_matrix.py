@@ -37,18 +37,21 @@ scratch directory that is also the working directory:
     states) and a chain of two components under spectrum (exit 2, naming
     a state the other component cannot reach);
   * the heat kernel bound on the 6-cycle at t = 1e17 and 1e300, where the
-    zero mode must not grow and the bound t^d overflows.
+    zero mode must not grow and the bound t^d overflows, and on path:172,
+    whose distance 171 takes the bound past the largest float factorial.
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
-scratch path masked as <work>, and writes the records to OUT.json.
+scratch path masked as <work>, and writes the records to OUT.json.  A
+command that raises is recorded with exit null and the exception's type
+and message appended to its stderr; the commands after it still run.
 
 The second form lists each command whose exit code, stdout, stderr or
 files differ between two such records, naming each report leaf that
 differs by its path (for example results.geometry[6].lhs) and, for a
 number, the relative difference |a - b| / max(|a|, |b|); it exits 1 if
-any command differs.  Compare records made on the same machine: degenerate
-witnesses depend on the BLAS build.
+any command differs.  Compare records made on the same machine: last bits
+depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def edge_commands(work: str) -> list[list[str]]:
             ["verify", "--in", thin, "--suite", "all", "--k-ent", "0.1"],
             ["optimal-sets", "--in", one],
             ["spectrum", "--in", split],
-            ["heat", "--gen", "cycle:6", "--t-grid", "1e17,1e300"]]
+            ["heat", "--gen", "cycle:6", "--t-grid", "1e17,1e300"],
+            ["heat", "--gen", "path:172", "--t-grid", "0.5"]]
 
 
 def run_one(main, argv: list[str], work: str) -> dict:
@@ -160,7 +164,11 @@ def run_one(main, argv: list[str], work: str) -> dict:
             os.remove(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except Exception as exc:    # the command's outcome, not the record's
+            code = None
+            err.write(f"{type(exc).__name__}: {exc}\n")
     files = {}
     for path in outputs:
         with contextlib.suppress(FileNotFoundError), open(path, encoding="utf-8") as fh:
