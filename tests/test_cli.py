@@ -168,8 +168,26 @@ def _loaded_by_cli_import(modules, argv=None):
     return loaded
 
 
+def test_cli_import_defers_networkx_and_scipy_optimize():
+    # only random_regular needs networkx and only the entropic descent needs
+    # scipy.optimize; a fresh interpreter importing the CLI loads neither
+    assert _loaded_by_cli_import({"networkx", "scipy.optimize"}) == "[]"
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # chains are searched and d_Gamma is bounded without csgraph; importing
+    # the CLI loads no scipy.sparse
+    assert _loaded_by_cli_import({"scipy.sparse", "scipy.sparse.csgraph"}) == "[]"
+
+
+def test_cli_import_leaves_every_scipy_module_out():
+    # numpy is the one linear-algebra backend and only the entropic descent
+    # imports scipy (scipy.optimize), on first use; importing the CLI loads
+    # no scipy module
+    assert _loaded_by_cli_import({"scipy"}) == "[]"
+
+
 @pytest.mark.parametrize("argv", [
-    None,
     ["gen", "cycle:6"],
     ["curv-vertex", "--gen", "cycle:6"],
     ["curv-measure", "--gen", "cycle:6"],
@@ -180,12 +198,11 @@ def _loaded_by_cli_import(modules, argv=None):
     ["dgamma", "--gen", "cycle:6"],
     ["cheeger", "--gen", "cycle:6"],
     ["verify", "--gen", "cycle:6", "--k-ent", "0.1", "--suite", "geometry"],
-], ids=lambda argv: argv[0] if argv else "import")
+], ids=lambda argv: argv[0])
 def test_command_loads_no_scipy_or_networkx(argv):
-    # numpy is the one linear-algebra backend: only the entropic descent
-    # imports scipy (scipy.optimize) and only random_regular networkx, so
-    # a fresh interpreter loads neither on importing the CLI or running
-    # any other command
+    # only the entropic descent imports scipy and only random_regular
+    # networkx, so a fresh interpreter running any other command loads
+    # neither
     assert _loaded_by_cli_import({"networkx", "scipy"}, argv) == "[]"
 
 
