@@ -4,7 +4,11 @@ inequality battery.
 The intrinsic distance maximizes f(y) - f(x) subject to the pointwise energy
 constraint Gamma f <= 1 everywhere; a log-barrier Newton method solves the
 convex program from the edge arrays, its Hessian a weighted Laplacian plus
-the outer products of the constraint gradients.  The diameter solves the
+the outer products of the constraint gradients.  Each barrier stage ends on
+its Newton decrement relative to the barrier objective's scale t f(y):
+loosely (1e-12) in the stages that only lead to the last, and at the
+rounding floor (1e-20) in the last, which alone sets the accuracy (Boyd &
+Vandenberghe, Convex Optimization, sec. 11.3).  The diameter solves the
 pairs in order of decreasing upper bound U (Gamma f <= 1 at either end of
 an edge caps its increment at sqrt(2 / max(Q(x,y), Q(y,x))); U is the
 shortest path in those lengths) and stops at the first pair whose U is
@@ -44,6 +48,11 @@ SLACK_REL_TOL = 1e-9
 CHEEGER_MAX_STATES = 32
 #: the d_Gamma barrier method stops once its duality gap bound is below this
 GAP_TOL = 1e-9
+#: a d_Gamma barrier stage ends once its Newton decrement / 2 is at most this
+#: times max(1, t f(y)), the barrier objective's scale
+_STAGE_DEC_TOL = 1e-12
+#: the same for the final stage, which alone sets the accuracy: its rounding floor
+_FINAL_DEC_TOL = 1e-20
 #: the Cheeger enumeration scores 2^16 low patterns per step (the arrays stay in cache)
 _CHEEGER_LOW_BITS = 16
 
@@ -54,8 +63,11 @@ def d_gamma(chain: MarkovChain, x, y, *, below: float = -math.inf) -> float:
     """Intrinsic distance sup{f(y) - f(x) : Gamma f <= 1 pointwise}.
 
     Log-barrier Newton on the gauge-fixed program (f(x) = 0, start f = 0,
-    barrier parameter grows tenfold per stage, 30 Newton steps per stage,
-    stop when the duality gap bound falls below GAP_TOL).  Everything is
+    barrier parameter t grows tenfold per stage, stop when the duality gap
+    bound m/t falls below GAP_TOL).  A stage ends once the Newton decrement
+    / 2 is at most 1e-12 max(1, t f(y)), the final stage (m/t <= GAP_TOL)
+    once it is at most 1e-20 max(1, t f(y)), its rounding floor; either way
+    a stage takes at most 30 Newton steps.  Everything is
     read from the edge arrays: the slacks 1 - Gamma f are a bincount, the
     constraint gradients the rows of one n x n matrix G, and the barrier
     Hessian the edge Laplacian weighted by q_e / s(x) plus the outer
@@ -125,6 +137,7 @@ def _barrier(chain: MarkovChain, ix: int, iy: int, below: float) -> _Barrier:
     steps = 0
     converged = True
     while True:
+        dec_tol = _FINAL_DEC_TOL if m_constraints / t <= GAP_TOL else _STAGE_DEC_TOL
         for _ in range(30):
             lap = _edge_laplacian(n, ex, ey, qe / slacks[ex])[block]
             if cut_at is not None:
@@ -161,7 +174,7 @@ def _barrier(chain: MarkovChain, ix: int, iy: int, below: float) -> _Barrier:
                 converged = False
                 break
             f, slacks = f_new, s_new
-            if decrement / 2.0 <= 1e-12:
+            if decrement / 2.0 <= dec_tol * max(1.0, t * f[iy]):
                 break
         if m_constraints / t <= GAP_TOL:
             break

@@ -22,6 +22,10 @@ from .gamma import (_edge_laplacian, _on_edges, a_form, func_inner,
                     laplacian, laplacian_matrix)
 from .means import get_mean
 
+#: the spectral kernel's resolution relative to its largest entry: below it
+#: a kernel value is rounding noise
+_KERNEL_REL_RES = 1e-14
+
 
 @dataclass(frozen=True)
 class HeatSystem:
@@ -414,6 +418,10 @@ def check_heat_kernel_bound(chain: MarkovChain,
 
     A bound that overflows (t^r = inf) holds, with residual 1, the limit of
     the normalized residual as it grows; past r = 170 it is exp(r log t - log r!).
+    A kernel value within the spectral kernel's resolution (_KERNEL_REL_RES
+    times its largest entry) of 0 is 0 as far as the kernel can tell, and the
+    bound holds there with residual 1 too: rounding noise of ~1e-14 against a
+    bound of ~1e-31 would otherwise read as a near-violation of -1.
     """
     dist = distance_matrix(chain)
     pi = chain.pi
@@ -427,7 +435,7 @@ def check_heat_kernel_bound(chain: MarkovChain,
             bound = np.where(dist <= 170, float(t) ** dist / fact[dist],
                              np.exp(dist * np.log(float(t)) - log_fact[dist])) / pi[:, None]
             resid = (bound - p) / np.maximum(np.abs(bound) + np.abs(p), 1e-300)
-        resid[np.isinf(bound)] = 1.0
+        resid[np.isinf(bound) | (np.abs(p) <= _KERNEL_REL_RES * p.max())] = 1.0
         i, j = np.unravel_index(np.argmin(resid), resid.shape)
         report._score(float(resid[i, j]), int(np.sum(p > bound + 1e-12)),
                       x=chain.states[i], y=chain.states[j], t=float(t))

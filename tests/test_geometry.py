@@ -178,6 +178,22 @@ def test_dual_bound_holds_and_is_tight_at_convergence(exhaustive):
             assert geometry._dual_bound(lap, slacks, j - 1) == pytest.approx(bound, rel=1e-9)
 
 
+@pytest.mark.parametrize("spec, i, j, value, max_steps", [
+    pytest.param("cycle:16", 0, 8, 8 * math.sqrt(2), 80, id="cycle:16"),
+    pytest.param("hypercube:4", 0, 15, 4 * math.sqrt(2), 80, id="hypercube:4"),
+    pytest.param("random-regular:3:24:1", 0, 5, math.sqrt(30), 80,
+                 id="random-regular:3:24:1"),
+    pytest.param("path:60", 0, 59, 59 * math.sqrt(2), 110, id="path:60"),
+])
+def test_complete_solve_ends_each_stage_at_its_rounding_floor(spec, i, j, value,
+                                                               max_steps):
+    # no stage spends its 30 steps at a point that rounding no longer moves
+    run = geometry._barrier(generate(spec), i, j, -math.inf)
+    assert run.converged and not run.cut
+    assert run.steps <= max_steps
+    assert float(run.f[j]) == pytest.approx(value, rel=1e-9)
+
+
 def test_cut_pair_emits_no_convergence_warning(monkeypatch):
     # with a zero gap tolerance every complete solve gives up at t > 1e16
     # and warns; a pair whose dual bound falls below `below` returns before

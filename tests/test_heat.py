@@ -429,3 +429,17 @@ def test_heat_kernel_bound_holds_where_it_overflows(recwarn):
     rep = check_heat_kernel_bound(path(5), (1e300,))
     assert rep.violations == 0 and math.isfinite(rep.worst_residual)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_heat_kernel_bound_residual_ignores_rounding_noise(n):
+    # far from the source p_t is rounding noise (~1e-14) against a bound of
+    # ~1e-31: the bound holds there as far as the kernel can tell, so the
+    # worst residual is a pair whose kernel value is resolved
+    ch = path(n)
+    p = heat_kernel(ch, 0.5)
+    rep = check_heat_kernel_bound(ch, (0.5,))
+    assert rep.violations == 0
+    assert rep.worst_residual > 0
+    x, y = ch.index(rep.witness["x"]), ch.index(rep.witness["y"])
+    assert abs(p[x, y]) > 1e-12 * p.max()
