@@ -379,13 +379,14 @@ class LichnerowiczResult:
     heuristic: bool          # True when k_lower comes from the optimizer
 
 
-def lichnerowicz_check(chain: MarkovChain, mean=ARITHMETIC,
-                       **optimizer_opts) -> LichnerowiczResult:
+def lichnerowicz_check(chain: MarkovChain, mean=ARITHMETIC, starts: int = 16,
+                       seed: int = 0) -> LichnerowiczResult:
     """Compare the spectral gap with the curvature lower bound.
 
     The gap always dominates the curvature; equality (within 1e-6) makes the
     chain sharp.  With the arithmetic mean the curvature is the exact vertex
-    minimum; otherwise it is the optimizer's heuristic upper estimate.
+    minimum; otherwise it is the optimizer's heuristic upper estimate from
+    `starts` starts drawn with `seed`.
     """
     mean = get_mean(mean)
     lam = lambda1(chain)
@@ -393,10 +394,8 @@ def lichnerowicz_check(chain: MarkovChain, mean=ARITHMETIC,
         k, _ = bakry_emery_global(chain, POS_INFINITY)
         heuristic = False
     else:
-        opts = {"starts": 16, "seed": 0}
-        opts.update(optimizer_opts)
-        k = entropic_curvature_estimate(chain, POS_INFINITY, mean=mean,
-                                        **opts).k_hat
+        k = entropic_curvature_estimate(chain, POS_INFINITY, starts=starts,
+                                        seed=seed, mean=mean).k_hat
         heuristic = True
     return LichnerowiczResult(lambda1=lam, k_lower=k,
                               sharp=bool(lam - k <= 1e-6), heuristic=heuristic)

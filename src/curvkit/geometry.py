@@ -412,18 +412,11 @@ def check_diameter_bound_ent(chain: MarkovChain, k: float,
     pre = [("entropic_curvature_positive", k_status if k > 0 else "unmet")]
     d_pi = chain.stats().deg_pi_max
     c = 1.0 if abs(d_pi - 1.0) < 1e-12 else d_pi * math.log(d_pi) / (d_pi - 1.0)
-    if k <= 0:
-        nan = float("nan")
-        return [_report("diameter_ent_dgamma", nan, nan, pre, {"k": k}),
-                _report("diameter_ent_d", nan, nan, pre, {"k": k})]
-    dg = diam_gamma(chain)
-    dd = diam_combinatorial(chain)
-    return [
-        _report("diameter_ent_dgamma", dg, (2.0 / k) * math.sqrt(2.0 * c), pre,
-                {"k": k, "d_pi": d_pi}),
-        _report("diameter_ent_d", dd, (2.0 / k) * math.sqrt(c), pre,
-                {"k": k, "d_pi": d_pi}),
-    ]
+    bounds = None
+    if k > 0:
+        bounds = ((2.0 / k) * math.sqrt(2.0 * c), (2.0 / k) * math.sqrt(c))
+    return _diameter_reports(chain, "diameter_ent", k, pre, bounds,
+                             {"d_pi": d_pi})
 
 
 def check_diameter_bound_finite_n(chain: MarkovChain,
@@ -434,19 +427,25 @@ def check_diameter_bound_finite_n(chain: MarkovChain,
     pre = [("curvature_positive", "exact" if k > 0 else "unmet"),
            ("dimension_finite", "exact" if np.isfinite(dim) else "unmet"),
            ("mean_below_arithmetic", "exact")]
-    if k <= 0 or not np.isfinite(dim):
-        nan = float("nan")
-        return [_report("diameter_finite_n_dgamma", nan, nan, pre, {"k": k}),
-                _report("diameter_finite_n_d", nan, nan, pre, {"k": k})]
-    dg = diam_gamma(chain)
-    dd = diam_combinatorial(chain)
-    dmax = chain.stats().deg_weighted_max
-    return [
-        _report("diameter_finite_n_dgamma", dg, math.pi * math.sqrt(dim / k),
-                pre, {"k": k, "dim": dim}),
-        _report("diameter_finite_n_d", dd, math.pi * math.sqrt(dmax * dim / (2.0 * k)),
-                pre, {"k": k, "dim": dim}),
-    ]
+    bounds = None
+    if k > 0 and np.isfinite(dim):
+        dmax = chain.stats().deg_weighted_max
+        bounds = (math.pi * math.sqrt(dim / k),
+                  math.pi * math.sqrt(dmax * dim / (2.0 * k)))
+    return _diameter_reports(chain, "diameter_finite_n", k, pre, bounds,
+                             {"dim": dim})
+
+
+def _diameter_reports(chain, name, k, pre, bounds, details):
+    """The {name}_dgamma and {name}_d reports of diam_Gamma and the
+    combinatorial diameter against bounds = (intrinsic, combinatorial);
+    nan reports when a precondition is unmet (bounds None)."""
+    if bounds is None:
+        return [_report(f"{name}_dgamma", math.nan, math.nan, pre, {"k": k}),
+                _report(f"{name}_d", math.nan, math.nan, pre, {"k": k})]
+    dg, dd = diam_gamma(chain), diam_combinatorial(chain)
+    return [_report(f"{name}_dgamma", dg, bounds[0], pre, {"k": k, **details}),
+            _report(f"{name}_d", dd, bounds[1], pre, {"k": k, **details})]
 
 
 def _r0(chain: MarkovChain):
@@ -466,8 +465,7 @@ def check_tau_lower_bound(chain: MarkovChain) -> InequalityReport:
     st = chain.stats()
     pre, r0 = _r0(chain)
     if r0 is None:
-        nan = float("nan")
-        return _report("tau_avg_lower_bound", nan, nan, pre, {})
+        return _report("tau_avg_lower_bound", math.nan, math.nan, pre, {})
     bound = (st.pi_min / (8.0 * st.pi_max)) ** (1.0 / r0) * (st.q_min / math.e) * r0
     tau = avg_mixing_time(chain, 0.25)
     return _report("tau_avg_lower_bound", bound, tau, pre,
@@ -536,8 +534,7 @@ def check_expander_bounds(chain: MarkovChain,
             * (8.0 * st.pi_max / st.pi_min) ** (1.0 / r0) / r0
         out.append(_report("lambda1_upper_bound", lamval, rhs, pre1, {"r0": r0}))
     else:
-        nan = float("nan")
-        out.append(_report("lambda1_upper_bound", nan, nan, pre1, {}))
+        out.append(_report("lambda1_upper_bound", math.nan, math.nan, pre1, {}))
 
     d = _detect_regular_srw(chain)
     size_ok = d is not None and d >= 2 and chain.n_states >= 4 * d
@@ -549,7 +546,6 @@ def check_expander_bounds(chain: MarkovChain,
         rhs = 4000.0 * d ** 4 * math.log(d) / math.log(chain.n_states / 4.0)
         out.append(_report("regular_spectral_gap", gap, rhs, pre2, {"d": d}))
     else:
-        nan = float("nan")
-        out.append(_report("regular_spectral_gap", nan, nan, pre2,
+        out.append(_report("regular_spectral_gap", math.nan, math.nan, pre2,
                            {"d": d if d is not None else -1}))
     return out

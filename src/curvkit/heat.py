@@ -18,8 +18,8 @@ import numpy as np
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import (EpsTooLarge, InvalidParameters, NegativeTime,
                      NumericalFailure, PreconditionHeuristic, TooLarge)
-from .gamma import (_edge_laplacian, _on_edges, a_form, func_inner,
-                    laplacian, laplacian_matrix)
+from .gamma import (_as_function, _edge_laplacian, _on_edges, a_form,
+                    func_inner, laplacian, laplacian_matrix)
 from .means import get_mean
 
 #: the spectral kernel's resolution relative to its largest entry: below it
@@ -76,9 +76,9 @@ def heat_operator(chain: MarkovChain, t: float) -> np.ndarray:
 
 
 def heat_apply(chain: MarkovChain, t: float, f) -> np.ndarray:
-    """P_t f."""
+    """P_t f for a function f of shape (n,)."""
     phi, damp = _damped(chain, t)
-    coeff = phi.T @ (chain.pi * np.asarray(f, dtype=float))
+    coeff = phi.T @ (chain.pi * _as_function(chain, f))
     return phi @ (damp * coeff)
 
 

@@ -4,6 +4,10 @@ A mean is symmetric, homogeneous, monotone, normalized (theta(1,1) = 1) and
 smooth on the open quadrant.  Its admissible density domain is
 I = (0, inf) when theta(0, s) = 0 for s > 0 (logarithmic, geometric) and
 I = [0, inf) when theta(0, s) > 0 (arithmetic).
+
+Arguments are converted once, in Mean.value, d1 and d11: every mean
+function, built-in or custom, receives r and s as nonnegative float arrays
+broadcast to one shape (0-d for scalars), so a scalar call returns np.float64.
 """
 
 from __future__ import annotations
@@ -26,27 +30,27 @@ _D11_SERIES_U = 1e-2
 _D11_FD_REL = 6e-6
 
 
-def _check_nonneg(r, s):
-    if (np.asarray(r) < 0).any() or (np.asarray(s) < 0).any():
+def _arguments(r, s):
+    """r and s as nonnegative float arrays broadcast to one shape."""
+    r, s = np.asarray(r, float), np.asarray(s, float)
+    if (r < 0).any() or (s < 0).any():
         raise NegativeInput("mean arguments must be nonnegative")
+    return np.broadcast_arrays(r, s)
 
 
 def _arith_eval(r, s):
-    return 0.5 * (np.asarray(r, float) + np.asarray(s, float))
+    return 0.5 * (r + s)
 
 
 def _arith_d1(r, s):
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     return np.full(r.shape, 0.5)[()]
 
 
 def _arith_d11(r, s):
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     return np.zeros(r.shape)[()]
 
 
 def _log_eval(r, s):
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     out = np.zeros(r.shape)
     pos = (r > 0) & (s > 0)
     # diagonal band: theta = m * u/artanh(u) with u = (s-r)/(s+r)
@@ -77,7 +81,6 @@ def _log_ratio(r, s):
 
 
 def _log_d1(r, s):
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     if (r == 0).any():
         raise DomainError("d1 of the logarithmic mean needs r > 0")
     out = np.zeros(r.shape)  # limit s -> 0 is 0
@@ -98,7 +101,6 @@ def _log_d1(r, s):
 
 
 def _log_d11(r, s):
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     if (r == 0).any():
         raise DomainError("d11 of the logarithmic mean needs r > 0")
     out = np.zeros(r.shape)  # d1(r, 0) = 0 for every r
@@ -122,19 +124,16 @@ def _log_d11(r, s):
 
 
 def _geom_eval(r, s):
-    _r, _s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
-    return np.sqrt(_r * _s)[()]
+    return np.sqrt(r * s)[()]
 
 
 def _geom_d1(r, s):
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     if (r == 0).any():
         raise DomainError("d1 of the geometric mean diverges at r = 0")
     return (0.5 * np.sqrt(s / r))[()]
 
 
 def _geom_d11(r, s):
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     if (r == 0).any():
         raise DomainError("d11 of the geometric mean diverges at r = 0")
     return (-0.25 * np.sqrt(s / r) / r)[()]
@@ -142,7 +141,6 @@ def _geom_d11(r, s):
 
 def _central_d11(d1_fn, r, s):
     """d11 as a central difference of d1 in r (one-sided at r = 0)."""
-    r, s = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float))
     h = _D11_FD_REL * np.where(r > 0, r, 1.0)
     lo = np.maximum(r - h, 0.0)
     hi = r + h
@@ -161,6 +159,9 @@ class Mean:
     r d11(r, s) + s d12(r, s) = 0: d11 alone gives every second partial.
     The built-ins carry closed forms for d11; a mean without d11_fn (every
     custom_mean) takes a central difference of its own d1_fn in r.
+
+    value, d1 and d11 raise NegativeInput on a negative entry and hand the
+    functions broadcast float arrays, so a scalar call returns np.float64.
     """
 
     kind: str
@@ -170,15 +171,13 @@ class Mean:
     d11_fn: Callable | None = field(default=None, repr=False)
 
     def value(self, r, s):
-        _check_nonneg(r, s)
-        return self.eval_fn(r, s)
+        return self.eval_fn(*_arguments(r, s))
 
     def d1(self, r, s):
-        _check_nonneg(r, s)
-        return self.d1_fn(r, s)
+        return self.d1_fn(*_arguments(r, s))
 
     def d11(self, r, s):
-        _check_nonneg(r, s)
+        r, s = _arguments(r, s)
         if self.d11_fn is None:
             return _central_d11(self.d1_fn, r, s)
         return self.d11_fn(r, s)
@@ -201,7 +200,7 @@ def get_mean(name_or_mean) -> Mean:
 
 
 def custom_mean(eval_fn, d1_fn, domain_class: str, kind: str = "custom") -> Mean:
-    """Wrap user callables (must broadcast over numpy arrays) as a Mean.
+    """Wrap user callables of two broadcast float arrays as a Mean.
 
     Axioms of custom means are only checked statistically via
     check_mean_axioms, never proven.  The second partial d11 is a central

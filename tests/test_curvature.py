@@ -468,6 +468,8 @@ def test_lichnerowicz_sharpness_cases(hyp3, cycle5):
     assert not rep.sharp
     assert rep.lambda1 == pytest.approx(1 - math.cos(2 * math.pi / 5), abs=1e-12)
     assert rep.k_lower == pytest.approx(0.0, abs=1e-9)
+    with pytest.raises(TypeError):     # a misspelt option is not ignored
+        lichnerowicz_check(cycle5, ARITHMETIC, strats=8)
 
 
 def test_lichnerowicz_logarithmic_mean(hyp2):

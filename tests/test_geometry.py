@@ -426,9 +426,27 @@ def test_diameter_bound_finite_n_hypercube(hyp2):
     assert all(r.details["k"] == k for r in reps)
 
 
-def test_diameter_bound_unmet_guard(cycle5):
-    reps = check_diameter_bound_ent(cycle5, 0.0, "exact")
-    assert all(r.holds is None for r in reps)
+@pytest.mark.parametrize("check, unmet, met, name, met_keys", [
+    (check_diameter_bound_ent, 0.0, 0.5, "diameter_ent", {"k", "d_pi"}),
+    (check_diameter_bound_finite_n, math.inf, 8.0, "diameter_finite_n",
+     {"k", "dim"}),
+    (check_diameter_bound_finite_n, 12.0, 8.0, "diameter_finite_n",
+     {"k", "dim"}),
+], ids=["ent-k0", "finite-n-dim-inf", "finite-n-dim12"])
+def test_diameter_bound_unmet_guard(check, unmet, met, name, met_keys):
+    ch = cycle(6)
+    k = unmet if check is check_diameter_bound_ent \
+        else bakry_emery_global(ch, unmet)[0]
+    assert k <= 0 or not math.isfinite(unmet)
+    reps = check(ch, unmet)
+    assert [r.name for r in reps] == [f"{name}_dgamma", f"{name}_d"]
+    for r in reps:
+        assert math.isnan(r.lhs) and math.isnan(r.rhs) and math.isnan(r.slack)
+        assert r.holds is None
+        assert r.details == {"k": k}
+    reps = check(hypercube(2), met)
+    assert [r.name for r in reps] == [f"{name}_dgamma", f"{name}_d"]
+    assert all(set(r.details) == met_keys for r in reps)
 
 
 # -- mixing-time and spectral-gap bounds -------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from curvkit import (EpsTooLarge, HeatSystem, InvalidParameters, NegativeTime,
-                     NumericalFailure, avg_mixing_time, check_heat_kernel_bound,
-                     check_linf_gradient_bound, complete, cycle, equilibrium,
+                     NumericalFailure, ShapeMismatch, avg_mixing_time,
+                     check_heat_kernel_bound, check_linf_gradient_bound,
+                     complete, cycle, equilibrium,
                      func_inner, heat_apply, heat_kernel, heat_operator,
                      hypercube,
                      l1_distance_from_equilibrium, path, sharpness_probe,
@@ -63,6 +64,20 @@ def test_eigenbasis_orthonormal_and_eigen():
 def test_time_zero_is_identity(hyp3):
     f = np.random.default_rng(0).standard_normal(8)
     assert heat_apply(hyp3, 0.0, f) == pytest.approx(f, abs=1e-12)
+
+
+def test_heat_apply_takes_one_function(hyp2):
+    # an n x n matrix would broadcast pi along its rows without error
+    f = np.zeros((3, 3))
+    f[:, 0] = 1.0
+    with pytest.raises(ShapeMismatch):
+        heat_apply(path(3), 1.0, f)
+    with pytest.raises(ShapeMismatch):
+        heat_apply(path(3), 1.0, f[:, :2])
+    with pytest.raises(ShapeMismatch):
+        heat_apply(hyp2, 1.0, np.ones(3))
+    assert heat_apply(path(3), 1.0, np.ones(3)) == pytest.approx(np.ones(3),
+                                                                 abs=1e-12)
 
 
 def test_negative_time_rejected(hyp2):

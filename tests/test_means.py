@@ -36,6 +36,21 @@ def test_negative_input_rejected():
         eval_mean(LOGARITHMIC, -1.0, 2.0)
     with pytest.raises(NegativeInput):
         d1_mean(ARITHMETIC, 1.0, -2.0)
+    # Mean.value, d1 and d11 convert once: a negative entry anywhere is
+    # refused, a scalar broadcasts against an array, scalars give a scalar
+    geo = custom_mean(lambda r, s: np.sqrt(r * s),
+                      lambda r, s: 0.5 * np.sqrt(s / r), "open")
+    arr = np.array([[0.5, 2.0, 3.0]])
+    for mean in (ARITHMETIC, LOGARITHMIC, GEOMETRIC, geo):
+        for fn in (mean.value, mean.d1, mean.d11):
+            for bad in (-1.0, np.array([1.0, -2.0, 3.0])):
+                with pytest.raises(NegativeInput):
+                    fn(bad, arr)
+                with pytest.raises(NegativeInput):
+                    fn(arr, bad)
+            assert np.shape(fn(1.5, arr)) == arr.shape
+            assert np.shape(fn(arr, 1.5)) == arr.shape
+            assert np.isscalar(fn(1.5, 2.0))
 
 
 def test_open_domain_derivative_guard():
