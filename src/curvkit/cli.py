@@ -4,9 +4,12 @@
 JSON, a `gen` report, a TSV edge list or a generator spec) and runs the
 subcommand's handler, a function (chain, args) -> (config, results) that
 does no I/O but its own --csv file.
-It then writes a JSON report (schema "curvkit-report/1") whose "warnings"
+It then streams a JSON report (schema "curvkit-report/2") whose "warnings"
 lists every library `UserWarning` the handler raised.  Reports are
 deterministic for a fixed (config, seed): no timestamps, sorted keys.
+A curvature record is {value, bracket, iterations, null_dim, witness},
+the witness an object {state: value} over its nonzero entries, or null
+when K is infinite.  `--in` reads gen reports of this schema only.
 
 Exit codes: 0 success; 2 invalid input; 3 numerical failure (neither writes
 a report); 4 the report shows a failed `verify` suite (see `_failed`).
@@ -15,9 +18,9 @@ a report); 4 the report shows a failed `verify` suite (see `_failed`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -36,7 +39,7 @@ from .gamma import (a_form, b_form, dirac, equilibrium, func_inner,
 from .errors import CurvkitError, InvalidParameters, NumericalFailure, TooLarge
 from .means import BUILTIN_MEANS
 
-SCHEMA = "curvkit-report/1"
+SCHEMA = "curvkit-report/2"
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -55,7 +58,9 @@ def _load_chain(args) -> chain_mod.MarkovChain:
     if path.endswith((".tsv", ".txt")):
         return chain_mod.chain_from_edgelist(text)
     doc = json.loads(text)
-    if isinstance(doc, dict) and doc.get("schema") == SCHEMA:
+    if isinstance(doc, dict) and "schema" in doc:
+        if doc["schema"] != SCHEMA:
+            raise CurvkitError(f"--in reads {SCHEMA} reports, got {doc['schema']}")
         config, results = doc.get("config"), doc.get("results")
         if not isinstance(config, dict):
             raise InvalidParameters('the report has no "config" object')
@@ -139,11 +144,7 @@ def _chain_stats_doc(chain) -> dict:
     }
 
 
-#: a report's text is built from joins of this many encoder chunks, so the
-#: chunks of a large report are never all held at once
-_EMIT_BATCH = 4096
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False,
-                            default=np.ndarray.tolist)
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 def _jsonable(obj):
@@ -151,10 +152,6 @@ def _jsonable(obj):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
-        # a finite numeric array is left to the encoder, which lists one
-        # array at a time; any other converts element-wise
-        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return obj
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonable(obj.item())
@@ -175,32 +172,26 @@ def _emit(args, config: dict, chain, results: dict, warnings_list: list[str]) ->
         "results": _jsonable(results),
         "warnings": warnings_list,
     }
-    chunks = _ENCODER.iterencode(report)
-    parts = ["".join(batch) for batch in
-             iter(lambda: list(itertools.islice(chunks, _EMIT_BATCH)), [])]
-    parts.append("\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(_ENCODER.iterencode(report))
+        fh.write("\n")
 
 
-def _float_or_none(v):
-    if v is None:
-        return None
-    return None if not math.isfinite(v) else v
-
-
-def _curv_result_doc(res: curv.CurvatureResult) -> dict:
+def _curv_result_doc(chain, res: curv.CurvatureResult) -> dict:
+    """A curvature record.  The witness keeps the entries that are not +0.0
+    (a -0.0 stays), so setting them in a vector of zeros rebuilds it bit
+    for bit."""
+    witness = None
+    if (f := res.witness) is not None:
+        support = np.flatnonzero((f != 0) | np.signbit(f))
+        witness = {chain.states[i]: v for i, v in zip(support, f[support].tolist())}
     return {
         "value": res.value,
-        "method": res.method,
-        "bracket": list(res.bracket) if res.bracket else None,
+        "bracket": res.bracket,
         "iterations": res.iterations,
         "null_dim": res.null_dim,
-        "bisection_value": _float_or_none(res.bisection_value),
-        "witness": res.witness,
+        "witness": witness,
     }
 
 
@@ -226,7 +217,7 @@ def _cmd_curv_vertex(chain, args):
                   for state in chain.states}
     k_min = min(res.value for res in per_vertex.values())
     return ({"n": args.n, "mean": "arithmetic"},
-            {"per_vertex": {state: _curv_result_doc(res)
+            {"per_vertex": {state: _curv_result_doc(chain, res)
                             for state, res in per_vertex.items()},
              "k_global": k_min})
 
@@ -248,7 +239,7 @@ def _cmd_curv_measure(chain, args):
                 for s, k in prof.points:
                     fh.write(f"{s!r},{k!r}\n")
     res = curv.curvature_of_measure(chain, args.mean, rho, dim)
-    results["curvature"] = _curv_result_doc(res)
+    results["curvature"] = _curv_result_doc(chain, res)
     return {"n": args.n, "mean": args.mean, "rho": args.rho}, results
 
 

@@ -28,8 +28,8 @@ POS_INFINITY = float("inf")
 NULL_REL_TOL = 1e-12
 #: relative eigenvalue floor of the PSD test that confirms each pencil
 PSD_REL_FLOOR = 1e-11
-#: the PSD test at +-BISECT_CAP certifies an unbounded pencil value
-BISECT_CAP = 1e6
+#: the PSD test at +-INF_CAP certifies an unbounded pencil value
+INF_CAP = 1e6
 #: relative half-width of the widest PSD bracket that certifies a pencil value
 AGREE_TOL = 1e-8
 #: cluster width: pencil eigenvalues this close to the least one count as
@@ -48,11 +48,9 @@ class CurvatureResult:
 
     value: float
     witness: np.ndarray | None
-    method: str
     bracket: tuple[float, float] | None
     iterations: int
     null_dim: int
-    bisection_value: float | None = None
     gap: float | None = None          # distance of the minimal pencil eigenvalue
                                       # to the next one (degeneracy indicator)
 
@@ -122,10 +120,10 @@ def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
     d = AGREE_TOL/4 * max(1, |k|): at large |k| or norms the floor hides a
     5e-9 step, and the widest pair is the agreement tolerance itself.
     Since n is PSD, m - K n can only lose PSD-ness as K grows, so k = +-inf
-    is certified by the one test at +-BISECT_CAP.  Returns (value, PSD tests,
-    bracket), the value k - h for finite k; raises NumericalFailure when
-    no pair certifies k.  The floor is the fixed problem scale plus a small
-    |K| allowance, so acceptance at huge |K| cannot mask an unbounded pencil.
+    is certified by the one test at +-INF_CAP.  Returns (PSD tests,
+    bracket); raises NumericalFailure when no pair certifies k.  The floor
+    is the fixed problem scale plus a small |K| allowance, so acceptance at
+    huge |K| cannot mask an unbounded pencil.
     """
     base = max(1.0, m_norm, n_norm)
     tests = 0
@@ -137,15 +135,15 @@ def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
         return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
 
     if np.isinf(k):
-        cap = BISECT_CAP if k > 0 else -BISECT_CAP
+        cap = INF_CAP if k > 0 else -INF_CAP
         if psd_at(cap) == (k > 0):
-            return k, tests, (cap, k) if k > 0 else (k, cap)
+            return tests, (cap, k) if k > 0 else (k, cap)
         raise NumericalFailure(
             f"pencil K={k!r} and the PSD test at K={cap!r} disagree")
     d = 0.25 * AGREE_TOL * max(1.0, abs(k))
     for h in sorted({min(d, 5e-9), d, 4.0 * d}):
         if psd_at(k - h) and not psd_at(k + h):
-            return k - h, tests, (k - h, k + h)
+            return tests, (k - h, k + h)
     raise NumericalFailure(
         f"pencil K={k!r} and the PSD test of m - K n disagree beyond {AGREE_TOL}")
 
@@ -164,12 +162,10 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> Curvatur
     floors of all checks scale with the norms of m and n from _pencil.
     """
     k, cluster, null_dim, gap, m_norm, n_norm = _pencil(m, n)
-    result = CurvatureResult(value=k, witness=None, method="pencil",
-                             bracket=None, iterations=0, null_dim=null_dim,
-                             gap=gap)
+    result = CurvatureResult(value=k, witness=None, bracket=None, iterations=0,
+                             null_dim=null_dim, gap=gap)
     if confirm:
-        (result.bisection_value, result.iterations,
-         result.bracket) = _psd_bracket(m, n, k, m_norm, n_norm)
+        result.iterations, result.bracket = _psd_bracket(m, n, k, m_norm, n_norm)
     if cluster is not None:         # k is finite
         f = cluster.T @ (cluster @ (n @ np.sin(np.arange(1.0, len(n) + 1.0))))
         result.witness = f / np.sqrt(f @ n @ f)
@@ -186,7 +182,7 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
     fp = assemble_forms(chain, mean, rho, dim)
     if chain.n_states == 1:
         warnings.warn("single-state chain: curvature is vacuously +inf")
-        return CurvatureResult(POS_INFINITY, None, "pencil", None, 0, 1)
+        return CurvatureResult(POS_INFINITY, None, None, 0, 1)
     return solve_pencil(fp.m, fp.n, confirm=confirm)
 
 

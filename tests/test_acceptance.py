@@ -220,7 +220,7 @@ def test_criterion_10_dual_solver_and_gradient():
         dim = [2.0, 7.0, INF][count % 3]
         mean = ["arithmetic", "logarithmic", "geometric"][count % 3]
         res = curvature_of_measure(ch, mean, rho, dim, confirm=True)
-        worst_gap = max(worst_gap, abs(res.value - res.bisection_value))
+        worst_gap = max(worst_gap, abs(res.value - res.bracket[0]))
         count += 1
 
     worst_grad = 0.0

@@ -6,15 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvkit
-from curvkit import (ARITHMETIC, chain_from_json, check_cheeger_l1,
-                     curvature_of_measure, dirac, hypercube)
-from curvkit.cli import _EMIT_BATCH, _ENCODER, _jsonable, main
+from curvkit import (ARITHMETIC, bakry_emery_vertex, chain_from_json,
+                     check_cheeger_l1, curvature_of_measure, dirac, hypercube)
+from curvkit.cli import SCHEMA, _ENCODER, _jsonable, main
 
 from conftest import cheeger_gray
 
@@ -29,7 +30,7 @@ def run_cli(tmp_path, *argv):
 def test_gen_writes_chain(tmp_path):
     code, doc = run_cli(tmp_path, "gen", "cycle:5")
     assert code == 0
-    assert doc["schema"] == "curvkit-report/1"
+    assert doc["schema"] == "curvkit-report/2"
     chain = doc["results"]["chain"]
     assert len(chain["states"]) == 5
     assert chain["pi"] == pytest.approx([0.2] * 5)
@@ -53,6 +54,58 @@ def test_curv_vertex_one_state_k_global_inf(tmp_path):
     assert code == 0
     assert doc["results"]["per_vertex"]["0"]["value"] == "inf"
     assert doc["results"]["k_global"] == "inf"
+
+
+_ONE = {"Q": [[1.0]]}
+_RHO5 = {"0": 1.0, "1": 2.0, "2": 0.5, "3": 1.5, "4": 1.0}
+
+
+def _vertex_records(ch):
+    return {s: bakry_emery_vertex(ch, s, np.inf) for s in ch.states}
+
+
+@pytest.mark.parametrize("argv, library", [
+    (["curv-vertex", "--gen", "hypercube:3"], _vertex_records),
+    (["curv-vertex", "--gen", "cycle:128"], _vertex_records),
+    (["curv-measure", "--gen", "path:5", "--rho", "dirac:2"],
+     lambda ch: {"curvature": curvature_of_measure(ch, ARITHMETIC, dirac(ch, "2"),
+                                                   np.inf)}),
+    (["curv-measure", "--gen", "cycle:5", "--mean", "logarithmic", "--n", "4",
+      "--rho", json.dumps(_RHO5)],
+     lambda ch: {"curvature": curvature_of_measure(
+         ch, "logarithmic", [_RHO5[s] for s in ch.states], 4.0)}),
+    (["curv-vertex", "--in", "one.json"], _vertex_records),
+    (["curv-measure", "--in", "one.json"],
+     lambda ch: {"curvature": curvature_of_measure(ch, ARITHMETIC, np.ones(1), np.inf)}),
+], ids=["hypercube3", "cycle128", "path5-dirac", "cycle5-positive",
+        "one-state-vertex", "one-state-measure"])
+def test_curvature_record_rebuilds_the_library_witness(tmp_path, argv, library):
+    # a record is {value, bracket, iterations, null_dim, witness}; the witness
+    # object holds exactly the entries whose bits are not those of +0.0, and
+    # the states it omits read 0; an infinite K has a null witness
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(_ONE))
+    argv = [str(one) if a == "one.json" else a for a in argv]
+    code, doc = run_cli(tmp_path, *argv)
+    assert code == 0
+    ch = curvkit.generate(argv[2]) if argv[1] == "--gen" else chain_from_json(_ONE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        expected = library(ch)
+    results = doc["results"]
+    records = results.get("per_vertex") or {"curvature": results["curvature"]}
+    assert records.keys() == expected.keys()
+    for key, rec in records.items():
+        assert rec.keys() == {"value", "bracket", "iterations", "null_dim", "witness"}
+        lib = expected[key].witness
+        if lib is None:
+            assert rec["witness"] is None and rec["value"] == "inf"
+            continue
+        assert len(rec["witness"]) == np.count_nonzero(lib.view(np.int64))
+        f = np.zeros(ch.n_states)
+        for state, value in rec["witness"].items():
+            f[ch.index(state)] = value
+        assert f.tobytes() == lib.tobytes()
 
 
 def test_curv_measure_with_profile_csv(tmp_path):
@@ -208,9 +261,9 @@ def test_command_loads_no_scipy_or_networkx(argv):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_report_text_is_the_canonical_json_dump(tmp_path, out):
-    # the report is written in joined batches of encoder chunks; its text
-    # must be json.dumps of the document itself, also for a report of many
-    # batches (hypercube:7 has 128 vertices)
+    # the report is streamed chunk by chunk from the encoder; its text must
+    # be json.dumps of the document itself, also for a report of many
+    # records (hypercube:7 has 128 vertices)
     argv = ["curv-vertex", "--gen", "hypercube:7"]
     if out:
         path = tmp_path / "report.json"
@@ -221,7 +274,6 @@ def test_report_text_is_the_canonical_json_dump(tmp_path, out):
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0
         text = buf.getvalue()
-    assert text.count("\n") > 2 * _EMIT_BATCH       # a line holds at least one chunk
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
@@ -606,6 +658,17 @@ def test_in_rejects_other_reports(tmp_path, capsys):
     assert "spectrum report" in capsys.readouterr().err
 
 
+def test_in_rejects_a_report_of_another_schema(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"schema": "curvkit-report/1",
+                               "config": {"command": "gen"},
+                               "results": {"chain": _ONE}}))
+    code, doc = run_cli(tmp_path, "curv-measure", "--in", str(old))
+    assert code == 2 and doc is None
+    assert capsys.readouterr().err == (
+        f"error: --in reads {SCHEMA} reports, got curvkit-report/1\n")
+
+
 _Q2 = [[0.5, 0.5], [0.5, 0.5]]
 
 
@@ -613,8 +676,8 @@ _Q2 = [[0.5, 0.5], [0.5, 0.5]]
     ["Q"],
     {"Q": _Q2, "states": 3},
     {"Q": _Q2, "pi": {"a": 1}},
-    {"schema": "curvkit-report/1", "config": [], "results": {}},
-    {"schema": "curvkit-report/1", "config": {"command": "gen"}, "results": {}},
+    {"schema": SCHEMA, "config": [], "results": {}},
+    {"schema": SCHEMA, "config": {"command": "gen"}, "results": {}},
 ], ids=["list", "states-int", "pi-object", "config-list", "gen-no-chain"])
 def test_malformed_in_document_is_bad_input(tmp_path, capsys, doc):
     path = tmp_path / "chain.json"

@@ -175,7 +175,7 @@ def test_pencil_vs_bisection_on_pool():
             mean = rng.choice(["arithmetic", "logarithmic", "geometric"])
             res = curvature_of_measure(ch, mean, rho, dim, confirm=True)
             assert np.isfinite(res.value)
-            assert abs(res.value - res.bisection_value) <= 1e-8 * max(1, abs(res.value))
+            assert abs(res.value - res.bracket[0]) <= 1e-8 * max(1, abs(res.value))
             count += 1
     assert count >= 50
 
@@ -243,7 +243,7 @@ def test_seeded_and_full_bisection_agree():
     bracketed = 0
     for m, n in _pool_pencils():
         k, *_, m_norm, n_norm = _pencil(m, n)
-        seeded, tests, (lo, hi) = _psd_bracket(m, n, k, m_norm, n_norm)
+        tests, (lo, hi) = _psd_bracket(m, n, k, m_norm, n_norm)
         base = max(1.0, m_norm, n_norm)
 
         def psd_at(kk):
@@ -258,7 +258,7 @@ def test_seeded_and_full_bisection_agree():
         while above - below > 1e-9:
             mid = 0.5 * (below + above)
             below, above = (mid, above) if psd_at(mid) else (below, mid)
-        assert seeded == lo < k < hi
+        assert lo < k < hi
         assert lo - 1e-9 <= below <= hi + 1e-9
         bracketed += tests == 2
     assert bracketed > 50
@@ -275,9 +275,9 @@ def test_bracketed_confirmation_makes_two_eigvalsh_calls(monkeypatch):
         _, m, n = _dirac_ball_forms(ch, 0, INF)
         k, *_, m_norm, n_norm = cmod._pencil(m, n)
         calls.clear()
-        value, tests, (lo, hi) = cmod._psd_bracket(m, n, k, m_norm, n_norm)
+        tests, (lo, hi) = cmod._psd_bracket(m, n, k, m_norm, n_norm)
         assert len(calls) == tests == 2
-        assert value == lo < k < hi and hi - lo <= 1e-8
+        assert lo < k < hi and hi - lo <= 1e-8
 
 
 def test_pencil_returns_the_norms_of_m_and_n():
@@ -367,18 +367,18 @@ def test_wrong_pencil_value_is_refused_within_six_tests():
 
 
 def test_infinite_pencils_are_certified_at_the_cap():
-    from curvkit.curvature import BISECT_CAP, solve_pencil
+    from curvkit.curvature import INF_CAP, solve_pencil
     m, n = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])
     with _confirming(lambda k: k) as calls:
         res = solve_pencil(m, n)
-    assert res.value == res.bisection_value == NEG_INFINITY
-    assert res.bracket == (NEG_INFINITY, -BISECT_CAP) and res.iterations == 1
+    assert res.value == NEG_INFINITY
+    assert res.bracket == (NEG_INFINITY, -INF_CAP) and res.iterations == 1
     (tested,) = calls
-    assert np.array_equal(tested, m + BISECT_CAP * n)
+    assert np.array_equal(tested, m + INF_CAP * n)
     with _confirming(lambda k: k) as calls:
         res = solve_pencil(np.eye(2), np.zeros((2, 2)))
-    assert res.value == res.bisection_value == np.inf
-    assert res.bracket == (BISECT_CAP, np.inf) and res.iterations == 1
+    assert res.value == np.inf
+    assert res.bracket == (INF_CAP, np.inf) and res.iterations == 1
     assert len(calls) == 1
     # a finite pencil passed off as unbounded fails its one test at the cap
     fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
@@ -420,7 +420,7 @@ def test_large_curvature_confirmed_by_the_wider_pair():
     res = bakry_emery_vertex(cycle(6), 0, 1e-6)
     assert res.value == pytest.approx(-1999999.0, rel=1e-12)
     assert res.iterations == 4
-    assert res.bracket[0] == res.bisection_value < res.value < res.bracket[1]
+    assert res.bracket[0] < res.value < res.bracket[1]
 
 
 def test_single_state_sentinel():

@@ -36,6 +36,8 @@ scratch directory that is also the working directory:
   * the one-state chain under optimal-sets (exit 2: optimal sets need two
     states) and a chain of two components under spectrum (exit 2, naming
     a state the other component cannot reach);
+  * a gen report of the earlier schema curvkit-report/1 under curv-measure
+    --in (exit 2, naming both schemas);
   * the heat kernel bound on the 6-cycle at t = 1e17 and 1e300, where the
     zero mode must not grow and the bound t^d overflows, and on path:172,
     whose distance 171 takes the bound past the largest float factorial.
@@ -127,6 +129,10 @@ def edge_commands(work: str) -> list[list[str]]:
     split = f"{work}/split.json"
     with open(split, "w", encoding="utf-8") as fh:
         fh.write('{"Q": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}')
+    gen1 = f"{work}/gen1.json"
+    with open(gen1, "w", encoding="utf-8") as fh:
+        json.dump({"schema": "curvkit-report/1", "config": {"command": "gen"},
+                   "results": {"chain": {"Q": [[0.5, 0.5], [0.5, 0.5]]}}}, fh)
     return [["curv-vertex", "--in", one],
             ["curv-measure", "--in", one],
             ["curv-entropic", "--in", one],
@@ -153,6 +159,7 @@ def edge_commands(work: str) -> list[list[str]]:
             ["verify", "--in", thin, "--suite", "all", "--k-ent", "0.1"],
             ["optimal-sets", "--in", one],
             ["spectrum", "--in", split],
+            ["curv-measure", "--in", gen1],
             ["heat", "--gen", "cycle:6", "--t-grid", "1e17,1e300"],
             ["heat", "--gen", "path:172", "--t-grid", "0.5"]]
 
