@@ -212,14 +212,16 @@ def _cmd_gen(chain, args):
 
 
 def _cmd_curv_vertex(chain, args):
+    # each result becomes its record at once, so no two full-length
+    # witnesses are held together
     dim = _parse_dim(args.n)
-    per_vertex = {state: curv.bakry_emery_vertex(chain, state, dim)
-                  for state in chain.states}
-    k_min = min(res.value for res in per_vertex.values())
+    per_vertex, k_min = {}, math.inf
+    for state in chain.states:
+        res = curv.bakry_emery_vertex(chain, state, dim)
+        per_vertex[state] = _curv_result_doc(chain, res)
+        k_min = min(k_min, res.value)
     return ({"n": args.n, "mean": "arithmetic"},
-            {"per_vertex": {state: _curv_result_doc(chain, res)
-                            for state, res in per_vertex.items()},
-             "k_global": k_min})
+            {"per_vertex": per_vertex, "k_global": k_min})
 
 
 def _cmd_curv_measure(chain, args):

@@ -5,6 +5,12 @@ density is sup{K : m - K n is positive semidefinite}.  Since n is PSD with a
 nontrivial null space (always containing constants, more for Dirac
 densities), the supremum is computed through a Schur reduction onto the
 n-positive subspace and independently confirmed by a PSD test bracket.
+
+A vertex pencil (the Dirac density under the arithmetic mean) has its
+structure known in advance, so it is solved in degree coordinates: one
+eigenproblem of the size of the vertex's 1-sphere.  There the PSD bracket
+tests the reduced matrix, and the certificate at K tests the unreduced
+2-ball matrix, so one test never goes through the reduction.
 """
 
 from __future__ import annotations
@@ -167,13 +173,27 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> Curvatur
     if confirm:
         result.iterations, result.bracket = _psd_bracket(m, n, k, m_norm, n_norm)
     if cluster is not None:         # k is finite
-        f = cluster.T @ (cluster @ (n @ np.sin(np.arange(1.0, len(n) + 1.0))))
-        result.witness = f / np.sqrt(f @ n @ f)
-        a = m - k * n
-        floor = 1e-9 * (m_norm + abs(k) * n_norm + 1.0)
-        if np.linalg.eigvalsh(a).min() < -floor:
-            raise NumericalFailure("certificate m - K n lost positivity")
+        result.witness = _certified_witness(m, n, k, cluster, m_norm, n_norm)
     return result
+
+
+def _certified_witness(m: np.ndarray, n: np.ndarray, k: float,
+                       cluster: np.ndarray, m_norm: float,
+                       n_norm: float) -> np.ndarray:
+    """The witness of a finite pencil value k from the n-orthonormal rows of
+    its cluster, after the certificate test of m - K n at K = k itself.
+
+    The witness is the n-normalized n-orthogonal projection of (sin 1,
+    sin 2, ...) onto the cluster's span.  The certificate floor is
+    1e-9 (m_norm + |k| n_norm + 1); m_norm and n_norm are the spectral
+    norms of m and n or lower bounds on them, which only tighten it.
+    """
+    f = cluster.T @ (cluster @ (n @ np.sin(np.arange(1.0, len(n) + 1.0))))
+    f = f / np.sqrt(f @ n @ f)
+    floor = 1e-9 * (m_norm + abs(k) * n_norm + 1.0)
+    if np.linalg.eigvalsh(m - k * n).min() < -floor:
+        raise NumericalFailure("certificate m - K n lost positivity")
+    return f
 
 
 def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
@@ -186,15 +206,68 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
     return solve_pencil(fp.m, fp.n, confirm=confirm)
 
 
+def _degree_pencil(m: np.ndarray, n: np.ndarray,
+                   x: int) -> CurvatureResult | None:
+    """The vertex pencil of the 2-ball forms (m, n) of the vertex at index
+    x, solved in degree coordinates, or None when the forms lack their
+    Dirac structure.
+
+    Constants lie in the kernel of both forms, so f(x) = 0 loses nothing.
+    In that gauge n is diagonal, D > 0 on the 1-sphere S1 and 0 on the
+    2-sphere S2, and m's S2 block is a positive diagonal; both are checked
+    entry by entry.  Eliminating S2 by that diagonal leaves A on S1, so m -
+    K n is PSD on B2 exactly when R - K I is, R = D^-1/2 A D^-1/2: K is
+    lambda_min(R) (Cushing, Kamtue, Liu, Muench, Peyerimhoff & Snodgrass,
+    Calc. Var. PDE 61, 2022).  The PSD bracket tests R - K I; the witness
+    lifts the cluster to B2 (x -> 0, S2 by the elimination, then off the
+    constants) and passes the certificate on the unreduced m - K n.
+    """
+    d = np.diag(n)
+    s1, s2 = np.flatnonzero(d > 0), np.flatnonzero(d == 0)
+    s1, s2 = s1[s1 != x], s2[s2 != x]
+    k1 = len(s1)
+    if k1 == 0 or k1 + len(s2) != len(n) - 1:
+        return None
+    order = np.concatenate((s1, s2))
+    m_r = m.take(order, 0).take(order, 1)
+    e = np.diag(m_r)[k1:]
+    if (np.count_nonzero(n.take(order, 0).take(order, 1)) != k1
+            or not (e > 0).all() or np.count_nonzero(m_r[k1:, k1:]) != len(e)):
+        return None
+    elim = m_r[k1:, :k1] / e[:, None]
+    scale = 1.0 / np.sqrt(d[s1])
+    r = (m_r[:k1, :k1] - m_r[k1:, :k1].T @ elim) * scale * scale[:, None]
+    r = 0.5 * (r + r.T)
+    pvals, pvecs = np.linalg.eigh(r)
+    k = float(pvals[0])
+    gap = float(pvals[1] - pvals[0]) if k1 > 1 else POS_INFINITY
+    iterations, bracket = _psd_bracket(r, np.eye(k1), k,
+                                       float(np.abs(pvals).max()), 1.0)
+    y = scale[:, None] * pvecs[:, pvals - k < GRAD_GAP_TOL]
+    lift = np.zeros((len(n), y.shape[1]))
+    lift[s1] = y
+    lift[s2] = -elim @ y
+    lift -= lift.mean(axis=0)
+    witness = _certified_witness(m, n, k, lift.T, float(np.abs(m).max()),
+                                 float(np.abs(n).max()))
+    return CurvatureResult(value=k, witness=witness, bracket=bracket,
+                           iterations=iterations, null_dim=len(n) - k1, gap=gap)
+
+
 def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     """Vertex curvature: the Dirac density under the arithmetic mean.
 
-    The forms vanish outside the 2-ball of the vertex, so they are
-    assembled and the pencil solved on that ball, the value confirmed by
-    the PSD test, and the witness re-embedded.
+    The forms vanish outside the 2-ball B2 of the vertex, so they are
+    assembled on that ball and the pencil is solved in degree coordinates
+    (_degree_pencil): one |S1|-sized eigenproblem.  Its value is confirmed
+    twice, by the PSD bracket of the reduced matrix and by the certificate
+    test of the unreduced B2 matrix at K.  Forms without the Dirac
+    structure go through solve_pencil on B2.  The witness is re-embedded
+    in all n states, zero outside B2.
     """
     ball, m, n = _dirac_ball_forms(chain, state, dim)
-    res = solve_pencil(m, n)
+    x = int(np.searchsorted(ball, chain.index(state)))
+    res = _degree_pencil(m, n, x) or solve_pencil(m, n)
     if res.witness is not None:
         full = np.zeros(chain.n_states)
         full[ball] = res.witness

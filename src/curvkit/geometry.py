@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
-from .curvature import bakry_emery_global
+from .curvature import AGREE_TOL, bakry_emery_global
 from .errors import ConvergenceWarning, PreconditionHeuristic, TooLarge
 from .gamma import _edge_laplacian
 from .heat import avg_mixing_time, l1_distance_from_equilibrium, lambda1
@@ -422,13 +422,17 @@ def check_diameter_bound_ent(chain: MarkovChain, k: float,
 def check_diameter_bound_finite_n(chain: MarkovChain,
                                   dim: float) -> list[InequalityReport]:
     """Finite-dimension diameter bounds pi sqrt(dim/K) and pi sqrt(D dim/(2K))
-    at the chain's confirmed global curvature K (arithmetic mean) at dim."""
+    at the chain's confirmed global curvature K (arithmetic mean) at dim.
+    K counts as positive only when its PSD bracket excludes 0, so a K of
+    rounding size leaves the precondition unmet."""
     k, _ = bakry_emery_global(chain, dim)
-    pre = [("curvature_positive", "exact" if k > 0 else "unmet"),
+    # K is certified to within its widest PSD bracket, AGREE_TOL max(1, |K|)
+    positive = k > AGREE_TOL * max(1.0, abs(k))
+    pre = [("curvature_positive", "exact" if positive else "unmet"),
            ("dimension_finite", "exact" if np.isfinite(dim) else "unmet"),
            ("mean_below_arithmetic", "exact")]
     bounds = None
-    if k > 0 and np.isfinite(dim):
+    if positive and np.isfinite(dim):
         dmax = chain.stats().deg_weighted_max
         bounds = (math.pi * math.sqrt(dim / k),
                   math.pi * math.sqrt(dmax * dim / (2.0 * k)))

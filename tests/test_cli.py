@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import curvkit
-from curvkit import (ARITHMETIC, bakry_emery_vertex, chain_from_json,
-                     check_cheeger_l1, curvature_of_measure, dirac, hypercube)
+from curvkit import (ARITHMETIC, bakry_emery_vertex, chain_from_edgelist,
+                     chain_from_json, check_cheeger_l1, curvature_of_measure,
+                     dirac, hypercube)
 from curvkit.cli import SCHEMA, _ENCODER, _jsonable, main
 
 from conftest import cheeger_gray
@@ -467,12 +468,27 @@ def test_verify_linf_violation_fails_only_under_an_exact_k(tmp_path, monkeypatch
 
 
 def test_verify_unconfirmed_vertex_curvature_exit3(tmp_path, capsys):
-    # a 1e-10 middle edge: the PSD certificate refuses a vertex curvature's
-    # pencil value, so verify reports no K and claims no failed bound
+    # a 1e-10 middle edge: the degree coordinates confirm every vertex
+    # curvature, so verify reports the global K; the d_Gamma diameter
+    # refutes the entropic K of 0.1 it takes as exact, a failed bound
     edges = tmp_path / "edges.tsv"
     edges.write_text("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
     code, doc = run_cli(tmp_path, "verify", "--in", str(edges), "--suite",
                         "all", "--k-ent", "0.1", "--trials", "3")
+    assert code == 4
+    ch = chain_from_edgelist(edges.read_text())
+    assert doc["results"]["curvature_inputs"]["k_arithmetic_inf"] == min(
+        bakry_emery_vertex(ch, s, np.inf).value for s in ch.states)
+    failed = [r["name"] for r in doc["results"]["geometry"] if r["holds"] is False]
+    assert failed == ["diameter_ent_dgamma"]
+    # a pencil value the PSD test refuses still exits 3 with no report: the
+    # constant density of a birth-death chain with pi_max/pi_min = 1e6
+    skewed = tmp_path / "bd6.json"
+    skewed.write_text(json.dumps(_birth_death(6)))
+    (tmp_path / "report.json").unlink()
+    capsys.readouterr()
+    code, doc = run_cli(tmp_path, "curv-measure", "--in", str(skewed),
+                        "--mean", "logarithmic", "--rho", "ones")
     assert code == 3 and doc is None
     assert "disagree beyond 1e-08" in capsys.readouterr().err
 

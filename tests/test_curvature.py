@@ -1,7 +1,9 @@
 """Curvature solvers: hand values, dual-route agreement, optimizer."""
 
 import contextlib
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import scipy.optimize
 from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, InvalidParameters,
                      NumericalFailure,
                      bakry_emery_global, bakry_emery_vertex, build_chain,
+                     chain_from_edgelist,
                      complete, curvature_grad_rho, curvature_of_measure,
                      curvature_profile, custom_mean, cycle, dirac,
                      entropic_curvature_estimate, equilibrium, generate,
@@ -412,6 +415,124 @@ def test_vertex_solve_operation_counts(monkeypatch):
                 assert res.iterations == 2
                 small += 1
     assert small > 50
+
+
+# -- vertex curvature in degree coordinates ----------------------------------
+
+def test_degree_coordinates_match_the_ball_pencil():
+    # one |S1|-sized eigenproblem gives the value, the PSD test count and
+    # the witness of solve_pencil on the unreduced 2-ball pair; a K of 0
+    # agrees to rounding
+    from curvkit.curvature import solve_pencil
+    from curvkit.gamma import _dirac_ball_forms
+    for ch in _ball_pool():
+        for x in range(ch.n_states):
+            sphere = np.flatnonzero(ch.adjacency[x])
+            sphere = sphere[sphere != x]
+            for dim in (INF, 4.0, 14.0):
+                ball, m, n = _dirac_ball_forms(ch, x, dim)
+                old = solve_pencil(m, n)
+                new = bakry_emery_vertex(ch, x, dim)
+                assert new.value == pytest.approx(old.value, rel=1e-12, abs=1e-15)
+                assert np.abs(new.witness[ball] - old.witness).max() <= 1e-12
+                assert not np.delete(new.witness, ball).any()
+                assert new.null_dim == old.null_dim == len(ball) - len(sphere)
+                assert new.iterations == old.iterations
+
+
+def test_degree_coordinates_fall_back_on_broken_structure(monkeypatch):
+    # one nonzero off-diagonal entry in m's S2 block sends the vertex
+    # through solve_pencil on the 2-ball, with its result bit for bit
+    import curvkit.curvature as cmod
+    from curvkit.gamma import _dirac_ball_forms
+
+    def coupled(chain, state, dim):
+        ball, m, n = _dirac_ball_forms(chain, state, dim)
+        i, j = np.searchsorted(ball, [2, 6])          # S2 of state 0 on C8
+        m[i, j] = m[j, i] = 0.1 * m[i, i]
+        return ball, m, n
+
+    ch = cycle(8)
+    ball, m, n = coupled(ch, 0, INF)
+    assert cmod._degree_pencil(m, n, 0) is None
+    ref = cmod.solve_pencil(m, n)
+    monkeypatch.setattr(cmod, "_dirac_ball_forms", coupled)
+    res = bakry_emery_vertex(ch, 0, INF)
+    assert (res.value, res.bracket, res.iterations, res.null_dim, res.gap) \
+        == (ref.value, ref.bracket, ref.iterations, ref.null_dim, ref.gap)
+    assert np.array_equal(res.witness[ball], ref.witness)
+    assert not np.delete(res.witness, ball).any()
+
+
+def _exact_ball_pencil(weights, x, ball):
+    """The 2-ball pencil (Gamma2 f(x), Gamma f(x)) at dim inf of the random
+    walk on a weighted graph, in rational arithmetic: a matrix of Fractions
+    for each form over the states in `ball`."""
+    size = len(weights)
+    q = [[Fraction(w) / sum(row) for w in row] for row in weights]
+
+    def lap(f):
+        return [sum(q[i][j] * (f[j] - f[i]) for j in range(size)) for i in range(size)]
+
+    def gam(f, g):
+        return [sum(q[i][j] * (f[j] - f[i]) * (g[j] - g[i]) for j in range(size)) / 2
+                for i in range(size)]
+
+    def gam2(f, g):
+        return (lap(gam(f, g))[x] - gam(f, lap(g))[x] - gam(g, lap(f))[x]) / 2
+
+    unit = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    m = [[gam2(unit[i], unit[j]) for j in ball] for i in ball]
+    n = [[gam(unit[i], unit[j])[x] for j in ball] for i in ball]
+    return m, n
+
+
+def _mp_pencil(m, n):
+    """sup{K : m - K n >= 0} over the vectors with zero sum, bisected on
+    the 50-digit eigenvalues of m - K n in a Helmert basis; m and n are
+    matrices of Fractions with the constants in their kernels."""
+    import mpmath as mp
+    with mp.workdps(50):
+        size = len(m)
+        h = mp.matrix(size, size - 1)
+        for j in range(1, size):
+            c = 1 / mp.sqrt(j * (j + 1))
+            for i in range(j):
+                h[i, j - 1] = c
+            h[j, j - 1] = -j * c
+        mm, nn = (h.T * mp.matrix([[mp.mpf(v.numerator) / v.denominator for v in row]
+                                   for row in a]) * h for a in (m, n))
+        lo, hi = mp.mpf(-4), mp.mpf(4)
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            evals = mp.eigsy(mm - mid * nn, eigvals_only=True)
+            if min(evals[i] for i in range(evals.rows)) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+@pytest.mark.parametrize("weight", ["1e-10", "1e-6"])
+def test_near_degenerate_edge_lists_match_mpmath(tmp_path, weight):
+    # a-b-c-d with a small middle weight, which sits on S1 of b and c:
+    # every vertex brackets in two PSD tests, passes the 2-ball
+    # certificate, and reads the 50-digit value of its exact 2-ball pencil
+    from curvkit.cli import main
+    from curvkit.gamma import _dirac_ball_forms
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(f"a\tb\t1\nb\tc\t{weight}\nc\td\t1\n")
+    out = tmp_path / "report.json"
+    assert main(["curv-vertex", "--in", str(edges), "--out", str(out)]) == 0
+    per_vertex = json.loads(out.read_text())["results"]["per_vertex"]
+    w = Fraction(weight)
+    weights = [[0, 1, 0, 0], [1, 0, w, 0], [0, w, 0, 1], [0, 0, 1, 0]]
+    ch = chain_from_edgelist(edges.read_text())
+    for x, state in enumerate("abcd"):
+        ball = _dirac_ball_forms(ch, state, INF)[0]
+        exact = _mp_pencil(*_exact_ball_pencil(weights, x, ball))
+        assert per_vertex[state]["iterations"] == 2
+        assert per_vertex[state]["value"] == pytest.approx(exact, rel=1e-12)
 
 
 def test_large_curvature_confirmed_by_the_wider_pair():

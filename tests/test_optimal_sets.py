@@ -327,15 +327,19 @@ def test_projected_rows_and_kernel_basis_match_the_padded_forms():
 
 
 def test_unconfirmed_vertex_curvature_is_numerical_failure(tmp_path):
-    # a 1e-10 middle edge: the PSD certificate refuses a vertex curvature's
-    # pencil value, so no zero cell is named
+    # a 1e-10 middle edge: the degree coordinates confirm every vertex
+    # curvature, and b and c attain the minimum, but the oracle's kernel
+    # and Gram tolerances refuse the singleton {b}, so the zero cell lies
+    # in no facet
     from curvkit import chain_from_edgelist
     from curvkit.cli import main
 
     edges = tmp_path / "edges.tsv"
     edges.write_text("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
-    with pytest.raises(NumericalFailure, match="disagree beyond 1e-08"):
-        optimal_complex(chain_from_edgelist(edges.read_text()), INF)
+    ch = chain_from_edgelist(edges.read_text())
+    assert bakry_emery_global(ch, INF)[1] == "b"
+    with pytest.raises(NumericalFailure, match="b lie in no optimal set"):
+        optimal_complex(ch, INF)
     assert main(["optimal-sets", "--in", str(edges),
                  "--out", str(tmp_path / "report.json")]) == 3
 

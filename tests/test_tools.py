@@ -48,7 +48,7 @@ def _dgamma_counts(counts):
      lambda counts: counts == {"is_optimal_set_calls": 30}),
     ("vertex", "hypercube:3",    # every pencil confirmed by a two-point bracket
      lambda result: float(result["k"]) == pytest.approx(2 / 3, rel=1e-14),
-     lambda counts: counts == {"solve_pencil_calls": 8, "psd_tests": 16}),
+     lambda counts: counts == {"pencil_calls": 8, "psd_tests": 16}),
 ])
 def test_bench_child_runs(case, spec, check_result, check_counts):
     counted = _bench_child(case, spec, "--counted")

@@ -16,8 +16,9 @@ CASE is one of
            the counter is the calls of `is_optimal_set`;
   vertex   `curvature.bakry_emery_global(chain, inf)` on Q^8, Q^9,
            rr:4:128:1 and C256; the result is K's repr and the argmin
-           state, and the counters are the calls of `solve_pencil` and the
-           PSD tests that `_psd_bracket` returns with its bracket.
+           state, and the counters are the vertex pencils solved (calls of
+           `bakry_emery_vertex`) and the PSD tests that `_psd_bracket`
+           returns with its bracket.
 
 DIR is the root of another checkout holding `src/curvkit` (a `git archive`
 tree records no commit).  Every run is a fresh interpreter with one BLAS
@@ -103,8 +104,8 @@ def _count_optimal(ck) -> Counter:
 
 def _count_vertex(ck) -> Counter:
     """Install the vertex counters; a counted child makes one call and exits."""
-    stats = Counter(solve_pencil_calls=0, psd_tests=0)
-    _wrap(ck.curvature, "solve_pencil", lambda _: stats.update(solve_pencil_calls=1))
+    stats = Counter(pencil_calls=0, psd_tests=0)
+    _wrap(ck.curvature, "bakry_emery_vertex", lambda _: stats.update(pencil_calls=1))
     _wrap(ck.curvature, "_psd_bracket", lambda out: stats.update(psd_tests=out[0]))
     return stats
 

@@ -30,9 +30,10 @@ scratch directory that is also the working directory:
     logarithmic mean, a numerical failure (exit 3) because the PSD
     certificate refuses the pencil value;
   * the edge list a-b-c-d with weights 1, 1e-10, 1 under the full verify
-    battery with an exact entropic K: a numerical failure (exit 3), since
-    the PSD certificate refuses a vertex pencil value, so no global K is
-    reported;
+    battery with an exact entropic K of 0.1, which this chain's d_Gamma
+    diameter refutes (exit 4), and the same list with a middle weight of
+    1e-10 and of 1e-6 under curv-vertex, whose near-degenerate vertex
+    pencils the degree coordinates resolve;
   * the one-state chain under optimal-sets (exit 2: optimal sets need two
     states) and a chain of two components under spectrum (exit 2, naming
     a state the other component cannot reach);
@@ -123,9 +124,10 @@ def edge_commands(work: str) -> list[list[str]]:
     bd6 = f"{work}/bd6.json"
     with open(bd6, "w", encoding="utf-8") as fh:
         json.dump(_birth_death(6), fh)
-    thin = f"{work}/thin.tsv"
-    with open(thin, "w", encoding="utf-8") as fh:
-        fh.write("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
+    thin, thin6 = f"{work}/thin.tsv", f"{work}/thin6.tsv"
+    for path, weight in ((thin, "1e-10"), (thin6, "1e-6")):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"a\tb\t1\nb\tc\t{weight}\nc\td\t1\n")
     split = f"{work}/split.json"
     with open(split, "w", encoding="utf-8") as fh:
         fh.write('{"Q": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}')
@@ -157,6 +159,8 @@ def edge_commands(work: str) -> list[list[str]]:
             ["curv-measure", "--in", bd6, "--mean", "logarithmic",
              "--rho", "ones"],
             ["verify", "--in", thin, "--suite", "all", "--k-ent", "0.1"],
+            ["curv-vertex", "--in", thin],
+            ["curv-vertex", "--in", thin6],
             ["optimal-sets", "--in", one],
             ["spectrum", "--in", split],
             ["curv-measure", "--in", gen1],
