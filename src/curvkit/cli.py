@@ -74,15 +74,6 @@ def _load_chain(args) -> chain_mod.MarkovChain:
     return chain_mod.chain_from_json(doc)
 
 
-def _parse_dim(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    value = float(text)
-    if value <= 0:
-        raise CurvkitError(f"dimension must be positive, got {text}")
-    return value
-
-
 def _count(text: str) -> int:
     """argparse type of --starts and --trials: an integer of at least 1."""
     try:
@@ -148,19 +139,19 @@ _ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+    if type(obj) is float:          # not np.float64, which goes through item()
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonable(obj.item())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -214,7 +205,7 @@ def _cmd_gen(chain, args):
 def _cmd_curv_vertex(chain, args):
     # each result becomes its record at once, so no two full-length
     # witnesses are held together
-    dim = _parse_dim(args.n)
+    dim = float(args.n)
     per_vertex, k_min = {}, math.inf
     for state in chain.states:
         res = curv.bakry_emery_vertex(chain, state, dim)
@@ -227,11 +218,12 @@ def _cmd_curv_vertex(chain, args):
 def _cmd_curv_measure(chain, args):
     if args.csv and not args.n_grid:
         raise InvalidParameters("--csv writes the --n-grid profile; give --n-grid too")
-    dim = _parse_dim(args.n)
     rho = _parse_rho(chain, args.rho)
-    results = {}
+    # the --n record first: a bad --n writes no CSV
+    res = curv.curvature_of_measure(chain, args.mean, rho, float(args.n))
+    results = {"curvature": _curv_result_doc(chain, res)}
     if args.n_grid:
-        grid = [_parse_dim(tok) for tok in args.n_grid.split(",")]
+        grid = [float(tok) for tok in args.n_grid.split(",")]
         prof = curv.curvature_profile(chain, args.mean, rho, grid)
         results["profile"] = {"points": prof.points,
                               "midpoint_concave": prof.midpoint_concave}
@@ -240,15 +232,12 @@ def _cmd_curv_measure(chain, args):
                 fh.write("inv_dim,curvature\n")
                 for s, k in prof.points:
                     fh.write(f"{s!r},{k!r}\n")
-    res = curv.curvature_of_measure(chain, args.mean, rho, dim)
-    results["curvature"] = _curv_result_doc(chain, res)
     return {"n": args.n, "mean": args.mean, "rho": args.rho}, results
 
 
 def _cmd_curv_entropic(chain, args):
-    dim = _parse_dim(args.n)
     est = curv.entropic_curvature_estimate(
-        chain, dim, starts=args.starts, seed=args.seed)
+        chain, float(args.n), starts=args.starts, seed=args.seed)
     return ({"n": args.n, "starts": args.starts},
             {"k_hat": est.k_hat,
              "rho_star": est.rho_star,
@@ -264,8 +253,7 @@ def _cmd_spectrum(chain, args):
 
 
 def _cmd_optimal_sets(chain, args):
-    dim = _parse_dim(args.n)
-    cx = opt.optimal_complex(chain, dim)
+    cx = opt.optimal_complex(chain, float(args.n))
     return ({"n": args.n},
             {"facets": [sorted(f) for f in cx.facets],
              "dimension": cx.dimension,

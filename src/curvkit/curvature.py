@@ -202,7 +202,6 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
     fp = assemble_forms(chain, mean, rho, dim)
     if chain.n_states == 1:
         warnings.warn("single-state chain: curvature is vacuously +inf")
-        return CurvatureResult(POS_INFINITY, None, None, 0, 1)
     return solve_pencil(fp.m, fp.n, confirm=confirm)
 
 
@@ -370,6 +369,7 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     the next one runs; NumericalFailure is raised only when no start gives
     a confirmed value.  A single-state chain runs no start: K is +inf.
     """
+    dim = _dimension(dim)           # a bad dim costs no scipy import
     import scipy.optimize
 
     if starts < 1:
@@ -485,9 +485,8 @@ def curvature_profile(chain: MarkovChain, mean, rho,
     point confirmed by both routes."""
     pts = []
     for dim in dim_grid:
-        s = 0.0 if np.isinf(dim) else 1.0 / float(dim)
-        k = curvature_of_measure(chain, mean, rho, dim).value
-        pts.append((s, k))
+        k = curvature_of_measure(chain, mean, rho, dim).value    # checks dim
+        pts.append((0.0 if np.isinf(dim) else 1.0 / float(dim), k))
     pts.sort(key=lambda p: p[0])
     ok = True
     for i in range(1, len(pts) - 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MarkovChain, derived, distance_matrix
-from .curvature import _vertex_curvatures
+from .curvature import AGREE_TOL, _vertex_curvatures
 from .errors import InvalidParameters, NumericalFailure, TooLarge
 from .gamma import _dirac_ball_forms
 
@@ -24,10 +24,10 @@ from .gamma import _dirac_ball_forms
 KERNEL_REL_TOL = 1e-8
 #: a Gram matrix of Gamma on the kernel below this scale counts as zero
 GRAM_REL_TOL = 1e-10
-#: tolerance for membership in the minimal-curvature vertex set
-X0_REL_TOL = 1e-8
 #: optimal_complex refuses chains with more states than this
 OPTIMAL_MAX_STATES = 24
+#: cap on the n (n-1)^2 floats of the optimal-set forms: Q^8 fits, Q^9 does not
+FORMS_MAX_FLOATS = 1 << 25
 #: bitmask pairs compared at once by the border search; bounds its memory
 BORDER_CHUNK = 1 << 18
 
@@ -57,9 +57,11 @@ def _pointwise_forms(chain: MarkovChain, dim: float):
     q_x = m_x - K n_x, computed from the B x B blocks as H[B]' q_x H[B].
     Both forms vanish off B x B and kill the constants, so a sum of q_x has
     the eigenvalues of its projection and a zero for the constants."""
-    k = float(_vertex_curvatures(chain, dim).min())
     size = chain.n_states
-    helmert = np.tril(np.ones((size, size - 1)))
+    if size * (size - 1) ** 2 > FORMS_MAX_FLOATS:
+        raise TooLarge(f"optimal-set forms capped at {FORMS_MAX_FLOATS} floats")
+    k = float(_vertex_curvatures(chain, dim).min())
+    helmert = np.triu(np.ones((size, size - 1)))
     j = np.arange(1, size)
     helmert[j, j - 1] = -j
     helmert /= np.sqrt(j * (j + 1.0))
@@ -83,13 +85,12 @@ def _kernel_cutoff(evals: np.ndarray, form_scale: float, count):
     return KERNEL_REL_TOL * np.abs(evals).max(axis=-1) + 1e-12 * form_scale * count
 
 
-def _positive_combination(grams: list[np.ndarray]):
-    """A coefficient vector with strictly positive value in every PSD Gram form.
-
-    Random draws are generically sufficient (each Gram's zero set is a
-    proper subspace); the fallback scans Vandermonde coefficient vectors,
-    which must succeed because a polynomial c(t)' G c(t) that vanishes at
-    more points than its degree forces G = 0 on the kernel.
+def _positive_combination(grams: list[np.ndarray], first: np.ndarray):
+    """A unit coefficient vector with strictly positive value in every PSD
+    Gram form: `first` when it passes, which is generic (each Gram's zero
+    set is a proper subspace), else the first passing Vandermonde vector.
+    The scan must succeed, because a polynomial c(t)' G c(t) that vanishes
+    at more points than its degree forces G = 0 on the kernel.
     """
     dim = len(grams[0])
     floors = [GRAM_REL_TOL * max(1.0, float(np.abs(g).max())) for g in grams]
@@ -98,11 +99,9 @@ def _positive_combination(grams: list[np.ndarray]):
         c = c / np.linalg.norm(c)
         return all(float(c @ g @ c) > floor for g, floor in zip(grams, floors)), c
 
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        ok, c = good(rng.standard_normal(dim))
-        if ok:
-            return c
+    ok, c = good(first)
+    if ok:
+        return c
     for t in range(1, 2 * dim * len(grams) + 2):
         ok, c = good(np.array([float(t) ** i for i in range(dim)]))
         if ok:
@@ -116,7 +115,9 @@ def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
     The kernel of the summed q_x is the constants plus H times the null
     vectors of the projected sum; `kernel_dim` counts both.  Gamma vanishes
     on the constants, so when the projected kernel is empty the set fails
-    at the Gram test of its first vertex."""
+    at the Gram test of its first vertex.  Like a pencil's, the witness is
+    the normalized projection of (sin 1, sin 2, ...) onto the kernel off the
+    constants, for any basis eigh returns, unless it misses a Gram form."""
     if chain.n_states < 2:
         raise TooLarge("optimal sets need at least two states")
     idx = [chain.index(s) for s in states]
@@ -137,7 +138,8 @@ def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
             # Gamma vanishes identically on the kernel at this vertex
             return OptimalityCertificate(False, None, kernel_dim, chain.states[i])
         grams.append(0.5 * (g + g.T))
-    c = _positive_combination(grams)
+    sines = np.sin(np.arange(1.0, chain.n_states + 1.0))
+    c = _positive_combination(grams, basis.T @ sines)
     if c is None:        # pragma: no cover - Vandermonde fallback is exhaustive
         return OptimalityCertificate(False, None, kernel_dim, None)
     witness = basis @ c
@@ -146,10 +148,10 @@ def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
 
 
 def _zero_cells(chain: MarkovChain, dim) -> tuple[str, ...]:
-    """The minimal-curvature vertices, within X0_REL_TOL of the global K."""
+    """The minimal-curvature vertices, within AGREE_TOL of the global K."""
     curv = _vertex_curvatures(chain, float(dim))
     k_global = float(curv.min())
-    tol = X0_REL_TOL * max(1.0, abs(k_global))
+    tol = AGREE_TOL * max(1.0, abs(k_global))
     return tuple(s for s, k in zip(chain.states, curv) if k - k_global <= tol)
 
 

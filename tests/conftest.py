@@ -9,9 +9,9 @@ import pytest
 
 from curvkit import (CheegerResult, TooLarge, build_chain, complete, cycle,
                      hypercube, is_optimal_set, path)
-from curvkit.curvature import _vertex_curvatures
+from curvkit.curvature import AGREE_TOL, _vertex_curvatures
 from curvkit.geometry import cut_weight
-from curvkit.optimal import X0_REL_TOL, OptimalComplex
+from curvkit.optimal import OptimalComplex
 
 
 @pytest.fixture
@@ -128,7 +128,7 @@ def optimal_complex_reference(chain, dim) -> OptimalComplex:
     candidate outside a known facet by `is_optimal_set`."""
     curv = _vertex_curvatures(chain, float(dim))
     k_global = float(curv.min())
-    tol = X0_REL_TOL * max(1.0, abs(k_global))
+    tol = AGREE_TOL * max(1.0, abs(k_global))
     x0 = tuple(s for s, k in zip(chain.states, curv) if k - k_global <= tol)
     facets: list[frozenset] = []
     for size in range(len(x0), 0, -1):

@@ -159,6 +159,37 @@ def test_curv_entropic_one_state_k_hat_inf(tmp_path):
     assert doc["warnings"] == ["single-state chain: curvature is vacuously +inf"]
 
 
+def test_one_state_measure_and_vertex_write_equal_records(tmp_path):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(_ONE))
+    _, measure = run_cli(tmp_path, "curv-measure", "--in", str(one))
+    _, vertex = run_cli(tmp_path, "curv-vertex", "--in", str(one))
+    record = measure["results"]["curvature"]
+    assert record == vertex["results"]["per_vertex"]["0"]
+    assert (record["bracket"], record["iterations"]) == ([1e6, "inf"], 1)
+
+
+@pytest.mark.parametrize("command", ["curv-vertex", "curv-measure",
+                                     "curv-entropic", "optimal-sets"])
+@pytest.mark.parametrize("dim, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+def test_non_positive_dimension_exit2_naming_it(tmp_path, capsys, command, dim, shown):
+    code, doc = run_cli(tmp_path, command, "--gen", "cycle:5", f"--n={dim}")
+    assert (code, doc) == (2, None)
+    assert capsys.readouterr().err == f"error: dimension must be positive, got {shown}\n"
+
+
+@pytest.mark.parametrize("argv", [["--n-grid", "inf,0"], ["--n-grid", "4,-0"],
+                                  ["--n-grid", "nan,4"],
+                                  ["--n", "0", "--n-grid", "inf,4"]])
+def test_non_positive_dimension_writes_no_profile_csv(tmp_path, capsys, argv):
+    csv = tmp_path / "profile.csv"
+    code, doc = run_cli(tmp_path, "curv-measure", "--gen", "cycle:5", *argv,
+                        "--csv", str(csv))
+    assert (code, doc) == (2, None) and not csv.exists()
+    err = capsys.readouterr().err
+    assert "dimension must be positive" in err and "Traceback" not in err
+
+
 def test_library_warning_in_every_report(tmp_path, capsys):
     # Python shows a warning once per location; the report lists it every time
     one = tmp_path / "one.json"

@@ -3,14 +3,15 @@
 import contextlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, InvalidParameters,
-                     NumericalFailure,
+from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, DomainError,
+                     InvalidParameters, NumericalFailure,
                      bakry_emery_global, bakry_emery_vertex, build_chain,
                      chain_from_edgelist,
                      complete, curvature_grad_rho, curvature_of_measure,
@@ -545,10 +546,18 @@ def test_large_curvature_confirmed_by_the_wider_pair():
 
 
 def test_single_state_sentinel():
+    # n vanishes on one state: the vacuous +inf is certified by the one PSD
+    # test at INF_CAP, as the vertex pencil of the same chain is
     ch = build_chain([[1.0]])
     with pytest.warns(UserWarning):
         res = curvature_of_measure(ch, ARITHMETIC, np.ones(1), INF)
     assert res.value == np.inf
+    assert (res.bracket, res.iterations, res.null_dim) == ((1e6, np.inf), 1, 1)
+    vertex = bakry_emery_vertex(ch, "0", INF)
+    assert (vertex.bracket, vertex.iterations) == (res.bracket, res.iterations)
+    with pytest.warns(UserWarning):
+        res = curvature_of_measure(ch, ARITHMETIC, np.ones(1), INF, confirm=False)
+    assert (res.value, res.bracket, res.iterations) == (np.inf, None, 0)
     with pytest.warns(UserWarning, match="vacuously"):
         est = entropic_curvature_estimate(ch, INF, starts=3)
     assert est.k_hat == np.inf and est.certified_nonnegative
@@ -622,6 +631,19 @@ def test_profile_midpoint_concavity():
 def test_hypercube_profile_endpoint(hyp2):
     prof = curvature_profile(hyp2, ARITHMETIC, dirac(hyp2, 0), [INF])
     assert prof.points[0] == (0.0, pytest.approx(1.0, abs=1e-10))
+
+
+@pytest.mark.parametrize("dim", [0.0, -0.0, -2.0, float("nan")])
+def test_profile_rejects_a_non_positive_dimension(dim):
+    # each point is solved, and its dimension checked, before 1/dim is taken
+    with pytest.raises(DomainError, match="dimension must be positive"):
+        curvature_profile(cycle(5), ARITHMETIC, np.ones(5), [INF, dim])
+
+
+def test_entropic_estimate_checks_the_dimension_before_importing_scipy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    with pytest.raises(DomainError, match="dimension must be positive, got 0.0"):
+        entropic_curvature_estimate(cycle(5), 0)
 
 
 # -- gradient and optimizer --------------------------------------------------

@@ -263,6 +263,68 @@ def test_enumeration_guard():
         optimal_complex(cycle(30), INF)
 
 
+def test_forms_cost_guard_refuses_before_any_curvature(monkeypatch):
+    # Q^9's forms would hold 512 * 511^2 floats (1.07 GB): refused before
+    # the vertex curvatures run; Q^8's (133 MB) pass the guard
+    import curvkit.optimal as omod
+
+    def unreached(chain, dim):
+        raise AssertionError(f"vertex curvatures of {chain.n_states} states")
+
+    monkeypatch.setattr(omod, "_vertex_curvatures", unreached)
+    q9 = hypercube(9)
+    far = (q9.states[0], q9.states[-1])
+    for call in (lambda: is_optimal_set(q9, far[:1], INF),
+                 lambda: check_equilibrium_optimality(q9, INF),
+                 lambda: check_union_proposition(q9, far[:1], far[1:], INF)):
+        with pytest.raises(TooLarge, match="optimal-set forms capped"):
+            call()
+    with pytest.raises(AssertionError, match="of 256 states"):
+        is_optimal_set(hypercube(8), ["0" * 8], INF)
+
+
+def test_witness_is_the_projection_of_the_sine_vector():
+    # the witness is (sin 1, ..., sin n) off the constants, projected onto
+    # the kernel of the summed padded forms and normalized
+    from curvkit.gamma import _dirac_ball_forms
+    from curvkit.optimal import _kernel_cutoff, _pointwise_forms
+
+    rng = np.random.default_rng(1)
+    witnesses = 0
+    for ch in _ball_pool():
+        size = ch.n_states
+        form_scale = _pointwise_forms(ch, INF)[3]
+        k = float(_vertex_curvatures(ch, INF).min())
+        padded = []
+        for x in range(size):
+            ball, m, n = _dirac_ball_forms(ch, x, INF)
+            padded.append(np.zeros((size, size)))
+            padded[-1][np.ix_(ball, ball)] = m - k * n
+        sines = np.sin(np.arange(1.0, size + 1.0))
+        sines -= sines.mean()
+        subsets = [[x] for x in np.flatnonzero(_vertex_curvatures(ch, INF) == k)]
+        subsets += [rng.permutation(size)[:rng.integers(1, size + 1)] for _ in range(8)]
+        for idx in subsets:
+            cert = is_optimal_set(ch, [ch.states[i] for i in idx], INF)
+            if not cert.is_optimal:
+                continue
+            evals, vecs = np.linalg.eigh(np.sum([padded[i] for i in idx], axis=0))
+            kernel = vecs[:, evals <= _kernel_cutoff(evals, form_scale, len(idx))]
+            proj = kernel @ (kernel.T @ sines)
+            assert np.abs(cert.witness - proj / np.linalg.norm(proj)).max() <= 1e-10
+            witnesses += 1
+    assert witnesses > len(_ball_pool())
+
+
+def test_optimal_complex_draws_no_random_numbers(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("np.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert optimal_complex(cycle(8), INF).facets == optimal_complex_reference(
+        cycle(8), INF).facets
+
+
 def test_vertex_curvatures_computed_once_per_chain_and_dimension(monkeypatch):
     import curvkit.curvature as cmod
 
@@ -302,6 +364,9 @@ def test_projected_rows_and_kernel_basis_match_the_padded_forms():
     for ch in _ball_pool():
         size = ch.n_states
         _, rows, helmert, form_scale = _pointwise_forms(ch, INF)
+        # an orthonormal basis of the vectors with zero sum
+        assert np.abs(helmert.T @ helmert - np.eye(size - 1)).max() <= 1e-14
+        assert np.abs(helmert.sum(axis=0)).max() <= 1e-14
         k = float(_vertex_curvatures(ch, INF).min())
         padded = []
         for x in range(size):
@@ -329,8 +394,8 @@ def test_projected_rows_and_kernel_basis_match_the_padded_forms():
 def test_unconfirmed_vertex_curvature_is_numerical_failure(tmp_path):
     # a 1e-10 middle edge: the degree coordinates confirm every vertex
     # curvature, and b and c attain the minimum, but the oracle's kernel
-    # and Gram tolerances refuse the singleton {b}, so the zero cell lies
-    # in no facet
+    # and Gram tolerances refuse the singletons {b} and {c}, so the zero
+    # cells lie in no facet
     from curvkit import chain_from_edgelist
     from curvkit.cli import main
 
@@ -338,7 +403,7 @@ def test_unconfirmed_vertex_curvature_is_numerical_failure(tmp_path):
     edges.write_text("a\tb\t1\nb\tc\t1e-10\nc\td\t1\n")
     ch = chain_from_edgelist(edges.read_text())
     assert bakry_emery_global(ch, INF)[1] == "b"
-    with pytest.raises(NumericalFailure, match="b lie in no optimal set"):
+    with pytest.raises(NumericalFailure, match="b, c lie in no optimal set"):
         optimal_complex(ch, INF)
     assert main(["optimal-sets", "--in", str(edges),
                  "--out", str(tmp_path / "report.json")]) == 3

@@ -33,12 +33,15 @@ scratch directory that is also the working directory:
     battery with an exact entropic K of 0.1, which this chain's d_Gamma
     diameter refutes (exit 4), and the same list with a middle weight of
     1e-10 and of 1e-6 under curv-vertex, whose near-degenerate vertex
-    pencils the degree coordinates resolve;
+    pencils the degree coordinates resolve, and of 1e-10 under
+    optimal-sets, whose oracle refuses both minimal singletons (exit 3);
   * the one-state chain under optimal-sets (exit 2: optimal sets need two
     states) and a chain of two components under spectrum (exit 2, naming
     a state the other component cannot reach);
   * a gen report of the earlier schema curvkit-report/1 under curv-measure
     --in (exit 2, naming both schemas);
+  * a zero dimension as --n of curv-vertex and in the --n-grid of
+    curv-measure (exit 2, in the library's words);
   * the heat kernel bound on the 6-cycle at t = 1e17 and 1e300, where the
     zero mode must not grow and the bound t^d overflows, and on path:172,
     whose distance 171 takes the bound past the largest float factorial.
@@ -161,9 +164,12 @@ def edge_commands(work: str) -> list[list[str]]:
             ["verify", "--in", thin, "--suite", "all", "--k-ent", "0.1"],
             ["curv-vertex", "--in", thin],
             ["curv-vertex", "--in", thin6],
+            ["optimal-sets", "--in", thin],
             ["optimal-sets", "--in", one],
             ["spectrum", "--in", split],
             ["curv-measure", "--in", gen1],
+            ["curv-vertex", "--gen", "cycle:5", "--n", "0"],
+            ["curv-measure", "--gen", "cycle:5", "--n-grid", "inf,0"],
             ["heat", "--gen", "cycle:6", "--t-grid", "1e17,1e300"],
             ["heat", "--gen", "path:172", "--t-grid", "0.5"]]
 
