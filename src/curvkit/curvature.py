@@ -184,12 +184,17 @@ def _certified_witness(m: np.ndarray, n: np.ndarray, k: float,
     its cluster, after the certificate test of m - K n at K = k itself.
 
     The witness is the n-normalized n-orthogonal projection of (sin 1,
-    sin 2, ...) onto the cluster's span.  The certificate floor is
-    1e-9 (m_norm + |k| n_norm + 1); m_norm and n_norm are the spectral
-    norms of m and n or lower bounds on them, which only tighten it.
+    sin 2, ...) onto the cluster's span; an n-norm f' n f that is not
+    positive and finite (it can underflow) is a NumericalFailure.  The
+    certificate floor is 1e-9 (m_norm + |k| n_norm + 1); m_norm and n_norm
+    are the spectral norms of m and n or lower bounds on them, which only
+    tighten it.
     """
     f = cluster.T @ (cluster @ (n @ np.sin(np.arange(1.0, len(n) + 1.0))))
-    f = f / np.sqrt(f @ n @ f)
+    norm = float(f @ n @ f)
+    if not 0.0 < norm < POS_INFINITY:
+        raise NumericalFailure(f"witness of n-norm {norm!r} cannot be normalized")
+    f = f / np.sqrt(norm)
     floor = 1e-9 * (m_norm + abs(k) * n_norm + 1.0)
     if np.linalg.eigvalsh(m - k * n).min() < -floor:
         raise NumericalFailure("certificate m - K n lost positivity")
@@ -205,37 +210,30 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
     return solve_pencil(fp.m, fp.n, confirm=confirm)
 
 
-def _degree_pencil(m: np.ndarray, n: np.ndarray,
-                   x: int) -> CurvatureResult | None:
-    """The vertex pencil of the 2-ball forms (m, n) of the vertex at index
-    x, solved in degree coordinates, or None when the forms lack their
-    Dirac structure.
+def _degree_pencil(m: np.ndarray, n: np.ndarray, k1: int) -> CurvatureResult:
+    """The vertex pencil of the 2-ball forms (m, n) of _dirac_ball_forms,
+    whose positions are x, then the k1 >= 1 states of the 1-sphere S1, then
+    the 2-sphere S2, solved in degree coordinates.
 
     Constants lie in the kernel of both forms, so f(x) = 0 loses nothing.
-    In that gauge n is diagonal, D > 0 on the 1-sphere S1 and 0 on the
-    2-sphere S2, and m's S2 block is a positive diagonal; both are checked
-    entry by entry.  Eliminating S2 by that diagonal leaves A on S1, so m -
-    K n is PSD on B2 exactly when R - K I is, R = D^-1/2 A D^-1/2: K is
-    lambda_min(R) (Cushing, Kamtue, Liu, Muench, Peyerimhoff & Snodgrass,
-    Calc. Var. PDE 61, 2022).  The PSD bracket tests R - K I; the witness
-    lifts the cluster to B2 (x -> 0, S2 by the elimination, then off the
-    constants) and passes the certificate on the unreduced m - K n.
+    In that gauge n is diagonal, D > 0 on S1 and 0 on S2, and m's S2 block
+    is a positive diagonal E; both are checked entry by entry, and only an
+    edge weight that underflows can break them (NumericalFailure).
+    Eliminating S2 by E leaves A on S1, so m - K n is PSD on B2 exactly
+    when R - K I is, R = D^-1/2 A D^-1/2: K is lambda_min(R) (Cushing,
+    Kamtue, Liu, Muench, Peyerimhoff & Snodgrass, Calc. Var. PDE 61, 2022).
+    The PSD bracket tests R - K I; the witness lifts the cluster to B2
+    (x -> 0, S2 by the elimination, then off the constants) and passes the
+    certificate on the unreduced m - K n.
     """
-    d = np.diag(n)
-    s1, s2 = np.flatnonzero(d > 0), np.flatnonzero(d == 0)
-    s1, s2 = s1[s1 != x], s2[s2 != x]
-    k1 = len(s1)
-    if k1 == 0 or k1 + len(s2) != len(n) - 1:
-        return None
-    order = np.concatenate((s1, s2))
-    m_r = m.take(order, 0).take(order, 1)
-    e = np.diag(m_r)[k1:]
-    if (np.count_nonzero(n.take(order, 0).take(order, 1)) != k1
-            or not (e > 0).all() or np.count_nonzero(m_r[k1:, k1:]) != len(e)):
-        return None
-    elim = m_r[k1:, :k1] / e[:, None]
-    scale = 1.0 / np.sqrt(d[s1])
-    r = (m_r[:k1, :k1] - m_r[k1:, :k1].T @ elim) * scale * scale[:, None]
+    s1, s2 = slice(1, k1 + 1), slice(k1 + 1, None)
+    d, e = np.diag(n)[s1], np.diag(m)[s2]
+    if (not (d > 0).all() or np.count_nonzero(n[1:, 1:]) != k1
+            or not (e > 0).all() or np.count_nonzero(m[s2, s2]) != len(e)):
+        raise NumericalFailure("the vertex forms lost their Dirac structure")
+    elim = m[s2, s1] / e[:, None]
+    scale = 1.0 / np.sqrt(d)
+    r = (m[s1, s1] - m[s2, s1].T @ elim) * scale * scale[:, None]
     r = 0.5 * (r + r.T)
     pvals, pvecs = np.linalg.eigh(r)
     k = float(pvals[0])
@@ -257,16 +255,17 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     """Vertex curvature: the Dirac density under the arithmetic mean.
 
     The forms vanish outside the 2-ball B2 of the vertex, so they are
-    assembled on that ball and the pencil is solved in degree coordinates
-    (_degree_pencil): one |S1|-sized eigenproblem.  Its value is confirmed
-    twice, by the PSD bracket of the reduced matrix and by the certificate
-    test of the unreduced B2 matrix at K.  Forms without the Dirac
-    structure go through solve_pencil on B2.  The witness is re-embedded
-    in all n states, zero outside B2.
+    assembled on that ball, in the order x, S1, S2, and the pencil is
+    solved in degree coordinates (_degree_pencil): one |S1|-sized
+    eigenproblem.  Its value is confirmed twice, by the PSD bracket of the
+    reduced matrix and by the certificate test of the unreduced B2 matrix
+    at K.  Only a one-state chain, whose ball has no S1, goes through
+    solve_pencil.  The witness is re-embedded in all n states, zero
+    outside B2.
     """
     ball, m, n = _dirac_ball_forms(chain, state, dim)
-    x = int(np.searchsorted(ball, chain.index(state)))
-    res = _degree_pencil(m, n, x) or solve_pencil(m, n)
+    k1 = int(np.count_nonzero(chain.adjacency[ball[0]]))
+    res = _degree_pencil(m, n, k1) if k1 else solve_pencil(m, n)
     if res.witness is not None:
         full = np.zeros(chain.n_states)
         full[ball] = res.witness

@@ -254,11 +254,12 @@ def _form_matrices(q: np.ndarray, pi: np.ndarray, edges, d1e: np.ndarray,
     t_rho = _edge_laplacian(size, ex, ey, rho[ex] * pi[ex] * d1e * qe)
     lrho = lap @ rho
     t_lrho = _edge_laplacian(size, ex, ey, lrho[ex] * pi[ex] * d1e * qe)
-    m = 0.5 * (t_lrho - t_rho @ lap - lap.T @ t_rho)
+    mirror = t_rho @ lap            # = (lap' t_rho)', t_rho being exactly symmetric
+    m = 0.5 * (t_lrho - mirror - mirror.T)
     if np.isfinite(dim):
         m = m - (1.0 / dim) * (lap.T @ np.diag(rho * pi) @ lap)
     m = 0.5 * (m + m.T)
-    return m, 0.5 * (t_rho + t_rho.T)
+    return m, t_rho
 
 
 def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
@@ -276,7 +277,8 @@ def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
 def _dirac_ball_forms(chain: MarkovChain, state,
                       dim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ball, m, n): the arithmetic-mean forms of the Dirac density at a
-    state, assembled on its 2-ball B2 alone.
+    state x, assembled on its 2-ball B2 alone, which `ball` lists as x,
+    then the 1-sphere S1, then the 2-sphere S2, each in state order.
 
     m and n equal the assemble_forms matrices restricted to ball x ball,
     and those vanish outside it: t_rho lives on B1 x B1, (Q - I) rho on
@@ -287,14 +289,15 @@ def _dirac_ball_forms(chain: MarkovChain, state,
     ix = chain.index(state)
     dim = _dimension(dim)
     adj = chain.adjacency
-    b1 = adj[ix].copy()
-    b1[ix] = True
-    ball = np.flatnonzero(adj[b1].any(axis=0) | b1)
+    s1 = np.flatnonzero(adj[ix])
+    s2 = adj[s1].any(axis=0)
+    s2[s1] = s2[ix] = False
+    ball = np.concatenate(([ix], s1, np.flatnonzero(s2)))
     block = np.ix_(ball, ball)
     q = chain.q[block]
     ex, ey = np.nonzero(adj[block])
     rho = np.zeros(len(ball))
-    rho[np.searchsorted(ball, ix)] = 1.0 / chain.pi[ix]
+    rho[0] = 1.0 / chain.pi[ix]
     m, n_mat = _form_matrices(q, chain.pi[ball], (ex, ey, q[ex, ey]),
                               _on_edges(ARITHMETIC.d1, rho, ex, ey), rho, dim)
     return ball, m, n_mat

@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -441,28 +442,82 @@ def test_degree_coordinates_match_the_ball_pencil():
                 assert new.iterations == old.iterations
 
 
-def test_degree_coordinates_fall_back_on_broken_structure(monkeypatch):
-    # one nonzero off-diagonal entry in m's S2 block sends the vertex
-    # through solve_pencil on the 2-ball, with its result bit for bit
-    import curvkit.curvature as cmod
+def test_ball_lists_the_vertex_then_its_spheres_in_state_order():
+    # x, then S1, then S2, each in state order, on the pool, a lazy chain
+    # and complete:5, whose 2-spheres are empty
+    from curvkit import distance_matrix
+    from curvkit.gamma import _dirac_ball_forms
+    empty = 0
+    for ch in _ball_pool() + [complete(5)]:
+        dist = distance_matrix(ch)
+        for x in range(ch.n_states):
+            ball = _dirac_ball_forms(ch, x, INF)[0]
+            spheres = [np.flatnonzero(dist[x] == r) for r in (1, 2)]
+            assert ball.tolist() == [x, *spheres[0], *spheres[1]]
+            empty += len(spheres[1]) == 0
+    assert empty >= 5
+
+
+def _broken(kind):
+    """A _dirac_ball_forms whose C8 ball of state 0 (0, then S1 = 1 7, then
+    S2 = 2 6) loses one feature of its Dirac structure."""
     from curvkit.gamma import _dirac_ball_forms
 
-    def coupled(chain, state, dim):
+    def forms(chain, state, dim):
         ball, m, n = _dirac_ball_forms(chain, state, dim)
-        i, j = np.searchsorted(ball, [2, 6])          # S2 of state 0 on C8
-        m[i, j] = m[j, i] = 0.1 * m[i, i]
+        if kind == "coupled S2":
+            m[3, 4] = m[4, 3] = 0.1 * m[3, 3]
+        elif kind == "coupled n":
+            n[1, 2] = n[2, 1] = 0.1 * n[1, 1]
+        elif kind == "zero D":      # an S1 degree underflows
+            n[2, 2] = 0.0
+        else:                       # an S2 diagonal entry of m underflows
+            m[4, 4] = 0.0
         return ball, m, n
+    return forms
+
+
+@pytest.mark.parametrize("kind", ["coupled S2", "coupled n", "zero D", "zero E"])
+def test_degree_coordinates_refuse_broken_structure(monkeypatch, kind):
+    # forms that break the Dirac structure are a NumericalFailure, with no
+    # second solver behind the degree coordinates
+    import curvkit.curvature as cmod
 
     ch = cycle(8)
-    ball, m, n = coupled(ch, 0, INF)
-    assert cmod._degree_pencil(m, n, 0) is None
-    ref = cmod.solve_pencil(m, n)
-    monkeypatch.setattr(cmod, "_dirac_ball_forms", coupled)
-    res = bakry_emery_vertex(ch, 0, INF)
-    assert (res.value, res.bracket, res.iterations, res.null_dim, res.gap) \
-        == (ref.value, ref.bracket, ref.iterations, ref.null_dim, ref.gap)
-    assert np.array_equal(res.witness[ball], ref.witness)
-    assert not np.delete(res.witness, ball).any()
+    ball, m, n = _broken(kind)(ch, 0, INF)
+    assert ball.tolist() == [0, 1, 7, 2, 6]
+    with pytest.raises(NumericalFailure, match="Dirac structure"):
+        cmod._degree_pencil(m, n, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("vertex curvature reached solve_pencil")
+
+    monkeypatch.setattr(cmod, "_dirac_ball_forms", _broken(kind))
+    monkeypatch.setattr(cmod, "solve_pencil", forbidden)
+    with pytest.raises(NumericalFailure, match="Dirac structure"):
+        bakry_emery_vertex(ch, 0, INF)
+
+
+def test_underflowing_edge_weight_is_numerical_failure(tmp_path):
+    # a middle weight of 5e-324 halves to 0 in the forms: every vertex
+    # loses its Dirac structure and curv-vertex exits 3.  At 4e-323 the
+    # forms keep it, but the witness at b has an n-norm that underflows to
+    # 0: a NumericalFailure, not a witness of infinities
+    from curvkit.cli import main
+    for weight, refused, reason in (("5e-324", "abcd", "Dirac structure"),
+                                    ("4e-323", "b", "cannot be normalized")):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(f"a\tb\t1\nb\tc\t{weight}\nc\td\t1\n")
+        ch = chain_from_edgelist(edges.read_text())
+        for state in refused:
+            with pytest.raises(NumericalFailure, match=reason):
+                bakry_emery_vertex(ch, state, INF)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["curv-vertex", "--in", str(edges), "--out", str(out)]) == 3
+        assert not out.exists()
+    assert bakry_emery_vertex(ch, "c", INF).value == pytest.approx(-1.0, rel=1e-12)
 
 
 def _exact_ball_pencil(weights, x, ball):

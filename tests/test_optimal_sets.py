@@ -6,15 +6,16 @@ import pytest
 from itertools import combinations
 
 from curvkit import (ARITHMETIC, InvalidParameters, NumericalFailure, TooLarge,
-                     bakry_emery_global, bakry_emery_vertex, build_chain,
-                     check_equilibrium_optimality, check_union_proposition,
-                     complete, cycle, distance_matrix, func_inner, gamma,
+                     assemble_forms, bakry_emery_global, bakry_emery_vertex,
+                     build_chain, check_equilibrium_optimality,
+                     check_union_proposition, complete, cycle, dirac,
+                     distance_matrix, func_inner, gamma,
                      gamma2, generate, hypercube, is_optimal_set,
                      lichnerowicz_check, optimal_complex, path)
 
 from curvkit.curvature import _vertex_curvatures
 
-from conftest import optimal_complex_reference
+from conftest import optimal_complex_reference, small_chain_pool
 from test_curvature import _ball_pool
 
 INF = np.inf
@@ -181,6 +182,45 @@ def test_border_is_a_certificate(dim):
         brute = [tuple(x0[i] for i in c) for c, m in masks.items()
                  if m in hits and not any(m & ~(1 << i) in hits for i in c)]
         assert nonfaces == sorted(brute), spec
+
+
+def _measure_criterion(chain, states, dim, k) -> bool:
+    """The paper's optimality criterion for measures, independent of
+    is_optimal_set's rows and kernel cutoff: A is optimal iff the
+    arithmetic-mean pencil of rho_A, the sum of the Dirac densities of A,
+    has its least value within AGREE_TOL max(1, |K|) of the global K, and
+    Gamma vanishes at no x in A on that value's cluster."""
+    from curvkit.curvature import AGREE_TOL, _pencil
+
+    rho = sum(dirac(chain, s) for s in states)
+    fp = assemble_forms(chain, ARITHMETIC, rho, dim)
+    value, cluster, *_ = _pencil(fp.m, fp.n)
+    if not abs(value - k) <= AGREE_TOL * max(1.0, abs(k)):
+        return False
+    # the cluster is n-orthonormal, so its Gamma values at A are O(1)
+    on_cluster = np.array([gamma(chain, w) for w in cluster])
+    return all(on_cluster[:, chain.index(s)].max() > 1e-9 for s in states)
+
+
+@pytest.mark.parametrize("dim", [INF, 4.0])
+def test_border_agrees_with_the_measure_criterion(dim):
+    # every facet of the border search passes the measure criterion and
+    # every minimal non-face fails it
+    from curvkit.optimal import _border
+
+    specs = [f"cycle:{n}" for n in (5, 6, 7, 8, 10, 12)] + [
+        "path:8", "complete:6", "hypercube:3", "hypercube:4",
+        "random-regular:3:8:1", "random-regular:3:12:2"]
+    decided = 0
+    for ch in [generate(spec) for spec in specs] + small_chain_pool():
+        k = float(_vertex_curvatures(ch, dim).min())
+        facets, nonfaces = _border(ch, dim)
+        for f in facets:
+            assert _measure_criterion(ch, f, dim, k), (ch.states, f)
+        for nf in nonfaces:
+            assert not _measure_criterion(ch, nf, dim, k), (ch.states, nf)
+        decided += len(facets) + len(nonfaces)
+    assert decided > 400
 
 
 @pytest.mark.parametrize("dim", [INF, 4.0])

@@ -35,6 +35,12 @@ scratch directory that is also the working directory:
     1e-10 and of 1e-6 under curv-vertex, whose near-degenerate vertex
     pencils the degree coordinates resolve, and of 1e-10 under
     optimal-sets, whose oracle refuses both minimal singletons (exit 3);
+  * the same list with a middle weight of 5e-324 under curv-vertex, whose
+    forms lose their Dirac structure at every vertex, and of 4e-323, whose
+    witness at b has an n-norm that underflows (both exit 3), and of
+    1e-100 under curv-measure at the Dirac density of b;
+  * curv-vertex on complete:5, whose 2-spheres are empty, and on a lazy
+    5-cycle read from a file;
   * the one-state chain under optimal-sets (exit 2: optimal sets need two
     states) and a chain of two components under spectrum (exit 2, naming
     a state the other component cannot reach);
@@ -128,9 +134,16 @@ def edge_commands(work: str) -> list[list[str]]:
     with open(bd6, "w", encoding="utf-8") as fh:
         json.dump(_birth_death(6), fh)
     thin, thin6 = f"{work}/thin.tsv", f"{work}/thin6.tsv"
-    for path, weight in ((thin, "1e-10"), (thin6, "1e-6")):
+    thin100, tiny, tiny8 = (f"{work}/thin100.tsv", f"{work}/tiny.tsv",
+                            f"{work}/tiny8.tsv")
+    for path, weight in ((thin, "1e-10"), (thin6, "1e-6"), (thin100, "1e-100"),
+                         (tiny, "5e-324"), (tiny8, "4e-323")):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"a\tb\t1\nb\tc\t{weight}\nc\td\t1\n")
+    lazy = f"{work}/lazy.json"
+    with open(lazy, "w", encoding="utf-8") as fh:
+        json.dump({"Q": [[0.5 if y == x else 0.25 if (y - x) % 5 in (1, 4)
+                          else 0.0 for y in range(5)] for x in range(5)]}, fh)
     split = f"{work}/split.json"
     with open(split, "w", encoding="utf-8") as fh:
         fh.write('{"Q": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}')
@@ -164,6 +177,11 @@ def edge_commands(work: str) -> list[list[str]]:
             ["verify", "--in", thin, "--suite", "all", "--k-ent", "0.1"],
             ["curv-vertex", "--in", thin],
             ["curv-vertex", "--in", thin6],
+            ["curv-vertex", "--in", tiny],
+            ["curv-vertex", "--in", tiny8],
+            ["curv-measure", "--in", thin100, "--rho", "dirac:b"],
+            ["curv-vertex", "--gen", "complete:5"],
+            ["curv-vertex", "--in", lazy],
             ["optimal-sets", "--in", thin],
             ["optimal-sets", "--in", one],
             ["spectrum", "--in", split],
