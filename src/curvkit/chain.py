@@ -74,8 +74,8 @@ class MarkovChain:
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise NotStochastic(f"Q must be square, got shape {q.shape}")
         n = q.shape[0]
-        if n == 0:
-            raise InvalidParameters("empty chain")
+        if n < 2:
+            raise InvalidParameters(f"a chain needs at least two states, got {n}")
         if states is None:
             states = [str(i) for i in range(n)]
         if len(states) != n or len(set(states)) != n:
@@ -189,9 +189,8 @@ class MarkovChain:
         deg_w = self._q.sum(axis=1) - np.diag(self._q)
         with np.errstate(invalid="ignore"):
             deg_pi = (self._adjacency @ self._pi) / self._pi
-        q_min = float(self._qe.min()) if self._qe.size else 0.0
         return ChainStats(
-            q_min=q_min,
+            q_min=float(self._qe.min()),
             pi_min=float(self._pi.min()),
             pi_max=float(self._pi.max()),
             deg_weighted=deg_w,
@@ -248,7 +247,8 @@ def build_chain(q, pi=None, states=None) -> MarkovChain:
 
     When pi is omitted it is computed from detailed balance on a spanning tree.
     Raises NotStochastic / NotIrreducible / NotReversible naming the violated
-    row or pair together with the residual.
+    row or pair together with the residual, and InvalidParameters for fewer
+    than two states: a chain without an edge has no Gamma calculus.
     """
     return MarkovChain(q, pi=pi, states=states)
 
@@ -264,7 +264,7 @@ def distance_matrix(chain: MarkovChain) -> np.ndarray:
     n = len(adjacency)
     ys, xs = np.nonzero(adjacency)
     slot = np.arange(len(ys)) - np.searchsorted(ys, ys)
-    nbr = np.repeat(np.arange(n)[:, None], slot.max(initial=-1) + 1, axis=1)
+    nbr = np.repeat(np.arange(n)[:, None], slot.max() + 1, axis=1)
     nbr[ys, slot] = xs
     reached = np.eye(n, dtype=bool)
     frontier = reached

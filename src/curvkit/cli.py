@@ -159,7 +159,7 @@ def _emit(args, config: dict, chain, results: dict, warnings_list: list[str]) ->
     report = {
         "schema": SCHEMA,
         "config": _jsonable(config),
-        "chain_stats": _chain_stats_doc(chain),
+        "chain_stats": _jsonable(_chain_stats_doc(chain)),
         "results": _jsonable(results),
         "warnings": warnings_list,
     }

@@ -15,7 +15,6 @@ tests the reduced matrix, and the certificate at K tests the unreduced
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,8 +204,6 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
                          confirm: bool = True) -> CurvatureResult:
     """Optimal curvature constant of a fixed density at dimension dim."""
     fp = assemble_forms(chain, mean, rho, dim)
-    if chain.n_states == 1:
-        warnings.warn("single-state chain: curvature is vacuously +inf")
     return solve_pencil(fp.m, fp.n, confirm=confirm)
 
 
@@ -259,17 +256,14 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     solved in degree coordinates (_degree_pencil): one |S1|-sized
     eigenproblem.  Its value is confirmed twice, by the PSD bracket of the
     reduced matrix and by the certificate test of the unreduced B2 matrix
-    at K.  Only a one-state chain, whose ball has no S1, goes through
-    solve_pencil.  The witness is re-embedded in all n states, zero
-    outside B2.
+    at K.  The witness is re-embedded in all n states, zero outside B2.
     """
     ball, m, n = _dirac_ball_forms(chain, state, dim)
     k1 = int(np.count_nonzero(chain.adjacency[ball[0]]))
-    res = _degree_pencil(m, n, k1) if k1 else solve_pencil(m, n)
-    if res.witness is not None:
-        full = np.zeros(chain.n_states)
-        full[ball] = res.witness
-        res.witness = full
+    res = _degree_pencil(m, n, k1)
+    full = np.zeros(chain.n_states)
+    full[ball] = res.witness
+    res.witness = full
     return res
 
 
@@ -366,21 +360,19 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     confirmed value along its descent (see _least_confirmed).  A start
     whose eigensolver raises LinAlgError is recorded as (inf, False) and
     the next one runs; NumericalFailure is raised only when no start gives
-    a confirmed value.  A single-state chain runs no start: K is +inf.
+    a confirmed value.  The arguments are checked before scipy.optimize is
+    imported, so a bad call costs no import.
     """
-    dim = _dimension(dim)           # a bad dim costs no scipy import
-    import scipy.optimize
-
+    dim = _dimension(dim)
     if starts < 1:
         raise InvalidParameters(
             f"the entropic optimizer needs starts >= 1, got {starts}")
     mean = get_mean(mean)
     if mean.domain_class != "open":
         raise DomainError("the entropic optimizer needs an open-domain mean")
+    import scipy.optimize
+
     n = chain.n_states
-    if n == 1:
-        k = curvature_of_measure(chain, mean, np.ones(1), dim).value
-        return EntropicEstimate(k, np.ones(1), starts, certified_nonnegative=True)
     pi = chain.pi
 
     def rho_of(u):

@@ -253,10 +253,7 @@ def cheeger(chain: MarkovChain) -> CheegerResult:
     identically, so this covers every feasible W for any stationary measure.
     The subset reported is the one of the pair with pi(W) <= 1/2.
     """
-    n = chain.n_states
-    if n < 2:
-        raise TooLarge("cheeger needs at least two states")
-    if n > CHEEGER_MAX_STATES:
+    if chain.n_states > CHEEGER_MAX_STATES:
         raise TooLarge(f"exact cheeger enumeration capped at {CHEEGER_MAX_STATES} states")
     idx = _cheeger_block(chain)
     return CheegerResult(h=cut_weight(chain, idx) / float(chain.pi[idx].sum()),
@@ -509,7 +506,7 @@ def _detect_regular_srw(chain: MarkovChain) -> int | None:
         return None
     degs = chain.adjacency.sum(axis=1)
     d = int(degs[0])
-    if not (degs == d).all() or d == 0:
+    if not (degs == d).all():
         return None
     ex, ey, qe = chain.edges
     if np.abs(qe - 1.0 / d).max() > 1e-12:

@@ -118,8 +118,6 @@ def is_optimal_set(chain: MarkovChain, states, dim) -> OptimalityCertificate:
     at the Gram test of its first vertex.  Like a pencil's, the witness is
     the normalized projection of (sin 1, sin 2, ...) onto the kernel off the
     constants, for any basis eigh returns, unless it misses a Gram form."""
-    if chain.n_states < 2:
-        raise TooLarge("optimal sets need at least two states")
     idx = [chain.index(s) for s in states]
     if not idx:
         raise InvalidParameters("the empty set has no optimality certificate")
@@ -224,8 +222,6 @@ def optimal_complex(chain: MarkovChain, dim) -> OptimalComplex:
     A minimal-curvature vertex is an optimal singleton (its pencil witness
     kills q_x with Gamma f(x) > 0), so a zero cell in no facet means K or the
     forms are too inaccurate to decide the complex: NumericalFailure."""
-    if chain.n_states < 2:
-        raise TooLarge("optimal sets need at least two states")
     if chain.n_states > OPTIMAL_MAX_STATES:
         raise TooLarge(
             f"optimal-set enumeration capped at {OPTIMAL_MAX_STATES} states")

@@ -69,6 +69,15 @@ def test_non_finite_entry_rejected(q, pi, entry):
     assert entry in str(exc.value)
 
 
+@pytest.mark.parametrize("q", [[[1.0]], np.zeros((0, 0))], ids=["one", "empty"])
+def test_a_chain_needs_two_states(q):
+    # the paper's objects need an edge; a chain of fewer than two states is
+    # refused where it is built, before any command computes on it
+    with pytest.raises(InvalidParameters,
+                       match=f"^a chain needs at least two states, got {len(q)}$"):
+        build_chain(q)
+
+
 def test_validation_messages_print_plain_floats():
     with pytest.raises(NotStochastic) as row:
         build_chain([[0.4, 0.5], [0.5, 0.5]])

@@ -1,12 +1,12 @@
 """CLI: subcommand contracts, exit codes, report determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import curvkit
 from curvkit import (ARITHMETIC, bakry_emery_vertex, chain_from_edgelist,
                      chain_from_json, check_cheeger_l1, curvature_of_measure,
                      dirac, hypercube)
-from curvkit.cli import SCHEMA, _ENCODER, _jsonable, main
+from curvkit.cli import SCHEMA, _ENCODER, _jsonable, build_parser, main
 
 from conftest import cheeger_gray
 
@@ -48,16 +48,6 @@ def test_curv_vertex_hypercube(tmp_path):
     assert doc["results"]["k_global"] == pytest.approx(2 / 3, abs=1e-8)
 
 
-def test_curv_vertex_one_state_k_global_inf(tmp_path):
-    one = tmp_path / "one.json"
-    one.write_text('{"Q": [[1.0]]}')
-    code, doc = run_cli(tmp_path, "curv-vertex", "--in", str(one))
-    assert code == 0
-    assert doc["results"]["per_vertex"]["0"]["value"] == "inf"
-    assert doc["results"]["k_global"] == "inf"
-
-
-_ONE = {"Q": [[1.0]]}
 _RHO5 = {"0": 1.0, "1": 2.0, "2": 0.5, "3": 1.5, "4": 1.0}
 
 
@@ -75,30 +65,27 @@ def _vertex_records(ch):
       "--rho", json.dumps(_RHO5)],
      lambda ch: {"curvature": curvature_of_measure(
          ch, "logarithmic", [_RHO5[s] for s in ch.states], 4.0)}),
-    (["curv-vertex", "--in", "one.json"], _vertex_records),
-    (["curv-measure", "--in", "one.json"],
-     lambda ch: {"curvature": curvature_of_measure(ch, ARITHMETIC, np.ones(1), np.inf)}),
-], ids=["hypercube3", "cycle128", "path5-dirac", "cycle5-positive",
-        "one-state-vertex", "one-state-measure"])
+    (["curv-measure", "--gen", "path:3", "--rho", '{"0": 0}'],
+     lambda ch: {"curvature": curvature_of_measure(ch, ARITHMETIC, np.zeros(3), np.inf)}),
+], ids=["hypercube3", "cycle128", "path5-dirac", "cycle5-positive", "zero-density"])
 def test_curvature_record_rebuilds_the_library_witness(tmp_path, argv, library):
     # a record is {value, bracket, iterations, null_dim, witness}; the witness
     # object holds exactly the entries whose bits are not those of +0.0, and
-    # the states it omits read 0; an infinite K has a null witness
-    one = tmp_path / "one.json"
-    one.write_text(json.dumps(_ONE))
-    argv = [str(one) if a == "one.json" else a for a in argv]
+    # the states it omits read 0; an infinite K (the zero density under the
+    # arithmetic mean) has a null witness
     code, doc = run_cli(tmp_path, *argv)
     assert code == 0
-    ch = curvkit.generate(argv[2]) if argv[1] == "--gen" else chain_from_json(_ONE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        expected = library(ch)
+    ch = curvkit.generate(argv[2])
+    expected = library(ch)
     results = doc["results"]
     records = results.get("per_vertex") or {"curvature": results["curvature"]}
     assert records.keys() == expected.keys()
     for key, rec in records.items():
         assert rec.keys() == {"value", "bracket", "iterations", "null_dim", "witness"}
-        lib = expected[key].witness
+        res = expected[key]
+        assert [rec[k] for k in ("value", "bracket", "iterations", "null_dim")] \
+            == _jsonable([res.value, res.bracket, res.iterations, res.null_dim])
+        lib = res.witness
         if lib is None:
             assert rec["witness"] is None and rec["value"] == "inf"
             continue
@@ -150,25 +137,6 @@ def test_curv_entropic(tmp_path):
     assert doc["results"]["certified_nonnegative"]
 
 
-def test_curv_entropic_one_state_k_hat_inf(tmp_path):
-    one = tmp_path / "one.json"
-    one.write_text('{"Q": [[1.0]]}')
-    code, doc = run_cli(tmp_path, "curv-entropic", "--in", str(one))
-    assert code == 0
-    assert doc["results"]["k_hat"] == "inf"
-    assert doc["warnings"] == ["single-state chain: curvature is vacuously +inf"]
-
-
-def test_one_state_measure_and_vertex_write_equal_records(tmp_path):
-    one = tmp_path / "one.json"
-    one.write_text(json.dumps(_ONE))
-    _, measure = run_cli(tmp_path, "curv-measure", "--in", str(one))
-    _, vertex = run_cli(tmp_path, "curv-vertex", "--in", str(one))
-    record = measure["results"]["curvature"]
-    assert record == vertex["results"]["per_vertex"]["0"]
-    assert (record["bracket"], record["iterations"]) == ([1e6, "inf"], 1)
-
-
 @pytest.mark.parametrize("command", ["curv-vertex", "curv-measure",
                                      "curv-entropic", "optimal-sets"])
 @pytest.mark.parametrize("dim, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
@@ -192,14 +160,14 @@ def test_non_positive_dimension_writes_no_profile_csv(tmp_path, capsys, argv):
 
 def test_library_warning_in_every_report(tmp_path, capsys):
     # Python shows a warning once per location; the report lists it every time
-    one = tmp_path / "one.json"
-    one.write_text('{"Q": [[1.0]]}')
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
-        assert main(["curv-measure", "--in", str(one), "--out", str(out)]) == 0
+        assert main(["verify", "--gen", "path:3", "--suite", "geometry",
+                     "--starts", "1", "--trials", "2", "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     doc = json.loads(outs[0].read_text())
-    assert doc["warnings"] == ["single-state chain: curvature is vacuously +inf"]
+    assert "buser: checked under a heuristic precondition" in doc["warnings"]
+    assert doc["warnings"] == sorted(set(doc["warnings"]))
     assert capsys.readouterr().err == ""
 
 
@@ -323,14 +291,6 @@ def test_optimal_sets(tmp_path):
     assert doc["results"]["dimension"] == 1
 
 
-def test_optimal_sets_one_state_exit2(tmp_path, capsys):
-    one = tmp_path / "one.json"
-    one.write_text('{"Q": [[1.0]]}')
-    code, doc = run_cli(tmp_path, "optimal-sets", "--in", str(one))
-    assert code == 2 and doc is None
-    assert "optimal sets need at least two states" in capsys.readouterr().err
-
-
 def test_heat_and_mixing(tmp_path):
     code, doc = run_cli(tmp_path, "heat", "--gen", "hypercube:2",
                         "--t-grid", "0.1,1.0", "--rho", "ones")
@@ -392,20 +352,37 @@ def test_non_finite_k_ent_exit2_naming_the_flag(tmp_path, capsys, k_ent):
     assert f"argument --k-ent: must be finite, got {k_ent}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["spectrum"], "spectral gap needs at least two states"),
-    (["verify", "--suite", "heat"], "gradient bound needs at least two states"),
-    (["verify", "--suite", "all"], "gradient bound needs at least two states"),
-    (["verify", "--suite", "geometry", "--k-ent", "1"],
-     "spectral gap needs at least two states"),
-])
-def test_one_state_exit2_without_traceback(tmp_path, capsys, argv, message):
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(set(_SUBCOMMANDS) - {"gen"}))
+def test_one_state_exit2_without_traceback(tmp_path, capsys, command):
+    # a chain has at least two states: every command refuses one as it
+    # loads it, to --out and to stdout alike
     one = tmp_path / "one.json"
     one.write_text('{"Q": [[1.0]]}')
-    code, doc = run_cli(tmp_path, *argv, "--in", str(one))
+    code, doc = run_cli(tmp_path, command, "--in", str(one))
     assert (code, doc) == (2, None)
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert main([command, "--in", str(one)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a chain needs at least two states, got 1\n" * 2
+
+
+def test_overflowing_chain_stats_make_a_complete_report(tmp_path, capsys):
+    # pi_c is about 5e-310, so D_pi(c) = pi_b / pi_c overflows: chain_stats
+    # is encoded like the results, and no partial report is written
+    tsv = tmp_path / "over.tsv"
+    tsv.write_text("a\tb\t1\nb\tc\t1e-309\n")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        for command in ("spectrum", "dgamma", "heat", "mixing", "cheeger"):
+            code, doc = run_cli(tmp_path, command, "--in", str(tsv))
+            assert code == 0 and doc["chain_stats"]["deg_pi_max"] == "inf"
+        assert main(["spectrum", "--in", str(tsv)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["chain_stats"]["deg_pi_max"] == "inf"
+    assert doc["results"]["lambda1"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("spec", ["complete:2", "path:2", "hypercube:1"])
@@ -709,7 +686,7 @@ def test_in_rejects_a_report_of_another_schema(tmp_path, capsys):
     old = tmp_path / "old.json"
     old.write_text(json.dumps({"schema": "curvkit-report/1",
                                "config": {"command": "gen"},
-                               "results": {"chain": _ONE}}))
+                               "results": {"chain": {"Q": [[0.5, 0.5], [0.5, 0.5]]}}}))
     code, doc = run_cli(tmp_path, "curv-measure", "--in", str(old))
     assert code == 2 and doc is None
     assert capsys.readouterr().err == (

@@ -600,24 +600,18 @@ def test_large_curvature_confirmed_by_the_wider_pair():
     assert res.bracket[0] < res.value < res.bracket[1]
 
 
-def test_single_state_sentinel():
-    # n vanishes on one state: the vacuous +inf is certified by the one PSD
-    # test at INF_CAP, as the vertex pencil of the same chain is
-    ch = build_chain([[1.0]])
-    with pytest.warns(UserWarning):
-        res = curvature_of_measure(ch, ARITHMETIC, np.ones(1), INF)
-    assert res.value == np.inf
-    assert (res.bracket, res.iterations, res.null_dim) == ((1e6, np.inf), 1, 1)
-    vertex = bakry_emery_vertex(ch, "0", INF)
-    assert (vertex.bracket, vertex.iterations) == (res.bracket, res.iterations)
-    with pytest.warns(UserWarning):
-        res = curvature_of_measure(ch, ARITHMETIC, np.ones(1), INF, confirm=False)
+def test_zero_density_sentinel(cycle5):
+    # the zero density under the arithmetic mean makes n vanish: the vacuous
+    # +inf is certified by the one PSD test at INF_CAP, has no witness, and
+    # admits no curvature gradient
+    zero = np.zeros(5)
+    res = curvature_of_measure(cycle5, ARITHMETIC, zero, INF)
+    assert (res.value, res.witness) == (np.inf, None)
+    assert (res.bracket, res.iterations, res.null_dim) == ((1e6, np.inf), 1, 5)
+    res = curvature_of_measure(cycle5, ARITHMETIC, zero, INF, confirm=False)
     assert (res.value, res.bracket, res.iterations) == (np.inf, None, 0)
-    with pytest.warns(UserWarning, match="vacuously"):
-        est = entropic_curvature_estimate(ch, INF, starts=3)
-    assert est.k_hat == np.inf and est.certified_nonnegative
     with pytest.raises(NumericalFailure, match=r"K = inf"):
-        curvature_grad_rho(ch, LOGARITHMIC, np.ones(1), INF)
+        curvature_grad_rho(cycle5, ARITHMETIC, zero, INF)
 
 
 # -- spectral gap ------------------------------------------------------------
@@ -696,9 +690,16 @@ def test_profile_rejects_a_non_positive_dimension(dim):
 
 
 def test_entropic_estimate_checks_the_dimension_before_importing_scipy(monkeypatch):
+    # and every other argument: with scipy.optimize made unimportable, a bad
+    # call still raises its own error
     monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-    with pytest.raises(DomainError, match="dimension must be positive, got 0.0"):
-        entropic_curvature_estimate(cycle(5), 0)
+    for kwargs, error, message in [
+            ({"dim": 0}, DomainError, "dimension must be positive, got 0.0"),
+            ({"starts": 0}, InvalidParameters, "needs starts >= 1, got 0"),
+            ({"mean": "harmonic"}, DomainError, "unknown mean 'harmonic'"),
+            ({"mean": ARITHMETIC}, DomainError, "needs an open-domain mean")]:
+        with pytest.raises(error, match=message):
+            entropic_curvature_estimate(cycle(5), **{"dim": INF, **kwargs})
 
 
 # -- gradient and optimizer --------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import combinations
 
 from curvkit import (ARITHMETIC, InvalidParameters, NumericalFailure, TooLarge,
                      assemble_forms, bakry_emery_global, bakry_emery_vertex,
-                     build_chain, check_equilibrium_optimality,
+                     check_equilibrium_optimality,
                      check_union_proposition, complete, cycle, dirac,
                      distance_matrix, func_inner, gamma,
                      gamma2, generate, hypercube, is_optimal_set,
@@ -459,16 +459,3 @@ def test_zero_cell_outside_every_facet_is_numerical_failure(monkeypatch):
                         lambda ch, dim: np.full(ch.n_states, real(ch, dim).min()))
     with pytest.raises(NumericalFailure, match="lie in no optimal set"):
         optimal_complex(path(8), INF)
-
-
-def test_one_state_chain_has_no_optimal_complex():
-    with pytest.raises(TooLarge, match="at least two states"):
-        optimal_complex(build_chain([[1.0]]), INF)
-
-
-def test_one_state_chain_has_no_optimal_set():
-    ch = build_chain([[1.0]])
-    with pytest.raises(TooLarge, match="at least two states"):
-        is_optimal_set(ch, ch.states, INF)
-    with pytest.raises(TooLarge, match="at least two states"):
-        check_equilibrium_optimality(ch, INF)

@@ -89,16 +89,42 @@ def test_report_matrix_compare(tmp_path):
     assert differ.stdout.endswith("1 of 2 commands differ\n")
 
 
-def test_report_matrix_records_a_crash(tmp_path):
-    # an uncaught exception is the command's outcome: exit null, its type
-    # and message as stderr
+def _report_matrix():
     spec = importlib.util.spec_from_file_location("report_matrix", TOOLS / "report_matrix.py")
     report_matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(report_matrix)
+    return report_matrix
 
+
+def test_report_matrix_records_a_crash(tmp_path):
+    # an uncaught exception is the command's outcome: exit null, its type
+    # and message as stderr
     def crash(argv):
         raise OverflowError("int too large to convert to float")
 
-    rec = report_matrix.run_one(crash, ["heat", "--gen", "path:172"], str(tmp_path))
+    rec = _report_matrix().run_one(crash, ["heat", "--gen", "path:172"],
+                                   str(tmp_path), str(SRC.parent))
     assert (rec["exit"], rec["stdout"]) == (None, "")
     assert rec["stderr"] == "OverflowError: int too large to convert to float\n"
+
+
+def test_report_matrix_masks_the_recorded_root(tmp_path):
+    # a warning names the checkout's own source file; masked as <root>, the
+    # same warning from two checkouts reads the same
+    root, work = tmp_path / "checkout", tmp_path / "work"
+    work.mkdir()
+    where = f"{root}/src/curvkit/curvature.py:192"
+
+    def warn(argv):
+        print(where)
+        print(f"{where}: RuntimeWarning: divide by zero", file=sys.stderr)
+        Path(argv[-1]).write_text(f"{where}\n", encoding="utf-8")
+        return 0
+
+    rec = _report_matrix().run_one(warn, ["spectrum", "--out", f"{work}/report.json"],
+                                   str(work), str(root))
+    masked = "<root>/src/curvkit/curvature.py:192"
+    assert rec == {"argv": ["spectrum", "--out", "<work>/report.json"], "exit": 0,
+                   "stdout": f"{masked}\n",
+                   "stderr": f"{masked}: RuntimeWarning: divide by zero\n",
+                   "files": {"<work>/report.json": f"{masked}\n"}}

@@ -11,18 +11,18 @@ scratch directory that is also the working directory:
   * every task of the four benchmark workloads at seed 1, as listed by
     ROOT/perfbench/workloads.py;
   * edge cases: a one-state chain through curv-vertex, curv-measure and
-    curv-entropic, a chain too large for the exact Cheeger enumeration, an
-    unknown generator, a verify run whose exact preconditions fail, a
-    weighted edge list (one state first seen in the second column) under
-    the geometric mean, the full forms of a Dirac density over a dimension
-    grid, a Dirac density evolved by the heat semigroup, the non-pure
-    optimal-set complex of the 8-cycle (its maximal antipodal pairs),
-    optimal sets at a finite dimension on a cycle and on chains whose
-    2-balls miss some states, optimal sets whose zero cells are a proper
-    subset of the states (path:8), whose complex is 0-dimensional
-    (complete:6) and whose one facet holds all 16 states (hypercube:4),
-    and two entropic descents at a finite dimension (the (1/dim) terms of
-    the forms and the curvature gradient along a descent);
+    curv-entropic (exit 2: a chain needs two states), a chain too large for
+    the exact Cheeger enumeration, an unknown generator, a verify run whose
+    exact preconditions fail, a weighted edge list (one state first seen in
+    the second column) under the geometric mean, the full forms of a Dirac
+    density over a dimension grid, a Dirac density evolved by the heat
+    semigroup, the non-pure optimal-set complex of the 8-cycle (its maximal
+    antipodal pairs), optimal sets at a finite dimension on a cycle and on
+    chains whose 2-balls miss some states, optimal sets whose zero cells
+    are a proper subset of the states (path:8), whose complex is
+    0-dimensional (complete:6) and whose one facet holds all 16 states
+    (hypercube:4), and two entropic descents at a finite dimension (the
+    (1/dim) terms of the forms and the curvature gradient along a descent);
   * a four-state birth-death chain with pi_max/pi_min = 1e6 (written to
     the scratch directory): the full verify battery, where pi is so
     concentrated that the chain starts within 1/4 of equilibrium and
@@ -41,9 +41,11 @@ scratch directory that is also the working directory:
     1e-100 under curv-measure at the Dirac density of b;
   * curv-vertex on complete:5, whose 2-spheres are empty, and on a lazy
     5-cycle read from a file;
-  * the one-state chain under optimal-sets (exit 2: optimal sets need two
-    states) and a chain of two components under spectrum (exit 2, naming
-    a state the other component cannot reach);
+  * the one-state chain under optimal-sets (exit 2 as well) and a chain of
+    two components under spectrum (exit 2, naming a state the other
+    component cannot reach);
+  * the edge list a-b-c with weights 1, 1e-309 under spectrum: pi_c is
+    about 5e-310, so D_pi overflows and chain_stats reads "inf";
   * a gen report of the earlier schema curvkit-report/1 under curv-measure
     --in (exit 2, naming both schemas);
   * a zero dimension as --n of curv-vertex and in the --n-grid of
@@ -54,9 +56,11 @@ scratch directory that is also the working directory:
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
-scratch path masked as <work>, and writes the records to OUT.json.  A
-command that raises is recorded with exit null and the exception's type
-and message appended to its stderr; the commands after it still run.
+scratch path masked as <work> and ROOT as <root>, so that a warning naming
+a source file reads the same from any checkout, and writes the records to
+OUT.json.  A command that raises is recorded with exit null and the
+exception's type and message appended to its stderr; the commands after it
+still run.
 
 The second form lists each command whose exit code, stdout, stderr or
 files differ between two such records, naming each report leaf that
@@ -84,7 +88,6 @@ from pathlib import Path
 
 WORKLOADS = ("entropic", "battery", "vertex", "smallcalls")
 OUTPUT_FLAGS = ("--out", "--csv")
-MASK = "<work>"
 
 
 def readme_commands(root: Path) -> list[list[str]]:
@@ -144,6 +147,9 @@ def edge_commands(work: str) -> list[list[str]]:
     with open(lazy, "w", encoding="utf-8") as fh:
         json.dump({"Q": [[0.5 if y == x else 0.25 if (y - x) % 5 in (1, 4)
                           else 0.0 for y in range(5)] for x in range(5)]}, fh)
+    over = f"{work}/over.tsv"
+    with open(over, "w", encoding="utf-8") as fh:
+        fh.write("a\tb\t1\nb\tc\t1e-309\n")
     split = f"{work}/split.json"
     with open(split, "w", encoding="utf-8") as fh:
         fh.write('{"Q": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}')
@@ -185,6 +191,7 @@ def edge_commands(work: str) -> list[list[str]]:
             ["optimal-sets", "--in", thin],
             ["optimal-sets", "--in", one],
             ["spectrum", "--in", split],
+            ["spectrum", "--in", over],
             ["curv-measure", "--in", gen1],
             ["curv-vertex", "--gen", "cycle:5", "--n", "0"],
             ["curv-measure", "--gen", "cycle:5", "--n-grid", "inf,0"],
@@ -192,7 +199,10 @@ def edge_commands(work: str) -> list[list[str]]:
             ["heat", "--gen", "path:172", "--t-grid", "0.5"]]
 
 
-def run_one(main, argv: list[str], work: str) -> dict:
+def run_one(main, argv: list[str], work: str, root: str) -> dict:
+    def mask(text: str) -> str:
+        return text.replace(work, "<work>").replace(root, "<root>")
+
     outputs = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a in OUTPUT_FLAGS]
     for path in outputs:
         with contextlib.suppress(FileNotFoundError):
@@ -207,10 +217,10 @@ def run_one(main, argv: list[str], work: str) -> dict:
     files = {}
     for path in outputs:
         with contextlib.suppress(FileNotFoundError), open(path, encoding="utf-8") as fh:
-            files[path.replace(work, MASK)] = fh.read().replace(work, MASK)
-    return {"argv": [a.replace(work, MASK) for a in argv], "exit": code,
-            "stdout": out.getvalue().replace(work, MASK),
-            "stderr": err.getvalue().replace(work, MASK), "files": files}
+            files[mask(path)] = mask(fh.read())
+    return {"argv": [mask(a) for a in argv], "exit": code,
+            "stdout": mask(out.getvalue()), "stderr": mask(err.getvalue()),
+            "files": files}
 
 
 def record(root: Path, out_path: str) -> int:
@@ -226,7 +236,7 @@ def record(root: Path, out_path: str) -> int:
     try:
         argvs = (readme_commands(root) + workload_commands(root, work)
                  + edge_commands(work))
-        commands = [run_one(main, argv, work) for argv in argvs]
+        commands = [run_one(main, argv, work, str(root)) for argv in argvs]
     finally:
         os.chdir(cwd)
         shutil.rmtree(work, ignore_errors=True)
