@@ -356,18 +356,27 @@ _SUBCOMMANDS = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
 
 
-@pytest.mark.parametrize("command", sorted(set(_SUBCOMMANDS) - {"gen"}))
-def test_one_state_exit2_without_traceback(tmp_path, capsys, command):
+@pytest.mark.parametrize("argv, late_message", [
+    (["spectrum"], "spectral gap needs at least two states"),
+    (["verify", "--suite", "heat"], "gradient bound needs at least two states"),
+    (["verify", "--suite", "all"], "gradient bound needs at least two states"),
+    (["verify", "--suite", "geometry", "--k-ent", "1"],
+     "spectral gap needs at least two states"),
+] + [pytest.param([command], None, id=command)
+     for command in sorted(set(_SUBCOMMANDS) - {"gen", "spectrum"})])
+def test_one_state_exit2_without_traceback(tmp_path, capsys, argv, late_message):
     # a chain has at least two states: every command refuses one as it
-    # loads it, to --out and to stdout alike
+    # loads it, to --out and to stdout alike, before a later stage (the
+    # spectral gap, the gradient bound) can meet it
     one = tmp_path / "one.json"
     one.write_text('{"Q": [[1.0]]}')
-    code, doc = run_cli(tmp_path, command, "--in", str(one))
+    code, doc = run_cli(tmp_path, *argv, "--in", str(one))
     assert (code, doc) == (2, None)
-    assert main([command, "--in", str(one)]) == 2
+    assert main([*argv, "--in", str(one)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: a chain needs at least two states, got 1\n" * 2
+    assert late_message is None or late_message not in err
 
 
 def test_overflowing_chain_stats_make_a_complete_report(tmp_path, capsys):
