@@ -8,7 +8,7 @@ associated gradient, diameter, isoperimetric and spectral-gap inequalities.
 
 from .chain import (ChainStats, MarkovChain, build_chain, chain_from_edgelist,
                     chain_from_json, chain_to_json, complete, cycle,
-                    distance_matrix, generate, hypercube, path,
+                    distance_matrix, generate, hypercube, pair_orbits, path,
                     random_regular, srw_from_graph)
 from .curvature import (CurvatureResult, EntropicEstimate, bakry_emery_global,
                         bakry_emery_vertex, curvature_grad_rho,

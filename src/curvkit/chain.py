@@ -14,6 +14,7 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +61,14 @@ class MarkovChain:
     curvatures, optimal-set forms) are computed on first use by `derived`
     functions into one memo dict on the chain, so callers never pass them
     around.  Safe for concurrent shared reads.
+
+    `automorphisms` are candidate permutations of the states (sigma[x] is
+    the image of x), supplied by the generators; they are not checked here
+    but by `pair_orbits`, on first use.
     """
 
     def __init__(self, q: np.ndarray, pi: np.ndarray | None = None,
-                 states: list[str] | None = None):
+                 states: list[str] | None = None, automorphisms=()):
         q = np.array(q, dtype=float)
         pi = None if pi is None else np.array(pi, dtype=float)
         for name, a in (("Q", q), ("pi", pi)):
@@ -139,6 +144,7 @@ class MarkovChain:
         ex, ey = np.nonzero(adjacency)
         self._ex, self._ey = ex, ey
         self._qe = q[ex, ey]
+        self._automorphisms = tuple(automorphisms)
         self._derived = {}
 
     # -- basic accessors -------------------------------------------------
@@ -248,7 +254,8 @@ def build_chain(q, pi=None, states=None) -> MarkovChain:
     When pi is omitted it is computed from detailed balance on a spanning tree.
     Raises NotStochastic / NotIrreducible / NotReversible naming the violated
     row or pair together with the residual, and InvalidParameters for fewer
-    than two states: a chain without an edge has no Gamma calculus.
+    than two states: a chain without an edge has no Gamma calculus.  The
+    chain carries no candidate automorphisms (`pair_orbits`).
     """
     return MarkovChain(q, pi=pi, states=states)
 
@@ -282,10 +289,63 @@ def distance_matrix(chain: MarkovChain) -> np.ndarray:
     return dist
 
 
+class PairOrbits(NamedTuple):
+    group: tuple[np.ndarray, ...]   # the checked generators; () if any failed
+    label: np.ndarray               # label[x, y]: the code i n + j of the orbit's
+                                    # first pair i <= j of {x, y}
+
+
+def _is_automorphism(chain: MarkovChain, sigma) -> bool:
+    """sigma permutes range(n), Q[sigma, sigma] == Q and pi[sigma] == pi,
+    bit for bit."""
+    s = np.asarray(sigma)
+    n = chain.n_states
+    return (s.shape == (n,) and s.dtype.kind in "iu"
+            and np.array_equal(np.sort(s), np.arange(n))
+            and np.array_equal(chain.q[np.ix_(s, s)], chain.q)
+            and np.array_equal(chain.pi[s], chain.pi))
+
+
+@derived
+def pair_orbits(chain: MarkovChain) -> PairOrbits:
+    """Orbits of unordered pairs of states under the chain's automorphisms.
+
+    Each candidate the chain was built with is checked bit for bit
+    (`_is_automorphism`); if any fails the whole group is dropped, and
+    every pair is its own orbit.  The labels start at min(x, y) n +
+    max(x, y) and take the minimum over the images under each generator
+    and its inverse until none changes, so label[x, y] = label[sigma x,
+    sigma y] for every sigma in the generated group, and each orbit is
+    labelled by the code of its first pair.  A pair i < j is its orbit's
+    representative iff label[i, j] == i n + j."""
+    n = chain.n_states
+    group = chain._automorphisms
+    if not all(_is_automorphism(chain, s) for s in group):
+        group = ()
+    group = tuple(np.array(s) for s in group)
+    x, y = np.indices((n, n))
+    label = np.minimum(x, y) * n + np.maximum(x, y)
+    moves = [np.ix_(s, s) for s in group + tuple(np.argsort(s) for s in group)]
+    changed = bool(moves)
+    while changed:
+        changed = False
+        for move in moves:
+            image = label[move]
+            if (image < label).any():
+                np.minimum(label, image, out=label)
+                changed = True
+    for a in group + (label,):
+        a.setflags(write=False)
+    return PairOrbits(group, label)
+
+
 # -- generators ----------------------------------------------------------
 
-def srw_from_graph(adj: np.ndarray, states: list[str] | None = None) -> MarkovChain:
-    """Random walk on an undirected, weighted graph: Q = A/deg, pi proportional to deg."""
+def srw_from_graph(adj: np.ndarray, states: list[str] | None = None,
+                   automorphisms=()) -> MarkovChain:
+    """Random walk on an undirected, weighted graph: Q = A/deg, pi proportional
+    to deg; `automorphisms` are candidate permutations of the graph, passed
+    to the chain unchecked (`pair_orbits` checks them)."""
     adj = np.asarray(adj, dtype=float)
     deg = adj.sum(axis=1)
     if (deg == 0).any():
@@ -294,51 +354,61 @@ def srw_from_graph(adj: np.ndarray, states: list[str] | None = None) -> MarkovCh
             f"state {states[x] if states else x} has zero total edge weight")
     q = adj / deg[:, None]
     pi = deg / deg.sum()
-    return MarkovChain(q, pi=pi, states=states)
+    return MarkovChain(q, pi=pi, states=states, automorphisms=automorphisms)
 
 
-def _srw_on_edges(n: int, i, j, states: list[str] | None = None) -> MarkovChain:
+def _srw_on_edges(n: int, i, j, states: list[str] | None = None,
+                  automorphisms=()) -> MarkovChain:
     """Simple random walk on the graph with n vertices and the undirected
     edges (i[e], j[e]), its adjacency built in one scatter."""
     adj = np.zeros((n, n))
     adj[np.concatenate([i, j]), np.concatenate([j, i])] = 1.0
-    return srw_from_graph(adj, states=states)
+    return srw_from_graph(adj, states=states, automorphisms=automorphisms)
 
 
 def hypercube(n_dim: int) -> MarkovChain:
-    """Simple random walk on the n_dim-dimensional hypercube (2^n_dim states)."""
+    """Simple random walk on the n_dim-dimensional hypercube (2^n_dim states),
+    with the automorphisms that flip bit 0, swap bits 0 and 1 and rotate
+    the bits, which generate every automorphism."""
     if n_dim < 1:
         raise InvalidParameters("hypercube dimension must be >= 1")
     size = 1 << n_dim
     labels = [format(v, f"0{n_dim}b") for v in range(size)]
     v = np.arange(size)
+    swap = v & ~3 | (v & 1) << 1 | (v >> 1) & 1
+    rotate = (v << 1 | v >> (n_dim - 1)) & (size - 1)
     return _srw_on_edges(size, np.repeat(v, n_dim),
                          (v[:, None] ^ (1 << np.arange(n_dim))).ravel(),
-                         states=labels)
+                         states=labels,
+                         automorphisms=(v ^ 1,) + ((swap, rotate) if n_dim > 1 else ()))
 
 
 def cycle(n: int) -> MarkovChain:
-    """Simple random walk on the cycle Z/nZ: Q(x, x-1) = Q(x, x+1) = 1/2."""
+    """Simple random walk on the cycle Z/nZ: Q(x, x-1) = Q(x, x+1) = 1/2,
+    with its rotation and reflection as automorphisms."""
     if n < 3:
         raise InvalidParameters("cycle needs n >= 3")
     x = np.arange(n)
-    return _srw_on_edges(n, x, (x + 1) % n)
+    return _srw_on_edges(n, x, (x + 1) % n, automorphisms=((x + 1) % n, -x % n))
 
 
 def complete(n: int) -> MarkovChain:
-    """Simple random walk on the complete graph K_n."""
+    """Simple random walk on the complete graph K_n, with an n-cycle and the
+    transposition (0 1), which generate every permutation, as automorphisms."""
     if n < 2:
         raise InvalidParameters("complete graph needs n >= 2")
     adj = np.ones((n, n)) - np.eye(n)
-    return srw_from_graph(adj)
+    x = np.arange(n)
+    return srw_from_graph(adj, automorphisms=((x + 1) % n, np.r_[1, 0, x[2:]]))
 
 
 def path(n: int) -> MarkovChain:
-    """Simple random walk on the path with n vertices."""
+    """Simple random walk on the path with n vertices, with its reflection as
+    automorphism."""
     if n < 2:
         raise InvalidParameters("path needs n >= 2")
     x = np.arange(n - 1)
-    return _srw_on_edges(n, x, x + 1)
+    return _srw_on_edges(n, x, x + 1, automorphisms=(n - 1 - np.arange(n),))
 
 
 def _repairable(edges: set, leftover: dict) -> bool:

@@ -13,11 +13,14 @@ pairs in order of decreasing upper bound U (Gamma f <= 1 at either end of
 an edge caps its increment at sqrt(2 / max(Q(x,y), Q(y,x))); U is the
 shortest path in those lengths) and stops at the first pair whose U is
 strictly below the best value so far; no skipped pair can exceed that
-value.  Each solved pair is also cut short once a weak-duality bound
-(Boyd & Vandenberghe, ch. 5) at the barrier's multipliers falls strictly
-below that best value: the cut returns a feasible value below it, which
-cannot change the maximum, so the result is the maximum over all pairs of
-the complete solves bit for bit.  The Cheeger constant is an exact minimum
+value.  It solves one pair per orbit of the pairs under the automorphisms
+that the generators supply and that hold bit for bit (`pair_orbits`): an
+automorphism leaves Q, and so Gamma, U and d_Gamma, unchanged.  Each
+solved pair is also cut short once a weak-duality bound (Boyd &
+Vandenberghe, ch. 5) at the barrier's multipliers falls strictly below
+that best value: the cut returns a feasible value below it, which
+cannot change the maximum, so the result is the maximum over the solved
+orbit representatives of their complete solves bit for bit.  The Cheeger constant is an exact minimum
 over subsets, found by a vectorized block enumeration: subset-sum tables,
 built by doubling, hold pi and the cut of every pattern of each vertex
 block, and each block step scores 2^16 subsets by one ratio apiece.
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import MarkovChain, derived, distance_matrix
+from .chain import MarkovChain, derived, distance_matrix, pair_orbits
 from .curvature import AGREE_TOL, bakry_emery_global
 from .errors import ConvergenceWarning, PreconditionHeuristic, TooLarge
 from .gamma import _edge_laplacian
@@ -204,18 +207,29 @@ def _d_gamma_upper(chain: MarkovChain) -> np.ndarray:
 def diam_gamma(chain: MarkovChain) -> float:
     """Diameter in the intrinsic metric (max over unordered pairs).
 
-    Pairs are solved in order of decreasing bound U (`_d_gamma_upper`),
-    ties in (i, j) order, and the loop stops at the first pair with
-    U < best.  Every solved value is attained by a feasible f, so it is at
-    most d_Gamma <= U: no skipped pair exceeds best.  Each solve gets
+    Only one pair per orbit of the chain's checked automorphisms is solved
+    (`pair_orbits`): the pair i < j whose code i n + j labels the orbit.
+    An automorphism sigma leaves Q, and with it Gamma and the edge lengths
+    of U, unchanged, so f is feasible iff f o sigma^-1 is, and every pair
+    of an orbit has the representative's d_Gamma and U; a chain without
+    automorphisms makes every pair its own orbit.  The representatives are
+    solved in order of decreasing bound U (`_d_gamma_upper`), ties in
+    (i, j) order, and the loop stops at the first pair with U < best.
+    Every solved value is attained by a feasible f, so it is at most
+    d_Gamma <= U: no skipped orbit exceeds best.  Each solve gets
     `below=best` and ends once its dual bound, itself >= d_Gamma, is
     strictly below best; its value then stays below best, while a pair
     whose complete solve would exceed best is never cut, so the result is
-    bit for bit the maximum of the complete solves over all pairs.  The
+    bit for bit the maximum of the representatives' complete solves.  The
+    other pairs of an orbit have the same d_Gamma, though their complete
+    solves may differ from the representative's in the last bits.  The
     skip and the cut are strict, so a pair whose bound ties best is still
     solved; bounds can equal the diameter (the Hamming-2 pairs of Q^4).
     """
-    iu, ju = np.triu_indices(chain.n_states, 1)
+    n = chain.n_states
+    iu, ju = np.triu_indices(n, 1)
+    first = pair_orbits(chain).label[iu, ju] == iu * n + ju
+    iu, ju = iu[first], ju[first]
     bound = _d_gamma_upper(chain)[iu, ju]
     best = 0.0
     for k in np.argsort(-bound, kind="stable"):

@@ -83,10 +83,17 @@ def heat_apply(chain: MarkovChain, t: float, f) -> np.ndarray:
 def heat_kernel(chain: MarkovChain, t: float) -> np.ndarray:
     """Heat kernel matrix p_t(x, y) = sum_k exp(-lam_k t) phi_k(x) phi_k(y).
 
-    Symmetric; sums to one against pi in either argument.
+    Symmetric; sums to one against pi in either argument.  The basis is
+    v / sqrt(pi), so a subnormal pi can overflow an entry: a kernel that is
+    not finite raises NumericalFailure.
     """
     phi, damp = _damped(chain, t)
-    return (phi * damp) @ phi.T
+    p = (phi * damp) @ phi.T
+    if not np.isfinite(p).all():
+        x, y = np.argwhere(~np.isfinite(p))[0]
+        raise NumericalFailure(f"heat kernel p_{t}({chain.states[x]},{chain.states[y]}) "
+                               f"= {p[x, y]} is not finite")
+    return p
 
 
 def l1_distance_from_equilibrium(chain: MarkovChain, t: float) -> float:

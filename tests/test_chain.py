@@ -9,11 +9,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from curvkit import (InvalidParameters, NotIrreducible, NotReversible,
-                     NotStochastic, build_chain, chain_from_edgelist,
-                     chain_from_json, chain_to_json, cheeger, complete,
-                     cycle, distance_matrix, generate, hypercube, lambda1,
-                     path, random_regular, spectral_decompose)
+from curvkit import (InvalidParameters, MarkovChain, NotIrreducible,
+                     NotReversible, NotStochastic, build_chain,
+                     chain_from_edgelist, chain_from_json, chain_to_json,
+                     cheeger, complete, cycle, distance_matrix, generate,
+                     hypercube, lambda1, pair_orbits, path, random_regular,
+                     spectral_decompose, srw_from_graph)
 
 from conftest import small_chain_pool
 
@@ -343,3 +344,71 @@ def test_derived_memo_threads_share_one_result():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     assert all(r is results[0] for r in results)
+
+
+# -- automorphisms -------------------------------------------------------------
+
+def _own_orbits(n):
+    """The labels of a chain without automorphisms: every pair its own orbit."""
+    x, y = np.indices((n, n))
+    return np.minimum(x, y) * n + np.maximum(x, y)
+
+
+@pytest.mark.parametrize("kind, sizes, orbits", [
+    ("hypercube", range(1, 7), lambda k: k),                 # Hamming distance
+    ("cycle", range(3, 17), lambda n: n // 2),               # cyclic distance
+    ("complete", range(2, 11), lambda n: 1),
+    ("path", range(2, 10), lambda n: (n * (n - 1) // 2 + n // 2) // 2),
+])
+def test_generators_supply_checked_automorphisms(kind, sizes, orbits):
+    # every candidate passes the bit-for-bit check, one moves some state,
+    # the labels are constant on each orbit, and the orbits of pairs i < j
+    # are the ones each family's group makes
+    for size in sizes:
+        ch = generate(f"{kind}:{size}")
+        n = ch.n_states
+        group = pair_orbits(ch).group
+        label = pair_orbits(ch).label
+        assert len(group) == len(ch._automorphisms) > 0
+        assert any((s != np.arange(n)).any() for s in group)
+        for s in group:
+            assert np.array_equal(label[np.ix_(s, s)], label)
+        iu, ju = np.triu_indices(n, 1)
+        assert len(np.unique(label[iu, ju])) == orbits(size)
+        assert (label[iu, ju] == iu * n + ju).sum() == orbits(size)
+
+
+def test_automorphisms_failing_the_bit_for_bit_check_are_dropped():
+    # the cube's permutations on a cube with one edge weight one ulp off,
+    # or with pi one ulp off at one state, and with an array that is not a
+    # permutation among them: each group is dropped whole, on first use
+    cube = hypercube(4)
+    perms, states = cube._automorphisms, list(cube.states)
+    adj = cube.adjacency.astype(float)
+    adj[0, 1] = adj[1, 0] = np.nextafter(1.0, 2.0)
+    pi = cube.pi.copy()
+    pi[3] = np.nextafter(pi[3], 1.0)
+    candidates = [
+        srw_from_graph(adj, states=states, automorphisms=perms),
+        MarkovChain(cube.q, pi=pi, states=states, automorphisms=perms),
+        MarkovChain(cube.q, pi=cube.pi, automorphisms=perms + (np.zeros(16, int),)),
+        MarkovChain(cube.q, pi=cube.pi, automorphisms=perms + (np.arange(15),)),
+        MarkovChain(cube.q, pi=cube.pi, automorphisms=perms + (np.arange(16.0),)),
+    ]
+    for ch in candidates:
+        assert pair_orbits(ch).group == ()
+        assert np.array_equal(pair_orbits(ch).label, _own_orbits(16))
+    exact = MarkovChain(cube.q, pi=cube.pi, automorphisms=perms)
+    assert len(pair_orbits(exact).group) == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_from_json(chain_to_json(hypercube(4))),
+    lambda: build_chain(cycle(6).q, pi=cycle(6).pi),
+    lambda: random_regular(3, 8, seed=1),
+    lambda: chain_from_edgelist("a\tb\t1\nb\tc\t1\nc\ta\t1\n"),
+], ids=["json", "build_chain", "random-regular", "edge-list"])
+def test_chains_read_or_built_carry_no_automorphisms(make):
+    ch = make()
+    assert pair_orbits(ch).group == ()
+    assert np.array_equal(pair_orbits(ch).label, _own_orbits(ch.n_states))

@@ -381,13 +381,19 @@ def test_one_state_exit2_without_traceback(tmp_path, capsys, argv, late_message)
 
 def test_overflowing_chain_stats_make_a_complete_report(tmp_path, capsys):
     # pi_c is about 5e-310, so D_pi(c) = pi_b / pi_c overflows: chain_stats
-    # is encoded like the results, and no partial report is written
+    # is encoded like the results, and no partial report is written.  The
+    # heat kernel's basis v / sqrt(pi) overflows there too: heat and mixing
+    # refuse the chain (exit 3) instead of reading an infinite p_t
     tsv = tmp_path / "over.tsv"
     tsv.write_text("a\tb\t1\nb\tc\t1e-309\n")
     with pytest.warns(RuntimeWarning, match="overflow"):
-        for command in ("spectrum", "dgamma", "heat", "mixing", "cheeger"):
+        for command in ("spectrum", "dgamma", "cheeger"):
             code, doc = run_cli(tmp_path, command, "--in", str(tsv))
             assert code == 0 and doc["chain_stats"]["deg_pi_max"] == "inf"
+        for argv in (["heat", "--t-grid", "0.1,1"], ["mixing", "--eps", "0.25"]):
+            (tmp_path / "report.json").unlink(missing_ok=True)
+            assert run_cli(tmp_path, *argv, "--in", str(tsv)) == (3, None)
+        capsys.readouterr()
         assert main(["spectrum", "--in", str(tsv)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["chain_stats"]["deg_pi_max"] == "inf"

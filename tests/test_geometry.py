@@ -16,7 +16,8 @@ from curvkit import (ConvergenceWarning, PreconditionHeuristic, TooLarge,
                      check_lambda_tau,
                      check_tau_lower_bound, complete, cycle, d_gamma,
                      diam_combinatorial, diam_gamma, distance_matrix,
-                     gamma, generate, hypercube, path, random_regular)
+                     gamma, generate, hypercube, pair_orbits, path,
+                     random_regular, srw_from_graph)
 from curvkit import geometry
 from curvkit.cli import main
 from curvkit.curvature import AGREE_TOL
@@ -110,6 +111,12 @@ def _diameter_pool():
     return pool + [random_regular(3, 16, seed=s) for s in (1, 2, 3)]
 
 
+def _plain(ch):
+    """The same matrix, states and pi without automorphisms: every pair of
+    states is its own orbit, so diam_gamma visits all of them."""
+    return build_chain(ch.q, pi=ch.pi, states=list(ch.states))
+
+
 @pytest.fixture(scope="module")
 def exhaustive():
     """The complete solve of every pair i < j, for `_diameter_pool()` plus
@@ -127,8 +134,9 @@ def _solved(runs):
 def test_diam_gamma_pruning_is_the_exhaustive_maximum(monkeypatch, exhaustive):
     # every skipped pair has a bound below a value already solved, so the
     # pruned maximum is the exhaustive one bit for bit; diam_gamma replays
-    # the exhaustive solves, so each pair is solved once
-    pool = _diameter_pool()
+    # the exhaustive solves, so each pair is solved once.  The chains carry
+    # no automorphisms, so every pair is a candidate
+    pool = [_plain(ch) for ch in _diameter_pool()]
     values = {}
     monkeypatch.setattr(geometry, "d_gamma",
                         lambda ch, i, j, *, below=-math.inf: values[i, j])
@@ -140,7 +148,7 @@ def test_diam_gamma_pruning_is_the_exhaustive_maximum(monkeypatch, exhaustive):
 def test_diam_gamma_with_cut_solves_is_the_exhaustive_maximum(exhaustive):
     # real solves, cut by their dual bound below the running maximum: a cut
     # value stays below it, and a pair that would exceed it is never cut
-    pool = _diameter_pool() + [hypercube(4), cycle(16)]
+    pool = [_plain(ch) for ch in _diameter_pool() + [hypercube(4), cycle(16)]]
     for ch, runs in zip(pool, exhaustive, strict=True):
         assert d_gamma(ch, 0, 1) == runs[0, 1].f[1]
         assert diam_gamma(ch) == max(_solved(runs).values())
@@ -165,6 +173,48 @@ def _lagrangian_dual(ch, f, i, j):
         return c * lam.sum() + r / (2.0 * c)
 
     return dual(math.sqrt(r / (2.0 * lam.sum()))), lap, slacks
+
+
+@pytest.mark.parametrize("specs", [
+    [f"hypercube:{k}" for k in range(2, 6)],
+    [f"cycle:{n}" for n in range(3, 17)],
+    [f"complete:{n}" for n in range(2, 11)],
+    [f"path:{n}" for n in range(2, 10)],
+], ids=["hypercube", "cycle", "complete", "path"])
+def test_diam_gamma_over_orbits_is_the_diameter_over_all_pairs(specs):
+    # one pair per orbit of the generators' automorphisms against every
+    # pair of the same matrix: the two differ only where symmetric pairs'
+    # complete solves differ in their last bits
+    for spec in specs:
+        ch = generate(spec)
+        assert pair_orbits(ch).group
+        assert diam_gamma(ch) == pytest.approx(diam_gamma(_plain(ch)), rel=1e-12, abs=0)
+
+
+def test_diam_gamma_of_the_pool_is_the_diameter_over_all_pairs():
+    for ch in _diameter_pool():
+        assert diam_gamma(ch) == pytest.approx(diam_gamma(_plain(ch)), rel=1e-12, abs=0)
+
+
+def test_diam_gamma_without_checked_automorphisms_solves_every_pair(monkeypatch):
+    # a cube whose one edge weight is an ulp off fails the check of the
+    # cube's permutations: it solves the pairs of its copy without any,
+    # in the same order, to the same bits
+    cube = hypercube(4)
+    adj = cube.adjacency.astype(float)
+    adj[0, 1] = adj[1, 0] = np.nextafter(1.0, 2.0)
+    nudged = srw_from_graph(adj, automorphisms=cube._automorphisms)
+    calls = []
+
+    def counted(chain, x, y, *, below=-math.inf):
+        calls.append((x, y))
+        return d_gamma(chain, x, y, below=below)
+
+    monkeypatch.setattr(geometry, "d_gamma", counted)
+    value = diam_gamma(nudged)
+    solved, calls = calls, []
+    assert diam_gamma(_plain(nudged)) == value
+    assert calls == solved and len(solved) > 3
 
 
 def test_dual_bound_holds_and_is_tight_at_convergence(exhaustive):
@@ -262,14 +312,19 @@ def test_edge_length_bound_is_attained_on_path3():
     assert d_gamma(ch, 0, 2) == pytest.approx(2 * math.sqrt(2), rel=1e-9)
 
 
-@pytest.mark.parametrize("spec, solved, diam", [
-    ("cycle:12", 18, 6 * math.sqrt(2)),
-    ("hypercube:4", 88, 4 * math.sqrt(2)),
-], ids=["cycle:12", "hypercube:4"])
-def test_diam_gamma_solves_only_unpruned_pairs(monkeypatch, spec, solved, diam):
-    # hypercube:4 solves its 8 + 32 + 48 pairs at Hamming distance 4, 3 and
-    # 2, whose bounds 4, 3 and 2 times sqrt 8 are not below the diameter
-    # 4 sqrt 2; the 32 neighbour pairs (bound sqrt 8) are skipped
+@pytest.mark.parametrize("spec, plain, solved, diam", [
+    ("cycle:12", False, 2, 6 * math.sqrt(2)),
+    ("hypercube:4", False, 3, 4 * math.sqrt(2)),
+    ("cycle:12", True, 18, 6 * math.sqrt(2)),
+    ("hypercube:4", True, 88, 4 * math.sqrt(2)),
+], ids=["cycle:12", "hypercube:4", "cycle:12-plain", "hypercube:4-plain"])
+def test_diam_gamma_solves_only_unpruned_pairs(monkeypatch, spec, plain, solved,
+                                               diam):
+    # hypercube:4 solves its pairs at Hamming distance 4, 3 and 2, whose
+    # bounds 4, 3 and 2 times sqrt 8 are not below the diameter 4 sqrt 2,
+    # and skips the neighbour pairs (bound sqrt 8): one pair of each of
+    # these three orbits, or without automorphisms all 8 + 32 + 48 of them.
+    # cycle:12 solves the antipodal pairs and those at distance 5
     calls = []
 
     def counted(chain, x, y, *, below=-math.inf):
@@ -277,7 +332,7 @@ def test_diam_gamma_solves_only_unpruned_pairs(monkeypatch, spec, solved, diam):
         return d_gamma(chain, x, y, below=below)
 
     monkeypatch.setattr(geometry, "d_gamma", counted)
-    ch = generate(spec)
+    ch = _plain(generate(spec)) if plain else generate(spec)
     assert diam_gamma(ch) == pytest.approx(diam, rel=1e-8)
     n = ch.n_states
     assert len(calls) == solved < n * (n - 1) // 2
@@ -286,9 +341,9 @@ def test_diam_gamma_solves_only_unpruned_pairs(monkeypatch, spec, solved, diam):
 def test_diam_gamma_solves_pairs_whose_bound_ties_the_best(monkeypatch):
     # a barrier solve stops short of its bound (Q^4's diameter reads 1.6e-10
     # below the Hamming-2 bound 2 sqrt 8), so real solves do not tie here;
-    # fed the bound itself, the 8 antipodal pairs tie at 4 sqrt 8 and the
-    # strict skip solves every one of them
-    ch = hypercube(4)
+    # fed the bound itself, the 8 antipodal pairs of the copy without
+    # automorphisms tie at 4 sqrt 8 and the strict skip solves every one
+    ch = _plain(hypercube(4))
     upper = _d_gamma_upper(ch)
     calls = []
 

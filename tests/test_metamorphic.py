@@ -9,9 +9,9 @@ import pytest
 from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, avg_mixing_time,
                      bakry_emery_global, bakry_emery_vertex, build_chain,
                      cheeger, curvature_grad_rho, curvature_of_measure,
-                     diam_gamma, generate, lambda1)
+                     d_gamma, diam_gamma, generate, lambda1, pair_orbits)
 
-from conftest import positive_density
+from conftest import positive_density, small_chain_pool
 
 SPECS = ("hypercube:3", "cycle:7", "path:5", "complete:5")
 
@@ -94,3 +94,21 @@ def test_relabeling_leaves_derived_quantities_unchanged(spec):
         k_p, grad_p = curvature_grad_rho(pc, LOGARITHMIC, rho[perm], math.inf)
         assert k_p == close(k)
         assert np.abs(grad_p - grad[perm]).max() <= 1e-12
+
+
+def test_automorphisms_preserve_d_gamma():
+    """A checked automorphism sigma leaves Q, and so Gamma, unchanged: f is
+    feasible iff f o sigma^-1 is, and d_Gamma(x, y) = d_Gamma(sigma x,
+    sigma y), which is what lets diam_Gamma solve one pair per orbit."""
+    rng = np.random.default_rng(11)
+    pool = small_chain_pool() + [generate(s) for s in
+                                 ("hypercube:4", "cycle:9", "complete:6", "path:7")]
+    checked = 0
+    for ch in pool:
+        for sigma in pair_orbits(ch).group:
+            for _ in range(3):
+                x, y = rng.choice(ch.n_states, size=2, replace=False)
+                assert d_gamma(ch, int(sigma[x]), int(sigma[y])) == pytest.approx(
+                    d_gamma(ch, int(x), int(y)), rel=1e-12, abs=0)
+                checked += 1
+    assert checked >= 60

@@ -45,7 +45,11 @@ scratch directory that is also the working directory:
     two components under spectrum (exit 2, naming a state the other
     component cannot reach);
   * the edge list a-b-c with weights 1, 1e-309 under spectrum: pi_c is
-    about 5e-310, so D_pi overflows and chain_stats reads "inf";
+    about 5e-310, so D_pi overflows and chain_stats reads "inf"; and under
+    heat and mixing, whose heat kernel overflows there (exit 3);
+  * dgamma on complete:8, whose pairs are one orbit of its automorphisms,
+    and on the bare chain document of hypercube:4, which carries none, so
+    that diam_Gamma runs over orbit representatives and over all pairs;
   * a gen report of the earlier schema curvkit-report/1 under curv-measure
     --in (exit 2, naming both schemas);
   * a zero dimension as --n of curv-vertex and in the --n-grid of
@@ -153,6 +157,11 @@ def edge_commands(work: str) -> list[list[str]]:
     split = f"{work}/split.json"
     with open(split, "w", encoding="utf-8") as fh:
         fh.write('{"Q": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}')
+    from curvkit.chain import chain_to_json, hypercube
+
+    cube4 = f"{work}/cube4.json"
+    with open(cube4, "w", encoding="utf-8") as fh:
+        json.dump(chain_to_json(hypercube(4)), fh)
     gen1 = f"{work}/gen1.json"
     with open(gen1, "w", encoding="utf-8") as fh:
         json.dump({"schema": "curvkit-report/1", "config": {"command": "gen"},
@@ -192,6 +201,10 @@ def edge_commands(work: str) -> list[list[str]]:
             ["optimal-sets", "--in", one],
             ["spectrum", "--in", split],
             ["spectrum", "--in", over],
+            ["heat", "--in", over, "--t-grid", "0.1,1"],
+            ["mixing", "--in", over, "--eps", "0.25"],
+            ["dgamma", "--gen", "complete:8"],
+            ["dgamma", "--in", cube4],
             ["curv-measure", "--in", gen1],
             ["curv-vertex", "--gen", "cycle:5", "--n", "0"],
             ["curv-measure", "--gen", "cycle:5", "--n-grid", "inf,0"],
