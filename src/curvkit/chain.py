@@ -193,7 +193,7 @@ class MarkovChain:
     @derived
     def stats(self) -> ChainStats:
         deg_w = self._q.sum(axis=1) - np.diag(self._q)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             deg_pi = (self._adjacency @ self._pi) / self._pi
         return ChainStats(
             q_min=float(self._qe.min()),

@@ -7,9 +7,10 @@ does no I/O but its own --csv file.
 It then streams a JSON report (schema "curvkit-report/2") whose "warnings"
 lists every library `UserWarning` the handler raised.  Reports are
 deterministic for a fixed (config, seed): no timestamps, sorted keys.
-A curvature record is {value, bracket, iterations, null_dim, witness},
-the witness an object {state: value} over its nonzero entries, or null
-when K is infinite.  `--in` reads gen reports of this schema only.
+A curvature record is {value, bracket, iterations, null_dim, witness}:
+a finite value and bracket, the witness an object {state: value} over its
+nonzero entries.  A density with no positive entry is refused where it
+enters (exit 2).  `--in` reads gen reports of this schema only.
 
 Exit codes: 0 success; 2 invalid input; 3 numerical failure (neither writes
 a report); 4 the report shows a failed `verify` suite (see `_failed`).
@@ -173,16 +174,14 @@ def _curv_result_doc(chain, res: curv.CurvatureResult) -> dict:
     """A curvature record.  The witness keeps the entries that are not +0.0
     (a -0.0 stays), so setting them in a vector of zeros rebuilds it bit
     for bit."""
-    witness = None
-    if (f := res.witness) is not None:
-        support = np.flatnonzero((f != 0) | np.signbit(f))
-        witness = {chain.states[i]: v for i, v in zip(support, f[support].tolist())}
+    f = res.witness
+    support = np.flatnonzero((f != 0) | np.signbit(f))
     return {
         "value": res.value,
         "bracket": res.bracket,
         "iterations": res.iterations,
         "null_dim": res.null_dim,
-        "witness": witness,
+        "witness": {chain.states[i]: v for i, v in zip(support, f[support].tolist())},
     }
 
 

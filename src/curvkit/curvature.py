@@ -26,15 +26,12 @@ from .gamma import (_cd_grad, _density_d1, _dimension, _dirac_ball_forms,
 from .heat import lambda1
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
 
-NEG_INFINITY = float("-inf")
 POS_INFINITY = float("inf")
 
 #: eigenvalues of n below this relative threshold count as null directions
 NULL_REL_TOL = 1e-12
 #: relative eigenvalue floor of the PSD test that confirms each pencil
 PSD_REL_FLOOR = 1e-11
-#: the PSD test at +-INF_CAP certifies an unbounded pencil value
-INF_CAP = 1e6
 #: relative half-width of the widest PSD bracket that certifies a pencil value
 AGREE_TOL = 1e-8
 #: cluster width: pencil eigenvalues this close to the least one count as
@@ -52,7 +49,7 @@ class CurvatureResult:
     """Curvature value with its witness function and solver diagnostics."""
 
     value: float
-    witness: np.ndarray | None
+    witness: np.ndarray
     bracket: tuple[float, float] | None
     iterations: int
     null_dim: int
@@ -69,12 +66,17 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     scaled back by D^-1/2 (Golub & Van Loan, sec. 8.7).
     Returns (value, cluster, null_dim, gap, m_norm, n_norm), the last two
     the spectral norms of m and n, which set the PSD floors of the
-    bracket and the certificate.  For a finite value the rows of cluster
-    are n-orthonormal witnesses of the eigenvalues within GRAD_GAP_TOL of
-    the least, in the solver's basis of their span; otherwise it is None.
+    bracket and the certificate.  The rows of cluster are n-orthonormal
+    witnesses of the eigenvalues within GRAD_GAP_TOL of the least, in the
+    solver's basis of their span.
+
+    The forms of a density of positive mass have a finite value: m is PSD
+    on the null space of n and couples into it only within its range.  A
+    pencil that breaks this (n vanishing, its weights underflowed, or m
+    negative on n's null space or coupled into it outside its range) has
+    lost its structure to rounding, and is a NumericalFailure.
     """
-    m_evals = np.linalg.eigvalsh(m)
-    m_norm = float(np.abs(m_evals).max())
+    m_norm = float(np.abs(np.linalg.eigvalsh(m)).max())
     evals, vecs = np.linalg.eigh(n)
     n_norm = float(np.abs(evals).max())
     null_mask = evals <= NULL_REL_TOL * max(float(evals.max()), 1e-300)
@@ -84,10 +86,7 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     m_scale = max(1.0, m_norm)
 
     if v.shape[1] == 0:
-        # n vanishes: K unbounded above iff m itself is PSD
-        psd = m_evals.min() >= -PSD_REL_FLOOR * m_scale
-        value = POS_INFINITY if psd else NEG_INFINITY
-        return value, None, null_dim, None, m_norm, n_norm
+        raise NumericalFailure("n vanishes: the weights of the forms underflowed")
 
     muu = u.T @ m @ u
     muv = u.T @ m @ v
@@ -96,12 +95,12 @@ def _pencil(m: np.ndarray, n: np.ndarray):
     # an empty null space (null_dim = 0) passes both tests with schur = mvv
     uevals, uvecs = np.linalg.eigh(muu)
     if uevals.min(initial=0.0) < -1e-10 * m_scale:
-        return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
+        raise NumericalFailure("m is negative on the null space of n")
     pos = uevals > 1e-10 * max(m_scale, float(np.abs(uevals).max(initial=0.0)))
     # range coupling: rows of muv must lie in the range of muu
     resid = muv - uvecs[:, pos] @ (uvecs[:, pos].T @ muv)
     if np.abs(resid).max(initial=0.0) > 1e-8 * m_scale:
-        return NEG_INFINITY, None, null_dim, None, m_norm, n_norm
+        raise NumericalFailure("m couples into the null space of n outside its range")
     pinv = uvecs[:, pos] @ np.diag(1.0 / uevals[pos]) @ uvecs[:, pos].T
     schur = mvv - muv.T @ pinv @ muv
     lift = -pinv @ muv
@@ -120,15 +119,16 @@ def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
                  n_norm: float):
     """Certify the pencil value k by the PSD test of m - K n alone.
 
-    A finite k is certified to within h when m - K n is PSD at k - h and
-    not PSD at k + h.  The pairs tried are h = min(d, 5e-9), d and 4d,
+    k is certified to within h when m - K n is PSD at k - h and not PSD
+    at k + h.  The pairs tried are h = min(d, 5e-9), d and 4d,
     d = AGREE_TOL/4 * max(1, |k|): at large |k| or norms the floor hides a
     5e-9 step, and the widest pair is the agreement tolerance itself.
-    Since n is PSD, m - K n can only lose PSD-ness as K grows, so k = +-inf
-    is certified by the one test at +-INF_CAP.  Returns (PSD tests,
-    bracket); raises NumericalFailure when no pair certifies k.  The floor
-    is the fixed problem scale plus a small |K| allowance, so acceptance at
-    huge |K| cannot mask an unbounded pencil.
+    Returns (PSD tests, bracket); raises NumericalFailure when no pair
+    certifies k.  The floor is the fixed problem scale plus a 1e-13 |K|
+    n_norm allowance for the rounding of K n in m - K n.  Every K is
+    finite, so the allowance serves only large |K|, which small
+    dimensions make (K is about -2e6 at a vertex of the 6-cycle at dim
+    1e-6), where |K| n_norm can exceed the fixed scale.
     """
     base = max(1.0, m_norm, n_norm)
     tests = 0
@@ -139,12 +139,6 @@ def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
         floor = PSD_REL_FLOOR * base + 1e-13 * abs(kk) * n_norm
         return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
 
-    if np.isinf(k):
-        cap = INF_CAP if k > 0 else -INF_CAP
-        if psd_at(cap) == (k > 0):
-            return tests, (cap, k) if k > 0 else (k, cap)
-        raise NumericalFailure(
-            f"pencil K={k!r} and the PSD test at K={cap!r} disagree")
     d = 0.25 * AGREE_TOL * max(1.0, abs(k))
     for h in sorted({min(d, 5e-9), d, 4.0 * d}):
         if psd_at(k - h) and not psd_at(k + h):
@@ -162,25 +156,23 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> Curvatur
     transcendental), onto the span of the least eigenvalue's cluster, so
     no basis of that span changes it; a one-dimensional cluster has its
     sign fixed, f' n g > 0.  f' n f = 1, 0 <= f' (m - K n) f <= GRAD_GAP_TOL.
-    A finite value must also pass the certificate test at K itself, which
-    the PSD test at k - h does not imply when ||m|| is small.  The PSD
-    floors of all checks scale with the norms of m and n from _pencil.
+    The value must also pass the certificate test at K itself, which the
+    PSD test at k - h does not imply when ||m|| is small.  The PSD floors
+    of all checks scale with the norms of m and n from _pencil.
     """
     k, cluster, null_dim, gap, m_norm, n_norm = _pencil(m, n)
-    result = CurvatureResult(value=k, witness=None, bracket=None, iterations=0,
-                             null_dim=null_dim, gap=gap)
-    if confirm:
-        result.iterations, result.bracket = _psd_bracket(m, n, k, m_norm, n_norm)
-    if cluster is not None:         # k is finite
-        result.witness = _certified_witness(m, n, k, cluster, m_norm, n_norm)
-    return result
+    iterations, bracket = (_psd_bracket(m, n, k, m_norm, n_norm) if confirm
+                           else (0, None))
+    return CurvatureResult(
+        value=k, witness=_certified_witness(m, n, k, cluster, m_norm, n_norm),
+        bracket=bracket, iterations=iterations, null_dim=null_dim, gap=gap)
 
 
 def _certified_witness(m: np.ndarray, n: np.ndarray, k: float,
                        cluster: np.ndarray, m_norm: float,
                        n_norm: float) -> np.ndarray:
-    """The witness of a finite pencil value k from the n-orthonormal rows of
-    its cluster, after the certificate test of m - K n at K = k itself.
+    """The witness of a pencil value k from the n-orthonormal rows of its
+    cluster, after the certificate test of m - K n at K = k itself.
 
     The witness is the n-normalized n-orthogonal projection of (sin 1,
     sin 2, ...) onto the cluster's span; an n-norm f' n f that is not
@@ -304,8 +296,6 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     m, n = _form_matrices(chain.q, chain.pi, chain.edges, d1, rho,
                           _dimension(dim))
     k, cluster, null_dim, *_ = _pencil(m, n)
-    if not np.isfinite(k):
-        raise NumericalFailure(f"curvature gradient undefined at K = {k!r}")
     if null_dim > 1 and (rho > 0).all():
         # n vanishes only on constants at a positive density; more null
         # directions mean the density's range has outrun the eigensolver

@@ -31,7 +31,9 @@ def _as_function(chain: MarkovChain, f) -> np.ndarray:
 
 
 def validate_density(chain: MarkovChain, mean, rho) -> np.ndarray:
-    """Check a density vector against the mean's admissible domain."""
+    """Check a density vector against the mean's admissible domain: finite,
+    nonnegative, with a positive entry (every density of positive mass
+    has a finite curvature)."""
     mean = get_mean(mean)
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (chain.n_states,):
@@ -40,6 +42,8 @@ def validate_density(chain: MarkovChain, mean, rho) -> np.ndarray:
         raise DomainError("density has non-finite entries")
     if (rho < 0).any():
         raise DomainError("density has negative entries")
+    if not (rho > 0).any():
+        raise DomainError("density has no positive entry")
     if mean.domain_class == "open" and (rho == 0).any():
         x = int(np.argmin(rho))
         raise DomainError(

@@ -1,7 +1,8 @@
-"""Shared fixtures: standard chains, random reversible chains, and the
-reference Cheeger and optimal-set engines."""
+"""Shared fixtures: standard chains, random reversible chains, the
+reference Cheeger and optimal-set engines, and the exact vertex oracle."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -76,6 +77,62 @@ def small_chain_pool():
     pool += [random_reversible_chain(n, seed) for n, seed in
              [(4, 11), (5, 12), (6, 13), (7, 14), (8, 15)]]
     return pool
+
+
+def exact_ball_pencil(weights, x, ball):
+    """The 2-ball pencil (Gamma2 f(x), Gamma f(x)) at dim inf of the random
+    walk on a weighted graph, in rational arithmetic: a matrix of Fractions
+    for each form over the states in `ball`.
+
+    Gamma(f, g)(z) = f' G_z g with G_z = (diag q_z - q_z e_z' - e_z q_z'
+    + e_z e_z') / 2, q_z the row of z in Q, so n = G_x and
+    m = (sum_z L(x, z) G_z - G_x L - L' G_x) / 2 with L = Q - I."""
+    size = len(weights)
+    q = [[Fraction(w) / sum(row) for w in row] for row in weights]
+    lap = [[q[i][j] - (i == j) for j in range(size)] for i in range(size)]
+
+    def gram(z):
+        g = [[Fraction(0)] * size for _ in range(size)]
+        for y in range(size):
+            g[y][y] += q[z][y] / 2
+            g[y][z] -= q[z][y] / 2
+            g[z][y] -= q[z][y] / 2
+        g[z][z] += Fraction(1, 2)
+        return g
+
+    gx = gram(x)
+    gl = [[sum(gx[i][k] * lap[k][j] for k in range(size)) for j in range(size)]
+          for i in range(size)]
+    lg = [[Fraction(0)] * size for _ in range(size)]
+    for z in range(size):
+        if lap[x][z]:
+            for lg_row, g_row in zip(lg, gram(z)):
+                for j in range(size):
+                    lg_row[j] += lap[x][z] * g_row[j]
+    m = [[(lg[i][j] - gl[i][j] - gl[j][i]) / 2 for j in ball] for i in ball]
+    n = [[gx[i][j] for j in ball] for i in ball]
+    return m, n
+
+
+def exact_psd(m, n, k) -> bool:
+    """Whether m - k n is PSD, for the forms of exact_ball_pencil (x first
+    in `ball`) and a rational k, decided in rational arithmetic.
+
+    Constants lie in the kernels of both forms, so dropping x's row and
+    column loses nothing.  An LDL' of the rest with no pivoting and no
+    floor decides: a negative pivot is not PSD, and a zero pivot is PSD
+    only when the rest of its column is zero too."""
+    a = [[m[i][j] - k * n[i][j] for j in range(1, len(m))] for i in range(1, len(m))]
+    for p, row in enumerate(a):
+        if row[p] < 0 or (row[p] == 0 and any(r[p] for r in a[p + 1:])):
+            return False
+        if row[p] == 0:
+            continue
+        for r in a[p + 1:]:
+            ratio = r[p] / row[p]
+            for j in range(p + 1, len(a)):
+                r[j] -= ratio * row[j]
+    return True
 
 
 def cheeger_gray(chain, max_states: int = 20) -> CheegerResult:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 import threading
 from itertools import product
@@ -162,6 +163,10 @@ def test_random_regular_parity_guard():
 
 def test_random_regular_structure():
     ch = random_regular(3, 8, seed=7)
+    # the seed argument of generate is the optional last field of the spec
+    assert generate("random-regular:3:8", seed=5).q.tobytes() \
+        == generate("random-regular:3:8:5").q.tobytes() \
+        != generate("random-regular:3:8").q.tobytes()
     st = ch.stats()
     assert st.q_min == pytest.approx(1 / 3)
     assert ch.pi == pytest.approx([1 / 8] * 8)
@@ -192,6 +197,42 @@ def test_random_regular_matches_networkx():
         adj = nx.to_numpy_array(g, nodelist=sorted(g.nodes()))
         assert np.array_equal(random_regular(d, n, seed=seed).q,
                               adj / adj.sum(axis=1)[:, None]), (d, n, seed)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MarkovChain(np.ones((2, 3)) / 3), NotStochastic,
+     "Q must be square, got shape (2, 3)"),
+    (lambda: MarkovChain([[0, 1], [1, 0]], states=["a", "a"]), InvalidParameters,
+     "states must be distinct and match Q's size"),
+    (lambda: MarkovChain([[0, 1], [1, 0]], pi=[1.0]), InvalidParameters,
+     "pi must have shape (2,)"),
+    (lambda: MarkovChain([[0, 1], [1, 0]], pi=[0.0, 1.0]), InvalidParameters,
+     "pi must be strictly positive and sum to 1"),
+    (lambda: MarkovChain([[0, 1], [1, 0]], pi=[0.5, 0.6]), InvalidParameters,
+     "pi must be strictly positive and sum to 1"),
+    (lambda: cycle(4).index(4), InvalidParameters, "state index 4 out of range"),
+    (lambda: cycle(4).index("x"), InvalidParameters, "unknown state 'x'"),
+    (lambda: generate("hypercube:0"), InvalidParameters,
+     "hypercube dimension must be >= 1"),
+    (lambda: generate("cycle:2"), InvalidParameters, "cycle needs n >= 3"),
+    (lambda: generate("complete:1"), InvalidParameters, "complete graph needs n >= 2"),
+    (lambda: generate("path:1"), InvalidParameters, "path needs n >= 2"),
+    (lambda: generate("hypercube:3:4"), InvalidParameters,
+     "hypercube takes one parameter, got 'hypercube:3:4'"),
+    (lambda: generate("random-regular:3"), InvalidParameters,
+     "random-regular takes d:n[:seed], got 'random-regular:3'"),
+    (lambda: chain_from_edgelist("a\tb\tx\n"), InvalidParameters,
+     "edge list line 1: bad weight 'x'"),
+    (lambda: chain_from_edgelist("a\tb\t-1\n"), InvalidParameters,
+     "edge list line 1: negative weight"),
+    (lambda: chain_from_edgelist("# no edge\n"), InvalidParameters, "empty edge list"),
+], ids=["non-square", "repeated-states", "pi-shape", "pi-zero", "pi-sum",
+        "index-range", "unknown-state", "hypercube-0", "cycle-2", "complete-1",
+        "path-1", "hypercube-two-args", "random-regular-one-arg", "bad-weight",
+        "negative-weight", "no-edge"])
+def test_refusals_name_their_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_generate_bad_spec():

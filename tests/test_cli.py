@@ -7,15 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvkit
-from curvkit import (ARITHMETIC, bakry_emery_vertex, chain_from_edgelist,
-                     chain_from_json, check_cheeger_l1, curvature_of_measure,
-                     dirac, hypercube)
+from curvkit import (ARITHMETIC, DomainError, bakry_emery_vertex,
+                     chain_from_edgelist, chain_from_json, check_cheeger_l1,
+                     curvature_of_measure, dirac, hypercube)
 from curvkit.cli import SCHEMA, _ENCODER, _jsonable, build_parser, main
 
 from conftest import cheeger_gray
@@ -68,14 +69,20 @@ def _vertex_records(ch):
     (["curv-measure", "--gen", "path:3", "--rho", '{"0": 0}'],
      lambda ch: {"curvature": curvature_of_measure(ch, ARITHMETIC, np.zeros(3), np.inf)}),
 ], ids=["hypercube3", "cycle128", "path5-dirac", "cycle5-positive", "zero-density"])
-def test_curvature_record_rebuilds_the_library_witness(tmp_path, argv, library):
+def test_curvature_record_rebuilds_the_library_witness(tmp_path, capsys, argv, library):
     # a record is {value, bracket, iterations, null_dim, witness}; the witness
     # object holds exactly the entries whose bits are not those of +0.0, and
-    # the states it omits read 0; an infinite K (the zero density under the
-    # arithmetic mean) has a null witness
+    # the states it omits read 0.  The zero density has no curvature record:
+    # the library and the CLI refuse it where it enters (exit 2, no report)
+    ch = curvkit.generate(argv[2])
+    if argv[-1] == '{"0": 0}':
+        with pytest.raises(DomainError, match="no positive entry"):
+            library(ch)
+        assert run_cli(tmp_path, *argv) == (2, None)
+        assert capsys.readouterr().err == "error: density has no positive entry\n"
+        return
     code, doc = run_cli(tmp_path, *argv)
     assert code == 0
-    ch = curvkit.generate(argv[2])
     expected = library(ch)
     results = doc["results"]
     records = results.get("per_vertex") or {"curvature": results["curvature"]}
@@ -86,9 +93,6 @@ def test_curvature_record_rebuilds_the_library_witness(tmp_path, argv, library):
         assert [rec[k] for k in ("value", "bracket", "iterations", "null_dim")] \
             == _jsonable([res.value, res.bracket, res.iterations, res.null_dim])
         lib = res.witness
-        if lib is None:
-            assert rec["witness"] is None and rec["value"] == "inf"
-            continue
         assert len(rec["witness"]) == np.count_nonzero(lib.view(np.int64))
         f = np.zeros(ch.n_states)
         for state, value in rec["witness"].items():
@@ -117,10 +121,30 @@ def test_curv_measure_csv_needs_n_grid(tmp_path, capsys):
 
 
 def test_curv_measure_rho_inline_json(tmp_path):
+    # --rho takes the density inline or as the path of a JSON file
+    rho = '{"0": 1.0, "1": 2.0, "2": 1.0, "3": 1.0, "4": 1.0}'
     code, doc = run_cli(tmp_path, "curv-measure", "--gen", "cycle:5",
-                        "--rho", '{"0": 1.0, "1": 2.0, "2": 1.0, "3": 1.0, "4": 1.0}',
-                        "--mean", "logarithmic")
+                        "--rho", rho, "--mean", "logarithmic")
     assert code == 0
+    (tmp_path / "rho.json").write_text(rho)
+    code, from_file = run_cli(tmp_path, "curv-measure", "--gen", "cycle:5", "--rho",
+                              str(tmp_path / "rho.json"), "--mean", "logarithmic")
+    assert code == 0 and from_file["results"] == doc["results"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum"], "error: either --gen or --in is required"),
+    (["curv-entropic", "--gen", "cycle:6", "--starts", "x"],
+     "error: argument --starts: invalid int value: 'x'"),
+    (["verify", "--gen", "cycle:6", "--k-ent", "x"],
+     "error: argument --k-ent: invalid float value: 'x'"),
+    (["curv-measure", "--gen", "cycle:4", "--rho", "[1, 2]"],
+     "error: rho JSON must map state ids to values"),
+], ids=["no-chain", "starts", "k-ent", "rho-not-object"])
+def test_malformed_input_exit2_with_its_message(tmp_path, capsys, argv, message):
+    assert run_cli(tmp_path, *argv) == (2, None)
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith(message)
 
 
 def test_curv_measure_zero_rho_open_mean_exit2(tmp_path):
@@ -383,10 +407,12 @@ def test_overflowing_chain_stats_make_a_complete_report(tmp_path, capsys):
     # pi_c is about 5e-310, so D_pi(c) = pi_b / pi_c overflows: chain_stats
     # is encoded like the results, and no partial report is written.  The
     # heat kernel's basis v / sqrt(pi) overflows there too: heat and mixing
-    # refuse the chain (exit 3) instead of reading an infinite p_t
+    # refuse the chain (exit 3) instead of reading an infinite p_t.  No
+    # warning escapes: the overflow to "inf" is the value D_pi reports
     tsv = tmp_path / "over.tsv"
     tsv.write_text("a\tb\t1\nb\tc\t1e-309\n")
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         for command in ("spectrum", "dgamma", "cheeger"):
             code, doc = run_cli(tmp_path, command, "--in", str(tsv))
             assert code == 0 and doc["chain_stats"]["deg_pi_max"] == "inf"
@@ -395,7 +421,10 @@ def test_overflowing_chain_stats_make_a_complete_report(tmp_path, capsys):
             assert run_cli(tmp_path, *argv, "--in", str(tsv)) == (3, None)
         capsys.readouterr()
         assert main(["spectrum", "--in", str(tsv)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
     assert doc["chain_stats"]["deg_pi_max"] == "inf"
     assert doc["results"]["lambda1"] == pytest.approx(1.0)
 

@@ -19,12 +19,12 @@ from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, DomainError,
                      curvature_profile, custom_mean, cycle, dirac,
                      entropic_curvature_estimate, equilibrium, generate,
                      hypercube, lambda1, lichnerowicz_check, path,
-                     random_regular)
-from curvkit.curvature import NEG_INFINITY
+                     random_regular, srw_from_graph)
 from curvkit.gamma import assemble_forms
 from curvkit.gamma import cd_quadratic_grad
 
-from conftest import positive_density, random_reversible_chain, small_chain_pool
+from conftest import (exact_ball_pencil, exact_psd, positive_density,
+                      random_reversible_chain, small_chain_pool)
 
 INF = np.inf
 
@@ -186,16 +186,19 @@ def test_pencil_vs_bisection_on_pool():
 
 
 def test_neg_infinity_pencil_detection():
-    # a pencil with m indefinite on the null space of n has no admissible K
-    m = np.array([[1.0, 0.0], [0.0, -1.0]])
-    n = np.array([[1.0, 0.0], [0.0, 0.0]])
+    # the forms of a density of positive mass have a finite K, so a pencil
+    # with m negative on the null space of n, coupled into it outside its
+    # range, or with n vanishing has lost its structure: NumericalFailure,
+    # with or without confirmation
     from curvkit.curvature import solve_pencil
-    res = solve_pencil(m, n)
-    assert res.value == NEG_INFINITY
-    # coupling into a zero block likewise forces -inf
-    m2 = np.array([[1.0, 1.0], [1.0, 0.0]])
-    res2 = solve_pencil(m2, n)
-    assert res2.value == NEG_INFINITY
+    rank_one = np.array([[1.0, 0.0], [0.0, 0.0]])
+    for m, n, reason in (
+            (np.array([[1.0, 0.0], [0.0, -1.0]]), rank_one, "negative on the null space"),
+            (np.array([[1.0, 1.0], [1.0, 0.0]]), rank_one, "outside its range"),
+            (np.eye(2), np.zeros((2, 2)), "n vanishes")):
+        for confirm in (True, False):
+            with pytest.raises(NumericalFailure, match=reason):
+                solve_pencil(m, n, confirm=confirm)
 
 
 # -- 2-ball assembly and the PSD bracket -------------------------------------
@@ -371,29 +374,6 @@ def test_wrong_pencil_value_is_refused_within_six_tests():
         assert 1 <= len(calls) <= 6
 
 
-def test_infinite_pencils_are_certified_at_the_cap():
-    from curvkit.curvature import INF_CAP, solve_pencil
-    m, n = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])
-    with _confirming(lambda k: k) as calls:
-        res = solve_pencil(m, n)
-    assert res.value == NEG_INFINITY
-    assert res.bracket == (NEG_INFINITY, -INF_CAP) and res.iterations == 1
-    (tested,) = calls
-    assert np.array_equal(tested, m + INF_CAP * n)
-    with _confirming(lambda k: k) as calls:
-        res = solve_pencil(np.eye(2), np.zeros((2, 2)))
-    assert res.value == np.inf
-    assert res.bracket == (INF_CAP, np.inf) and res.iterations == 1
-    assert len(calls) == 1
-    # a finite pencil passed off as unbounded fails its one test at the cap
-    fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
-    for k in (np.inf, NEG_INFINITY):
-        with (_confirming(lambda _: k) as calls,
-              pytest.raises(NumericalFailure, match="disagree")):
-            solve_pencil(fp.m, fp.n)
-        assert len(calls) == 1
-
-
 def test_vertex_solve_operation_counts(monkeypatch):
     import importlib
 
@@ -520,29 +500,6 @@ def test_underflowing_edge_weight_is_numerical_failure(tmp_path):
     assert bakry_emery_vertex(ch, "c", INF).value == pytest.approx(-1.0, rel=1e-12)
 
 
-def _exact_ball_pencil(weights, x, ball):
-    """The 2-ball pencil (Gamma2 f(x), Gamma f(x)) at dim inf of the random
-    walk on a weighted graph, in rational arithmetic: a matrix of Fractions
-    for each form over the states in `ball`."""
-    size = len(weights)
-    q = [[Fraction(w) / sum(row) for w in row] for row in weights]
-
-    def lap(f):
-        return [sum(q[i][j] * (f[j] - f[i]) for j in range(size)) for i in range(size)]
-
-    def gam(f, g):
-        return [sum(q[i][j] * (f[j] - f[i]) * (g[j] - g[i]) for j in range(size)) / 2
-                for i in range(size)]
-
-    def gam2(f, g):
-        return (lap(gam(f, g))[x] - gam(f, lap(g))[x] - gam(g, lap(f))[x]) / 2
-
-    unit = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    m = [[gam2(unit[i], unit[j]) for j in ball] for i in ball]
-    n = [[gam(unit[i], unit[j])[x] for j in ball] for i in ball]
-    return m, n
-
-
 def _mp_pencil(m, n):
     """sup{K : m - K n >= 0} over the vectors with zero sum, bisected on
     the 50-digit eigenvalues of m - K n in a Helmert basis; m and n are
@@ -586,9 +543,48 @@ def test_near_degenerate_edge_lists_match_mpmath(tmp_path, weight):
     ch = chain_from_edgelist(edges.read_text())
     for x, state in enumerate("abcd"):
         ball = _dirac_ball_forms(ch, state, INF)[0]
-        exact = _mp_pencil(*_exact_ball_pencil(weights, x, ball))
+        exact = _mp_pencil(*exact_ball_pencil(weights, x, ball))
         assert per_vertex[state]["iterations"] == 2
         assert per_vertex[state]["value"] == pytest.approx(exact, rel=1e-12)
+
+
+def _power_weighted_graphs(seed: int, count: int):
+    """Connected graphs of 4-6 states whose edge weights are 10^e, e an
+    integer in [-6, 3]: a random spanning tree, then each other pair with
+    probability 0.4.  Yields the weights as Fractions and as floats."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(rng.integers(4, 7))
+        order = rng.permutation(size)
+        pairs = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
+                 for i in range(1, size)}
+        pairs |= {(a, b) for a in range(size) for b in range(a + 1, size)
+                  if (a, b) not in pairs and rng.random() < 0.4}
+        exact = [[Fraction(0)] * size for _ in range(size)]
+        for a, b in sorted(pairs):
+            exact[a][b] = exact[b][a] = Fraction(10) ** int(rng.integers(-6, 4))
+        yield exact, np.array(exact, dtype=float)
+
+
+def test_vertex_brackets_pass_the_exact_psd_test():
+    # the exact oracle: at every vertex of 150 derandomized power-weighted
+    # graphs, bakry_emery_vertex either refuses (NumericalFailure) or its
+    # bracket holds in rational arithmetic on the exact 2-ball pencil, m - K n
+    # PSD at the lower end and not PSD at the upper end
+    from curvkit.gamma import _dirac_ball_forms
+    vertices = confirmed = 0
+    for exact, weights in _power_weighted_graphs(seed=29, count=150):
+        ch = srw_from_graph(weights)
+        for x in range(ch.n_states):
+            vertices += 1
+            try:
+                lo, hi = map(Fraction, bakry_emery_vertex(ch, x, INF).bracket)
+            except NumericalFailure:
+                continue
+            m, n = exact_ball_pencil(exact, x, _dirac_ball_forms(ch, x, INF)[0])
+            assert exact_psd(m, n, lo) and not exact_psd(m, n, hi), (exact, x)
+            confirmed += 1
+    assert confirmed >= vertices / 2
 
 
 def test_large_curvature_confirmed_by_the_wider_pair():
@@ -601,17 +597,21 @@ def test_large_curvature_confirmed_by_the_wider_pair():
 
 
 def test_zero_density_sentinel(cycle5):
-    # the zero density under the arithmetic mean makes n vanish: the vacuous
-    # +inf is certified by the one PSD test at INF_CAP, has no witness, and
-    # admits no curvature gradient
-    zero = np.zeros(5)
-    res = curvature_of_measure(cycle5, ARITHMETIC, zero, INF)
-    assert (res.value, res.witness) == (np.inf, None)
-    assert (res.bracket, res.iterations, res.null_dim) == ((1e6, np.inf), 1, 5)
-    res = curvature_of_measure(cycle5, ARITHMETIC, zero, INF, confirm=False)
-    assert (res.value, res.bracket, res.iterations) == (np.inf, None, 0)
-    with pytest.raises(NumericalFailure, match=r"K = inf"):
-        curvature_grad_rho(cycle5, ARITHMETIC, zero, INF)
+    # the zero density is refused where it enters, under every mean; a
+    # positive density whose form weights underflow to 0 makes n vanish: a
+    # NumericalFailure, not the vacuous +inf, since K = lambda_1 there
+    zero, tiny = np.zeros(5), np.full(5, 1e-320)
+    for mean in (ARITHMETIC, GEOMETRIC, LOGARITHMIC):
+        for solve in (lambda rho: curvature_of_measure(cycle5, mean, rho, INF),
+                      lambda rho: curvature_of_measure(cycle5, mean, rho, INF,
+                                                       confirm=False),
+                      lambda rho: curvature_grad_rho(cycle5, mean, rho, INF),
+                      lambda rho: assemble_forms(cycle5, mean, rho, INF)):
+            with pytest.raises(DomainError, match="no positive entry"):
+                solve(zero)
+    for solve in (curvature_of_measure, curvature_grad_rho):
+        with pytest.raises(NumericalFailure, match="n vanishes"):
+            solve(cycle5, ARITHMETIC, tiny, INF)
 
 
 # -- spectral gap ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Gamma calculus: operators, identities, quadratic-form assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, DomainError,
                      check_geometric_green, custom_mean, cycle, dirac,
                      divergence, equilibrium, func_inner, gamma, gamma2,
                      gamma2_rho, gamma_rho, gradient_field, hypercube,
-                     laplacian, rho_laplacian, vf_inner, vf_inner_rho)
+                     laplacian, rho_laplacian, validate_density, vf_inner,
+                     vf_inner_rho)
 from curvkit.gamma import _edge_laplacian, cd_quadratic, cd_quadratic_grad
 from curvkit.heat import _gradient_estimate_f_matrix
 
@@ -52,6 +55,24 @@ def test_adjointness_div_grad():
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert lhs == pytest.approx(-vf_inner(ch, gradient_field(ch, f), v),
                                     abs=1e-12)
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda ch: validate_density(ch, ARITHMETIC, np.ones(5)), ShapeMismatch,
+     "expected density of shape (6,), got (5,)"),
+    (lambda ch: validate_density(ch, ARITHMETIC, [1, np.nan, 1, 1, 1, 1]),
+     DomainError, "density has non-finite entries"),
+    (lambda ch: validate_density(ch, ARITHMETIC, [1, -1, 1, 1, 1, 1]),
+     DomainError, "density has negative entries"),
+    (lambda ch: validate_density(ch, ARITHMETIC, np.zeros(6)), DomainError,
+     "density has no positive entry"),
+    (lambda ch: divergence(ch, np.zeros((6, 5))), ShapeMismatch,
+     "expected field of shape (6,6), got (6, 5)"),
+], ids=["density-shape", "density-nan", "density-negative", "density-zero",
+        "field-shape"])
+def test_refusals_name_their_input(cycle6, refused, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refused(cycle6)
 
 
 def test_shape_guard(cycle6):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from curvkit import (EpsTooLarge, HeatSystem, InvalidParameters, NegativeTime,
-                     NumericalFailure, ShapeMismatch, avg_mixing_time,
-                     check_heat_kernel_bound, check_linf_gradient_bound,
-                     complete, cycle, equilibrium,
+from curvkit import (DomainError, EpsTooLarge, HeatSystem, InvalidParameters,
+                     NegativeTime, NumericalFailure, PreconditionHeuristic,
+                     ShapeMismatch, avg_mixing_time, check_heat_kernel_bound,
+                     check_linf_gradient_bound, complete, custom_mean, cycle,
+                     equilibrium,
                      func_inner, heat_apply, heat_kernel, heat_operator,
                      hypercube,
                      l1_distance_from_equilibrium, path, sharpness_probe,
@@ -364,6 +365,30 @@ def test_reverse_poincare_holds_on_hypercubes():
                                       INF, trials=40, seed=3)
         assert rep.violations == 0
         assert rep.worst_residual >= -1e-9
+
+
+def _quadratic(r, s):
+    return np.sqrt((np.asarray(r, float) ** 2 + np.asarray(s, float) ** 2) / 2)
+
+
+@pytest.mark.parametrize("mean, below", [
+    (custom_mean(lambda r, s: (np.asarray(r, float) + s) / 2, lambda r, s: 0.5,
+                 domain_class="closed", kind="my-arithmetic"), True),
+    (custom_mean(_quadratic, lambda r, s: np.asarray(r, float) / (2 * _quadratic(r, s)),
+                 domain_class="closed", kind="quadratic"), False),
+], ids=["arithmetic", "quadratic"])
+def test_reverse_poincare_samples_a_custom_mean(mean, below):
+    # a custom mean is checked below the arithmetic one on samples only: a
+    # heuristic precondition when it holds, a DomainError when it fails
+    ch = cycle(4)
+    if not below:
+        with pytest.raises(DomainError, match="needs a mean below the arithmetic one"):
+            verify_reverse_poincare(ch, mean, 0.0, INF, trials=2)
+        return
+    with pytest.warns(PreconditionHeuristic) as caught:
+        rep = verify_reverse_poincare(ch, mean, 0.0, INF, trials=2)
+    assert [str(w.message) for w in caught] == ["mean <= arithmetic verified only on samples"]
+    assert rep.violations == 0
 
 
 def test_reverse_poincare_zero_curvature_limit():

@@ -155,6 +155,11 @@ def test_custom_mean_checked_statistically():
     assert not rep.passes_vanishing()
 
 
+def test_custom_mean_refuses_an_unknown_domain_class():
+    with pytest.raises(DomainError, match="^domain_class must be 'open' or 'closed'$"):
+        custom_mean(lambda r, s: r, lambda r, s: 1.0, domain_class="half-open")
+
+
 def _d11_samples(seed: int, count: int = 200):
     """Log-uniform (r, s) pairs; half of them in the near-diagonal band
     |r - s| / max(r, s) in [1e-12, 1e-1]."""

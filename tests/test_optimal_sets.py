@@ -133,6 +133,9 @@ def test_union_proposition_rejects_an_empty_set():
     for a0, a1 in (([], ["0"]), (["0"], [])):
         with pytest.raises(InvalidParameters):
             check_union_proposition(ch, a0, a1, INF)
+    with pytest.raises(InvalidParameters,
+                       match="^the empty set has no optimality certificate$"):
+        is_optimal_set(ch, [], INF)
 
 
 REFERENCE_SPECS = ([f"cycle:{n}" for n in range(5, 13)]

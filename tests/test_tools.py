@@ -129,3 +129,32 @@ def test_report_matrix_masks_the_recorded_root(tmp_path):
                    "stdout": f"{masked}\n",
                    "stderr": f"{masked}: RuntimeWarning: divide by zero\n",
                    "files": {"<work>/report.json": f"{masked}\n"}}
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    # module, class and function docstrings, comment lines and blank lines
+    # are not code; a line with an inline comment is, and so is every line
+    # of a string that is not a docstring
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text('''"""Module docstring,
+over two lines."""
+
+# a comment line
+X = 1  # an inline comment
+
+
+class C:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring,
+        over two lines.
+        """
+        return """not a
+docstring"""
+''')
+    (pkg / "empty.py").write_text('"""Only a docstring."""\n')
+    out = _tool("loc.py", str(pkg))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "     0  empty.py\n     5  mod.py\n     5  total\n"

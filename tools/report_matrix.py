@@ -56,7 +56,11 @@ scratch directory that is also the working directory:
     curv-measure (exit 2, in the library's words);
   * the heat kernel bound on the 6-cycle at t = 1e17 and 1e300, where the
     zero mode must not grow and the bound t^d overflows, and on path:172,
-    whose distance 171 takes the bound past the largest float factorial.
+    whose distance 171 takes the bound past the largest float factorial;
+  * curv-measure at the zero density of path:3 (exit 2: a density needs a
+    positive entry) and at a density of 1e-320 on every state of cycle:5,
+    read from a JSON file, whose form weights underflow so that n vanishes
+    (exit 3).
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -162,6 +166,9 @@ def edge_commands(work: str) -> list[list[str]]:
     cube4 = f"{work}/cube4.json"
     with open(cube4, "w", encoding="utf-8") as fh:
         json.dump(chain_to_json(hypercube(4)), fh)
+    tiny_rho = f"{work}/tiny_rho.json"
+    with open(tiny_rho, "w", encoding="utf-8") as fh:
+        json.dump({str(x): 1e-320 for x in range(5)}, fh)
     gen1 = f"{work}/gen1.json"
     with open(gen1, "w", encoding="utf-8") as fh:
         json.dump({"schema": "curvkit-report/1", "config": {"command": "gen"},
@@ -209,7 +216,9 @@ def edge_commands(work: str) -> list[list[str]]:
             ["curv-vertex", "--gen", "cycle:5", "--n", "0"],
             ["curv-measure", "--gen", "cycle:5", "--n-grid", "inf,0"],
             ["heat", "--gen", "cycle:6", "--t-grid", "1e17,1e300"],
-            ["heat", "--gen", "path:172", "--t-grid", "0.5"]]
+            ["heat", "--gen", "path:172", "--t-grid", "0.5"],
+            ["curv-measure", "--gen", "path:3", "--rho", '{"0": 0}'],
+            ["curv-measure", "--gen", "cycle:5", "--rho", tiny_rho]]
 
 
 def run_one(main, argv: list[str], work: str, root: str) -> dict:
