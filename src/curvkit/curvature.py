@@ -1,16 +1,24 @@
 """Curvature solvers: best constant K with m - K n >= 0 over a form pair.
 
 The optimal constant of the curvature-dimension inequality for a fixed
-density is sup{K : m - K n is positive semidefinite}.  Since n is PSD with a
-nontrivial null space (always containing constants, more for Dirac
-densities), the supremum is computed through a Schur reduction onto the
-n-positive subspace and independently confirmed by a PSD test bracket.
+density is sup{K : m - K n is positive semidefinite}.  One reduction
+(_reduce) solves every such pencil.  n is the weighted Laplacian of the
+edges the density lives on, so its null space is spanned by the indicators
+of that graph's components, and the reduction reads it from the exact
+zeros of the forms, with no tolerance: states where both forms vanish drop
+out; states where only m lives (the 2-sphere of the support) and all but
+one component indicator per connected block of the forms are eliminated
+by a Schur solve; one state per component is grounded; and the pencil left
+is solved through a Cholesky factor of the Jacobi-scaled grounded n
+(Cushing, Kamtue, Liu, Muench, Peyerimhoff & Snodgrass, Calc. Var. PDE 61,
+2022; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  A
+reduced matrix whose eigenvalues cannot resolve K to AGREE_TOL is refused.
 
-A vertex pencil (the Dirac density under the arithmetic mean) has its
-structure known in advance, so it is solved in degree coordinates: one
-eigenproblem of the size of the vertex's 1-sphere.  There the PSD bracket
-tests the reduced matrix, and the certificate at K tests the unreduced
-2-ball matrix, so one test never goes through the reduction.
+Each value is confirmed by a PSD test bracket.  solve_pencil brackets the
+unreduced m - K n.  A vertex pencil (the Dirac density under the
+arithmetic mean) comes from its assembly already split into x, S1 and S2;
+there the bracket tests the reduced matrix and the certificate at K tests
+the unreduced 2-ball matrix, so one test never goes through the reduction.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .means import ARITHMETIC, LOGARITHMIC, get_mean
 POS_INFINITY = float("inf")
 
 #: eigenvalues of n below this relative threshold count as null directions
+#: in the descent's rank stop (curvature_grad_rho)
 NULL_REL_TOL = 1e-12
 #: relative eigenvalue floor of the PSD test that confirms each pencil
 PSD_REL_FLOOR = 1e-11
@@ -53,66 +62,135 @@ class CurvatureResult:
     bracket: tuple[float, float] | None
     iterations: int
     null_dim: int
-    gap: float | None = None          # distance of the minimal pencil eigenvalue
-                                      # to the next one (degeneracy indicator)
 
 
-def _pencil(m: np.ndarray, n: np.ndarray):
-    """sup{K : m - K n >= 0} via Schur reduction on the null space of n.
+def _components(adj: np.ndarray) -> np.ndarray:
+    """The least index of each index's connected component in the graph of
+    the symmetric boolean matrix adj, from its reach, squared."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for _ in range((len(adj) - 1).bit_length()):
+        step = reach.astype(float)
+        reach = step @ step > 0
+    return reach.argmax(axis=1)
 
-    Each matrix is decomposed once here: eigvalsh of m and eigh of n, whose
-    eigenbasis makes n the diagonal D on its positive subspace, so the
-    reduced pencil (S, D) is the symmetric D^-1/2 S D^-1/2 with eigenvectors
-    scaled back by D^-1/2 (Golub & Van Loan, sec. 8.7).
-    Returns (value, cluster, null_dim, gap, m_norm, n_norm), the last two
-    the spectral norms of m and n, which set the PSD floors of the
-    bracket and the certificate.  The rows of cluster are n-orthonormal
-    witnesses of the eigenvalues within GRAD_GAP_TOL of the least, in the
-    solver's basis of their span.
 
-    The forms of a density of positive mass have a finite value: m is PSD
-    on the null space of n and couples into it only within its range.  A
-    pencil that breaks this (n vanishing, its weights underflowed, or m
-    negative on n's null space or coupled into it outside its range) has
-    lost its structure to rounding, and is a NumericalFailure.
+def _grounded(n: np.ndarray):
+    """The split of _reduce where n's graph is connected: one component,
+    grounded at its largest n-diagonal entry, in one block."""
+    free = np.arange(len(n) - 1)
+    free[np.argmax(n.diagonal()):] += 1
+    return free, slice(0, 0), [], [slice(None)]
+
+
+def _split(m: np.ndarray, n: np.ndarray):
+    """(free, sphere, indicators, blocks) of _reduce, read from the exact
+    zeros of the forms.
+
+    A component of n's graph is grounded at its largest n-diagonal entry,
+    and its other states are free.  sphere lists the states where only m
+    lives.  indicators lists the components whose indicators are
+    eliminated: all but the first in each connected block of (m, n), whose
+    constant lies in the kernels of both forms.  blocks lists those
+    blocks, on which the witness is centred.
     """
-    m_norm = float(np.abs(np.linalg.eigvalsh(m)).max())
-    evals, vecs = np.linalg.eigh(n)
-    n_norm = float(np.abs(evals).max())
-    null_mask = evals <= NULL_REL_TOL * max(float(evals.max()), 1e-300)
-    u = vecs[:, null_mask]
-    v = vecs[:, ~null_mask]
-    null_dim = int(null_mask.sum())
-    m_scale = max(1.0, m_norm)
+    comp = _components(n != 0)
+    if not comp.any():
+        return _grounded(n)
+    live, kept = n.any(axis=1), (m != 0) | (n != 0)
+    block = _components(kept)
+    free, indicators, grounded = live.copy(), [], set()
+    for c in np.unique(comp[live]):
+        members = np.flatnonzero(comp == c)
+        free[members[np.argmax(n.diagonal()[members])]] = False
+        if block[c] in grounded:
+            indicators.append(members)
+        grounded.add(block[c])
+    kept = kept.any(axis=1)
+    return (np.flatnonzero(free), np.flatnonzero(kept & ~live), indicators,
+            [np.flatnonzero(block == b) for b in np.unique(block[kept])])
 
-    if v.shape[1] == 0:
-        raise NumericalFailure("n vanishes: the weights of the forms underflowed")
 
-    muu = u.T @ m @ u
-    muv = u.T @ m @ v
-    mvv = v.T @ m @ v
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"{what} is not positive definite") from None
 
-    # an empty null space (null_dim = 0) passes both tests with schur = mvv
-    uevals, uvecs = np.linalg.eigh(muu)
-    if uevals.min(initial=0.0) < -1e-10 * m_scale:
-        raise NumericalFailure("m is negative on the null space of n")
-    pos = uevals > 1e-10 * max(m_scale, float(np.abs(uevals).max(initial=0.0)))
-    # range coupling: rows of muv must lie in the range of muu
-    resid = muv - uvecs[:, pos] @ (uvecs[:, pos].T @ muv)
-    if np.abs(resid).max(initial=0.0) > 1e-8 * m_scale:
-        raise NumericalFailure("m couples into the null space of n outside its range")
-    pinv = uvecs[:, pos] @ np.diag(1.0 / uevals[pos]) @ uvecs[:, pos].T
-    schur = mvv - muv.T @ pinv @ muv
-    lift = -pinv @ muv
 
-    scale = 1.0 / np.sqrt(evals[~null_mask])
-    schur = 0.5 * (schur + schur.T) * scale * scale[:, None]
-    pvals, pvecs = np.linalg.eigh(schur)
+def _reduce(m: np.ndarray, n: np.ndarray, split=None):
+    """sup{K : m - K n >= 0} for forms m, n with the constants in their
+    kernels and n a weighted Laplacian, split as _split reads them unless
+    `split` is given (free and sphere as index arrays or slices).
+
+    The sphere block of m must be a positive diagonal E, where n vanishes;
+    it is eliminated first, then the eliminated indicators, whose block of
+    m must be positive definite.  On the free states n must be positive
+    definite: with the Jacobi scale s = diag(n)^-1/2 and the Cholesky
+    factor L of s n s (dropped where n is diagonal there), K is the least
+    eigenvalue of R = L^-1 s S s L^-T, S the Schur complement of m.  Any
+    other structure is a NumericalFailure, and so is an R that is not
+    finite or whose eigenvalue error bound eps ||R|| exceeds AGREE_TOL
+    max(1, |K|): such a K has no digit the bracket could certify, and a
+    descent that reads it only wanders (the densities of range 1e26 that
+    the L-BFGS box admits give K off by 1e6).
+    Returns (K, eigenvalues of R, R, cluster, null_dim): the rows of
+    cluster are n-orthonormal witnesses of the eigenvalues within
+    GRAD_GAP_TOL of K, lifted to every state and centred on each block;
+    null_dim is the dimension of n's null space.
+    """
+    free, sphere, indicators, blocks = _split(m, n) if split is None else split
+    j = len(indicators)
+    if j:       # coordinates: the eliminated indicators, then the free states
+        basis = np.zeros((len(n), j + len(free)))
+        for col, members in enumerate(indicators):
+            basis[members, col] = 1.0
+        basis[free, np.arange(j, j + len(free))] = 1.0
+        cols = m @ basis
+        schur = basis.T @ cols
+    else:
+        cols = m[:, free]
+        schur = cols[free]
+    e = m.diagonal()[sphere]
+    if e.size:
+        if (not (e > 0).all() or n[sphere].any()
+                or np.count_nonzero(m[sphere][:, sphere]) > len(e)):
+            raise NumericalFailure("the sphere block of (m, n) is not (positive diagonal, 0)")
+        elim = cols[sphere] / e[:, None]
+        schur = schur - cols[sphere].T @ elim
+    if j:
+        _cholesky(schur[:j, :j], "m on the null space of n")
+        back = np.linalg.solve(schur[:j, :j], schur[:j, j:])
+        schur = schur[j:, j:] - schur[j:, :j] @ back
+    grounded = n[free][:, free]
+    d = grounded.diagonal()
+    if not (d > 0).all() or not d.size:
+        raise NumericalFailure("n vanishes, or the grounded n is not positive definite")
+    scale = 1.0 / np.sqrt(d)
+    r, to_free = schur * scale * scale[:, None], np.diag(scale)
+    if np.count_nonzero(grounded) > len(d):     # n couples free states
+        unit = grounded * scale * scale[:, None]
+        np.fill_diagonal(unit, 1.0)
+        inv = np.linalg.inv(_cholesky(unit, "the grounded n"))
+        r, to_free = inv @ r @ inv.T, to_free @ inv.T
+    r = 0.5 * (r + r.T)
+    if not np.isfinite(r).all():
+        raise NumericalFailure("the reduced pencil is not finite")
+    pvals, pvecs = np.linalg.eigh(r)
     k = float(pvals[0])
-    gap = float(pvals[1] - pvals[0]) if len(pvals) > 1 else POS_INFINITY
-    y = scale[:, None] * pvecs[:, pvals - k < GRAD_GAP_TOL]
-    cluster = (v @ y + u @ (lift @ y)).T
-    return k, cluster, null_dim, gap, m_norm, n_norm
+    # eigh's eigenvalues are exact for a matrix within eps ||R|| of R
+    if np.finfo(float).eps * np.abs(pvals).max() > AGREE_TOL * max(1.0, abs(k)):
+        raise NumericalFailure(f"the reduced pencil cannot resolve K={k!r} to {AGREE_TOL}")
+    y = to_free @ pvecs[:, pvals - k < GRAD_GAP_TOL]
+    lift = np.zeros((len(n), y.shape[1]))
+    lift[free] = y
+    if j:
+        y = np.vstack([-back @ y, y])
+        lift += basis[:, :j] @ y[:j]
+    if e.size:
+        lift[sphere] = -elim @ y
+    for b in blocks:
+        lift[b] -= lift[b].mean(axis=0)
+    return k, pvals, r, lift.T, len(n) - len(d)
 
 
 def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
@@ -158,14 +236,17 @@ def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> Curvatur
     sign fixed, f' n g > 0.  f' n f = 1, 0 <= f' (m - K n) f <= GRAD_GAP_TOL.
     The value must also pass the certificate test at K itself, which the
     PSD test at k - h does not imply when ||m|| is small.  The PSD floors
-    of all checks scale with the norms of m and n from _pencil.
+    of all checks scale with the spectral norms of m and n.  m and n are
+    the forms of a density: the constants lie in both kernels, and n is a
+    weighted Laplacian.
     """
-    k, cluster, null_dim, gap, m_norm, n_norm = _pencil(m, n)
+    m_norm, n_norm = (float(np.abs(np.linalg.eigvalsh(a)).max()) for a in (m, n))
+    k, _, _, cluster, null_dim = _reduce(m, n)
     iterations, bracket = (_psd_bracket(m, n, k, m_norm, n_norm) if confirm
                            else (0, None))
     return CurvatureResult(
         value=k, witness=_certified_witness(m, n, k, cluster, m_norm, n_norm),
-        bracket=bracket, iterations=iterations, null_dim=null_dim, gap=gap)
+        bracket=bracket, iterations=iterations, null_dim=null_dim)
 
 
 def _certified_witness(m: np.ndarray, n: np.ndarray, k: float,
@@ -199,64 +280,29 @@ def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
     return solve_pencil(fp.m, fp.n, confirm=confirm)
 
 
-def _degree_pencil(m: np.ndarray, n: np.ndarray, k1: int) -> CurvatureResult:
-    """The vertex pencil of the 2-ball forms (m, n) of _dirac_ball_forms,
-    whose positions are x, then the k1 >= 1 states of the 1-sphere S1, then
-    the 2-sphere S2, solved in degree coordinates.
-
-    Constants lie in the kernel of both forms, so f(x) = 0 loses nothing.
-    In that gauge n is diagonal, D > 0 on S1 and 0 on S2, and m's S2 block
-    is a positive diagonal E; both are checked entry by entry, and only an
-    edge weight that underflows can break them (NumericalFailure).
-    Eliminating S2 by E leaves A on S1, so m - K n is PSD on B2 exactly
-    when R - K I is, R = D^-1/2 A D^-1/2: K is lambda_min(R) (Cushing,
-    Kamtue, Liu, Muench, Peyerimhoff & Snodgrass, Calc. Var. PDE 61, 2022).
-    The PSD bracket tests R - K I; the witness lifts the cluster to B2
-    (x -> 0, S2 by the elimination, then off the constants) and passes the
-    certificate on the unreduced m - K n.
-    """
-    s1, s2 = slice(1, k1 + 1), slice(k1 + 1, None)
-    d, e = np.diag(n)[s1], np.diag(m)[s2]
-    if (not (d > 0).all() or np.count_nonzero(n[1:, 1:]) != k1
-            or not (e > 0).all() or np.count_nonzero(m[s2, s2]) != len(e)):
-        raise NumericalFailure("the vertex forms lost their Dirac structure")
-    elim = m[s2, s1] / e[:, None]
-    scale = 1.0 / np.sqrt(d)
-    r = (m[s1, s1] - m[s2, s1].T @ elim) * scale * scale[:, None]
-    r = 0.5 * (r + r.T)
-    pvals, pvecs = np.linalg.eigh(r)
-    k = float(pvals[0])
-    gap = float(pvals[1] - pvals[0]) if k1 > 1 else POS_INFINITY
-    iterations, bracket = _psd_bracket(r, np.eye(k1), k,
-                                       float(np.abs(pvals).max()), 1.0)
-    y = scale[:, None] * pvecs[:, pvals - k < GRAD_GAP_TOL]
-    lift = np.zeros((len(n), y.shape[1]))
-    lift[s1] = y
-    lift[s2] = -elim @ y
-    lift -= lift.mean(axis=0)
-    witness = _certified_witness(m, n, k, lift.T, float(np.abs(m).max()),
-                                 float(np.abs(n).max()))
-    return CurvatureResult(value=k, witness=witness, bracket=bracket,
-                           iterations=iterations, null_dim=len(n) - k1, gap=gap)
-
-
 def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     """Vertex curvature: the Dirac density under the arithmetic mean.
 
     The forms vanish outside the 2-ball B2 of the vertex, so they are
-    assembled on that ball, in the order x, S1, S2, and the pencil is
-    solved in degree coordinates (_degree_pencil): one |S1|-sized
-    eigenproblem.  Its value is confirmed twice, by the PSD bracket of the
-    reduced matrix and by the certificate test of the unreduced B2 matrix
-    at K.  The witness is re-embedded in all n states, zero outside B2.
+    assembled on that ball, in the order x, S1, S2, and _reduce takes that
+    split: x grounded, S1 free, S2 the sphere.  n is diagonal on S1, so K
+    is the least eigenvalue of the |S1|-sized R = D^-1/2 A D^-1/2, D the
+    degrees of n and A the Schur complement of m on S1.  Its value is
+    confirmed twice, by the PSD bracket of R and by the certificate test
+    of the unreduced B2 matrix at K.  The witness is re-embedded in all n
+    states, zero outside B2.
     """
     ball, m, n = _dirac_ball_forms(chain, state, dim)
     k1 = int(np.count_nonzero(chain.adjacency[ball[0]]))
-    res = _degree_pencil(m, n, k1)
-    full = np.zeros(chain.n_states)
-    full[ball] = res.witness
-    res.witness = full
-    return res
+    k, pvals, r, cluster, null_dim = _reduce(
+        m, n, (slice(1, k1 + 1), slice(k1 + 1, None), [], [slice(None)]))
+    iterations, bracket = _psd_bracket(r, np.eye(k1), k,
+                                       float(np.abs(pvals).max()), 1.0)
+    witness = np.zeros(chain.n_states)
+    witness[ball] = _certified_witness(m, n, k, cluster, float(np.abs(m).max()),
+                                       float(np.abs(n).max()))
+    return CurvatureResult(value=k, witness=witness, bracket=bracket,
+                           iterations=iterations, null_dim=null_dim)
 
 
 @derived
@@ -295,12 +341,20 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     rho, d1 = _density_d1(chain, mean, rho)
     m, n = _form_matrices(chain.q, chain.pi, chain.edges, d1, rho,
                           _dimension(dim))
-    k, cluster, null_dim, *_ = _pencil(m, n)
-    if null_dim > 1 and (rho > 0).all():
-        # n vanishes only on constants at a positive density; more null
-        # directions mean the density's range has outrun the eigensolver
-        raise NumericalFailure(f"n lost rank ({null_dim} null directions) "
-                               "at a strictly positive density")
+    # a positive density under a mean with positive d1 weighs every edge of
+    # the irreducible chain in n, so n's graph is connected
+    positive = bool((rho > 0).all())
+    k, _, _, cluster, _ = _reduce(m, n, _grounded(n) if positive and (d1 > 0).all()
+                                  else None)
+    if positive:
+        # n vanishes only on constants at a positive density; more
+        # eigenvalues of n near 0 mean the density's range has outrun the
+        # precision of the pencil, and the descent stops there
+        evals = np.linalg.eigvalsh(n)
+        null_dim = int((evals <= NULL_REL_TOL * max(float(evals.max()), 1e-300)).sum())
+        if null_dim > 1:
+            raise NumericalFailure(f"n lost rank ({null_dim} null directions) "
+                                   "at a strictly positive density")
     parts = [_cd_grad(chain, mean, rho, d1, dim, w) for w in cluster]
     return k, np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
 

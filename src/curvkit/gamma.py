@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MarkovChain
-from .errors import DomainError, ShapeMismatch
+from .errors import DomainError, NumericalFailure, ShapeMismatch
 from .means import ARITHMETIC, get_mean
 
 
@@ -254,8 +254,14 @@ def _form_matrices(q: np.ndarray, pi: np.ndarray, edges, d1e: np.ndarray,
     size = len(pi)
     ex, ey, qe = edges
     lap = q - np.eye(size)
-    # T_a with f' T_a g = sum_x a(x) pi(x) Gamma_rho(f, g)(x)
-    t_rho = _edge_laplacian(size, ex, ey, rho[ex] * pi[ex] * d1e * qe)
+    # T_a with f' T_a g = sum_x a(x) pi(x) Gamma_rho(f, g)(x).  The pencil
+    # reads n's null space from its zeros, so a weight may be 0 only where
+    # a factor is (q and pi are positive on an edge), never by underflow
+    rx = rho[ex]
+    w = rx * pi[ex] * d1e * qe
+    if not w.all() and ((w == 0) & (rx > 0) & (d1e > 0)).any():
+        raise NumericalFailure("an edge weight of n underflowed to 0")
+    t_rho = _edge_laplacian(size, ex, ey, w)
     lrho = lap @ rho
     t_lrho = _edge_laplacian(size, ex, ey, lrho[ex] * pi[ex] * d1e * qe)
     mirror = t_rho @ lap            # = (lap' t_rho)', t_rho being exactly symmetric

@@ -1,5 +1,5 @@
 """Shared fixtures: standard chains, random reversible chains, the
-reference Cheeger and optimal-set engines, and the exact vertex oracle."""
+reference Cheeger and optimal-set engines, and the exact pencil oracles."""
 
 import math
 from fractions import Fraction
@@ -79,47 +79,65 @@ def small_chain_pool():
     return pool
 
 
-def exact_ball_pencil(weights, x, ball):
-    """The 2-ball pencil (Gamma2 f(x), Gamma f(x)) at dim inf of the random
-    walk on a weighted graph, in rational arithmetic: a matrix of Fractions
-    for each form over the states in `ball`.
+def exact_measure_pencil(weights, rho, dim=None):
+    """The forms (m, n) of a density rho (against pi) under the arithmetic
+    mean, at dim inf (None) or a rational dim, of the random walk on a
+    weighted graph, in rational arithmetic: matrices of Fractions over all
+    states.
 
-    Gamma(f, g)(z) = f' G_z g with G_z = (diag q_z - q_z e_z' - e_z q_z'
-    + e_z e_z') / 2, q_z the row of z in Q, so n = G_x and
-    m = (sum_z L(x, z) G_z - G_x L - L' G_x) / 2 with L = Q - I."""
+    With mu = rho pi the measure, L = Q - I and G_z the Gram matrix of
+    Gamma at z, Gamma(f, g)(z) = f' G_z g with G_z = (diag q_z - q_z e_z'
+    - e_z q_z' + e_z e_z') / 2, q_z the row of z in Q:
+    n = sum_z mu_z G_z and
+    m = (sum_w (L' mu)_w G_w - n L - L' n) / 2 - (1/dim) L' diag(mu) L."""
     size = len(weights)
-    q = [[Fraction(w) / sum(row) for w in row] for row in weights]
+    deg = [sum(map(Fraction, row)) for row in weights]
+    q = [[Fraction(w) / d for w in row] for row, d in zip(weights, deg)]
     lap = [[q[i][j] - (i == j) for j in range(size)] for i in range(size)]
+    mu = [Fraction(r) * d / sum(deg) for r, d in zip(rho, deg)]
 
-    def gram(z):
+    def gram_sum(coef):
         g = [[Fraction(0)] * size for _ in range(size)]
-        for y in range(size):
-            g[y][y] += q[z][y] / 2
-            g[y][z] -= q[z][y] / 2
-            g[z][y] -= q[z][y] / 2
-        g[z][z] += Fraction(1, 2)
+        for z, c in enumerate(coef):
+            if not c:
+                continue
+            for y in range(size):
+                g[y][y] += c * q[z][y] / 2
+                g[y][z] -= c * q[z][y] / 2
+                g[z][y] -= c * q[z][y] / 2
+            g[z][z] += c / 2
         return g
 
-    gx = gram(x)
-    gl = [[sum(gx[i][k] * lap[k][j] for k in range(size)) for j in range(size)]
+    n = gram_sum(mu)
+    lg = gram_sum([sum(mu[z] * lap[z][w] for z in range(size)) for w in range(size)])
+    nl = [[sum(n[i][k] * lap[k][j] for k in range(size)) for j in range(size)]
           for i in range(size)]
-    lg = [[Fraction(0)] * size for _ in range(size)]
-    for z in range(size):
-        if lap[x][z]:
-            for lg_row, g_row in zip(lg, gram(z)):
-                for j in range(size):
-                    lg_row[j] += lap[x][z] * g_row[j]
-    m = [[(lg[i][j] - gl[i][j] - gl[j][i]) / 2 for j in ball] for i in ball]
-    n = [[gx[i][j] for j in ball] for i in ball]
+    m = [[(lg[i][j] - nl[i][j] - nl[j][i]) / 2 for j in range(size)] for i in range(size)]
+    if dim is not None:
+        for i in range(size):
+            for j in range(size):
+                m[i][j] -= sum(mu[z] * lap[z][i] * lap[z][j] for z in range(size)) / dim
     return m, n
 
 
-def exact_psd(m, n, k) -> bool:
-    """Whether m - k n is PSD, for the forms of exact_ball_pencil (x first
-    in `ball`) and a rational k, decided in rational arithmetic.
+def exact_ball_pencil(weights, x, ball):
+    """The 2-ball pencil (Gamma2 f(x), Gamma f(x)) at dim inf of the random
+    walk on a weighted graph, in rational arithmetic: the forms of
+    exact_measure_pencil for the unit mass at x, over the states in
+    `ball`."""
+    deg = [sum(map(Fraction, row)) for row in weights]
+    rho = [sum(deg) / deg[x] if z == x else 0 for z in range(len(weights))]
+    m, n = exact_measure_pencil(weights, rho)
+    return ([[m[i][j] for j in ball] for i in ball],
+            [[n[i][j] for j in ball] for i in ball])
 
-    Constants lie in the kernels of both forms, so dropping x's row and
-    column loses nothing.  An LDL' of the rest with no pivoting and no
+
+def exact_psd(m, n, k) -> bool:
+    """Whether m - k n is PSD, for the forms of exact_measure_pencil or
+    exact_ball_pencil and a rational k, decided in rational arithmetic.
+
+    Constants lie in the kernels of both forms, so dropping the first row
+    and column loses nothing.  An LDL' of the rest with no pivoting and no
     floor decides: a negative pivot is not PSD, and a zero pivot is PSD
     only when the rest of its column is zero too."""
     a = [[m[i][j] - k * n[i][j] for j in range(1, len(m))] for i in range(1, len(m))]

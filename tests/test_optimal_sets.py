@@ -193,11 +193,11 @@ def _measure_criterion(chain, states, dim, k) -> bool:
     arithmetic-mean pencil of rho_A, the sum of the Dirac densities of A,
     has its least value within AGREE_TOL max(1, |K|) of the global K, and
     Gamma vanishes at no x in A on that value's cluster."""
-    from curvkit.curvature import AGREE_TOL, _pencil
+    from curvkit.curvature import AGREE_TOL, _reduce
 
     rho = sum(dirac(chain, s) for s in states)
     fp = assemble_forms(chain, ARITHMETIC, rho, dim)
-    value, cluster, *_ = _pencil(fp.m, fp.n)
+    value, _, _, cluster, _ = _reduce(fp.m, fp.n)
     if not abs(value - k) <= AGREE_TOL * max(1.0, abs(k)):
         return False
     # the cluster is n-orthonormal, so its Gamma values at A are O(1)

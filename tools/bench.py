@@ -18,7 +18,12 @@ CASE is one of
            rr:4:128:1 and C256; the result is K's repr and the argmin
            state, and the counters are the vertex pencils solved (calls of
            `bakry_emery_vertex`) and the PSD tests that `_psd_bracket`
-           returns with its bracket.
+           returns with its bracket;
+  entropic `curvature.entropic_curvature_estimate(chain, inf, starts=2,
+           seed=1)` on the seven chains of the `entropic` benchmark
+           workload; the result is k_hat's repr, and the counters are the
+           calls of `curvature_grad_rho` and of `curvature_of_measure`
+           and the starts that a NumericalFailure of the gradient ended.
 
 DIR is the root of another checkout holding `src/curvkit` (a `git archive`
 tree records no commit).  Every run is a fresh interpreter with one BLAS
@@ -110,6 +115,33 @@ def _count_vertex(ck) -> Counter:
     return stats
 
 
+def _entropic(ck, chain) -> dict:
+    est = ck.curvature.entropic_curvature_estimate(chain, float("inf"), starts=2, seed=1)
+    return {"k_hat": repr(est.k_hat)}
+
+
+def _count_entropic(ck) -> Counter:
+    """Install the entropic counters; a counted child makes one call and exits."""
+    stats = Counter(grad_calls=0, measure_calls=0, failed_starts=0)
+    grad, measure = ck.curvature.curvature_grad_rho, ck.curvature.curvature_of_measure
+
+    def counted_grad(*args):
+        stats.update(grad_calls=1)
+        try:
+            return grad(*args)
+        except ck.NumericalFailure:     # ends the descent of this start
+            stats.update(failed_starts=1)
+            raise
+
+    def counted_measure(*args, **kwargs):
+        stats.update(measure_calls=1)
+        return measure(*args, **kwargs)
+
+    ck.curvature.curvature_grad_rho = counted_grad
+    ck.curvature.curvature_of_measure = counted_measure
+    return stats
+
+
 # case: (chains, call, counters)
 CASES = {
     "cheeger": (tuple(f"random-regular:3:24:{s}" for s in range(1, 11))
@@ -121,6 +153,9 @@ CASES = {
                 _optimal_complex, _count_optimal),
     "vertex": (("hypercube:8", "hypercube:9", "random-regular:4:128:1", "cycle:256"),
                _vertex_global, _count_vertex),
+    "entropic": (("cycle:6", "cycle:9", "hypercube:4", "complete:6", "path:8",
+                  "random-regular:3:12:1", "random-regular:3:16:1"),
+                 _entropic, _count_entropic),
 }
 
 

@@ -36,9 +36,16 @@ scratch directory that is also the working directory:
     pencils the degree coordinates resolve, and of 1e-10 under
     optimal-sets, whose oracle refuses both minimal singletons (exit 3);
   * the same list with a middle weight of 5e-324 under curv-vertex, whose
-    forms lose their Dirac structure at every vertex, and of 4e-323, whose
-    witness at b has an n-norm that underflows (both exit 3), and of
-    1e-100 under curv-measure at the Dirac density of b;
+    forms lose their structure at every vertex (the n-weight of b-c or the
+    2-sphere entry of m underflows), and of 4e-323, whose witness at b has
+    an n-norm that underflows (both exit 3), and of 1e-100, 1e-12 and
+    5e-324 under curv-measure at the Dirac density of b: the pencil reads
+    the vertex value -1 at 1e-100 and 1e-12, which the unreduced PSD
+    bracket refuses, and at 5e-324 the assembly refuses the n-weight that
+    underflows to 0 (all exit 3);
+  * curv-measure on cycle:10 at dim 4 for the two-point densities on
+    states 0 and 3, whose n has two components in one block of the forms,
+    and on states 0 and 5, whose forms split into two blocks;
   * curv-vertex on complete:5, whose 2-spheres are empty, and on a lazy
     5-cycle read from a file;
   * the one-state chain under optimal-sets (exit 2 as well) and a chain of
@@ -59,7 +66,8 @@ scratch directory that is also the working directory:
     whose distance 171 takes the bound past the largest float factorial;
   * curv-measure at the zero density of path:3 (exit 2: a density needs a
     positive entry) and at a density of 1e-320 on every state of cycle:5,
-    read from a JSON file, whose form weights underflow so that n vanishes
+    read from a JSON file, whose form weights are subnormal: the pencil
+    reads K = lambda_1, which the PSD bracket, its floor absolute, refuses
     (exit 3).
 
 For each command it records the exit code, stdout, stderr and the file
@@ -144,11 +152,11 @@ def edge_commands(work: str) -> list[list[str]]:
     bd6 = f"{work}/bd6.json"
     with open(bd6, "w", encoding="utf-8") as fh:
         json.dump(_birth_death(6), fh)
-    thin, thin6 = f"{work}/thin.tsv", f"{work}/thin6.tsv"
+    thin, thin6, thin12 = f"{work}/thin.tsv", f"{work}/thin6.tsv", f"{work}/thin12.tsv"
     thin100, tiny, tiny8 = (f"{work}/thin100.tsv", f"{work}/tiny.tsv",
                             f"{work}/tiny8.tsv")
     for path, weight in ((thin, "1e-10"), (thin6, "1e-6"), (thin100, "1e-100"),
-                         (tiny, "5e-324"), (tiny8, "4e-323")):
+                         (tiny, "5e-324"), (tiny8, "4e-323"), (thin12, "1e-12")):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"a\tb\t1\nb\tc\t{weight}\nc\td\t1\n")
     lazy = f"{work}/lazy.json"
@@ -218,7 +226,11 @@ def edge_commands(work: str) -> list[list[str]]:
             ["heat", "--gen", "cycle:6", "--t-grid", "1e17,1e300"],
             ["heat", "--gen", "path:172", "--t-grid", "0.5"],
             ["curv-measure", "--gen", "path:3", "--rho", '{"0": 0}'],
-            ["curv-measure", "--gen", "cycle:5", "--rho", tiny_rho]]
+            ["curv-measure", "--gen", "cycle:5", "--rho", tiny_rho],
+            ["curv-measure", "--in", thin12, "--rho", "dirac:b"],
+            ["curv-measure", "--in", tiny, "--rho", "dirac:b"],
+            ["curv-measure", "--gen", "cycle:10", "--n", "4", "--rho", '{"0": 1, "3": 2}'],
+            ["curv-measure", "--gen", "cycle:10", "--n", "4", "--rho", '{"0": 1, "5": 2}']]
 
 
 def run_one(main, argv: list[str], work: str, root: str) -> dict:
