@@ -14,11 +14,14 @@ is solved through a Cholesky factor of the Jacobi-scaled grounded n
 2022; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  A
 reduced matrix whose eigenvalues cannot resolve K to AGREE_TOL is refused.
 
-Each value is confirmed by a PSD test bracket.  solve_pencil brackets the
-unreduced m - K n.  A vertex pencil (the Dirac density under the
-arithmetic mean) comes from its assembly already split into x, S1 and S2;
-there the bracket tests the reduced matrix and the certificate at K tests
-the unreduced 2-ball matrix, so one test never goes through the reduction.
+Each value gets one bracket (_psd_bracket) on its unreduced forms, and
+neither end trusts the reduction.  The lower end k - h passes the PSD test
+of m - (k - h) n.  The upper end k + h fails that test for a general
+pencil.  A vertex pencil (the Dirac density under the arithmetic mean)
+comes from its assembly already split into x, S1 and S2; there k + h must
+lie above the witness's Rayleigh quotient M(f)/N(f), evaluated through
+the Gamma operators' edge sums on the 2-ball (_cd_values), an upper bound
+on K at every f.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .chain import MarkovChain, derived
 from .errors import DomainError, InvalidParameters, NumericalFailure
-from .gamma import (_cd_grad, _density_d1, _dimension, _dirac_ball_forms,
+from .gamma import (_cd_grad, _cd_values, _density_d1, _dimension, _dirac_ball,
                     _form_matrices, assemble_forms)
 from .heat import lambda1
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
@@ -133,7 +136,7 @@ def _reduce(m: np.ndarray, n: np.ndarray, split=None):
     max(1, |K|): such a K has no digit the bracket could certify, and a
     descent that reads it only wanders (the densities of range 1e26 that
     the L-BFGS box admits give K off by 1e6).
-    Returns (K, eigenvalues of R, R, cluster, null_dim): the rows of
+    Returns (K, cluster, null_dim): the rows of
     cluster are n-orthonormal witnesses of the eigenvalues within
     GRAD_GAP_TOL of K, lifted to every state and centred on each block;
     null_dim is the dimension of n's null space.
@@ -190,18 +193,21 @@ def _reduce(m: np.ndarray, n: np.ndarray, split=None):
         lift[sphere] = -elim @ y
     for b in blocks:
         lift[b] -= lift[b].mean(axis=0)
-    return k, pvals, r, lift.T, len(n) - len(d)
+    return k, lift.T, len(n) - len(d)
 
 
 def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
-                 n_norm: float):
-    """Certify the pencil value k by the PSD test of m - K n alone.
+                 n_norm: float, upper: float | None = None):
+    """Certify the pencil value k by the PSD test of the unreduced m - K n.
 
-    k is certified to within h when m - K n is PSD at k - h and not PSD
-    at k + h.  The pairs tried are h = min(d, 5e-9), d and 4d,
+    k is certified to within h when m - K n is PSD at k - h and k + h lies
+    above K: m - K n is not PSD there, or, when `upper` is given, k + h
+    exceeds upper, an upper bound on K (a Rayleigh quotient with its
+    rounding allowance).  Each test of either end counts as one.  The
+    pairs tried are h = min(d, 5e-9), d and 4d,
     d = AGREE_TOL/4 * max(1, |k|): at large |k| or norms the floor hides a
     5e-9 step, and the widest pair is the agreement tolerance itself.
-    Returns (PSD tests, bracket); raises NumericalFailure when no pair
+    Returns (tests, bracket); raises NumericalFailure when no pair
     certifies k.  The floor is the fixed problem scale plus a 1e-13 |K|
     n_norm allowance for the rounding of K n in m - K n.  Every K is
     finite, so the allowance serves only large |K|, which small
@@ -214,6 +220,8 @@ def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
     def psd_at(kk):
         nonlocal tests
         tests += 1
+        if upper is not None and kk > k:     # the upper end; a nan bound refuses
+            return not upper < kk
         floor = PSD_REL_FLOOR * base + 1e-13 * abs(kk) * n_norm
         return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
 
@@ -228,49 +236,31 @@ def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
 def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> CurvatureResult:
     """Solve sup{K : m - K n >= 0}, with optional confirmation by
     _psd_bracket, which raises NumericalFailure when it refuses the value.
-
-    The witness f is the n-normalized n-orthogonal projection of g =
-    (sin 1, sin 2, ...), which has no rational linear relation (e^i is
-    transcendental), onto the span of the least eigenvalue's cluster, so
-    no basis of that span changes it; a one-dimensional cluster has its
-    sign fixed, f' n g > 0.  f' n f = 1, 0 <= f' (m - K n) f <= GRAD_GAP_TOL.
-    The value must also pass the certificate test at K itself, which the
-    PSD test at k - h does not imply when ||m|| is small.  The PSD floors
-    of all checks scale with the spectral norms of m and n.  m and n are
-    the forms of a density: the constants lie in both kernels, and n is a
-    weighted Laplacian.
+    The PSD floors scale with the spectral norms of m and n, and the
+    witness is _witness's.  m and n are the forms of a density: the
+    constants lie in both kernels, and n is a weighted Laplacian.
     """
     m_norm, n_norm = (float(np.abs(np.linalg.eigvalsh(a)).max()) for a in (m, n))
-    k, _, _, cluster, null_dim = _reduce(m, n)
-    iterations, bracket = (_psd_bracket(m, n, k, m_norm, n_norm) if confirm
-                           else (0, None))
-    return CurvatureResult(
-        value=k, witness=_certified_witness(m, n, k, cluster, m_norm, n_norm),
-        bracket=bracket, iterations=iterations, null_dim=null_dim)
+    k, cluster, null_dim = _reduce(m, n)
+    iterations, bracket = _psd_bracket(m, n, k, m_norm, n_norm) if confirm else (0, None)
+    return CurvatureResult(value=k, witness=_witness(n, cluster), bracket=bracket,
+                           iterations=iterations, null_dim=null_dim)
 
 
-def _certified_witness(m: np.ndarray, n: np.ndarray, k: float,
-                       cluster: np.ndarray, m_norm: float,
-                       n_norm: float) -> np.ndarray:
-    """The witness of a pencil value k from the n-orthonormal rows of its
-    cluster, after the certificate test of m - K n at K = k itself.
-
-    The witness is the n-normalized n-orthogonal projection of (sin 1,
-    sin 2, ...) onto the cluster's span; an n-norm f' n f that is not
-    positive and finite (it can underflow) is a NumericalFailure.  The
-    certificate floor is 1e-9 (m_norm + |k| n_norm + 1); m_norm and n_norm
-    are the spectral norms of m and n or lower bounds on them, which only
-    tighten it.
+def _witness(n: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+    """The witness of a pencil value from the n-orthonormal rows of its
+    cluster: the n-normalized n-orthogonal projection of g = (sin 1,
+    sin 2, ...), which has no rational linear relation (e^i is
+    transcendental), onto the cluster's span, so no basis of that span
+    changes it; a one-dimensional cluster has its sign fixed, f' n g > 0.
+    An n-norm f' n f that is not positive and finite (it can underflow) is
+    a NumericalFailure.
     """
     f = cluster.T @ (cluster @ (n @ np.sin(np.arange(1.0, len(n) + 1.0))))
     norm = float(f @ n @ f)
     if not 0.0 < norm < POS_INFINITY:
         raise NumericalFailure(f"witness of n-norm {norm!r} cannot be normalized")
-    f = f / np.sqrt(norm)
-    floor = 1e-9 * (m_norm + abs(k) * n_norm + 1.0)
-    if np.linalg.eigvalsh(m - k * n).min() < -floor:
-        raise NumericalFailure("certificate m - K n lost positivity")
-    return f
+    return f / np.sqrt(norm)
 
 
 def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
@@ -287,20 +277,27 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     assembled on that ball, in the order x, S1, S2, and _reduce takes that
     split: x grounded, S1 free, S2 the sphere.  n is diagonal on S1, so K
     is the least eigenvalue of the |S1|-sized R = D^-1/2 A D^-1/2, D the
-    degrees of n and A the Schur complement of m on S1.  Its value is
-    confirmed twice, by the PSD bracket of R and by the certificate test
-    of the unreduced B2 matrix at K.  The witness is re-embedded in all n
-    states, zero outside B2.
+    degrees of n and A the Schur complement of m on S1.  The bracket's
+    lower end is the PSD test of the unreduced B2 matrix, its floor taken
+    from the largest entries of m and n; its upper end is the witness's
+    Rayleigh quotient M(f)/N(f), evaluated by _cd_values on the ball
+    through the Gamma operators' edge sums at f / max|f|, which cannot
+    overflow, plus PSD_REL_FLOOR times the sum of |M|'s terms over N.
+    Neither end reads R.  The witness is re-embedded in all n states, zero
+    outside B2.
     """
-    ball, m, n = _dirac_ball_forms(chain, state, dim)
+    ball, args = _dirac_ball(chain, state, dim)
+    m, n = _form_matrices(*args)
     k1 = int(np.count_nonzero(chain.adjacency[ball[0]]))
-    k, pvals, r, cluster, null_dim = _reduce(
+    k, cluster, null_dim = _reduce(
         m, n, (slice(1, k1 + 1), slice(k1 + 1, None), [], [slice(None)]))
-    iterations, bracket = _psd_bracket(r, np.eye(k1), k,
-                                       float(np.abs(pvals).max()), 1.0)
+    f = _witness(n, cluster)
+    m_val, n_val, m_abs = _cd_values(*args, f / np.abs(f).max())
+    upper = (m_val + PSD_REL_FLOOR * m_abs) / n_val if n_val > 0 else POS_INFINITY
+    iterations, bracket = _psd_bracket(m, n, k, float(np.abs(m).max()),
+                                       float(np.abs(n).max()), upper)
     witness = np.zeros(chain.n_states)
-    witness[ball] = _certified_witness(m, n, k, cluster, float(np.abs(m).max()),
-                                       float(np.abs(n).max()))
+    witness[ball] = f
     return CurvatureResult(value=k, witness=witness, bracket=bracket,
                            iterations=iterations, null_dim=null_dim)
 
@@ -344,8 +341,7 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     # a positive density under a mean with positive d1 weighs every edge of
     # the irreducible chain in n, so n's graph is connected
     positive = bool((rho > 0).all())
-    k, _, _, cluster, _ = _reduce(m, n, _grounded(n) if positive and (d1 > 0).all()
-                                  else None)
+    k, cluster, _ = _reduce(m, n, _grounded(n) if positive and (d1 > 0).all() else None)
     if positive:
         # n vanishes only on constants at a positive density; more
         # eigenvalues of n near 0 mean the density's range has outrun the

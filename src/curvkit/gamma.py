@@ -284,17 +284,19 @@ def assemble_forms(chain: MarkovChain, mean, rho, dim) -> FormPair:
     return FormPair(m=m, n=n_mat)
 
 
-def _dirac_ball_forms(chain: MarkovChain, state,
-                      dim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ball, m, n): the arithmetic-mean forms of the Dirac density at a
-    state x, assembled on its 2-ball B2 alone, which `ball` lists as x,
-    then the 1-sphere S1, then the 2-sphere S2, each in state order.
+def _dirac_ball(chain: MarkovChain, state, dim):
+    """(ball, args): the 2-ball B2 of a state x, listed as x, then the
+    1-sphere S1, then the 2-sphere S2, each in state order, and the
+    arguments (q, pi, edges, d1e, rho, dim) of _form_matrices and
+    _cd_values for the arithmetic-mean Dirac density at x on that ball.
 
-    m and n equal the assemble_forms matrices restricted to ball x ball,
+    The forms equal the assemble_forms matrices restricted to ball x ball,
     and those vanish outside it: t_rho lives on B1 x B1, (Q - I) rho on
     B1, and every Laplacian row of a B1 vertex lives in B2, so the blocks
-    q[B2, B2], pi[B2] and the edges inside B2 carry every term.  The dense
-    work is |B2|^3; only finding the ball reads rows of length n.
+    q[B2, B2], pi[B2] and the edges inside B2 carry every term.  So do
+    they for _cd_values: its terms read Delta f only where rho or its
+    Laplacian lives, on B1, whose rows of q lie whole in the ball.  The
+    dense work is |B2|^3; only finding the ball reads rows of length n.
     """
     ix = chain.index(state)
     dim = _dimension(dim)
@@ -308,26 +310,55 @@ def _dirac_ball_forms(chain: MarkovChain, state,
     ex, ey = np.nonzero(adj[block])
     rho = np.zeros(len(ball))
     rho[0] = 1.0 / chain.pi[ix]
-    m, n_mat = _form_matrices(q, chain.pi[ball], (ex, ey, q[ex, ey]),
-                              _on_edges(ARITHMETIC.d1, rho, ex, ey), rho, dim)
-    return ball, m, n_mat
+    return ball, (q, chain.pi[ball], (ex, ey, q[ex, ey]),
+                  _on_edges(ARITHMETIC.d1, rho, ex, ey), rho, dim)
+
+
+def _dirac_ball_forms(chain: MarkovChain, state,
+                      dim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ball, m, n): the forms of _dirac_ball on its ball."""
+    ball, args = _dirac_ball(chain, state, dim)
+    return (ball, *_form_matrices(*args))
+
+
+def _edge_terms(q: np.ndarray, pi: np.ndarray, edges, rho: np.ndarray,
+                f: np.ndarray):
+    """(Delta f, a, b, g) on the index set of the kernel block q, with
+    a = pi_x q_e (D_e f)^2, b = pi_x q_e (D_e f)(D_e Delta f) and
+    g = (1/2)(Delta rho)_x a on the ordered edges e = (x, y)."""
+    ex, ey, qe = edges
+    lf = q @ f - f
+    wpe = qe * pi[ex]
+    df = f[ey] - f[ex]
+    a = wpe * df * df
+    return lf, a, wpe * df * (lf[ey] - lf[ex]), 0.5 * (q @ rho - rho)[ex] * a
+
+
+def _cd_values(q: np.ndarray, pi: np.ndarray, edges, d1e: np.ndarray,
+               rho: np.ndarray, dim: float, f: np.ndarray) -> tuple[float, float, float]:
+    """(M, N, A) at f: the edge sums of cd_quadratic_grad on the index set
+    of the kernel block q, which take the arguments of _form_matrices, and
+    the sum A of the absolute values of M's terms, the scale of M's
+    rounding."""
+    lf, a, b, g = _edge_terms(q, pi, edges, rho, f)
+    rb = rho[edges[0]] * b
+    m_val, m_abs = float(np.dot(g - rb, d1e)), float(np.dot(abs(g) + abs(rb), abs(d1e)))
+    if np.isfinite(dim):
+        corr = float(np.dot(rho, pi * lf * lf / float(dim)))
+        m_val, m_abs = m_val - corr, m_abs + corr
+    return m_val, float(np.dot(rho, np.bincount(edges[0], d1e * a, len(pi)))), m_abs
 
 
 def cd_quadratic(chain: MarkovChain, mean, rho, dim, f) -> tuple[float, float]:
     """Scalar evaluation (<rho, Gamma2 f - (1/dim)(Delta f)^2>, <rho, Gamma f>).
 
-    O(edges) route through the Gamma operators; agrees with the assembled
-    FormPair applied to f and with the values of cd_quadratic_grad.
+    O(edges) route: the edge sums of cd_quadratic_grad, with Delta moved
+    onto rho by reversibility.  They never read the assembled FormPair,
+    and they agree with it applied to f.
     """
-    rho = validate_density(chain, mean, rho)
-    f = _as_function(chain, f)
-    g2 = gamma2_rho(chain, mean, rho, f)
-    g1 = gamma_rho(chain, mean, rho, f)
-    lf = laplacian(chain, f)
-    m_val = func_inner(chain, rho, g2)
-    if np.isfinite(dim):
-        m_val -= func_inner(chain, rho, lf * lf) / float(dim)
-    return m_val, func_inner(chain, rho, g1)
+    rho, d1 = _density_d1(chain, mean, rho)
+    return _cd_values(chain.q, chain.pi, chain.edges, d1, rho, dim,
+                      _as_function(chain, f))[:2]
 
 
 def cd_quadratic_grad(chain: MarkovChain, mean, rho, dim,
@@ -355,19 +386,14 @@ def _cd_grad(chain: MarkovChain, mean, rho: np.ndarray, d1: np.ndarray, dim,
     the ordered edges, as _density_d1 returns them."""
     if (rho == 0).any():
         raise DomainError("the curvature gradient needs a strictly positive density")
-    f = _as_function(chain, f)
     n = chain.n_states
-    ex, ey, qe = chain.edges
-    lf = laplacian(chain, f)
-    lrho = laplacian(chain, rho)
-    wpe = qe * chain.pi[ex]
-    df = f[ey] - f[ex]
-    a = wpe * df * df
-    b = wpe * df * (lf[ey] - lf[ex])
+    ex, ey, _ = chain.edges
+    lf, a, b, g = _edge_terms(chain.q, chain.pi, chain.edges, rho,
+                              _as_function(chain, f))
     rx, ry = rho[ex], rho[ey]
     t11 = _on_edges(mean.d11, rho, ex, ey)
     t12 = -rx * t11 / ry
-    c = 0.5 * lrho[ex] * a - rx * b          # coefficient of theta1 in M
+    c = g - rx * b          # coefficient of theta1 in M
     ta = np.bincount(ex, weights=d1 * a, minlength=n)
     n_val = float(np.dot(rho, ta))
     m_val = float(np.dot(c, d1))

@@ -310,20 +310,18 @@ def test_bracketed_confirmation_makes_two_eigvalsh_calls(monkeypatch):
 
 
 def test_pencil_returns_the_norms_of_m_and_n(monkeypatch):
-    # the PSD floors of the bracket and the certificate take the spectral
-    # norms of the unreduced m and n
+    # the PSD floor of the bracket, the one test of a general pencil, takes
+    # the spectral norms of the unreduced m and n
     import curvkit.curvature as cmod
     seen = []
-    true_bracket, true_witness = cmod._psd_bracket, cmod._certified_witness
+    true_bracket = cmod._psd_bracket
     monkeypatch.setattr(cmod, "_psd_bracket",
                         lambda m, n, k, mn, nn: seen.append((mn, nn)) or true_bracket(m, n, k, mn, nn))
-    monkeypatch.setattr(cmod, "_certified_witness",
-                        lambda m, n, k, c, mn, nn: seen.append((mn, nn)) or true_witness(m, n, k, c, mn, nn))
     for m, n in _pool_pencils():
         seen.clear()
         cmod.solve_pencil(m, n)
         norms = (np.abs(np.linalg.eigvalsh(m)).max(), np.abs(np.linalg.eigvalsh(n)).max())
-        assert seen == [norms, norms]
+        assert seen == [norms]
 
 
 def test_witness_is_fixed_by_the_span_of_its_cluster():
@@ -342,11 +340,11 @@ def test_witness_is_fixed_by_the_span_of_its_cluster():
         assert f @ n @ f == pytest.approx(1.0, rel=1e-12)
         m_norm, n_norm = (np.abs(np.linalg.eigvalsh(a)).max() for a in (m, n))
         assert f @ (m - k * n) @ f >= -1e-9 * (m_norm + abs(k) * n_norm + 1.0)
-        value, pvals, r, cluster, null_dim = true_reduce(m, n)
+        value, cluster, null_dim = true_reduce(m, n)
         turn, _ = np.linalg.qr(rng.standard_normal((len(cluster), len(cluster))))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cmod, "_reduce",
-                       lambda m, n: (value, pvals, r, turn @ cluster, null_dim))
+                       lambda m, n: (value, turn @ cluster, null_dim))
             turned = cmod.solve_pencil(m, n, confirm=False).witness
         assert np.abs(turned - f).max() <= 1e-12 * np.abs(f).max()
         rotated += len(cluster) > 1
@@ -378,7 +376,7 @@ def test_pencil_solve_decomposes_n_once(monkeypatch):
 @contextlib.contextmanager
 def _confirming(shift):
     """Make _reduce return shift(k), and yield the eigvalsh arguments after
-    it: the PSD tests of the confirmation and the certificate."""
+    it: the PSD tests of the bracket."""
     import curvkit.curvature as cmod
     true_reduce, true_eigvalsh = cmod._reduce, np.linalg.eigvalsh
     calls = []
@@ -470,12 +468,12 @@ def test_ball_lists_the_vertex_then_its_spheres_in_state_order():
 
 
 def _broken(kind):
-    """A _dirac_ball_forms whose C8 ball of state 0 (0, then S1 = 1 7, then
-    S2 = 2 6) loses one feature of its Dirac structure."""
-    from curvkit.gamma import _dirac_ball_forms
+    """A _form_matrices whose forms of the C8 ball of state 0 (0, then
+    S1 = 1 7, then S2 = 2 6) lose one feature of their Dirac structure."""
+    from curvkit.gamma import _form_matrices
 
-    def forms(chain, state, dim):
-        ball, m, n = _dirac_ball_forms(chain, state, dim)
+    def forms(*args):
+        m, n = _form_matrices(*args)
         if kind == "coupled S2":
             m[3, 4] = m[4, 3] = 0.1 * m[3, 3]
         elif kind == "coupled n":   # n reaches into S2
@@ -484,7 +482,7 @@ def _broken(kind):
             n[2, 2] = 0.0
         else:                       # an S2 diagonal entry of m underflows
             m[4, 4] = 0.0
-        return ball, m, n
+        return m, n
     return forms
 
 
@@ -493,11 +491,13 @@ def test_degree_coordinates_refuse_broken_structure(monkeypatch, kind):
     # forms that break the split x, S1, S2 that the vertex route hands the
     # reduction are a NumericalFailure, with no second solver behind it
     import curvkit.curvature as cmod
+    from curvkit.gamma import _dirac_ball
 
     reason = ("grounded n is not positive definite" if kind == "zero D"
               else "sphere block")
     ch = cycle(8)
-    ball, m, n = _broken(kind)(ch, 0, INF)
+    ball, args = _dirac_ball(ch, 0, INF)
+    m, n = _broken(kind)(*args)
     assert ball.tolist() == [0, 1, 7, 2, 6]
     with pytest.raises(NumericalFailure, match=reason):
         cmod._reduce(m, n, (slice(1, 3), slice(3, None), [], [slice(None)]))
@@ -505,7 +505,7 @@ def test_degree_coordinates_refuse_broken_structure(monkeypatch, kind):
     def forbidden(*args, **kwargs):
         raise AssertionError("vertex curvature reached solve_pencil")
 
-    monkeypatch.setattr(cmod, "_dirac_ball_forms", _broken(kind))
+    monkeypatch.setattr(cmod, "_form_matrices", _broken(kind))
     monkeypatch.setattr(cmod, "solve_pencil", forbidden)
     with pytest.raises(NumericalFailure, match=reason):
         bakry_emery_vertex(ch, 0, INF)
@@ -582,8 +582,8 @@ def _mp_pencil(m, n):
 @pytest.mark.parametrize("weight", ["1e-10", "1e-6"])
 def test_near_degenerate_edge_lists_match_mpmath(tmp_path, weight):
     # a-b-c-d with a small middle weight, which sits on S1 of b and c:
-    # every vertex brackets in two PSD tests, passes the 2-ball
-    # certificate, and reads the 50-digit value of its exact 2-ball pencil
+    # every vertex brackets in two tests and reads the 50-digit value of
+    # its exact 2-ball pencil
     from curvkit.cli import main
     from curvkit.gamma import _dirac_ball_forms
     edges = tmp_path / "edges.tsv"
@@ -601,10 +601,12 @@ def test_near_degenerate_edge_lists_match_mpmath(tmp_path, weight):
         assert per_vertex[state]["value"] == pytest.approx(exact, rel=1e-12)
 
 
-def _power_weighted_graphs(seed: int, count: int):
+def _power_weighted_graphs(seed: int, count: int, exponents=(-6, 3)):
     """Connected graphs of 4-6 states whose edge weights are 10^e, e an
-    integer in [-6, 3]: a random spanning tree, then each other pair with
-    probability 0.4.  Yields the weights as Fractions and as floats."""
+    integer in the closed range `exponents`: a random spanning tree, then
+    each other pair with probability 0.4.  Yields the weights as Fractions
+    and as floats."""
+    low, high = exponents
     rng = np.random.default_rng(seed)
     for _ in range(count):
         size = int(rng.integers(4, 7))
@@ -615,7 +617,7 @@ def _power_weighted_graphs(seed: int, count: int):
                   if (a, b) not in pairs and rng.random() < 0.4}
         exact = [[Fraction(0)] * size for _ in range(size)]
         for a, b in sorted(pairs):
-            exact[a][b] = exact[b][a] = Fraction(10) ** int(rng.integers(-6, 4))
+            exact[a][b] = exact[b][a] = Fraction(10) ** int(rng.integers(low, high + 1))
         yield exact, np.array(exact, dtype=float)
 
 
@@ -638,6 +640,62 @@ def test_vertex_brackets_pass_the_exact_psd_test():
             assert exact_psd(m, n, lo) and not exact_psd(m, n, hi), (exact, x)
             confirmed += 1
     assert confirmed >= vertices / 2
+
+
+def test_moderate_weights_confirm_every_vertex():
+    # at weights 10^e, e in [-3, 3], no vertex is refused: the bracket's
+    # floor is set by the unreduced forms, not by a reduced matrix of norm
+    # up to 3e4 max(1, |K|), and every bracket holds in rational arithmetic
+    from curvkit.gamma import _dirac_ball_forms
+    graphs = 0
+    for exact, weights in _power_weighted_graphs(seed=34, count=100, exponents=(-3, 3)):
+        ch = srw_from_graph(weights)
+        for x in range(ch.n_states):
+            lo, hi = map(Fraction, bakry_emery_vertex(ch, x, INF).bracket)
+            m, n = exact_ball_pencil(exact, x, _dirac_ball_forms(ch, x, INF)[0])
+            assert exact_psd(m, n, lo) and not exact_psd(m, n, hi), (exact, x)
+        graphs += 1
+    assert graphs == 100
+
+
+def test_bracket_does_not_trust_the_reduction(monkeypatch):
+    # a reduction that reads m (1 - 1e-6) returns K 1e-6 too low at these
+    # vertices (all K > 0); the PSD test at k - h still passes, but the
+    # witness's Rayleigh quotient, evaluated through the operators, lies
+    # above k + h, so every vertex is refused
+    import curvkit.curvature as cmod
+    true_reduce = cmod._reduce
+    monkeypatch.setattr(cmod, "_reduce",
+                        lambda m, n, split=None: true_reduce(m * (1 - 1e-6), n, split))
+    vertices = 0
+    for ch in (hypercube(3), hypercube(4), complete(4), complete(5)):
+        for x in range(ch.n_states):
+            with pytest.raises(NumericalFailure, match="disagree beyond 1e-08"):
+                bakry_emery_vertex(ch, x, INF)
+            vertices += 1
+    assert vertices == 33
+
+
+def test_lopsided_weights_confirm_every_vertex(tmp_path):
+    # weights 100, 10, 1 and 0.001 on a triangle with a pendant vertex:
+    # a reduced matrix of norm about 1.2e3 max(1, |K|) once swamped the
+    # bracket at a; each vertex now brackets in two tests, and each
+    # bracket holds in rational arithmetic
+    from curvkit.cli import main
+    from curvkit.gamma import _dirac_ball_forms
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\t100\na\tc\t0.001\nb\tc\t10\nb\td\t1\n")
+    out = tmp_path / "report.json"
+    assert main(["curv-vertex", "--in", str(edges), "--out", str(out)]) == 0
+    per_vertex = json.loads(out.read_text())["results"]["per_vertex"]
+    w = Fraction("0.001")
+    exact = [[0, 100, w, 0], [100, 0, 10, 1], [w, 10, 0, 0], [0, 1, 0, 0]]
+    ch = chain_from_edgelist(edges.read_text())
+    for x, state in enumerate("abcd"):
+        lo, hi = map(Fraction, per_vertex[state]["bracket"])
+        m, n = exact_ball_pencil(exact, x, _dirac_ball_forms(ch, state, INF)[0])
+        assert per_vertex[state]["iterations"] == 2
+        assert exact_psd(m, n, lo) and not exact_psd(m, n, hi), state
 
 
 def _path_chord_graphs(seed: int, count: int):
@@ -854,8 +912,7 @@ def test_gradient_matches_finite_differences_other_means(mean):
         rho = positive_density(ch, 1000 + seed)
         dim = [INF, 7.0][seed % 2]
         fp = assemble_forms(ch, mean, rho, dim)
-        pvals = _reduce(fp.m, fp.n)[1]
-        if len(pvals) > 1 and pvals[1] - pvals[0] < 1e-6:
+        if len(_reduce(fp.m, fp.n)[1]) > 1:    # a multiple least eigenvalue
             continue
         k, grad = curvature_grad_rho(ch, mean, rho, dim)
         fd = np.zeros(ch.n_states)
@@ -898,7 +955,7 @@ def _grad_by_public_route(ch, mean, rho, dim):
     (K, gradient, number of witnesses averaged)."""
     import curvkit.curvature as cmod
     fp = assemble_forms(ch, mean, rho, dim)
-    k, _, _, cluster, _ = cmod._reduce(fp.m, fp.n)
+    k, cluster, _ = cmod._reduce(fp.m, fp.n)
     parts = [cd_quadratic_grad(ch, mean, rho, dim, w) for w in cluster]
     grad = np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
     return k, grad, len(parts)

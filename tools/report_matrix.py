@@ -28,7 +28,7 @@ scratch directory that is also the working directory:
     concentrated that the chain starts within 1/4 of equilibrium and
     tau(1/4) = 0, and curv-measure at the constant density under the
     logarithmic mean, a numerical failure (exit 3) because the PSD
-    certificate refuses the pencil value;
+    bracket refuses the pencil value;
   * the edge list a-b-c-d with weights 1, 1e-10, 1 under the full verify
     battery with an exact entropic K of 0.1, which this chain's d_Gamma
     diameter refutes (exit 4), and the same list with a middle weight of
@@ -68,7 +68,13 @@ scratch directory that is also the working directory:
     positive entry) and at a density of 1e-320 on every state of cycle:5,
     read from a JSON file, whose form weights are subnormal: the pencil
     reads K = lambda_1, which the PSD bracket, its floor absolute, refuses
-    (exit 3).
+    (exit 3);
+  * the edge list a-b-c-d with weights 10, 1e-12, 10 under curv-measure at
+    dim 4 and the density {a: 4, b: 4, d: 12}: a wrong certificate, kept
+    so that its mending shows.  It exits 0 with K = 1.4999999999842142
+    and the bracket [1.499999996234214, 1.5000000037342143], but the exact
+    value is 1.4999995718255186, and neither end passes the exact PSD
+    test (at dim inf the same command exits 3).
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
@@ -159,6 +165,9 @@ def edge_commands(work: str) -> list[list[str]]:
                          (tiny, "5e-324"), (tiny8, "4e-323"), (thin12, "1e-12")):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"a\tb\t1\nb\tc\t{weight}\nc\td\t1\n")
+    heavy12 = f"{work}/heavy12.tsv"
+    with open(heavy12, "w", encoding="utf-8") as fh:
+        fh.write("a\tb\t10\nb\tc\t1e-12\nc\td\t10\n")
     lazy = f"{work}/lazy.json"
     with open(lazy, "w", encoding="utf-8") as fh:
         json.dump({"Q": [[0.5 if y == x else 0.25 if (y - x) % 5 in (1, 4)
@@ -230,7 +239,9 @@ def edge_commands(work: str) -> list[list[str]]:
             ["curv-measure", "--in", thin12, "--rho", "dirac:b"],
             ["curv-measure", "--in", tiny, "--rho", "dirac:b"],
             ["curv-measure", "--gen", "cycle:10", "--n", "4", "--rho", '{"0": 1, "3": 2}'],
-            ["curv-measure", "--gen", "cycle:10", "--n", "4", "--rho", '{"0": 1, "5": 2}']]
+            ["curv-measure", "--gen", "cycle:10", "--n", "4", "--rho", '{"0": 1, "5": 2}'],
+            ["curv-measure", "--in", heavy12, "--n", "4",
+             "--rho", '{"a": 4, "b": 4, "d": 12}']]
 
 
 def run_one(main, argv: list[str], work: str, root: str) -> dict:
