@@ -196,25 +196,30 @@ def _reduce(m: np.ndarray, n: np.ndarray, split=None):
     return k, lift.T, len(n) - len(d)
 
 
-def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
-                 n_norm: float, upper: float | None = None):
+def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, upper: float | None = None):
     """Certify the pencil value k by the PSD test of the unreduced m - K n.
 
     k is certified to within h when m - K n is PSD at k - h and k + h lies
     above K: m - K n is not PSD there, or, when `upper` is given, k + h
     exceeds upper, an upper bound on K (a Rayleigh quotient with its
-    rounding allowance).  Each test of either end counts as one.  The
-    pairs tried are h = min(d, 5e-9), d and 4d,
-    d = AGREE_TOL/4 * max(1, |k|): at large |k| or norms the floor hides a
+    rounding allowance).  Each test of either end counts as one, and each
+    PSD test is one eigvalsh.  The pairs tried are h = min(d, 5e-9), d
+    and 4d, d = AGREE_TOL/4 * max(1, |k|): at large |k| the floor hides a
     5e-9 step, and the widest pair is the agreement tolerance itself.
     Returns (tests, bracket); raises NumericalFailure when no pair
-    certifies k.  The floor is the fixed problem scale plus a 1e-13 |K|
-    n_norm allowance for the rounding of K n in m - K n.  Every K is
-    finite, so the allowance serves only large |K|, which small
+    certifies k, naming the end that failed at the widest pair.
+
+    The floor is read from the entries of the forms it tests:
+    PSD_REL_FLOOR * max(max|m|, max|n|), plus a 1e-13 |K| max|n|
+    allowance for the rounding of K n in m - K n (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10).  m and n are both linear
+    in the density, so the floor scales with them and K(c rho) = K(rho)
+    is certified at every scale whose entries are normal floats.  Every K
+    is finite, so the allowance serves only large |K|, which small
     dimensions make (K is about -2e6 at a vertex of the 6-cycle at dim
-    1e-6), where |K| n_norm can exceed the fixed scale.
+    1e-6), where |K| max|n| can exceed the fixed part.
     """
-    base = max(1.0, m_norm, n_norm)
+    m_max, n_max = float(np.abs(m).max()), float(np.abs(n).max())
     tests = 0
 
     def psd_at(kk):
@@ -222,27 +227,29 @@ def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, m_norm: float,
         tests += 1
         if upper is not None and kk > k:     # the upper end; a nan bound refuses
             return not upper < kk
-        floor = PSD_REL_FLOOR * base + 1e-13 * abs(kk) * n_norm
+        floor = PSD_REL_FLOOR * max(m_max, n_max) + 1e-13 * abs(kk) * n_max
         return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
 
     d = 0.25 * AGREE_TOL * max(1.0, abs(k))
     for h in sorted({min(d, 5e-9), d, 4.0 * d}):
-        if psd_at(k - h) and not psd_at(k + h):
+        if (below := psd_at(k - h)) and not psd_at(k + h):
             return tests, (k - h, k + h)
-    raise NumericalFailure(
-        f"pencil K={k!r} and the PSD test of m - K n disagree beyond {AGREE_TOL}")
+    end = "lower end: m - (K - h) n is not PSD" if not below else "upper end: " + (
+        "m - (K + h) n is PSD" if upper is None else "K + h is not above the Rayleigh quotient")
+    raise NumericalFailure(f"pencil K={k!r} and the PSD test of m - K n disagree beyond "
+                           f"{AGREE_TOL}; at the widest pair h={h!r}, the {end}")
 
 
 def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> CurvatureResult:
     """Solve sup{K : m - K n >= 0}, with optional confirmation by
-    _psd_bracket, which raises NumericalFailure when it refuses the value.
-    The PSD floors scale with the spectral norms of m and n, and the
-    witness is _witness's.  m and n are the forms of a density: the
-    constants lie in both kernels, and n is a weighted Laplacian.
+    _psd_bracket, which raises NumericalFailure when it refuses the value
+    and reads its floor from the entries of m and n; an unconfirmed solve
+    makes no eigvalsh call.  The witness is _witness's.  m and n are the
+    forms of a density: the constants lie in both kernels, and n is a
+    weighted Laplacian.
     """
-    m_norm, n_norm = (float(np.abs(np.linalg.eigvalsh(a)).max()) for a in (m, n))
     k, cluster, null_dim = _reduce(m, n)
-    iterations, bracket = _psd_bracket(m, n, k, m_norm, n_norm) if confirm else (0, None)
+    iterations, bracket = _psd_bracket(m, n, k) if confirm else (0, None)
     return CurvatureResult(value=k, witness=_witness(n, cluster), bracket=bracket,
                            iterations=iterations, null_dim=null_dim)
 
@@ -278,8 +285,9 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     split: x grounded, S1 free, S2 the sphere.  n is diagonal on S1, so K
     is the least eigenvalue of the |S1|-sized R = D^-1/2 A D^-1/2, D the
     degrees of n and A the Schur complement of m on S1.  The bracket's
-    lower end is the PSD test of the unreduced B2 matrix, its floor taken
-    from the largest entries of m and n; its upper end is the witness's
+    lower end is the PSD test of the unreduced B2 matrix, whose floor
+    _psd_bracket reads from the largest entries of m and n, as for every
+    density; its upper end is the witness's
     Rayleigh quotient M(f)/N(f), evaluated by _cd_values on the ball
     through the Gamma operators' edge sums at f / max|f|, which cannot
     overflow, plus PSD_REL_FLOOR times the sum of |M|'s terms over N.
@@ -294,8 +302,7 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     f = _witness(n, cluster)
     m_val, n_val, m_abs = _cd_values(*args, f / np.abs(f).max())
     upper = (m_val + PSD_REL_FLOOR * m_abs) / n_val if n_val > 0 else POS_INFINITY
-    iterations, bracket = _psd_bracket(m, n, k, float(np.abs(m).max()),
-                                       float(np.abs(n).max()), upper)
+    iterations, bracket = _psd_bracket(m, n, k, upper)
     witness = np.zeros(chain.n_states)
     witness[ball] = f
     return CurvatureResult(value=k, witness=witness, bracket=bracket,

@@ -146,6 +146,21 @@ def test_scale_invariance():
         assert v == pytest.approx(base, abs=1e-10 * max(1, abs(base)))
 
 
+@pytest.mark.parametrize("mean", [ARITHMETIC, GEOMETRIC, LOGARITHMIC])
+def test_confirmed_value_is_scale_free(mean):
+    # m and n are linear in the density, so K(c rho) = K(rho), and the PSD
+    # floor scales with the forms: every scale whose form entries are
+    # normal floats confirms the value at scale 1
+    pool_chain = random_reversible_chain(7, 14)
+    for ch, rho in ((cycle(5), np.ones(5)), (pool_chain, positive_density(pool_chain, 5))):
+        for dim in (INF, 4.0):
+            base = curvature_of_measure(ch, mean, rho, dim).value
+            for e in (-300, -100, -10, -5, 0, 5, 100):
+                res = curvature_of_measure(ch, mean, 10.0**e * rho, dim)
+                assert res.value == pytest.approx(base, rel=1e-12), (e, dim)
+                assert res.bracket[0] < base < res.bracket[1], (e, dim)
+
+
 def test_support_superadditivity():
     # K_n(rho) >= min over the support of the vertex curvatures (arithmetic)
     rng = np.random.default_rng(8)
@@ -262,20 +277,20 @@ def _pool_pencils():
         yield fp.m, fp.n
 
 
-def test_seeded_and_full_bisection_agree():
+def test_search_from_scratch_lands_inside_each_bracket():
     # two PSD tests bracket the pencil value; a from-scratch search on the
-    # same PSD test, doubling out from [-4, 4] and bisected to 1e-9, lands
-    # inside that bracket
+    # same PSD test, its floor read from the largest entries of m and n,
+    # doubling out from [-4, 4] and bisected to 1e-9, lands inside that
+    # bracket
     from curvkit.curvature import PSD_REL_FLOOR, _psd_bracket, _reduce
     bracketed = 0
     for m, n in _pool_pencils():
         k = _reduce(m, n)[0]
-        m_norm, n_norm = (np.abs(np.linalg.eigvalsh(a)).max() for a in (m, n))
-        tests, (lo, hi) = _psd_bracket(m, n, k, m_norm, n_norm)
-        base = max(1.0, m_norm, n_norm)
+        tests, (lo, hi) = _psd_bracket(m, n, k)
+        m_max, n_max = np.abs(m).max(), np.abs(n).max()
 
         def psd_at(kk):
-            floor = PSD_REL_FLOOR * base + 1e-13 * abs(kk) * n_norm
+            floor = PSD_REL_FLOOR * max(m_max, n_max) + 1e-13 * abs(kk) * n_max
             return np.linalg.eigvalsh(m - kk * n).min() >= -floor
 
         below, above = -4.0, 4.0
@@ -292,36 +307,44 @@ def test_seeded_and_full_bisection_agree():
     assert bracketed > 50
 
 
-def test_bracketed_confirmation_makes_two_eigvalsh_calls(monkeypatch):
+def _spy_eigvalsh(monkeypatch):
+    """Record every array that np.linalg.eigvalsh is called on."""
+    true_eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: calls.append(a) or true_eigvalsh(a, *args))
+    return calls
+
+
+def test_bracket_makes_one_eigvalsh_call_per_test(monkeypatch):
+    # the Dirac balls of three regular chains are bracketed by the first
+    # pair, two tests of width 1e-8
     import curvkit.curvature as cmod
     from curvkit.gamma import _dirac_ball_forms
-    true_eigvalsh = np.linalg.eigvalsh
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a: calls.append(a) or true_eigvalsh(a))
-    for ch in (hypercube(3), cycle(5), complete(4)):
-        _, m, n = _dirac_ball_forms(ch, 0, INF)
+    balls = [_dirac_ball_forms(ch, 0, INF)[1:]
+             for ch in (hypercube(3), cycle(5), complete(4))]
+    pencils = balls + list(_pool_pencils())
+    calls = _spy_eigvalsh(monkeypatch)
+    for i, (m, n) in enumerate(pencils):
         k = cmod._reduce(m, n)[0]
-        m_norm, n_norm = (np.abs(true_eigvalsh(a)).max() for a in (m, n))
         calls.clear()
-        tests, (lo, hi) = cmod._psd_bracket(m, n, k, m_norm, n_norm)
-        assert len(calls) == tests == 2
-        assert lo < k < hi and hi - lo <= 1e-8
+        tests, (lo, hi) = cmod._psd_bracket(m, n, k)
+        assert len(calls) == tests
+        assert lo < k < hi
+        if i < len(balls):
+            assert tests == 2 and hi - lo <= 1e-8
 
 
-def test_pencil_returns_the_norms_of_m_and_n(monkeypatch):
-    # the PSD floor of the bracket, the one test of a general pencil, takes
-    # the spectral norms of the unreduced m and n
+def test_confirmed_solve_makes_one_eigvalsh_call_per_test(monkeypatch):
+    # the bracket reads its floor from the entries of m and n, so the only
+    # eigvalsh calls of a confirmed solve are its PSD tests of m - K n
     import curvkit.curvature as cmod
-    seen = []
-    true_bracket = cmod._psd_bracket
-    monkeypatch.setattr(cmod, "_psd_bracket",
-                        lambda m, n, k, mn, nn: seen.append((mn, nn)) or true_bracket(m, n, k, mn, nn))
-    for m, n in _pool_pencils():
-        seen.clear()
-        cmod.solve_pencil(m, n)
-        norms = (np.abs(np.linalg.eigvalsh(m)).max(), np.abs(np.linalg.eigvalsh(n)).max())
-        assert seen == [norms]
+    pencils = list(_pool_pencils())
+    calls = _spy_eigvalsh(monkeypatch)
+    for m, n in pencils:
+        calls.clear()
+        res = cmod.solve_pencil(m, n)
+        assert len(calls) == res.iterations >= 2
+        assert not any(a is n or a is m for a in calls)
 
 
 def test_witness_is_fixed_by_the_span_of_its_cluster():
@@ -351,10 +374,10 @@ def test_witness_is_fixed_by_the_span_of_its_cluster():
     assert rotated >= 10
 
 
-def test_pencil_solve_decomposes_n_once(monkeypatch):
-    # n is decomposed once, by the eigvalsh that gives its norm; no
-    # eigendecomposition of n decides its null directions, which the
-    # reduction reads from the zeros of the forms
+def test_unconfirmed_solve_makes_no_eigvalsh_call(monkeypatch):
+    # an unconfirmed solve decomposes neither form: no eigendecomposition
+    # of n decides its null directions, which the reduction reads from the
+    # zeros of the forms, and nothing computes a norm for a bracket
     import curvkit.curvature as cmod
     from curvkit.gamma import _dirac_ball_forms
     _, m, n = _dirac_ball_forms(hypercube(3), 0, INF)
@@ -363,14 +386,14 @@ def test_pencil_solve_decomposes_n_once(monkeypatch):
 
     def spy(name, fn):
         def wrapped(a, *args, **kwargs):
-            seen.append((name, a is n))
+            seen.append((name, a is n or a is m))
             return fn(a, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", true_eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", true_eigvalsh))
     cmod.solve_pencil(m, n, confirm=False)
-    assert [name for name, is_n in seen if is_n] == ["eigvalsh"]
+    assert seen and not any(name == "eigvalsh" or on_form for name, on_form in seen)
 
 
 @contextlib.contextmanager
@@ -394,11 +417,14 @@ def _confirming(shift):
 
 
 def test_wrong_pencil_value_is_refused_within_six_tests():
+    # the refusal names the end that failed at the widest pair: a value
+    # too high fails the lower end, one too low the upper end
     from curvkit.curvature import solve_pencil
     fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
-    for sign in (1.0, -1.0):
+    for sign, end in ((1.0, r"the lower end: m - \(K - h\) n is not PSD"),
+                      (-1.0, r"the upper end: m - \(K \+ h\) n is PSD")):
         with (_confirming(lambda k: k + sign * 1e-6 * max(1.0, abs(k))) as calls,
-              pytest.raises(NumericalFailure, match="disagree beyond 1e-08")):
+              pytest.raises(NumericalFailure, match="disagree beyond 1e-08; .*" + end)):
             solve_pencil(fp.m, fp.n)
         assert 1 <= len(calls) <= 6
 
@@ -670,7 +696,8 @@ def test_bracket_does_not_trust_the_reduction(monkeypatch):
     vertices = 0
     for ch in (hypercube(3), hypercube(4), complete(4), complete(5)):
         for x in range(ch.n_states):
-            with pytest.raises(NumericalFailure, match="disagree beyond 1e-08"):
+            with pytest.raises(NumericalFailure, match="disagree beyond 1e-08; .*the upper "
+                               "end: K \\+ h is not above the Rayleigh quotient"):
                 bakry_emery_vertex(ch, x, INF)
             vertices += 1
     assert vertices == 33
@@ -758,8 +785,9 @@ def test_zero_density_sentinel(cycle5):
     # forms are assembled: a NumericalFailure, not the vacuous +inf, since
     # K = lambda_1 there.  At 1e-320 the weights are subnormal but not 0,
     # and the reduction, scale-free, still reads lambda_1; the unreduced
-    # PSD bracket, whose floor is absolute, refuses it, and the descent's
-    # rank stop refuses the gradient
+    # PSD bracket, whose floor scales with the form entries, refuses it,
+    # because subnormal entries carry too few digits for its test (1e-310
+    # confirms), and the descent's rank stop refuses the gradient
     zero, tiny, small = np.zeros(5), np.full(5, 1e-323), np.full(5, 1e-320)
     for mean in (ARITHMETIC, GEOMETRIC, LOGARITHMIC):
         solvers = (lambda rho: curvature_of_measure(cycle5, mean, rho, INF),

@@ -67,8 +67,13 @@ scratch directory that is also the working directory:
   * curv-measure at the zero density of path:3 (exit 2: a density needs a
     positive entry) and at a density of 1e-320 on every state of cycle:5,
     read from a JSON file, whose form weights are subnormal: the pencil
-    reads K = lambda_1, which the PSD bracket, its floor absolute, refuses
-    (exit 3);
+    reads K = lambda_1, which the PSD bracket refuses, since subnormal
+    entries carry too few digits for its test (exit 3);
+  * curv-measure on cycle:5 at a density of 1e-10 on every state, where
+    the PSD floor, read from the form entries, scales with the density and
+    confirms K = lambda_1 as at the density 1;
+  * the same density at dim 4 under the logarithmic mean, confirmed as
+    well;
   * the edge list a-b-c-d with weights 10, 1e-12, 10 under curv-measure at
     dim 4 and the density {a: 4, b: 4, d: 12}: a wrong certificate, kept
     so that its mending shows.  It exits 0 with K = 1.4999999999842142
@@ -186,6 +191,7 @@ def edge_commands(work: str) -> list[list[str]]:
     tiny_rho = f"{work}/tiny_rho.json"
     with open(tiny_rho, "w", encoding="utf-8") as fh:
         json.dump({str(x): 1e-320 for x in range(5)}, fh)
+    small_rho = json.dumps({str(x): 1e-10 for x in range(5)})
     gen1 = f"{work}/gen1.json"
     with open(gen1, "w", encoding="utf-8") as fh:
         json.dump({"schema": "curvkit-report/1", "config": {"command": "gen"},
@@ -236,6 +242,9 @@ def edge_commands(work: str) -> list[list[str]]:
             ["heat", "--gen", "path:172", "--t-grid", "0.5"],
             ["curv-measure", "--gen", "path:3", "--rho", '{"0": 0}'],
             ["curv-measure", "--gen", "cycle:5", "--rho", tiny_rho],
+            ["curv-measure", "--gen", "cycle:5", "--rho", small_rho],
+            ["curv-measure", "--gen", "cycle:5", "--rho", small_rho, "--n", "4",
+             "--mean", "logarithmic"],
             ["curv-measure", "--in", thin12, "--rho", "dirac:b"],
             ["curv-measure", "--in", tiny, "--rho", "dirac:b"],
             ["curv-measure", "--gen", "cycle:10", "--n", "4", "--rho", '{"0": 1, "3": 2}'],
