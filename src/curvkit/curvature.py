@@ -11,17 +11,22 @@ one component indicator per connected block of the forms are eliminated
 by a Schur solve; one state per component is grounded; and the pencil left
 is solved through a Cholesky factor of the Jacobi-scaled grounded n
 (Cushing, Kamtue, Liu, Muench, Peyerimhoff & Snodgrass, Calc. Var. PDE 61,
-2022; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  A
-reduced matrix whose eigenvalues cannot resolve K to AGREE_TOL is refused.
+2022; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  The
+descent refuses a reduced matrix whose eigenvalues cannot resolve K to
+AGREE_TOL; the certified routes need no such check.
 
-Each value gets one bracket (_psd_bracket) on its unreduced forms, and
-neither end trusts the reduction.  The lower end k - h passes the PSD test
-of m - (k - h) n.  The upper end k + h fails that test for a general
-pencil.  A vertex pencil (the Dirac density under the arithmetic mean)
-comes from its assembly already split into x, S1 and S2; there k + h must
-lie above the witness's Rayleigh quotient M(f)/N(f), evaluated through
-the Gamma operators' edge sums on the 2-ball (_cd_values), an upper bound
-on K at every f.
+Each certified value gets one bracket (_psd_bracket), by one rule on both
+routes, on the unreduced forms and the arrays they were assembled from,
+and neither end trusts the reduction.  The lower end k - h passes a
+shifted Cholesky test of the grounded, Jacobi-scaled m - (k - h) n, whose
+shift bounds every rounding between the inputs and the factorization, so
+that a test that passes proves the exact forms PSD (Rump, BIT Numer. Math.
+46, 2006).  The upper end k + h lies above the witness's Rayleigh quotient
+M(f)/N(f), evaluated through the Gamma operators' edge sums (_cd_values),
+an upper bound on K at every f, plus its rounding bound.  A vertex pencil
+(the Dirac density under the arithmetic mean) comes from its assembly
+already split into x, S1 and S2; a general one is split as _split reads
+the forms.
 """
 
 from __future__ import annotations
@@ -32,18 +37,18 @@ import numpy as np
 
 from .chain import MarkovChain, derived
 from .errors import DomainError, InvalidParameters, NumericalFailure
-from .gamma import (_cd_grad, _cd_values, _density_d1, _dimension, _dirac_ball,
-                    _form_matrices, assemble_forms)
+from .gamma import (_abs_forms, _cd_grad, _cd_values, _density_d1, _dimension,
+                    _dirac_ball, _form_matrices)
 from .heat import lambda1
 from .means import ARITHMETIC, LOGARITHMIC, get_mean
 
 POS_INFINITY = float("inf")
+#: unit roundoff of float64
+_U = np.finfo(float).eps / 2
 
 #: eigenvalues of n below this relative threshold count as null directions
 #: in the descent's rank stop (curvature_grad_rho)
 NULL_REL_TOL = 1e-12
-#: relative eigenvalue floor of the PSD test that confirms each pencil
-PSD_REL_FLOOR = 1e-11
 #: relative half-width of the widest PSD bracket that certifies a pencil value
 AGREE_TOL = 1e-8
 #: cluster width: pencil eigenvalues this close to the least one count as
@@ -132,14 +137,13 @@ def _reduce(m: np.ndarray, n: np.ndarray, split=None):
     factor L of s n s (dropped where n is diagonal there), K is the least
     eigenvalue of R = L^-1 s S s L^-T, S the Schur complement of m.  Any
     other structure is a NumericalFailure, and so is an R that is not
-    finite or whose eigenvalue error bound eps ||R|| exceeds AGREE_TOL
-    max(1, |K|): such a K has no digit the bracket could certify, and a
-    descent that reads it only wanders (the densities of range 1e26 that
-    the L-BFGS box admits give K off by 1e6).
-    Returns (K, cluster, null_dim): the rows of
-    cluster are n-orthonormal witnesses of the eigenvalues within
-    GRAD_GAP_TOL of K, lifted to every state and centred on each block;
-    null_dim is the dimension of n's null space.
+    finite.  Returns (K, cluster, null_dim, norm): the rows of cluster are
+    n-orthonormal witnesses of the eigenvalues within GRAD_GAP_TOL of K,
+    lifted to every state and centred on each block; null_dim is the
+    dimension of n's null space; norm is ||R||, and eps ||R|| bounds the
+    error of every eigenvalue of R.  The certified routes read no
+    resolution from it, since _psd_bracket tests the value itself; the
+    descent does.
     """
     free, sphere, indicators, blocks = _split(m, n) if split is None else split
     j = len(indicators)
@@ -180,9 +184,6 @@ def _reduce(m: np.ndarray, n: np.ndarray, split=None):
         raise NumericalFailure("the reduced pencil is not finite")
     pvals, pvecs = np.linalg.eigh(r)
     k = float(pvals[0])
-    # eigh's eigenvalues are exact for a matrix within eps ||R|| of R
-    if np.finfo(float).eps * np.abs(pvals).max() > AGREE_TOL * max(1.0, abs(k)):
-        raise NumericalFailure(f"the reduced pencil cannot resolve K={k!r} to {AGREE_TOL}")
     y = to_free @ pvecs[:, pvals - k < GRAD_GAP_TOL]
     lift = np.zeros((len(n), y.shape[1]))
     lift[free] = y
@@ -193,65 +194,138 @@ def _reduce(m: np.ndarray, n: np.ndarray, split=None):
         lift[sphere] = -elim @ y
     for b in blocks:
         lift[b] -= lift[b].mean(axis=0)
-    return k, lift.T, len(n) - len(d)
+    return k, lift.T, len(n) - len(d), max(-k, float(pvals[-1]))
 
 
-def _psd_bracket(m: np.ndarray, n: np.ndarray, k: float, upper: float | None = None):
-    """Certify the pencil value k by the PSD test of the unreduced m - K n.
+def _shift(b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The diagonal shift of _psd_bracket's lower end for the scaled matrix
+    b: each row's bound `rows` on the scaled assembly error, plus Rump's
+    shift for Cholesky's own rounding and for the subtraction's."""
+    r = (len(b) + 1) * _U       # gamma_(k+1) / (1 - gamma_(k+1)) = r / (1 - 2 r), k = len(b)
+    return rows + r / (1.0 - 2.0 * r) * b.trace() + 2.0 * _U * b.diagonal().max()
 
-    k is certified to within h when m - K n is PSD at k - h and k + h lies
-    above K: m - K n is not PSD there, or, when `upper` is given, k + h
-    exceeds upper, an upper bound on K (a Rayleigh quotient with its
-    rounding allowance).  Each test of either end counts as one, and each
-    PSD test is one eigvalsh.  The pairs tried are h = min(d, 5e-9), d
-    and 4d, d = AGREE_TOL/4 * max(1, |k|): at large |k| the floor hides a
-    5e-9 step, and the widest pair is the agreement tolerance itself.
-    Returns (tests, bracket); raises NumericalFailure when no pair
-    certifies k, naming the end that failed at the widest pair.
 
-    The floor is read from the entries of the forms it tests:
-    PSD_REL_FLOOR * max(max|m|, max|n|), plus a 1e-13 |K| max|n|
-    allowance for the rounding of K n in m - K n (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10).  m and n are both linear
-    in the density, so the floor scales with them and K(c rho) = K(rho)
-    is certified at every scale whose entries are normal floats.  Every K
-    is finite, so the allowance serves only large |K|, which small
-    dimensions make (K is about -2e6 at a vertex of the 6-cycle at dim
-    1e-6), where |K| max|n| can exceed the fixed part.
+def _psd_bracket(args, m: np.ndarray, n: np.ndarray, k: float, f: np.ndarray,
+                 blocks, mean=ARITHMETIC):
+    """Certify the pencil value k of the forms m, n = _form_matrices(*args)
+    with witness f, on the unreduced forms, trusting no reduction.
+
+    blocks are the connected blocks of (m, n) as _split reads them (index
+    arrays or slices); states outside them, where both forms vanish, drop
+    out, and each block is grounded at its largest n-diagonal entry: its
+    constant lies in both kernels, so m - t n is PSD off the constants
+    exactly when it is PSD on the other states, the tested ones.  mean is
+    the mean that evaluated d1e.  k is certified to within h when
+    m - (k - h) n passes the lower-end test and k + h lies above the
+    witness's Rayleigh quotient.  Each test of either end counts as one.
+    The pairs tried are h = min(d, 5e-9), d and 4d,
+    d = AGREE_TOL/4 * max(1, |k|), so the widest pair is the agreement
+    tolerance itself.  Returns (tests, bracket); raises NumericalFailure
+    when no pair certifies k, naming the end that failed at the widest
+    pair.
+
+    Both ends bound every rounding between the inputs and the test: q, pi
+    and rho as given, and d1e, whose relative error mean.d1_err bounds.
+    A term that passes through j roundings is off by at most
+    gamma_j = j u / (1 - j u) times its absolute value (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3), u the unit roundoff,
+    and _abs_forms sums those absolute values, with the weight
+    |d1e| (gamma_j + d1_err) on the terms of d1 and gamma_j on the
+    dimension term.  With s states and E ordered edges, one j covers both
+    ends:
+      - an entry of m passes through at most 2s + 8 roundings (a Laplacian
+        row sum, s - 1; the products t_rho (Q - I) and
+        (Q - I)' diag(rho pi) (Q - I), s - 1 more; the differences), one
+        of t n through s + 4, m - t n adds 1 and the scaling below 2;
+      - M(f) and N(f) as _cd_values sums them pass through at most
+        max(s + E + 9, 3s + 6) (the product Q f, s; the dot over the
+        edges, E - 1; the products on an edge);
+      - 2 more cover second-order terms and the rounding of the bounds
+        themselves; j = 3s + E + 13 exceeds both.
+
+    Lower end.  The tested block B of m - t n is scaled to D B D, D the
+    inverse square root of its diagonal at the widest pair, where it is
+    largest (any positive D is a congruence), and passes when the Cholesky
+    factorization of D B D - diag(c) completes.  Row i of the scaled
+    assembly error E is at most c1_i = d_i (|m| d + |t| |n| d)_i, so
+    diag(c1) - E is diagonally dominant, hence PSD.  Cholesky's own
+    rounding (Demmel; Rump, BIT Numer. Math. 46, 2006): a factorization of
+    order r that completes is exact for a matrix within
+    gamma_(r+1) ||R||_F^2 <= gamma_(r+1) / (1 - gamma_(r+1)) tr(D B D),
+    and subtracting c rounds the diagonal by u max(D B D)_ii; _shift adds
+    both to c1.  A factorization that completes then proves the exact
+    m - t n PSD off the constants.  The bound assumes no product
+    underflows: forms with a subnormal entry fail this end.
+
+    Upper end.  K <= M(f)/N(f) for every f that vanishes at the grounded
+    states, so f is grounded by subtracting its value there from its
+    block, and scaled to max|f| = 1, which cannot overflow.  _cd_values
+    evaluates M and N through the Gamma operators' edge sums, whose
+    absolute terms are at most |f|' |m| |f| and |f|' |n| |f|, and those
+    are at most sum_i f_i^2 (|m| d)_i / d_i and the same for n (Schur's
+    test, |m| and |n| being entrywise nonnegative), which the lower end's
+    products already hold.  k + h must exceed (M + A_m) / (N -+ A_n),
+    raised by the quotient's rounding.
     """
-    m_max, n_max = float(np.abs(m).max()), float(np.abs(n).max())
+    q, pi, (ex, ey, _), d1e, rho, dim = args
+    j = 3 * len(n) + len(ex) + 13
+    g = j * _U / (1.0 - j * _U)
+    blocks = [np.arange(len(n))[b] for b in blocks]
+    ground = [b[np.argmax(n.diagonal()[b])] for b in blocks]
+    test = np.concatenate([b[b != x] for b, x in zip(blocks, ground)])
+    m_test, n_test = m[test[:, None], test], n[test[:, None], test]
+    # frexp's exponent of a subnormal entry is below -1021, of 0 it is 0
+    normal = bool(np.frexp(np.concatenate((m, n)))[1].min() > -1022)
+    # one Jacobi scale for every test: the diagonal at the widest pair,
+    # where it is largest, n's diagonal being nonnegative
+    half = 0.25 * AGREE_TOL * max(1.0, abs(k))
+    diag = m_test.diagonal() - (k - 4.0 * half) * n_test.diagonal()
+    diag = np.where((diag > 0) & normal, diag, 1.0)
+    d = np.bincount(test, diag ** -0.5, len(n))
+    mv, nv = _abs_forms(q, pi, args[2], np.abs(d1e) * (g + mean.d1_err(rho[ex], rho[ey])),
+                        rho, dim / g, d)
+    dd, rows_m, rows_n = np.outer(d[test], d[test]), (d * mv)[test], (d * nv)[test]
+
+    def psd_at(t):
+        b = (m_test - t * n_test) * dd
+        b.flat[::len(b) + 1] -= _shift(b, rows_m + abs(t) * rows_n)
+        try:
+            np.linalg.cholesky(b)
+        except np.linalg.LinAlgError:
+            return False
+        return normal
+
+    f = f.copy()
+    for b, x in zip(blocks, ground):
+        f[b] -= f[x]
+    f /= np.abs(f).max()
+    # |f|' A |f| <= sum_i f_i^2 (A d)_i / d_i for A >= 0 (Schur's test)
+    (m_val, n_val), f2 = _cd_values(*args, f), f[test] ** 2 * diag
+    top, n_abs = m_val + f2 @ rows_m, f2 @ rows_n
+    upper = top / (n_val - n_abs if top >= 0 else n_val + n_abs) if n_val > n_abs else POS_INFINITY
+    upper += 2.0 * _U * abs(upper)
+
     tests = 0
-
-    def psd_at(kk):
-        nonlocal tests
-        tests += 1
-        if upper is not None and kk > k:     # the upper end; a nan bound refuses
-            return not upper < kk
-        floor = PSD_REL_FLOOR * max(m_max, n_max) + 1e-13 * abs(kk) * n_max
-        return bool(np.linalg.eigvalsh(m - kk * n).min() >= -floor)
-
-    d = 0.25 * AGREE_TOL * max(1.0, abs(k))
-    for h in sorted({min(d, 5e-9), d, 4.0 * d}):
-        if (below := psd_at(k - h)) and not psd_at(k + h):
+    for h in sorted({min(half, 5e-9), half, 4.0 * half}):
+        tests += 1 + (below := psd_at(k - h))
+        if below and upper < k + h:
             return tests, (k - h, k + h)
-    end = "lower end: m - (K - h) n is not PSD" if not below else "upper end: " + (
-        "m - (K + h) n is PSD" if upper is None else "K + h is not above the Rayleigh quotient")
+    end = ("upper end: K + h is not above the Rayleigh quotient" if below
+           else "lower end: m - (K - h) n is not PSD")
     raise NumericalFailure(f"pencil K={k!r} and the PSD test of m - K n disagree beyond "
                            f"{AGREE_TOL}; at the widest pair h={h!r}, the {end}")
 
 
-def solve_pencil(m: np.ndarray, n: np.ndarray, confirm: bool = True) -> CurvatureResult:
-    """Solve sup{K : m - K n >= 0}, with optional confirmation by
-    _psd_bracket, which raises NumericalFailure when it refuses the value
-    and reads its floor from the entries of m and n; an unconfirmed solve
-    makes no eigvalsh call.  The witness is _witness's.  m and n are the
-    forms of a density: the constants lie in both kernels, and n is a
-    weighted Laplacian.
+def solve_pencil(m: np.ndarray, n: np.ndarray) -> CurvatureResult:
+    """Solve sup{K : m - K n >= 0} by _reduce, unconfirmed: no bracket and
+    no eigvalsh call.  A value is certified by _psd_bracket from the arrays
+    its forms were assembled from, as curvature_of_measure does.  The
+    witness is _witness's.  m and n are the forms of a density: the
+    constants lie in both kernels, and n is a weighted Laplacian.
     """
-    k, cluster, null_dim = _reduce(m, n)
-    iterations, bracket = _psd_bracket(m, n, k) if confirm else (0, None)
-    return CurvatureResult(value=k, witness=_witness(n, cluster), bracket=bracket,
-                           iterations=iterations, null_dim=null_dim)
+    k, cluster, null_dim, _ = _reduce(m, n)
+    return CurvatureResult(value=k, witness=_witness(n, cluster), bracket=None,
+                           iterations=0, null_dim=null_dim)
 
 
 def _witness(n: np.ndarray, cluster: np.ndarray) -> np.ndarray:
@@ -272,9 +346,18 @@ def _witness(n: np.ndarray, cluster: np.ndarray) -> np.ndarray:
 
 def curvature_of_measure(chain: MarkovChain, mean, rho, dim,
                          confirm: bool = True) -> CurvatureResult:
-    """Optimal curvature constant of a fixed density at dimension dim."""
-    fp = assemble_forms(chain, mean, rho, dim)
-    return solve_pencil(fp.m, fp.n, confirm=confirm)
+    """Optimal curvature constant of a fixed density at dimension dim:
+    solve_pencil's value and witness on the chain's forms, certified with
+    confirm by _psd_bracket on the arrays they were assembled from, with
+    the mean's bound on the error of its d1 on the edges."""
+    rho, d1 = _density_d1(chain, mean, rho)
+    args = (chain.q, chain.pi, chain.edges, d1, rho, _dimension(dim))
+    m, n = _form_matrices(*args)
+    res = solve_pencil(m, n)
+    if confirm:
+        res.iterations, res.bracket = _psd_bracket(args, m, n, res.value, res.witness,
+                                                   _split(m, n)[3], get_mean(mean))
+    return res
 
 
 def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
@@ -284,25 +367,18 @@ def bakry_emery_vertex(chain: MarkovChain, state, dim) -> CurvatureResult:
     assembled on that ball, in the order x, S1, S2, and _reduce takes that
     split: x grounded, S1 free, S2 the sphere.  n is diagonal on S1, so K
     is the least eigenvalue of the |S1|-sized R = D^-1/2 A D^-1/2, D the
-    degrees of n and A the Schur complement of m on S1.  The bracket's
-    lower end is the PSD test of the unreduced B2 matrix, whose floor
-    _psd_bracket reads from the largest entries of m and n, as for every
-    density; its upper end is the witness's
-    Rayleigh quotient M(f)/N(f), evaluated by _cd_values on the ball
-    through the Gamma operators' edge sums at f / max|f|, which cannot
-    overflow, plus PSD_REL_FLOOR times the sum of |M|'s terms over N.
-    Neither end reads R.  The witness is re-embedded in all n states, zero
-    outside B2.
+    degrees of n and A the Schur complement of m on S1.  _psd_bracket
+    certifies it on the unreduced B2 forms and the ball's arrays, by the
+    rule of every density; neither end reads R.  The witness is
+    re-embedded in all n states, zero outside B2.
     """
     ball, args = _dirac_ball(chain, state, dim)
     m, n = _form_matrices(*args)
     k1 = int(np.count_nonzero(chain.adjacency[ball[0]]))
-    k, cluster, null_dim = _reduce(
+    k, cluster, null_dim, _ = _reduce(
         m, n, (slice(1, k1 + 1), slice(k1 + 1, None), [], [slice(None)]))
     f = _witness(n, cluster)
-    m_val, n_val, m_abs = _cd_values(*args, f / np.abs(f).max())
-    upper = (m_val + PSD_REL_FLOOR * m_abs) / n_val if n_val > 0 else POS_INFINITY
-    iterations, bracket = _psd_bracket(m, n, k, upper)
+    iterations, bracket = _psd_bracket(args, m, n, k, f, [slice(None)])
     witness = np.zeros(chain.n_states)
     witness[ball] = f
     return CurvatureResult(value=k, witness=witness, bracket=bracket,
@@ -348,7 +424,12 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     # a positive density under a mean with positive d1 weighs every edge of
     # the irreducible chain in n, so n's graph is connected
     positive = bool((rho > 0).all())
-    k, cluster, _ = _reduce(m, n, _grounded(n) if positive and (d1 > 0).all() else None)
+    k, cluster, _, norm = _reduce(m, n, _grounded(n) if positive and (d1 > 0).all() else None)
+    # eigh's eigenvalues are exact for a matrix within eps ||R|| of R: past
+    # AGREE_TOL K has no digit, and a descent that reads it only wanders
+    # (the densities of range 1e26 that the L-BFGS box admits give K off by 1e6)
+    if np.finfo(float).eps * norm > AGREE_TOL * max(1.0, abs(k)):
+        raise NumericalFailure(f"the reduced pencil cannot resolve K={k!r} to {AGREE_TOL}")
     if positive:
         # n vanishes only on constants at a positive density; more
         # eigenvalues of n near 0 mean the density's range has outrun the
@@ -385,8 +466,11 @@ def _least_confirmed(chain: MarkovChain, mean, dim, seen):
 
     Descent can run into densities so lopsided that the pencil of the
     unconfirmed evaluation is numerically meaningless; those are skipped.
+    L-BFGS-B can evaluate one point more than once; a density with the
+    bytes of another would meet the same outcome, so each is tried once.
     """
-    for k, rho in sorted(seen, key=lambda item: item[0]):
+    for k, rho in sorted({rho.tobytes(): (k, rho) for k, rho in seen}.values(),
+                         key=lambda item: item[0]):
         rho = rho / float(np.dot(rho, chain.pi))
         try:
             return curvature_of_measure(chain, mean, rho, dim).value, rho

@@ -288,7 +288,8 @@ def _dirac_ball(chain: MarkovChain, state, dim):
     """(ball, args): the 2-ball B2 of a state x, listed as x, then the
     1-sphere S1, then the 2-sphere S2, each in state order, and the
     arguments (q, pi, edges, d1e, rho, dim) of _form_matrices and
-    _cd_values for the arithmetic-mean Dirac density at x on that ball.
+    _cd_values for the arithmetic-mean Dirac density at x on that ball,
+    whose d1e is the arithmetic mean's constant 1/2.
 
     The forms equal the assemble_forms matrices restricted to ball x ball,
     and those vanish outside it: t_rho lives on B1 x B1, (Q - I) rho on
@@ -310,8 +311,7 @@ def _dirac_ball(chain: MarkovChain, state, dim):
     ex, ey = np.nonzero(adj[block])
     rho = np.zeros(len(ball))
     rho[0] = 1.0 / chain.pi[ix]
-    return ball, (q, chain.pi[ball], (ex, ey, q[ex, ey]),
-                  _on_edges(ARITHMETIC.d1, rho, ex, ey), rho, dim)
+    return ball, (q, chain.pi[ball], (ex, ey, q[ex, ey]), np.full(len(ex), 0.5), rho, dim)
 
 
 def _dirac_ball_forms(chain: MarkovChain, state,
@@ -335,18 +335,31 @@ def _edge_terms(q: np.ndarray, pi: np.ndarray, edges, rho: np.ndarray,
 
 
 def _cd_values(q: np.ndarray, pi: np.ndarray, edges, d1e: np.ndarray,
-               rho: np.ndarray, dim: float, f: np.ndarray) -> tuple[float, float, float]:
-    """(M, N, A) at f: the edge sums of cd_quadratic_grad on the index set
-    of the kernel block q, which take the arguments of _form_matrices, and
-    the sum A of the absolute values of M's terms, the scale of M's
-    rounding."""
+               rho: np.ndarray, dim: float, f: np.ndarray) -> tuple[float, float]:
+    """(M, N) at f: the edge sums of cd_quadratic_grad on the index set of
+    the kernel block q, which take the arguments of _form_matrices."""
     lf, a, b, g = _edge_terms(q, pi, edges, rho, f)
-    rb = rho[edges[0]] * b
-    m_val, m_abs = float(np.dot(g - rb, d1e)), float(np.dot(abs(g) + abs(rb), abs(d1e)))
+    m_val = float(np.dot(g - rho[edges[0]] * b, d1e))
     if np.isfinite(dim):
-        corr = float(np.dot(rho, pi * lf * lf / float(dim)))
-        m_val, m_abs = m_val - corr, m_abs + corr
-    return m_val, float(np.dot(rho, np.bincount(edges[0], d1e * a, len(pi)))), m_abs
+        m_val -= float(np.dot(rho, pi * lf * lf / float(dim)))
+    return m_val, float(np.dot(rho, np.bincount(edges[0], d1e * a, len(pi))))
+
+
+def _abs_forms(q: np.ndarray, pi: np.ndarray, edges, wd: np.ndarray,
+               rho: np.ndarray, dim: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|m| v, |n| v) for v >= 0, where |m| and |n| are the forms of
+    _form_matrices with every product of inputs taken in absolute value and
+    every difference made a sum: each Laplacian T_w becomes its signless
+    twin, Q - I becomes Q + I, and the weight wd >= 0 stands for |d1e|.
+    Edge sums and products with q; no form is assembled."""
+    ex, ey, qe = edges
+    size, wpe, rx, lv, ve = len(pi), pi[ex] * wd * qe, rho[ex], q @ v + v, v[ex] + v[ey]
+    # |T_w| x at i sums w_e (x_i + x_j) over the edges e = (i, j) and (j, i)
+    t = rx * wpe * ve
+    nv = np.bincount(ex, t, size) + np.bincount(ey, t, size)
+    t = 0.5 * wpe * ((q @ rho + rho)[ex] * ve + rx * (lv[ex] + lv[ey]))
+    w = 0.5 * nv if np.isinf(dim) else 0.5 * nv + rho * pi * lv / dim
+    return np.bincount(ex, t, size) + np.bincount(ey, t, size) + q.T @ w + w, nv
 
 
 def cd_quadratic(chain: MarkovChain, mean, rho, dim, f) -> tuple[float, float]:
@@ -358,7 +371,7 @@ def cd_quadratic(chain: MarkovChain, mean, rho, dim, f) -> tuple[float, float]:
     """
     rho, d1 = _density_d1(chain, mean, rho)
     return _cd_values(chain.q, chain.pi, chain.edges, d1, rho, dim,
-                      _as_function(chain, f))[:2]
+                      _as_function(chain, f))
 
 
 def cd_quadratic_grad(chain: MarkovChain, mean, rho, dim,

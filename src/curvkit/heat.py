@@ -97,10 +97,14 @@ def heat_kernel(chain: MarkovChain, t: float) -> np.ndarray:
 
 
 def l1_distance_from_equilibrium(chain: MarkovChain, t: float) -> float:
-    """sum_{x,y} pi(x) pi(y) |p_t(x,y) - 1| (monotone nonincreasing in t)."""
-    p = heat_kernel(chain, t)
-    pi = chain.pi
-    return float(np.sum(np.abs(p - 1.0) * pi[:, None] * pi[None, :]))
+    """sum_{x,y} |pi(x) pi(y) p_t(x,y) - pi(x) pi(y)| (monotone
+    nonincreasing in t), without forming p_t: pi(x) pi(y) p_t(x,y) =
+    sum_k exp(-lam_k t) w_k(x) w_k(y) with w = phi pi = u sqrt(pi), u the
+    orthonormal eigenvectors, so no entry can overflow at a subnormal pi
+    as p_t's can."""
+    phi, damp = _damped(chain, t)
+    w = phi * chain.pi[:, None]
+    return float(np.sum(np.abs((w * damp) @ w.T - np.outer(chain.pi, chain.pi))))
 
 
 @derived

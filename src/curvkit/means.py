@@ -100,6 +100,28 @@ def _log_d1(r, s):
     return out[()]
 
 
+def _log_d1_err(r, s):
+    """A bound on the relative error of _log_d1(r, s) as evaluated.
+
+    The series band costs a few roundings (8u; its truncation, O(u^8) at
+    |u| <= 5e-7, is far below).  Outside it d1 = N / ell^2 with
+    N = ell - d/r, ell = log(r/s): ell is off by 4u |ell| inside the
+    Sterbenz band (log1p of a rounded quotient, the library log1p within
+    an ulp) and by 4u (|log r| + |log s|) outside it, d/r by 2u |d/r|.
+    Near the band N cancels to ell^2 / 2, so those absolute errors over
+    |N| dominate (about 12u / |ell|, below 2e-9 since |ell| > 1e-6 there);
+    the factor 2 covers the computed N in the denominator, and ell^2 and
+    the quotient add 2 e_ell + 3u.
+    """
+    u, far = np.finfo(float).eps / 2, (s > 0) & (np.abs(r - s) > _SERIES_REL * np.maximum(r, s))
+    out, rf, sf = np.full(r.shape, 8.0 * u), r[far], s[far]
+    ell, dr = np.abs(_log_ratio(rf, sf)), np.abs(rf - sf) / rf
+    e_ell = 4.0 * u * np.where((rf <= 2.0 * sf) & (sf <= 2.0 * rf), 1.0,
+                               (np.abs(np.log(rf)) + np.abs(np.log(sf))) / ell)
+    out[far] = 2.0 * (e_ell * ell + 2.0 * u * dr) / np.abs(ell - dr) + 2.0 * e_ell + 3.0 * u
+    return out
+
+
 def _log_d11(r, s):
     if (r == 0).any():
         raise DomainError("d11 of the logarithmic mean needs r > 0")
@@ -159,6 +181,10 @@ class Mean:
     r d11(r, s) + s d12(r, s) = 0: d11 alone gives every second partial.
     The built-ins carry closed forms for d11; a mean without d11_fn (every
     custom_mean) takes a central difference of its own d1_fn in r.
+    d1_err(r, s) bounds the relative error of d1 as evaluated against the
+    exact partial of theta, for the curvature certificate; it reads 0 for
+    the arithmetic mean, whose d1 is exact, and for every custom_mean,
+    whose d1 the certificate takes as given.
 
     value, d1 and d11 raise NegativeInput on a negative entry and hand the
     functions broadcast float arrays, so a scalar call returns np.float64.
@@ -169,6 +195,7 @@ class Mean:
     eval_fn: Callable = field(repr=False)
     d1_fn: Callable = field(repr=False)
     d11_fn: Callable | None = field(default=None, repr=False)
+    d1_err: Callable = field(default=lambda r, s: 0.0, repr=False)
 
     def value(self, r, s):
         return self.eval_fn(*_arguments(r, s))
@@ -184,8 +211,10 @@ class Mean:
 
 
 ARITHMETIC = Mean("arithmetic", "closed", _arith_eval, _arith_d1, _arith_d11)
-LOGARITHMIC = Mean("logarithmic", "open", _log_eval, _log_d1, _log_d11)
-GEOMETRIC = Mean("geometric", "open", _geom_eval, _geom_d1, _geom_d11)
+LOGARITHMIC = Mean("logarithmic", "open", _log_eval, _log_d1, _log_d11, _log_d1_err)
+# d1 = 0.5 sqrt(s / r): a quotient and a square root, within 2.5u = 1.25 eps
+GEOMETRIC = Mean("geometric", "open", _geom_eval, _geom_d1, _geom_d11,
+                 lambda r, s: 2.0 * np.finfo(float).eps)
 
 BUILTIN_MEANS = {m.kind: m for m in (ARITHMETIC, LOGARITHMIC, GEOMETRIC)}
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -406,9 +407,11 @@ def test_one_state_exit2_without_traceback(tmp_path, capsys, argv, late_message)
 def test_overflowing_chain_stats_make_a_complete_report(tmp_path, capsys):
     # pi_c is about 5e-310, so D_pi(c) = pi_b / pi_c overflows: chain_stats
     # is encoded like the results, and no partial report is written.  The
-    # heat kernel's basis v / sqrt(pi) overflows there too: heat and mixing
-    # refuse the chain (exit 3) instead of reading an infinite p_t.  No
-    # warning escapes: the overflow to "inf" is the value D_pi reports
+    # heat kernel's basis v / sqrt(pi) overflows there too: heat refuses
+    # the chain (exit 3) instead of reading an infinite p_t, while mixing
+    # reads pi(x) pi(y) p_t(x, y) from the orthonormal eigenvectors and
+    # finds that the chain mixes at ln 2.  No warning escapes: the overflow
+    # to "inf" is the value D_pi reports
     tsv = tmp_path / "over.tsv"
     tsv.write_text("a\tb\t1\nb\tc\t1e-309\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -416,9 +419,11 @@ def test_overflowing_chain_stats_make_a_complete_report(tmp_path, capsys):
         for command in ("spectrum", "dgamma", "cheeger"):
             code, doc = run_cli(tmp_path, command, "--in", str(tsv))
             assert code == 0 and doc["chain_stats"]["deg_pi_max"] == "inf"
-        for argv in (["heat", "--t-grid", "0.1,1"], ["mixing", "--eps", "0.25"]):
-            (tmp_path / "report.json").unlink(missing_ok=True)
-            assert run_cli(tmp_path, *argv, "--in", str(tsv)) == (3, None)
+        (tmp_path / "report.json").unlink()
+        assert run_cli(tmp_path, "heat", "--t-grid", "0.1,1", "--in", str(tsv)) == (3, None)
+        code, doc = run_cli(tmp_path, "mixing", "--eps", "0.25", "--in", str(tsv))
+        assert code == 0
+        assert doc["results"]["tau_avg"] == pytest.approx(math.log(2), abs=1e-9)
         capsys.readouterr()
         assert main(["spectrum", "--in", str(tsv)]) == 0
     assert caught == []
@@ -534,13 +539,14 @@ def test_verify_unconfirmed_vertex_curvature_exit3(tmp_path, capsys):
     failed = [r["name"] for r in doc["results"]["geometry"] if r["holds"] is False]
     assert failed == ["diameter_ent_dgamma"]
     # a pencil value the PSD test refuses still exits 3 with no report: the
-    # constant density of a birth-death chain with pi_max/pi_min = 1e6
-    skewed = tmp_path / "bd6.json"
-    skewed.write_text(json.dumps(_birth_death(6)))
+    # density {a: 4, b: 4, d: 12} of a-b-c-d with weights 10, 1e-12, 10 at
+    # dim 4, whose reduced K is 4e-7 above the exact one
+    thin = tmp_path / "thin12.tsv"
+    thin.write_text("a\tb\t10\nb\tc\t1e-12\nc\td\t10\n")
     (tmp_path / "report.json").unlink()
     capsys.readouterr()
-    code, doc = run_cli(tmp_path, "curv-measure", "--in", str(skewed),
-                        "--mean", "logarithmic", "--rho", "ones")
+    code, doc = run_cli(tmp_path, "curv-measure", "--in", str(thin), "--n", "4",
+                        "--rho", '{"a": 4, "b": 4, "d": 12}')
     assert code == 3 and doc is None
     assert "disagree beyond 1e-08" in capsys.readouterr().err
 

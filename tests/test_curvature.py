@@ -1,6 +1,5 @@
 """Curvature solvers: hand values, dual-route agreement, optimizer."""
 
-import contextlib
 import json
 import math
 import sys
@@ -148,9 +147,10 @@ def test_scale_invariance():
 
 @pytest.mark.parametrize("mean", [ARITHMETIC, GEOMETRIC, LOGARITHMIC])
 def test_confirmed_value_is_scale_free(mean):
-    # m and n are linear in the density, so K(c rho) = K(rho), and the PSD
-    # floor scales with the forms: every scale whose form entries are
-    # normal floats confirms the value at scale 1
+    # m and n are linear in the density, so K(c rho) = K(rho), and the
+    # bracket's rounding bounds are relative to the terms of the forms:
+    # every scale whose form entries are normal floats confirms the value
+    # at scale 1
     pool_chain = random_reversible_chain(7, 14)
     for ch, rho in ((cycle(5), np.ones(5)), (pool_chain, positive_density(pool_chain, 5))):
         for dim in (INF, 4.0):
@@ -209,8 +209,8 @@ def _laplacian(weights):
 
 def test_neg_infinity_pencil_detection():
     # the forms of a density of positive mass have a finite K, so a pencil
-    # whose zero pattern breaks their structure is a NumericalFailure, with
-    # or without confirmation: m not a positive diagonal where n vanishes
+    # whose zero pattern breaks their structure is a NumericalFailure of
+    # the reduction, before any bracket: m not a positive diagonal where n vanishes
     # (negative there, or coupling two such states), m negative on the
     # indicator of a second component of n, n vanishing, a grounded n with
     # a zero diagonal entry, and a reduced pencil that overflows
@@ -229,10 +229,9 @@ def test_neg_infinity_pencil_detection():
             (np.eye(2), np.zeros((2, 2)), "n vanishes"),
             (np.eye(3) - 1.0 / 3, zero_d, "grounded n is not positive definite"),
             ((np.eye(3) - 1.0 / 3) * 1e10, edge * 1e-300, "not finite")):
-        for confirm in (True, False):
-            with (pytest.raises(NumericalFailure, match=reason),
-                  np.errstate(over="ignore")):
-                solve_pencil(m, n, confirm=confirm)
+        with (pytest.raises(NumericalFailure, match=reason),
+              np.errstate(over="ignore")):
+            solve_pencil(m, n)
 
 
 # -- 2-ball assembly and the PSD bracket -------------------------------------
@@ -266,32 +265,43 @@ def test_ball_forms_equal_sliced_dense_forms():
     assert smaller > 0
 
 
-def _pool_pencils():
+def _pool_cases():
+    """(args, m, n, mean) of every Dirac density of the pool at dim inf
+    under the arithmetic mean and of one positive density per chain at
+    dim 4 under the logarithmic mean: the arrays that curvature_of_measure
+    assembles and certifies from."""
+    from curvkit.gamma import _density_d1, _form_matrices
     rng = np.random.default_rng(7)
     for ch in small_chain_pool():
-        for x in range(ch.n_states):
-            fp = assemble_forms(ch, ARITHMETIC, dirac(ch, x), INF)
-            yield fp.m, fp.n
-        fp = assemble_forms(ch, LOGARITHMIC,
-                            positive_density(ch, int(rng.integers(1 << 30))), 4.0)
-        yield fp.m, fp.n
+        cases = [(ARITHMETIC, dirac(ch, x), INF) for x in range(ch.n_states)]
+        cases.append((LOGARITHMIC, positive_density(ch, int(rng.integers(1 << 30))), 4.0))
+        for mean, rho, dim in cases:
+            rho, d1 = _density_d1(ch, mean, rho)
+            args = (ch.q, ch.pi, ch.edges, d1, rho, dim)
+            yield (args, *_form_matrices(*args), mean)
 
 
-def test_search_from_scratch_lands_inside_each_bracket():
-    # two PSD tests bracket the pencil value; a from-scratch search on the
-    # same PSD test, its floor read from the largest entries of m and n,
-    # doubling out from [-4, 4] and bisected to 1e-9, lands inside that
-    # bracket
-    from curvkit.curvature import PSD_REL_FLOOR, _psd_bracket, _reduce
+def _pool_pencils():
+    for _, m, n, _ in _pool_cases():
+        yield m, n
+
+
+def test_scratch_search_on_the_float_forms_lands_inside_each_bracket():
+    # a from-scratch search with no floor, the least eigenvalue of the
+    # float forms m - K n grounded as the bracket grounds them, doubling
+    # out from [-4, 4] and bisected to 1e-9, lands inside each bracket
+    from curvkit.curvature import _psd_bracket, _split, solve_pencil
     bracketed = 0
-    for m, n in _pool_pencils():
-        k = _reduce(m, n)[0]
-        tests, (lo, hi) = _psd_bracket(m, n, k)
-        m_max, n_max = np.abs(m).max(), np.abs(n).max()
+    for args, m, n, mean in _pool_cases():
+        res = solve_pencil(m, n)
+        tests, (lo, hi) = _psd_bracket(args, m, n, res.value, res.witness,
+                                       _split(m, n)[3], mean)
+        blocks = [np.arange(len(n))[b] for b in _split(m, n)[3]]
+        test = np.setdiff1d(np.concatenate(blocks),
+                            [b[np.argmax(n.diagonal()[b])] for b in blocks])
 
         def psd_at(kk):
-            floor = PSD_REL_FLOOR * max(m_max, n_max) + 1e-13 * abs(kk) * n_max
-            return np.linalg.eigvalsh(m - kk * n).min() >= -floor
+            return np.linalg.eigvalsh((m - kk * n)[np.ix_(test, test)]).min() >= 0
 
         below, above = -4.0, 4.0
         while psd_at(above):
@@ -301,50 +311,94 @@ def test_search_from_scratch_lands_inside_each_bracket():
         while above - below > 1e-9:
             mid = 0.5 * (below + above)
             below, above = (mid, above) if psd_at(mid) else (below, mid)
-        assert lo < k < hi
+        assert lo < res.value < hi
         assert lo - 1e-9 <= below <= hi + 1e-9
         bracketed += tests == 2
     assert bracketed > 50
 
 
-def _spy_eigvalsh(monkeypatch):
-    """Record every array that np.linalg.eigvalsh is called on."""
-    true_eigvalsh, calls = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a, *args: calls.append(a) or true_eigvalsh(a, *args))
+def _spy(monkeypatch, *names):
+    """Record the name of every np.linalg call among `names`."""
+    calls = []
+
+    def spy(name, fn):
+        return lambda a, *args, **kwargs: calls.append(name) or fn(a, *args, **kwargs)
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     return calls
 
 
-def test_bracket_makes_one_eigvalsh_call_per_test(monkeypatch):
-    # the Dirac balls of three regular chains are bracketed by the first
-    # pair, two tests of width 1e-8
+def test_lower_end_is_one_cholesky_per_test(monkeypatch):
+    # each test of the lower end is one Cholesky factorization and no
+    # eigenvalue call; a pair is at most one test of each end, so a
+    # bracket of t tests made between t/2 and t factorizations.  The Dirac
+    # balls of three regular chains are bracketed by the first pair: two
+    # tests, one factorization, width 1e-8
     import curvkit.curvature as cmod
-    from curvkit.gamma import _dirac_ball_forms
-    balls = [_dirac_ball_forms(ch, 0, INF)[1:]
-             for ch in (hypercube(3), cycle(5), complete(4))]
-    pencils = balls + list(_pool_pencils())
-    calls = _spy_eigvalsh(monkeypatch)
-    for i, (m, n) in enumerate(pencils):
-        k = cmod._reduce(m, n)[0]
-        calls.clear()
-        tests, (lo, hi) = cmod._psd_bracket(m, n, k)
-        assert len(calls) == tests
-        assert lo < k < hi
-        if i < len(balls):
-            assert tests == 2 and hi - lo <= 1e-8
-
-
-def test_confirmed_solve_makes_one_eigvalsh_call_per_test(monkeypatch):
-    # the bracket reads its floor from the entries of m and n, so the only
-    # eigvalsh calls of a confirmed solve are its PSD tests of m - K n
-    import curvkit.curvature as cmod
-    pencils = list(_pool_pencils())
-    calls = _spy_eigvalsh(monkeypatch)
-    for m, n in pencils:
-        calls.clear()
+    from curvkit.gamma import _dirac_ball, _form_matrices
+    balls = []
+    for ch in (hypercube(3), cycle(5), complete(4)):
+        args = _dirac_ball(ch, 0, INF)[1]
+        balls.append((args, *_form_matrices(*args), ARITHMETIC))
+    cases = balls + list(_pool_cases())
+    calls = _spy(monkeypatch, "cholesky", "eigvalsh", "eigh", "eig", "eigvals")
+    for i, (args, m, n, mean) in enumerate(cases):
         res = cmod.solve_pencil(m, n)
-        assert len(calls) == res.iterations >= 2
-        assert not any(a is n or a is m for a in calls)
+        calls.clear()
+        tests, (lo, hi) = cmod._psd_bracket(args, m, n, res.value, res.witness,
+                                            cmod._split(m, n)[3], mean)
+        assert set(calls) == {"cholesky"}
+        assert tests / 2 <= len(calls) <= tests
+        assert lo < res.value < hi
+        if i < len(balls):
+            assert tests == 2 and len(calls) == 1 and hi - lo <= 1e-8
+
+
+def test_confirmation_makes_no_eigvalsh_call(monkeypatch):
+    # a confirmed value costs the reduction's eigh and the bracket's
+    # Cholesky factorizations: no eigvalsh on either route
+    calls = _spy(monkeypatch, "eigvalsh")
+    rng = np.random.default_rng(3)
+    for ch in small_chain_pool():
+        rho = positive_density(ch, int(rng.integers(99)))
+        res = curvature_of_measure(ch, LOGARITHMIC, rho, 4.0)
+        assert res.iterations >= 2
+        for x in range(ch.n_states):
+            assert bakry_emery_vertex(ch, x, INF).iterations >= 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: curvature_of_measure(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF),
+    lambda: curvature_of_measure(path(6), LOGARITHMIC, np.arange(1.0, 7.0), 4.0),
+    lambda: bakry_emery_vertex(hypercube(3), 0, INF),
+    lambda: bakry_emery_vertex(cycle(6), 0, 1e-6)],
+    ids=["measure-dirac", "measure-logarithmic", "vertex", "vertex-dim-1e-6"])
+def test_wrong_value_is_refused_at_the_end_it_breaks(monkeypatch, solve):
+    # on both routes, a reduction that returns K too high by
+    # 1e-6 max(1, |K|) fails the lower end at every pair; one too low
+    # passes the lower end and fails the upper one, the witness's Rayleigh
+    # quotient.  Either is refused within three Cholesky factorizations
+    import curvkit.curvature as cmod
+    true_reduce, true_bracket, sign = cmod._reduce, cmod._psd_bracket, [1.0]
+
+    def shifted(m, n, split=None):
+        k, *rest = true_reduce(m, n, split)
+        return (k + sign[0] * 1e-6 * max(1.0, abs(k)), *rest)
+
+    def bracket(*args):
+        calls.clear()
+        return true_bracket(*args)
+
+    monkeypatch.setattr(cmod, "_reduce", shifted)
+    monkeypatch.setattr(cmod, "_psd_bracket", bracket)
+    calls = _spy(monkeypatch, "cholesky")
+    for sign[0], end in ((1.0, r"the lower end: m - \(K - h\) n is not PSD"),
+                         (-1.0, r"the upper end: K \+ h is not above the Rayleigh quotient")):
+        with pytest.raises(NumericalFailure, match="disagree beyond 1e-08; .*" + end):
+            solve()
+        assert 1 <= len(calls) <= 3
 
 
 def test_witness_is_fixed_by_the_span_of_its_cluster():
@@ -356,19 +410,19 @@ def test_witness_is_fixed_by_the_span_of_its_cluster():
     rng = np.random.default_rng(11)
     rotated = 0
     for m, n in _pool_pencils():
-        res = cmod.solve_pencil(m, n, confirm=False)
+        res = cmod.solve_pencil(m, n)
         if res.witness is None:
             continue
         f, k = res.witness, res.value
         assert f @ n @ f == pytest.approx(1.0, rel=1e-12)
         m_norm, n_norm = (np.abs(np.linalg.eigvalsh(a)).max() for a in (m, n))
         assert f @ (m - k * n) @ f >= -1e-9 * (m_norm + abs(k) * n_norm + 1.0)
-        value, cluster, null_dim = true_reduce(m, n)
+        value, cluster, null_dim, norm = true_reduce(m, n)
         turn, _ = np.linalg.qr(rng.standard_normal((len(cluster), len(cluster))))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cmod, "_reduce",
-                       lambda m, n: (value, turn @ cluster, null_dim))
-            turned = cmod.solve_pencil(m, n, confirm=False).witness
+                       lambda m, n: (value, turn @ cluster, null_dim, norm))
+            turned = cmod.solve_pencil(m, n).witness
         assert np.abs(turned - f).max() <= 1e-12 * np.abs(f).max()
         rotated += len(cluster) > 1
     assert rotated >= 10
@@ -392,41 +446,8 @@ def test_unconfirmed_solve_makes_no_eigvalsh_call(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", true_eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", true_eigvalsh))
-    cmod.solve_pencil(m, n, confirm=False)
+    cmod.solve_pencil(m, n)
     assert seen and not any(name == "eigvalsh" or on_form for name, on_form in seen)
-
-
-@contextlib.contextmanager
-def _confirming(shift):
-    """Make _reduce return shift(k), and yield the eigvalsh arguments after
-    it: the PSD tests of the bracket."""
-    import curvkit.curvature as cmod
-    true_reduce, true_eigvalsh = cmod._reduce, np.linalg.eigvalsh
-    calls = []
-
-    def shifted(m, n, split=None):
-        k, *rest = true_reduce(m, n, split)
-        calls.clear()
-        return (shift(k), *rest)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cmod, "_reduce", shifted)
-        mp.setattr(np.linalg, "eigvalsh",
-                   lambda a: calls.append(a) or true_eigvalsh(a))
-        yield calls
-
-
-def test_wrong_pencil_value_is_refused_within_six_tests():
-    # the refusal names the end that failed at the widest pair: a value
-    # too high fails the lower end, one too low the upper end
-    from curvkit.curvature import solve_pencil
-    fp = assemble_forms(cycle(5), ARITHMETIC, dirac(cycle(5), 0), INF)
-    for sign, end in ((1.0, r"the lower end: m - \(K - h\) n is not PSD"),
-                      (-1.0, r"the upper end: m - \(K \+ h\) n is PSD")):
-        with (_confirming(lambda k: k + sign * 1e-6 * max(1.0, abs(k))) as calls,
-              pytest.raises(NumericalFailure, match="disagree beyond 1e-08; .*" + end)):
-            solve_pencil(fp.m, fp.n)
-        assert 1 <= len(calls) <= 6
 
 
 def test_vertex_solve_operation_counts(monkeypatch):
@@ -441,7 +462,6 @@ def test_vertex_solve_operation_counts(monkeypatch):
         raise AssertionError("vertex curvature assembled the dense forms")
 
     monkeypatch.setattr(gmod, "assemble_forms", forbidden)
-    monkeypatch.setattr(cmod, "assemble_forms", forbidden)
     small = 0
     for ch in _ball_pool():
         bakry_emery_global(ch, 4.0)
@@ -457,24 +477,26 @@ def test_vertex_solve_operation_counts(monkeypatch):
 # -- vertex curvature in degree coordinates ----------------------------------
 
 def test_degree_coordinates_match_the_ball_pencil():
-    # one |S1|-sized eigenproblem gives the value, the PSD test count and
-    # the witness of solve_pencil on the unreduced 2-ball pair; a K of 0
-    # agrees to rounding
-    from curvkit.curvature import solve_pencil
-    from curvkit.gamma import _dirac_ball_forms
+    # one |S1|-sized eigenproblem gives the value and the witness of
+    # solve_pencil on the unreduced 2-ball pair, and the PSD test count of
+    # their bracket; a K of 0 agrees to rounding
+    from curvkit.curvature import _psd_bracket, solve_pencil
+    from curvkit.gamma import _dirac_ball, _form_matrices
     for ch in _ball_pool():
         for x in range(ch.n_states):
             sphere = np.flatnonzero(ch.adjacency[x])
             sphere = sphere[sphere != x]
             for dim in (INF, 4.0, 14.0):
-                ball, m, n = _dirac_ball_forms(ch, x, dim)
+                ball, args = _dirac_ball(ch, x, dim)
+                m, n = _form_matrices(*args)
                 old = solve_pencil(m, n)
                 new = bakry_emery_vertex(ch, x, dim)
                 assert new.value == pytest.approx(old.value, rel=1e-12, abs=1e-15)
                 assert np.abs(new.witness[ball] - old.witness).max() <= 1e-12
                 assert not np.delete(new.witness, ball).any()
                 assert new.null_dim == old.null_dim == len(ball) - len(sphere)
-                assert new.iterations == old.iterations
+                assert new.iterations == _psd_bracket(args, m, n, old.value, old.witness,
+                                                      [slice(None)])[0]
 
 
 def test_ball_lists_the_vertex_then_its_spheres_in_state_order():
@@ -559,7 +581,9 @@ def test_underflowing_edge_weight_is_numerical_failure(tmp_path):
     # assembly refuses the n-weight of b-c, and at a and d the S2 entry of
     # m underflows; curv-vertex exits 3.  At 4e-323 the forms keep their
     # structure, but the witness at b has an n-norm that underflows to 0: a
-    # NumericalFailure, not a witness of infinities
+    # NumericalFailure, not a witness of infinities.  At c the reduction
+    # still reads -1, but the forms' b row is subnormal (4e-323 q_cb), whose
+    # rounding no relative bound covers, so the bracket refuses it
     from curvkit.cli import main
     sphere, weight0 = "sphere block", "edge weight of n underflowed to 0"
     for weight, refused in (("5e-324", {"a": sphere, "b": weight0, "c": weight0,
@@ -576,7 +600,14 @@ def test_underflowing_edge_weight_is_numerical_failure(tmp_path):
             warnings.simplefilter("error")
             assert main(["curv-vertex", "--in", str(edges), "--out", str(out)]) == 3
         assert not out.exists()
-    assert bakry_emery_vertex(ch, "c", INF).value == pytest.approx(-1.0, rel=1e-12)
+    import curvkit.curvature as cmod
+    from curvkit.gamma import _dirac_ball_forms
+    ball, m, n = _dirac_ball_forms(ch, "c", INF)
+    assert ball.tolist() == [2, 1, 3, 0]
+    assert cmod._reduce(m, n, (slice(1, 3), slice(3, None), [], [slice(None)]))[0] \
+        == pytest.approx(-1.0, rel=1e-12)
+    with pytest.raises(NumericalFailure, match="the lower end"):
+        bakry_emery_vertex(ch, "c", INF)
 
 
 def _mp_pencil(m, n):
@@ -670,8 +701,9 @@ def test_vertex_brackets_pass_the_exact_psd_test():
 
 def test_moderate_weights_confirm_every_vertex():
     # at weights 10^e, e in [-3, 3], no vertex is refused: the bracket's
-    # floor is set by the unreduced forms, not by a reduced matrix of norm
-    # up to 3e4 max(1, |K|), and every bracket holds in rational arithmetic
+    # shift is set by the terms of the unreduced forms, not by a reduced
+    # matrix of norm up to 3e4 max(1, |K|), and every bracket holds in
+    # rational arithmetic
     from curvkit.gamma import _dirac_ball_forms
     graphs = 0
     for exact, weights in _power_weighted_graphs(seed=34, count=100, exponents=(-3, 3)):
@@ -741,6 +773,15 @@ def _path_chord_graphs(seed: int, count: int):
         yield exact, np.array(exact, dtype=float)
 
 
+def _sweep_densities(ch):
+    """Every Dirac density, a two-point, a three-point and a positive one."""
+    last = ch.n_states - 1
+    return [dirac(ch, x) for x in range(ch.n_states)] + [
+        dirac(ch, 0) + 2 * dirac(ch, last),
+        dirac(ch, 0) + dirac(ch, 1) + 3 * dirac(ch, last),
+        1.0 + np.arange(ch.n_states) % 3 / 2]
+
+
 def test_measure_brackets_pass_the_exact_psd_test():
     # the exact oracle for measures: on derandomized power-weighted graphs,
     # for every Dirac density, a two-point and a three-point density and a
@@ -750,12 +791,7 @@ def test_measure_brackets_pass_the_exact_psd_test():
     solves = confirmed = 0
     for exact, weights in _path_chord_graphs(seed=5, count=40):
         ch = srw_from_graph(weights)
-        last = ch.n_states - 1
-        densities = [dirac(ch, x) for x in range(ch.n_states)] + [
-            dirac(ch, 0) + 2 * dirac(ch, last),
-            dirac(ch, 0) + dirac(ch, 1) + 3 * dirac(ch, last),
-            1.0 + np.arange(ch.n_states) % 3 / 2]
-        for rho in densities:
+        for rho in _sweep_densities(ch):
             for dim in (None, Fraction(4)):
                 solves += 1
                 try:
@@ -770,12 +806,65 @@ def test_measure_brackets_pass_the_exact_psd_test():
     assert confirmed >= solves / 2
 
 
+def test_measure_sweep_needs_the_cholesky_shift(monkeypatch):
+    # the 68th graph of the measure sweep's generator, a-b-c-d with weights
+    # 10, 1e-12, 10: with the lower end's shift every density there is
+    # refused or its bracket holds exactly; with the shift set to 0, a
+    # Cholesky factorization that completes no longer proves m - K n PSD,
+    # and a bracket fails the exact test
+    import curvkit.curvature as cmod
+    exact, weights = list(_path_chord_graphs(seed=5, count=68))[-1]
+    assert weights[1, 2] == 1e-12
+    ch = srw_from_graph(weights)
+
+    def wrong():
+        count = 0
+        for rho in _sweep_densities(ch):
+            for dim in (None, Fraction(4)):
+                try:
+                    res = curvature_of_measure(ch, ARITHMETIC, rho,
+                                               INF if dim is None else float(dim))
+                except NumericalFailure:
+                    continue
+                lo, hi = map(Fraction, res.bracket)
+                m, n = exact_measure_pencil(exact, [Fraction(r) for r in rho], dim)
+                count += not (exact_psd(m, n, lo) and not exact_psd(m, n, hi))
+        return count
+
+    assert wrong() == 0
+    monkeypatch.setattr(cmod, "_shift", lambda b, rows: np.zeros(len(b)))
+    assert wrong() >= 1
+
+
+def test_thin_weight_general_value_exits_3_or_holds_exactly(tmp_path):
+    # a-b-c-d with weights 10, 1e-12, 10 at dim 4 and the density
+    # {a: 4, b: 4, d: 12}, the 68th graph of the measure sweep's
+    # generator: the reduced K is 4e-7 above the exact 1.4999995718255186,
+    # and a bracket around it failed the exact test at both ends.  The
+    # command exits 3, or its bracket holds in rational arithmetic
+    from curvkit.cli import main
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\t10\nb\tc\t1e-12\nc\td\t10\n")
+    out = tmp_path / "report.json"
+    code = main(["curv-measure", "--in", str(edges), "--n", "4",
+                 "--rho", '{"a": 4, "b": 4, "d": 12}', "--out", str(out)])
+    assert code in (0, 3)
+    if code == 0:
+        lo, hi = map(Fraction, json.loads(out.read_text())["results"]["curvature"]["bracket"])
+        ten, thin = Fraction(10), Fraction(10) ** -12
+        weights = [[0, ten, 0, 0], [ten, 0, thin, 0], [0, thin, 0, ten], [0, 0, ten, 0]]
+        m, n = exact_measure_pencil(weights, [4, 4, 0, 12], Fraction(4))
+        assert exact_psd(m, n, lo) and not exact_psd(m, n, hi)
+
+
 def test_large_curvature_confirmed_by_the_wider_pair():
-    # K is about -2/dim: at dim 1e-6 the PSD floor's |K| allowance hides a
-    # 5e-9 step, so the pair at AGREE_TOL/4 |K| certifies the value
+    # K is about -2/dim: at dim 1e-6 the rounding of m - t n at |t| = 2e6
+    # exceeds what a 5e-9 step moves, so the first pair fails its lower
+    # end, and the pair at AGREE_TOL/4 |K| certifies the value in two more
+    # tests
     res = bakry_emery_vertex(cycle(6), 0, 1e-6)
     assert res.value == pytest.approx(-1999999.0, rel=1e-12)
-    assert res.iterations == 4
+    assert res.iterations == 3
     assert res.bracket[0] < res.value < res.bracket[1]
 
 
@@ -785,9 +874,9 @@ def test_zero_density_sentinel(cycle5):
     # forms are assembled: a NumericalFailure, not the vacuous +inf, since
     # K = lambda_1 there.  At 1e-320 the weights are subnormal but not 0,
     # and the reduction, scale-free, still reads lambda_1; the unreduced
-    # PSD bracket, whose floor scales with the form entries, refuses it,
-    # because subnormal entries carry too few digits for its test (1e-310
-    # confirms), and the descent's rank stop refuses the gradient
+    # PSD bracket refuses it, because subnormal entries carry too few
+    # digits for its relative rounding bounds, and the descent's rank stop
+    # refuses the gradient
     zero, tiny, small = np.zeros(5), np.full(5, 1e-323), np.full(5, 1e-320)
     for mean in (ARITHMETIC, GEOMETRIC, LOGARITHMIC):
         solvers = (lambda rho: curvature_of_measure(cycle5, mean, rho, INF),
@@ -983,7 +1072,7 @@ def _grad_by_public_route(ch, mean, rho, dim):
     (K, gradient, number of witnesses averaged)."""
     import curvkit.curvature as cmod
     fp = assemble_forms(ch, mean, rho, dim)
-    k, cluster, _ = cmod._reduce(fp.m, fp.n)
+    k, cluster, _, _ = cmod._reduce(fp.m, fp.n)
     parts = [cd_quadratic_grad(ch, mean, rho, dim, w) for w in cluster]
     grad = np.mean([(dm - k * dn) / nm for _, nm, dm, dn in parts], axis=0)
     return k, grad, len(parts)
@@ -1136,3 +1225,46 @@ def test_entropic_estimate_is_two_route_confirmed(ch):
     again = curvature_of_measure(ch, LOGARITHMIC, est.rho_star, INF, confirm=True)
     assert again.value == est.k_hat
     assert est.rho_star @ ch.pi == pytest.approx(1.0, abs=1e-12)
+
+
+def test_least_confirmed_tries_each_density_once(monkeypatch):
+    # L-BFGS-B can evaluate one point twice; a refused density whose bytes
+    # were tried already is skipped, not refused again
+    import curvkit.curvature as cmod
+    ch = cycle(5)
+    bad, good = positive_density(ch, 1), positive_density(ch, 2)
+    calls = []
+
+    def measure(chain, mean, rho, dim):
+        calls.append(rho.tobytes())
+        if not np.allclose(rho, good):
+            raise NumericalFailure("refused")
+        return cmod.CurvatureResult(0.2, rho, (0.1, 0.3), 2, 1)
+
+    monkeypatch.setattr(cmod, "curvature_of_measure", measure)
+    k, rho = cmod._least_confirmed(ch, LOGARITHMIC, INF,
+                                   [(0.1, bad), (0.1, bad.copy()), (0.2, good)])
+    assert k == 0.2 and np.allclose(rho, good)
+    assert len(calls) == len(set(calls)) == 2
+
+
+def test_estimate_passes_no_density_twice(monkeypatch):
+    # path:8 at dim 4: the descent of the Dirac start evaluates one point
+    # twice, and the estimate confirms each density it tries once
+    import curvkit.curvature as cmod
+    true_grad, true_measure = cmod.curvature_grad_rho, cmod.curvature_of_measure
+    grads, measures = [], []
+
+    def grad(chain, mean, rho, dim):
+        grads.append(rho.tobytes())
+        return true_grad(chain, mean, rho, dim)
+
+    def measure(chain, mean, rho, dim):
+        measures.append(rho.tobytes())
+        return true_measure(chain, mean, rho, dim)
+
+    monkeypatch.setattr(cmod, "curvature_grad_rho", grad)
+    monkeypatch.setattr(cmod, "curvature_of_measure", measure)
+    entropic_curvature_estimate(path(8), 4.0, starts=2, seed=1)
+    assert len(set(grads)) < len(grads)
+    assert len(set(measures)) == len(measures) >= 2

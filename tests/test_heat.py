@@ -176,6 +176,22 @@ def test_semigroup_preserves_density_mass():
 
 # -- mixing time --------------------------------------------------------------
 
+def test_l1_distance_is_the_kernel_sum_and_finite_at_a_subnormal_pi():
+    # the distance read from the orthonormal eigenvectors agrees with the
+    # sum over p_t to rounding; at pi_c of about 5e-310, where p_t(c, c)
+    # overflows, it stays finite and the chain mixes at ln 2
+    from curvkit import chain_from_edgelist, generate
+    for spec in ("hypercube:3", "cycle:7", "random-regular:3:10:1"):
+        ch = generate(spec, seed=0)
+        for t in (0.0, 0.1, 1.0, 5.0):
+            p, pi = heat_kernel(ch, t), ch.pi
+            kernel_sum = float(np.sum(np.abs(p - 1.0) * pi[:, None] * pi[None, :]))
+            assert l1_distance_from_equilibrium(ch, t) == pytest.approx(kernel_sum, abs=1e-15)
+    over = chain_from_edgelist("a\tb\t1\nb\tc\t1e-309\n")
+    assert l1_distance_from_equilibrium(over, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert avg_mixing_time(over, 0.25) == pytest.approx(math.log(2.0), abs=1e-9)
+
+
 def test_two_state_mixing_closed_form(two_state):
     # distance from equilibrium is exactly exp(-2t)
     for t in (0.1, 0.7):

@@ -197,7 +197,7 @@ def _measure_criterion(chain, states, dim, k) -> bool:
 
     rho = sum(dirac(chain, s) for s in states)
     fp = assemble_forms(chain, ARITHMETIC, rho, dim)
-    value, cluster, _ = _reduce(fp.m, fp.n)
+    value, cluster, _, _ = _reduce(fp.m, fp.n)
     if not abs(value - k) <= AGREE_TOL * max(1.0, abs(k)):
         return False
     # the cluster is n-orthonormal, so its Gamma values at A are O(1)

@@ -18,10 +18,10 @@ CASE is one of
            rr:4:128:1 and C256; the result is K's repr and the argmin
            state, and the counters are the vertex pencils solved (calls of
            `bakry_emery_vertex`) and the tests that `_psd_bracket`
-           returns with its bracket: PSD tests of the unreduced 2-ball
-           matrix at the lower end k - h and comparisons of the witness's
-           Rayleigh quotient with the upper end k + h, one each per pair
-           tried;
+           returns with its bracket: shifted Cholesky tests of the
+           unreduced 2-ball matrix at the lower end k - h and comparisons
+           of the witness's Rayleigh quotient with the upper end k + h, at
+           most one each per pair tried;
   entropic `curvature.entropic_curvature_estimate(chain, inf, starts=2,
            seed=1)` on the seven chains of the `entropic` benchmark
            workload; the result is k_hat's repr, and the counters are the

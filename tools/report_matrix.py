@@ -27,8 +27,8 @@ scratch directory that is also the working directory:
     the scratch directory): the full verify battery, where pi is so
     concentrated that the chain starts within 1/4 of equilibrium and
     tau(1/4) = 0, and curv-measure at the constant density under the
-    logarithmic mean, a numerical failure (exit 3) because the PSD
-    bracket refuses the pencil value;
+    logarithmic mean, whose K = lambda_1 the bracket confirms (an
+    eigenvalue floor refused it);
   * the edge list a-b-c-d with weights 1, 1e-10, 1 under the full verify
     battery with an exact entropic K of 0.1, which this chain's d_Gamma
     diameter refutes (exit 4), and the same list with a middle weight of
@@ -37,12 +37,12 @@ scratch directory that is also the working directory:
     optimal-sets, whose oracle refuses both minimal singletons (exit 3);
   * the same list with a middle weight of 5e-324 under curv-vertex, whose
     forms lose their structure at every vertex (the n-weight of b-c or the
-    2-sphere entry of m underflows), and of 4e-323, whose witness at b has
-    an n-norm that underflows (both exit 3), and of 1e-100, 1e-12 and
-    5e-324 under curv-measure at the Dirac density of b: the pencil reads
-    the vertex value -1 at 1e-100 and 1e-12, which the unreduced PSD
-    bracket refuses, and at 5e-324 the assembly refuses the n-weight that
-    underflows to 0 (all exit 3);
+    2-sphere entry of m underflows), and of 4e-323, whose forms have
+    subnormal entries and whose witness at b has an n-norm that
+    underflows (both exit 3), and of 1e-100, 1e-12 and 5e-324 under
+    curv-measure at the Dirac density of b: the bracket confirms the
+    vertex value -1 at 1e-100 and 1e-12, and at 5e-324 the assembly
+    refuses the n-weight that underflows to 0 (exit 3);
   * curv-measure on cycle:10 at dim 4 for the two-point densities on
     states 0 and 3, whose n has two components in one block of the forms,
     and on states 0 and 5, whose forms split into two blocks;
@@ -52,8 +52,10 @@ scratch directory that is also the working directory:
     two components under spectrum (exit 2, naming a state the other
     component cannot reach);
   * the edge list a-b-c with weights 1, 1e-309 under spectrum: pi_c is
-    about 5e-310, so D_pi overflows and chain_stats reads "inf"; and under
-    heat and mixing, whose heat kernel overflows there (exit 3);
+    about 5e-310, so D_pi overflows and chain_stats reads "inf"; under
+    heat, whose heat kernel overflows there (exit 3); and under mixing,
+    which reads pi(x) pi(y) p_t(x, y) from the orthonormal eigenvectors
+    and finds tau = ln 2;
   * dgamma on complete:8, whose pairs are one orbit of its automorphisms,
     and on the bare chain document of hypercube:4, which carries none, so
     that diam_Gamma runs over orbit representatives and over all pairs;
@@ -67,19 +69,19 @@ scratch directory that is also the working directory:
   * curv-measure at the zero density of path:3 (exit 2: a density needs a
     positive entry) and at a density of 1e-320 on every state of cycle:5,
     read from a JSON file, whose form weights are subnormal: the pencil
-    reads K = lambda_1, which the PSD bracket refuses, since subnormal
-    entries carry too few digits for its test (exit 3);
+    reads K = lambda_1, which the bracket refuses, since subnormal
+    entries carry too few digits for its rounding bounds (exit 3);
   * curv-measure on cycle:5 at a density of 1e-10 on every state, where
-    the PSD floor, read from the form entries, scales with the density and
-    confirms K = lambda_1 as at the density 1;
+    the bracket's rounding bounds scale with the density and confirm
+    K = lambda_1 as at the density 1;
   * the same density at dim 4 under the logarithmic mean, confirmed as
     well;
   * the edge list a-b-c-d with weights 10, 1e-12, 10 under curv-measure at
-    dim 4 and the density {a: 4, b: 4, d: 12}: a wrong certificate, kept
-    so that its mending shows.  It exits 0 with K = 1.4999999999842142
-    and the bracket [1.499999996234214, 1.5000000037342143], but the exact
-    value is 1.4999995718255186, and neither end passes the exact PSD
-    test (at dim inf the same command exits 3).
+    dim 4 and the density {a: 4, b: 4, d: 12}: the reduction reads
+    K = 1.4999999999842142, but the exact value is 1.4999995718255186,
+    and the bracket refuses it at the lower end (exit 3; an eigenvalue
+    floor certified [1.499999996234214, 1.5000000037342143], which
+    neither end of the exact PSD test passes).
 
 For each command it records the exit code, stdout, stderr and the file
 named by --out or --csv (removed before the command runs), with the
