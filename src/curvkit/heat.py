@@ -18,8 +18,8 @@ import numpy as np
 from .chain import MarkovChain, derived, distance_matrix
 from .errors import (EpsTooLarge, InvalidParameters, NegativeTime,
                      NumericalFailure, PreconditionHeuristic)
-from .gamma import (_as_function, _edge_laplacian, _on_edges, a_form,
-                    func_inner, laplacian, laplacian_matrix)
+from .gamma import (_as_function, _delta, _edge_laplacian, _energy, _on_edges,
+                    _pi_inner, _validate_rows, laplacian_matrix)
 from .means import get_mean
 
 #: the spectral kernel's resolution relative to its largest entry: below it
@@ -73,11 +73,15 @@ def heat_operator(chain: MarkovChain, t: float) -> np.ndarray:
     return (phi * damp) @ (phi.T * chain.pi)
 
 
+def _evolve(chain: MarkovChain, t: float, f: np.ndarray) -> np.ndarray:
+    """P_t of each row of f."""
+    phi, damp = _damped(chain, t)
+    return (((f * chain.pi) @ phi) * damp) @ phi.T
+
+
 def heat_apply(chain: MarkovChain, t: float, f) -> np.ndarray:
     """P_t f for a function f of shape (n,)."""
-    phi, damp = _damped(chain, t)
-    coeff = phi.T @ (chain.pi * _as_function(chain, f))
-    return phi @ (damp * coeff)
+    return _evolve(chain, t, _as_function(chain, f))
 
 
 def heat_kernel(chain: MarkovChain, t: float) -> np.ndarray:
@@ -170,6 +174,30 @@ class VerifyReport:
                         for key, v in witness.items()}
         return True
 
+    def _score_grid(self, res: np.ndarray, violations: int, t_grid,
+                    **rows) -> None:
+        """Score the residuals res[i, j] of trial i at t_grid[j] as _score
+        would, one at a time in trial-major order: the witness is the first
+        strict minimum (never a NaN), with row i of each array in rows and
+        t.  violations counts those of the whole grid."""
+        k = _first_min(res)
+        if k is None:
+            self.violations += violations
+            return
+        i, j = divmod(k, res.shape[1])
+        self._score(float(res.flat[k]), violations,
+                    **{key: v[i] for key, v in rows.items()}, t=float(t_grid[j]))
+
+
+def _first_min(r: np.ndarray) -> int | None:
+    """The flat index at which a scan of r that keeps each entry below the
+    least kept so far, starting from +inf, ends; None when it keeps
+    nothing.  As `not r < worst` does, the scan passes over NaN and +inf."""
+    r = np.where(np.isnan(r), math.inf, r).ravel()
+    if r.size and r[k := int(np.argmin(r))] < math.inf:
+        return k
+    return None
+
 
 def _random_density(chain: MarkovChain, rng) -> np.ndarray:
     """Dirichlet(1) mass converted to a density, floored at 1e-9."""
@@ -187,13 +215,27 @@ def _grad_coeff(k: float, dim: float, t: float) -> float:
     return -math.expm1(-2.0 * k * t) / (k * dim)
 
 
-def _residual_scale(scale: float, f) -> float:
-    """scale floored by the rounding scale of the input function f.
+def _residual_scale(scale: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """scale floored by the rounding scale of the input function f, per row.
 
     Without the floor, triples whose two sides cancel exactly (constant f,
     t = 0) normalize rounding noise up to order one.
     """
-    return max(scale, 1e-13 * float(np.abs(f).max()) ** 2, 1e-300)
+    return np.maximum(np.maximum(scale, 1e-13 * np.abs(f).max(axis=-1) ** 2), 1e-300)
+
+
+def _gradient_rows(chain: MarkovChain, mean, k: float, dim: float,
+                   rho: np.ndarray, f: np.ndarray, t: float) -> np.ndarray:
+    """gradient_estimate_residual of each row pair of the (T, n) stacks rho
+    and f; P_t rho and rho are validated row by row."""
+    rho_t, f_t = _evolve(chain, t, rho), _evolve(chain, t, f)
+    term1 = math.exp(-2.0 * k * t) * _energy(chain, mean,
+                                             _validate_rows(chain, mean, rho_t), f)
+    term2 = _energy(chain, mean, _validate_rows(chain, mean, rho), f_t)
+    lf = _delta(chain, f_t)
+    rhs = _grad_coeff(k, dim, t) * _pi_inner(chain, rho, lf * lf)
+    agg = np.abs(term1) + np.abs(term2) + np.abs(rhs)
+    return (term1 - term2 - rhs) / _residual_scale(agg, f)
 
 
 def gradient_estimate_residual(chain: MarkovChain, mean, k: float, dim: float,
@@ -203,28 +245,28 @@ def gradient_estimate_residual(chain: MarkovChain, mean, k: float, dim: float,
     scaled by the unsigned aggregate of the terms, not by |lhs| + |rhs|:
     the aggregate bounds the rounding noise of the two (possibly
     cancelling) sides."""
-    rho_t = heat_apply(chain, t, rho)
-    f_t = heat_apply(chain, t, f)
-    term1 = math.exp(-2.0 * k * t) * a_form(chain, mean, rho_t, f)
-    term2 = a_form(chain, mean, rho, f_t)
-    lf = laplacian(chain, f_t)
-    rhs = _grad_coeff(k, dim, t) * func_inner(chain, rho, lf * lf)
-    agg = abs(term1) + abs(term2) + abs(rhs)
-    return (term1 - term2 - rhs) / _residual_scale(agg, f)
+    return float(_gradient_rows(chain, get_mean(mean), k, float(dim),
+                                _as_function(chain, rho)[None],
+                                _as_function(chain, f)[None], t)[0])
 
 
-def _worst_trial(name: str, residual, chain: MarkovChain, trials: int,
+def _worst_trial(name: str, residual_rows, chain: MarkovChain, trials: int,
                  t_grid, seed: int) -> VerifyReport:
     """Worst residual(rho, f, t) over random (rho, f) pairs and the t grid;
-    a residual below -1e-9 counts as a violation."""
+    a residual below -1e-9 counts as a violation.  Every pair is drawn
+    first, in the order of a trial-by-trial loop (the density, then f);
+    residual_rows then scores all of them at one t at a time."""
     rng = np.random.default_rng(seed)
+    rho = np.empty((trials, chain.n_states))
+    f = np.empty((trials, chain.n_states))
+    for i in range(trials):
+        rho[i] = _random_density(chain, rng)
+        f[i] = rng.standard_normal(chain.n_states)
+    res = np.empty((trials, len(t_grid)))
+    for j, t in enumerate(t_grid):
+        res[:, j] = residual_rows(rho, f, t)
     report = VerifyReport(name, trials, math.inf)
-    for _ in range(trials):
-        rho = _random_density(chain, rng)
-        f = rng.standard_normal(chain.n_states)
-        for t in t_grid:
-            r = residual(rho, f, t)
-            report._score(r, int(r < -1e-9), rho=rho, f=f, t=float(t))
+    report._score_grid(res, int(np.sum(res < -1e-9)), t_grid, rho=rho, f=f)
     return report
 
 
@@ -232,10 +274,8 @@ def verify_gradient_estimate(chain: MarkovChain, mean, k: float, dim,
                              trials: int = 50, t_grid=(0.1, 1.0, 10.0),
                              seed: int = 0) -> VerifyReport:
     """Check the semigroup gradient estimate over random (rho, f, t)."""
-    residual = partial(gradient_estimate_residual, chain, get_mean(mean), k,
-                       float(dim))
-    return _worst_trial("gradient_estimate", residual, chain, trials, t_grid,
-                        seed)
+    rows = partial(_gradient_rows, chain, get_mean(mean), k, float(dim))
+    return _worst_trial("gradient_estimate", rows, chain, trials, t_grid, seed)
 
 
 def _gradient_estimate_f_matrix(chain: MarkovChain, mean, k: float, dim: float,
@@ -354,18 +394,26 @@ def _rp_coeff2(k: float, dim: float, t: float) -> float:
     return (_rp_coeff1(k, t) - 2.0 * t) / (k * dim)
 
 
+def _reverse_poincare_rows(chain: MarkovChain, mean, k: float, dim: float,
+                           rho: np.ndarray, f: np.ndarray, t: float) -> np.ndarray:
+    """reverse_poincare_residual of each row pair of the (T, n) stacks rho
+    and f; rho is validated row by row."""
+    rho_t, f_t = _evolve(chain, t, rho), _evolve(chain, t, f)
+    lhs = _pi_inner(chain, f * f, rho_t) - _pi_inner(chain, f_t * f_t, rho)
+    lf = _delta(chain, f_t)
+    rhs = _rp_coeff1(k, t) * _energy(chain, mean, _validate_rows(chain, mean, rho), f_t) \
+        + _rp_coeff2(k, dim, t) * _pi_inner(chain, rho, lf * lf)
+    return (lhs - rhs) / _residual_scale(np.abs(lhs) + np.abs(rhs), f)
+
+
 def reverse_poincare_residual(chain: MarkovChain, mean, k: float, dim: float,
                               rho, f, t: float) -> float:
     """Normalized residual of
     <f^2, P_t rho>_pi - <(P_t f)^2, rho>_pi
         >= c1(K,t) A_rho(P_t f) + c2(K,dim,t) <rho, (Delta P_t f)^2>_pi."""
-    rho_t = heat_apply(chain, t, rho)
-    f_t = heat_apply(chain, t, f)
-    lhs = func_inner(chain, f * f, rho_t) - func_inner(chain, f_t * f_t, rho)
-    lf = laplacian(chain, f_t)
-    rhs = _rp_coeff1(k, t) * a_form(chain, mean, rho, f_t) \
-        + _rp_coeff2(k, dim, t) * func_inner(chain, rho, lf * lf)
-    return (lhs - rhs) / _residual_scale(abs(lhs) + abs(rhs), f)
+    return float(_reverse_poincare_rows(chain, get_mean(mean), k, float(dim),
+                                        _as_function(chain, rho)[None],
+                                        _as_function(chain, f)[None], t)[0])
 
 
 def verify_reverse_poincare(chain: MarkovChain, mean, k: float, dim,
@@ -374,9 +422,8 @@ def verify_reverse_poincare(chain: MarkovChain, mean, k: float, dim,
     """Check the reverse Poincare inequality (needs a mean below arithmetic)."""
     mean = get_mean(mean)
     _check_below_arithmetic(mean)
-    residual = partial(reverse_poincare_residual, chain, mean, k, float(dim))
-    return _worst_trial("reverse_poincare", residual, chain, trials, t_grid,
-                        seed)
+    rows = partial(_reverse_poincare_rows, chain, mean, k, float(dim))
+    return _worst_trial("reverse_poincare", rows, chain, trials, t_grid, seed)
 
 
 def _check_below_arithmetic(mean):
@@ -407,15 +454,18 @@ def check_linf_gradient_bound(chain: MarkovChain, trials: int = 20,
     rng = np.random.default_rng(seed)
     q_min = chain.stats().q_min
     ex, ey, _ = chain.edges
+    f = rng.standard_normal((trials, chain.n_states))      # the trials as rows
+    f_max = np.abs(f).max(axis=1)
+    res = np.empty((trials, len(t_grid)))
+    violations = 0
+    for j, t in enumerate(t_grid):
+        f_t = _evolve(chain, t, f)
+        lhs = np.abs(f_t[:, ey] - f_t[:, ex]).max(axis=1)
+        rhs = f_max / math.sqrt(t * q_min)
+        res[:, j] = (rhs - lhs) / np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
+        violations += int(np.sum(lhs > rhs + 1e-9))
     report = VerifyReport("linf_gradient_bound", trials, math.inf)
-    for _ in range(trials):
-        f = rng.standard_normal(chain.n_states)
-        for t in t_grid:
-            f_t = heat_apply(chain, t, f)
-            lhs = float(np.abs(f_t[ey] - f_t[ex]).max())
-            rhs = float(np.abs(f).max()) / math.sqrt(t * q_min)
-            r = (rhs - lhs) / max(abs(lhs) + abs(rhs), 1e-300)
-            report._score(r, int(lhs > rhs + 1e-9), f=f, t=float(t))
+    report._score_grid(res, violations, t_grid, f=f)
     return report
 
 

@@ -554,8 +554,9 @@ def test_verify_unconfirmed_vertex_curvature_exit3(tmp_path, capsys):
 def test_verify_identity_violation_exit4_with_report(tmp_path, monkeypatch):
     import curvkit.cli as cli
 
-    real = cli.b_form
-    monkeypatch.setattr(cli, "b_form", lambda *args: real(*args) + 1e-6)
+    # the suite reads the b-form of all its trial functions as one row each
+    real = cli._b_rows
+    monkeypatch.setattr(cli, "_b_rows", lambda *args: real(*args) + 1e-6)
     code, doc = run_cli(tmp_path, "verify", "--gen", "hypercube:2",
                         "--suite", "identities", "--k-ent", "0.1")
     assert code == 4

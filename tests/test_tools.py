@@ -53,6 +53,13 @@ def _dgamma_counts(counts):
     ("entropic", "cycle:6",      # the Dirac start ends where the pencil loses K
      lambda result: float(result["k_hat"]) == pytest.approx(0.38330140757, rel=1e-9),
      lambda counts: counts == {"grad_calls": 12, "measure_calls": 2, "failed_starts": 1}),
+    # Mean.value: a- and b-forms and Green per mean (9), then one stack of
+    # densities per t in the heat suites (2 x 3 + 4); a stack of densities
+    # calls validate_density only on a row that fails
+    ("verify", "hypercube:3",
+     lambda result: result["fixed_leaves"] == 20 and len(result["digest"]) == 16,
+     lambda counts: counts == {"mean_value_calls": 19, "mean_d1_calls": 14,
+                               "validate_density_calls": 8}),
 ])
 def test_bench_child_runs(case, spec, check_result, check_counts):
     counted = _bench_child(case, spec, "--counted")

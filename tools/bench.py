@@ -26,7 +26,14 @@ CASE is one of
            seed=1)` on the seven chains of the `entropic` benchmark
            workload; the result is k_hat's repr, and the counters are the
            calls of `curvature_grad_rho` and of `curvature_of_measure`
-           and the starts that a NumericalFailure of the gradient ended.
+           and the starts that a NumericalFailure of the gradient ended;
+  verify   `verify --suite all --starts 1 --seed 1` through the CLI's
+           command function on the five chains of the `battery` benchmark
+           workload (hypercube:3, hypercube:4, cycle:12, complete:8,
+           random-regular:3:16:1); the result is the count and a digest of
+           the report leaves that must not move, every `holds`, `violations`
+           and `witness`, and the counters are the calls of `Mean.value`,
+           `Mean.d1` and `gamma.validate_density`.
 
 DIR is the root of another checkout holding `src/curvkit` (a `git archive`
 tree records no commit).  Every run is a fresh interpreter with one BLAS
@@ -34,7 +41,8 @@ thread and PYTHONPATH set to its side's `src`.  Per side and chain, one
 counted run records the counters, the result and the environment.  Then N
 timed rounds (default 5) run, in which the sides take turns on every chain
 and the side that goes first alternates.  A timed run installs no counter
-and must reproduce its side's counted result.  The record, written to
+and must reproduce its side's counted result; the `verify` case imports
+the CLI and scipy.optimize before its timed call.  The record, written to
 OUT.json (default BENCH_CASE.json), holds each side's time quartiles and
 samples, peak RSS, result and counters, and `same_result`.
 """
@@ -43,6 +51,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
+import importlib
 import json
 import os
 import platform
@@ -51,6 +61,7 @@ import statistics
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -145,6 +156,44 @@ def _count_entropic(ck) -> Counter:
     return stats
 
 
+def _fixed_leaves(doc, path: str = ""):
+    """(path, value) of every holds flag, violation count and witness of a
+    report's results, in document order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key in ("holds", "violations", "witness"):
+                yield f"{path}.{key}", value
+            else:
+                yield from _fixed_leaves(value, f"{path}.{key}")
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _fixed_leaves(value, f"{path}[{i}]")
+
+
+def _verify(ck, chain) -> dict:
+    from curvkit import cli
+
+    args = cli.build_parser().parse_args(["verify", "--suite", "all", "--starts", "1",
+                                          "--seed", "1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the CLI lists them; they do not count here
+        results = cli._jsonable(args.fn(chain, args)[1])
+    leaves = list(_fixed_leaves(results))
+    text = json.dumps(leaves, sort_keys=True).encode()
+    return {"fixed_leaves": len(leaves), "digest": hashlib.sha256(text).hexdigest()[:16]}
+
+
+def _count_verify(ck) -> Counter:
+    """Install the verify counters; a counted child makes one call and exits."""
+    stats = Counter(mean_value_calls=0, mean_d1_calls=0, validate_density_calls=0)
+    _wrap(ck.Mean, "value", lambda _: stats.update(mean_value_calls=1))
+    _wrap(ck.Mean, "d1", lambda _: stats.update(mean_d1_calls=1))
+    # curvkit.gamma the module, which the package's `gamma` function shadows
+    _wrap(sys.modules["curvkit.gamma"], "validate_density",
+          lambda _: stats.update(validate_density_calls=1))
+    return stats
+
+
 # case: (chains, call, counters)
 CASES = {
     "cheeger": (tuple(f"random-regular:3:24:{s}" for s in range(1, 11))
@@ -159,7 +208,14 @@ CASES = {
     "entropic": (("cycle:6", "cycle:9", "hypercube:4", "complete:6", "path:8",
                   "random-regular:3:12:1", "random-regular:3:16:1"),
                  _entropic, _count_entropic),
+    "verify": (("hypercube:3", "hypercube:4", "cycle:12", "complete:8",
+                "random-regular:3:16:1"), _verify, _count_verify),
 }
+
+
+#: modules a case's call would import on its first call, imported before
+#: the timed call starts
+_PRELOAD = {"verify": ("curvkit.cli", "scipy.optimize")}
 
 
 def _environment(ck) -> dict:
@@ -188,6 +244,8 @@ def _child(case: str, spec: str, counted: bool) -> dict:
 
     _, call, counters = CASES[case]
     chain = ck.generate(spec)
+    for name in _PRELOAD.get(case, ()):
+        importlib.import_module(name)
     if counted:
         stats = counters(ck)
         return {"result": call(ck, chain), "counts": stats, "environment": _environment(ck)}
