@@ -213,7 +213,7 @@ def _breadth_first(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, parent) of a FIFO breadth-first search from state 0 over the
     edges in either direction: each state's out-neighbours ascending, then its
     in-neighbours ascending.  parent is -9999 at the root and at every state
-    not reached, as in `scipy.sparse.csgraph.breadth_first_order`."""
+    not reached, the convention of csgraph's `breadth_first_order`."""
     n = len(adjacency)
     ox, out = np.nonzero(adjacency)
     ix, inn = np.nonzero(adjacency.T)

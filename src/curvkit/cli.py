@@ -334,7 +334,7 @@ def _cmd_verify(chain, args):
             g2 = _pi_inner(chain, rho, _gamma2_sum(chain, d1, fs, fs))
             worst_a = max(worst_a, _worst_gap(_energy(chain, mean, rho, fs), g1))
             worst_b = max(worst_b, _worst_gap(_b_rows(chain, mean, rho, fs), g2))
-        green = check_geometric_green(chain, rho, trials=8, seed=args.seed)
+        green = check_geometric_green(chain, rho, trials=args.trials, seed=args.seed)
         results["identities"] = {
             "a_form_residual": worst_a,
             "b_form_residual": worst_b,

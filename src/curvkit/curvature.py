@@ -54,7 +54,7 @@ AGREE_TOL = 1e-8
 #: cluster width: pencil eigenvalues this close to the least one count as
 #: one multiple eigenvalue, whose witnesses the curvature gradient averages
 GRAD_GAP_TOL = 1e-7
-#: L-BFGS-B relative reduction tolerance and iteration cap per start
+#: the descent's relative reduction tolerance and iteration cap per start
 DESCENT_FTOL = 1e-8
 DESCENT_MAX_ITERS = 500
 #: an entropic K at or above -NONNEG_TOL counts as K >= 0
@@ -427,7 +427,7 @@ def curvature_grad_rho(chain: MarkovChain, mean, rho, dim) -> tuple[float, np.nd
     k, cluster, _, norm = _reduce(m, n, _grounded(n) if positive and (d1 > 0).all() else None)
     # eigh's eigenvalues are exact for a matrix within eps ||R|| of R: past
     # AGREE_TOL K has no digit, and a descent that reads it only wanders
-    # (the densities of range 1e26 that the L-BFGS box admits give K off by 1e6)
+    # (the densities of range 1e26 that the descent's box admits give K off by 1e6)
     if np.finfo(float).eps * norm > AGREE_TOL * max(1.0, abs(k)):
         raise NumericalFailure(f"the reduced pencil cannot resolve K={k!r} to {AGREE_TOL}")
     if positive:
@@ -466,8 +466,9 @@ def _least_confirmed(chain: MarkovChain, mean, dim, seen):
 
     Descent can run into densities so lopsided that the pencil of the
     unconfirmed evaluation is numerically meaningless; those are skipped.
-    L-BFGS-B can evaluate one point more than once; a density with the
-    bytes of another would meet the same outcome, so each is tried once.
+    The line search can return to a point it evaluated before; a density
+    with the bytes of another would meet the same outcome, so each is
+    tried once.
     """
     for k, rho in sorted({rho.tobytes(): (k, rho) for k, rho in seen}.values(),
                          key=lambda item: item[0]):
@@ -491,8 +492,9 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     confirmed value along its descent (see _least_confirmed).  A start
     whose eigensolver raises LinAlgError is recorded as (inf, False) and
     the next one runs; NumericalFailure is raised only when no start gives
-    a confirmed value.  The arguments are checked before scipy.optimize is
-    imported, so a bad call costs no import.
+    a confirmed value.  Each start descends by _lbfgs.box_lbfgs on the box
+    u in [-30, 30]^n; _lbfgs is imported on first use, as no other
+    computation needs it.
     """
     dim = _dimension(dim)
     if starts < 1:
@@ -501,7 +503,7 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
     mean = get_mean(mean)
     if mean.domain_class != "open":
         raise DomainError("the entropic optimizer needs an open-domain mean")
-    import scipy.optimize
+    from . import _lbfgs
 
     n = chain.n_states
     pi = chain.pi
@@ -538,12 +540,9 @@ def entropic_curvature_estimate(chain: MarkovChain, dim, starts: int = 32,
             return k, g_u
 
         try:
-            res = scipy.optimize.minimize(
-                fun_and_grad, np.log(rho0), jac=True, method="L-BFGS-B",
-                bounds=[(-30.0, 30.0)] * n,
-                options={"maxiter": DESCENT_MAX_ITERS, "ftol": DESCENT_FTOL,
-                         "gtol": 1e-10})
-            converged = bool(res.success)
+            converged = _lbfgs.box_lbfgs(fun_and_grad, np.log(rho0), -30.0, 30.0,
+                                         ftol=DESCENT_FTOL, gtol=1e-10,
+                                         max_iters=DESCENT_MAX_ITERS)[2]
         except NumericalFailure:
             converged = False
         except np.linalg.LinAlgError:

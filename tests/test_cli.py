@@ -247,7 +247,7 @@ def _loaded_by_cli_import(modules, argv=None):
 
 
 def test_cli_import_defers_networkx_and_scipy_optimize():
-    # only random_regular needs networkx and only the entropic descent needs
+    # only random_regular needs networkx and no command needs
     # scipy.optimize; a fresh interpreter importing the CLI loads neither
     assert _loaded_by_cli_import({"networkx", "scipy.optimize"}) == "[]"
 
@@ -259,9 +259,8 @@ def test_cli_import_leaves_scipy_sparse_out():
 
 
 def test_cli_import_leaves_every_scipy_module_out():
-    # numpy is the one linear-algebra backend and only the entropic descent
-    # imports scipy (scipy.optimize), on first use; importing the CLI loads
-    # no scipy module
+    # numpy is the one linear-algebra backend and the entropic descent is
+    # curvkit's own; importing the CLI loads no scipy module
     assert _loaded_by_cli_import({"scipy"}) == "[]"
 
 
@@ -276,11 +275,14 @@ def test_cli_import_leaves_every_scipy_module_out():
     ["dgamma", "--gen", "cycle:6"],
     ["cheeger", "--gen", "cycle:6"],
     ["verify", "--gen", "cycle:6", "--k-ent", "0.1", "--suite", "geometry"],
+    ["curv-entropic", "--gen", "cycle:6", "--starts", "2"],
+    pytest.param(["verify", "--gen", "cycle:6", "--suite", "geometry", "--starts", "1"],
+                 id="verify-descent"),
 ], ids=lambda argv: argv[0])
 def test_command_loads_no_scipy_or_networkx(argv):
-    # only the entropic descent imports scipy and only random_regular
-    # networkx, so a fresh interpreter running any other command loads
-    # neither
+    # no command imports scipy, the entropic descent included, and only
+    # random_regular imports networkx, so a fresh interpreter running any
+    # of these commands loads neither
     assert _loaded_by_cli_import({"networkx", "scipy"}, argv) == "[]"
 
 
@@ -594,6 +596,25 @@ def test_verify_runs_the_starts_it_records(tmp_path, monkeypatch):
     assert code == 0
     assert seen == [17]
     assert doc["config"]["starts"] == 17
+
+
+def test_verify_scores_green_on_the_trials_it_records(tmp_path, monkeypatch):
+    import curvkit.cli as cli
+
+    seen = []
+    real = cli.check_geometric_green
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["trials"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_geometric_green", recording)
+    code, doc = run_cli(tmp_path, "verify", "--gen", "cycle:6",
+                        "--suite", "identities", "--trials", "3", "--seed", "1")
+    assert code == 0
+    assert seen == [3]
+    assert doc["config"]["trials"] == 3
+    assert doc["results"]["identities"]["geometric_green_residual"] <= 1e-11
 
 
 def test_verify_cheeger_l1_matches_library(tmp_path):

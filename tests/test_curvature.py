@@ -19,6 +19,7 @@ from curvkit import (ARITHMETIC, GEOMETRIC, LOGARITHMIC, DomainError,
                      entropic_curvature_estimate, equilibrium, generate,
                      hypercube, lambda1, lichnerowicz_check, path,
                      random_regular, srw_from_graph)
+from curvkit import _lbfgs
 from curvkit.curvature import _reduce
 from curvkit.gamma import assemble_forms
 from curvkit.gamma import cd_quadratic_grad
@@ -971,9 +972,10 @@ def test_profile_rejects_a_non_positive_dimension(dim):
         curvature_profile(cycle(5), ARITHMETIC, np.ones(5), [INF, dim])
 
 
-def test_entropic_estimate_checks_the_dimension_before_importing_scipy(monkeypatch):
-    # and every other argument: with scipy.optimize made unimportable, a bad
-    # call still raises its own error
+def test_entropic_estimate_checks_its_arguments_and_needs_no_scipy(monkeypatch):
+    # with scipy made unimportable, a bad call raises its own error and a
+    # full descent runs
+    monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.setitem(sys.modules, "scipy.optimize", None)
     for kwargs, error, message in [
             ({"dim": 0}, DomainError, "dimension must be positive, got 0.0"),
@@ -982,6 +984,9 @@ def test_entropic_estimate_checks_the_dimension_before_importing_scipy(monkeypat
             ({"mean": ARITHMETIC}, DomainError, "needs an open-domain mean")]:
         with pytest.raises(error, match=message):
             entropic_curvature_estimate(cycle(5), **{"dim": INF, **kwargs})
+    est = entropic_curvature_estimate(path(5), INF, starts=2, seed=1)
+    assert len(est.per_start) == 2 and math.isfinite(est.k_hat)
+    assert est.k_hat == min(k for k, _ in est.per_start)
 
 
 # -- gradient and optimizer --------------------------------------------------
@@ -1183,7 +1188,7 @@ def test_entropic_estimate_deterministic():
 
 def test_entropic_estimate_survives_linalg_error(monkeypatch):
     # a LinAlgError in one start is recorded as (inf, False); the others run
-    real = scipy.optimize.minimize
+    real = _lbfgs.box_lbfgs
     calls = []
 
     def flaky(*args, **kwargs):
@@ -1192,7 +1197,7 @@ def test_entropic_estimate_survives_linalg_error(monkeypatch):
             raise np.linalg.LinAlgError("eigh did not converge")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", flaky)
+    monkeypatch.setattr(_lbfgs, "box_lbfgs", flaky)
     est = entropic_curvature_estimate(hypercube(2), INF, starts=4, seed=0)
     assert len(calls) == 4 and len(est.per_start) == 4
     assert est.per_start[1] == (math.inf, False)
@@ -1205,7 +1210,7 @@ def test_entropic_estimate_fails_when_every_start_fails(monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("eigh did not converge")
 
-    monkeypatch.setattr(scipy.optimize, "minimize", broken)
+    monkeypatch.setattr(_lbfgs, "box_lbfgs", broken)
     with pytest.raises(NumericalFailure):
         entropic_curvature_estimate(hypercube(2), INF, starts=3, seed=0)
 

@@ -41,8 +41,10 @@ thread and PYTHONPATH set to its side's `src`.  Per side and chain, one
 counted run records the counters, the result and the environment.  Then N
 timed rounds (default 5) run, in which the sides take turns on every chain
 and the side that goes first alternates.  A timed run installs no counter
-and must reproduce its side's counted result; the `verify` case imports
-the CLI and scipy.optimize before its timed call.  The record, written to
+and must reproduce its side's counted result.  Every run first makes one
+untimed, uncounted call on a separately generated copy of its chain, so
+the imports and first-use costs of the call fall outside the timed and the
+counted call, and the chain's memos stay empty.  The record, written to
 OUT.json (default BENCH_CASE.json), holds each side's time quartiles and
 samples, peak RSS, result and counters, and `same_result`.
 """
@@ -52,7 +54,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib
 import json
 import os
 import platform
@@ -213,15 +214,15 @@ CASES = {
 }
 
 
-#: modules a case's call would import on its first call, imported before
-#: the timed call starts
-_PRELOAD = {"verify": ("curvkit.cli", "scipy.optimize")}
-
 
 def _environment(ck) -> dict:
     import numpy as np
-    import scipy
 
+    try:
+        import scipy
+        scipy_version = scipy.__version__
+    except ImportError:
+        scipy_version = None
     cpu = None
     with contextlib.suppress(OSError), open("/proc/cpuinfo", encoding="utf-8") as fh:
         cpu = next((line.split(":", 1)[1].strip() for line in fh
@@ -234,7 +235,7 @@ def _environment(ck) -> dict:
             "blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "threads": 1},
             "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__, "scipy": scipy_version,
             "commit": git.stdout.strip() if git.returncode == 0 else None}
 
 
@@ -243,9 +244,8 @@ def _child(case: str, spec: str, counted: bool) -> dict:
     import curvkit as ck
 
     _, call, counters = CASES[case]
+    call(ck, ck.generate(spec))     # the warm-up
     chain = ck.generate(spec)
-    for name in _PRELOAD.get(case, ()):
-        importlib.import_module(name)
     if counted:
         stats = counters(ck)
         return {"result": call(ck, chain), "counts": stats, "environment": _environment(ck)}
